@@ -22,34 +22,32 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from ..aemilia.architecture import ArchiType
+from ..aemilia.pretty import print_architecture
 from ..aemilia.semantics import generate_lts
 from ..ctmc.build import build_ctmc
 from ..ctmc.measures import Measure, evaluate_measures
 from ..ctmc.parametric import record_parametric_fallback
 from ..ctmc.solvers import resolve_method
-from ..ctmc.steady_state import steady_state, steady_state_solution
+from ..ctmc.steady_state import steady_state_solution
 from ..errors import AnalysisError, ParametricError
 from ..lts.lts import LTS
 from ..obs import log as obs_log
-from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..runtime import (
     FaultInjector,
-    ParallelExecutor,
+    ParametricLTS,
     RetryPolicy,
     StructuralStateSpaceCache,
-    SweepCheckpoint,
-    Timer,
     TraceRecorder,
-    resolve_workers,
-    sweep_fingerprint,
 )
 from ..distributions import Distribution
 from ..sim.output import (
-    PairedReplicationResult,
     ReplicationResult,
     replicate,
     replicate_paired,
@@ -58,6 +56,7 @@ from ..sim.output import (
 from ..sim.splitting import SplittingResult, split_replicate
 from ..workload.hooks import apply_workload, workload_fingerprint
 from .noninterference import NoninterferenceResult, check_noninterference
+from .sweep import SweepDriver, SweepSpec
 from .validation import ValidationReport, cross_validate
 
 #: The two variants every phase compares.
@@ -95,46 +94,15 @@ def _phase_span(name: str):
     return wrap
 
 
-def _count_sweep_points(case: str, kind: str, count: int) -> None:
-    """Bump ``repro_sweep_points_total`` for one completed sweep."""
-    registry = obs_metrics.get_registry()
-    if registry.enabled and count:
-        obs_metrics.SWEEP_POINTS.on(registry).labels(
-            case=case, kind=kind
-        ).inc(count)
-
-
-def summarize_solver_records(
-    records: Sequence[Mapping[str, object]],
-) -> Dict[str, object]:
-    """Aggregate per-point solver reports into one runtime-stats entry.
-
-    ``backends`` counts how many points each backend solved, and the
-    residual/mass-defect maxima bound the numerical quality of the whole
-    sweep: the acceptance contract is ``max_residual < 1e-8``.
-    """
-    backends: Dict[str, int] = {}
-    for record in records:
-        name = str(record.get("method", "?"))
-        backends[name] = backends.get(name, 0) + 1
-    return {
-        "points": len(records),
-        "backends": backends,
-        "max_residual": max(
-            (float(r.get("residual", 0.0)) for r in records), default=0.0
-        ),
-        "max_mass_defect": max(
-            (float(r.get("mass_defect", 0.0)) for r in records),
-            default=0.0,
-        ),
-        "total_iterations": sum(
-            int(r.get("iterations", 0)) for r in records
-        ),
-    }
+def _columns(
+    rows: Sequence[Mapping[str, Any]], names: Sequence[str]
+) -> Dict[str, List[Any]]:
+    """Transpose per-point result rows into one series per name."""
+    return {name: [row[name] for row in rows] for name in names}
 
 
 # ---------------------------------------------------------------------------
-# Parallel sweep workers (module-level so the process pool can pickle them
+# Sweep point functions (module-level so the process pool can pickle them
 # by reference; the heavy shared payload ships once per worker).
 # ---------------------------------------------------------------------------
 
@@ -143,7 +111,7 @@ def _solve_ctmc_point(
 ) -> Dict[str, object]:
     """The single concrete-solve entry point of every Markovian path.
 
-    One-point solves and both sweep workers funnel through here, so the
+    One-point solves and the sweep points funnel through here, so the
     build-solve-evaluate contract (and any future interception, like the
     parametric fast path's fallback) lives in exactly one place.
     """
@@ -155,28 +123,53 @@ def _solve_ctmc_point(
     }
 
 
-def _markov_point_cached(shared: Any, env: Mapping[str, object]) -> Dict[str, object]:
-    """Solve one Markovian sweep point by relabeling the shared skeleton."""
-    skeleton, measures, method = shared
-    return _solve_ctmc_point(skeleton.relabel(env), measures, method)
+def _replicate_means(
+    lts: LTS, measures: Sequence[Measure], **settings: Any
+) -> Dict[str, float]:
+    """Mean of every measure over one serial replication batch."""
+    replication = replicate(lts, measures, **settings)
+    return {name: est.mean for name, est in replication.estimates.items()}
 
 
-def _markov_point_fresh(shared: Any, overrides: Mapping[str, object]) -> Dict[str, object]:
-    """Solve one Markovian sweep point from scratch (structural parameter)."""
-    archi, measures, method, max_states = shared
-    return _solve_ctmc_point(
-        generate_lts(archi, overrides, max_states), measures, method
-    )
+def _paired_means(
+    lts_dpm: LTS, lts_nodpm: LTS, measures: Sequence[Measure],
+    **settings: Any,
+) -> Dict[str, Dict[str, float]]:
+    """One paired (DPM vs NO-DPM) point: both variants' means, the
+    per-measure delta and its paired-t half-width."""
+    paired = replicate_paired(lts_dpm, lts_nodpm, measures, **settings)
+    return {
+        "dpm": {n: e.mean for n, e in paired.first.estimates.items()},
+        "nodpm": {n: e.mean for n, e in paired.second.estimates.items()},
+        "delta": {n: e.mean for n, e in paired.delta.items()},
+        "delta_half_width": {
+            n: e.half_width for n, e in paired.delta.items()
+        },
+    }
 
 
-def _markov_point_parametric(shared: Any, value: float) -> Dict[str, object]:
+def _splitting_estimates(
+    lts: LTS, measures: Sequence[Measure], **settings: Any
+) -> Dict[str, object]:
+    """Rare-event splitting estimate at one point: one splitting tree
+    per replication, all on deterministic slot streams."""
+    result = split_replicate(lts, measures, **settings)
+    rare = result.rare_probability()
+    return {
+        "measures": {n: e.mean for n, e in result.estimates.items()},
+        "rare_probability": rare.mean,
+        "rare_low": rare.low,
+        "rare_high": rare.high,
+    }
+
+
+def _markov_point_parametric(solution: Any, value: float) -> Dict[str, object]:
     """Evaluate one sweep point on a prebuilt parametric solution.
 
     Still one executor task per point: checkpoint journals, retries,
     chaos injection and workers-N bit-identity all apply unchanged —
     the task is just microseconds instead of a full solve.
     """
-    (solution,) = shared
     with tracing.span("parametric:eval", value=float(value)):
         return {
             "measures": solution.evaluate(value),
@@ -184,138 +177,50 @@ def _markov_point_parametric(shared: Any, value: float) -> Dict[str, object]:
         }
 
 
-def _general_point_cached(shared: Any, env: Mapping[str, object]) -> Dict[str, float]:
-    """Simulate one general sweep point on a relabeled shared skeleton."""
-    (
-        skeleton, measures, run_length, runs, warmup, seed, pattern,
-        workload, engine,
-    ) = shared
-    lts = skeleton.relabel(env)
-    if workload is not None:
-        lts = apply_workload(lts, pattern, workload)
-    replication = replicate(
-        lts, measures, run_length, runs=runs, warmup=warmup, seed=seed,
-        engine=engine,
-    )
-    return {name: est.mean for name, est in replication.estimates.items()}
+class LtsTask(NamedTuple):
+    """Shared payload of every state-space sweep point.
 
-
-def _general_point_fresh(shared: Any, overrides: Mapping[str, object]) -> Dict[str, float]:
-    """Simulate one general sweep point from scratch (structural parameter)."""
-    (
-        archi, measures, run_length, runs, warmup, seed, max_states,
-        pattern, workload, engine,
-    ) = shared
-    lts = generate_lts(archi, overrides, max_states)
-    if workload is not None:
-        lts = apply_workload(lts, pattern, workload)
-    replication = replicate(
-        lts, measures, run_length, runs=runs, warmup=warmup, seed=seed,
-        engine=engine,
-    )
-    return {name: est.mean for name, est in replication.estimates.items()}
-
-
-def _general_point_paired(shared: Any, value: float) -> Dict[str, Dict[str, float]]:
-    """Simulate one paired (DPM vs NO-DPM) general sweep point.
-
-    Both variants run under the common-random-numbers discipline: shared
-    event types draw identical durations run by run, so the per-point
-    delta intervals are far narrower than independent replications would
-    give (docs/SIMULATION.md).  The swept parameter binds only on the
-    DPM variant — the NO-DPM baseline has no DPM constants to sweep.
+    ``sources`` pairs each architecture with its cached skeleton — set
+    when the swept parameter is rate-only, so points relabel it instead
+    of re-exploring.  ``evaluate(*ltss, measures, **settings)`` is the
+    layer call (solve, ``replicate``, ``replicate_paired`` or
+    ``split_replicate``) and ``settings`` are exactly its keyword
+    arguments, which the sweep's fingerprint hashes.
     """
-    (
-        archi_dpm, archi_nodpm, parameter, overrides, measures,
-        run_length, runs, warmup, seed, max_states, pattern, workload,
-        engine, crn,
-    ) = shared
-    lts_dpm = generate_lts(
-        archi_dpm, dict(overrides, **{parameter: value}), max_states
-    )
-    lts_nodpm = generate_lts(archi_nodpm, dict(overrides), max_states)
-    if workload is not None:
-        lts_dpm = apply_workload(lts_dpm, pattern, workload)
-        lts_nodpm = apply_workload(lts_nodpm, pattern, workload)
-    paired = replicate_paired(
-        lts_dpm, lts_nodpm, measures, run_length, runs=runs,
-        warmup=warmup, seed=seed, engine=engine, crn=crn,
-    )
-    return {
-        "dpm": {
-            name: est.mean for name, est in paired.first.estimates.items()
-        },
-        "nodpm": {
-            name: est.mean
-            for name, est in paired.second.estimates.items()
-        },
-        "delta": {
-            name: est.mean for name, est in paired.delta.items()
-        },
-        "delta_half_width": {
-            name: est.half_width for name, est in paired.delta.items()
-        },
-    }
+
+    evaluate: Callable[..., Any]
+    sources: Tuple[Tuple[ArchiType, Optional[ParametricLTS]], ...]
+    max_states: int
+    measures: Sequence[Measure]
+    settings: Mapping[str, object]
+    pattern: Optional[str]
+    workloads: Tuple[Optional[Distribution], ...]
 
 
-def _rare_point(
-    shared: Any, overrides: Mapping[str, object]
-) -> Dict[str, object]:
-    """Rare-event splitting estimate at one general sweep point.
+def _lts_point(task: LtsTask, item: Tuple) -> Any:
+    """One state-space sweep point.
 
-    One task per point, one splitting tree per replication inside it —
-    the whole point runs on deterministic slot streams, so parallel
-    sweeps are bit-identical to serial ones just like the plain general
-    sweep workers.
+    The item is ``(workload index, one point per source)`` — a bound
+    constant environment for a skeleton, an override dict otherwise:
+    each source's LTS is relabeled or generated, rewritten with the
+    workload at the family's hook, and handed to the task's layer call.
+    The result depends only on ``(task, item)``, which is what makes
+    serial and parallel executions bit-identical.  A TraceReplay
+    workload's replay cursors are keyed per generator (and dropped on
+    pickling), so every point starts clean.
     """
-    (
-        archi, measures, rare_measure, run_length, runs, warmup, seed,
-        max_states, pattern, workload, engine, levels, splits, segments,
-    ) = shared
-    lts = generate_lts(archi, overrides, max_states)
-    if workload is not None:
-        lts = apply_workload(lts, pattern, workload)
-    result = split_replicate(
-        lts, measures, run_length, levels=levels, splits=splits,
-        segments=segments, rare_measure=rare_measure, runs=runs,
-        warmup=warmup, seed=seed, engine=engine,
-    )
-    rare = result.rare_probability()
-    return {
-        "measures": {
-            name: est.mean for name, est in result.estimates.items()
-        },
-        "rare_probability": rare.mean,
-        "rare_low": rare.low,
-        "rare_high": rare.high,
-    }
-
-
-def _workload_point(shared: Any, item: Tuple) -> Dict[str, float]:
-    """Simulate one (workload class, sweep point) task of sweep_workloads.
-
-    The item carries the workload distribution (possibly a TraceReplay —
-    its replay cursors are dropped on pickling, so every worker starts
-    clean) and either a relabel environment (cached skeleton) or an
-    override dict (fresh generation); the result depends only on
-    ``(shared, item)``, which is what makes serial and parallel
-    executions bit-identical.
-    """
-    (
-        skeleton, archi, measures, run_length, runs, warmup, seed,
-        pattern, max_states,
-    ) = shared
-    workload, point = item
-    if skeleton is not None:
-        lts = skeleton.relabel(point)
-    else:
-        lts = generate_lts(archi, point, max_states)
-    if workload is not None:
-        lts = apply_workload(lts, pattern, workload)
-    replication = replicate(
-        lts, measures, run_length, runs=runs, warmup=warmup, seed=seed
-    )
-    return {name: est.mean for name, est in replication.estimates.items()}
+    workload_index, points = item
+    workload = task.workloads[workload_index]
+    ltss = []
+    for (archi, skeleton), point in zip(task.sources, points):
+        if skeleton is not None:
+            lts = skeleton.relabel(point)
+        else:
+            lts = generate_lts(archi, point, task.max_states)
+        if workload is not None:
+            lts = apply_workload(lts, task.pattern, workload)
+        ltss.append(lts)
+    return task.evaluate(*ltss, task.measures, **task.settings)
 
 
 @dataclass
@@ -353,13 +258,14 @@ def solve_markovian_architecture(
     method: Optional[str] = None,
 ) -> Dict[str, float]:
     """Generate, build the CTMC, solve, and evaluate the measures."""
-    lts = generate_lts(archi, const_overrides, max_states)
-    ctmc = build_ctmc(lts)
-    pi = steady_state(ctmc, method=method)
-    return evaluate_measures(ctmc, pi, measures)
+    return _solve_ctmc_point(
+        generate_lts(archi, const_overrides, max_states),
+        measures,
+        resolve_method(method),
+    )["measures"]
 
 
-class IncrementalMethodology:
+class IncrementalMethodology(SweepDriver):
     """Drives the paper's three assessment phases over a model family.
 
     ``workers`` sets the default parallelism of the sweep and replication
@@ -368,7 +274,8 @@ class IncrementalMethodology:
     a concrete per-override cache (``build_lts`` returns the same object
     for the same request) backed by a :class:`StructuralStateSpaceCache`
     that re-labels rates instead of re-exploring when only rate-valued
-    parameters change.
+    parameters change.  Every sweep is a :class:`~repro.core.sweep.SweepSpec`
+    run by the shared :class:`~repro.core.sweep.SweepDriver`.
     """
 
     def __init__(
@@ -384,17 +291,10 @@ class IncrementalMethodology:
         workload: Optional[Distribution] = None,
         engine: Optional[str] = None,
     ):
+        super().__init__(workers, retry, faults, tracer, solver)
         self.family = family
         self.max_states = max_states
-        self.workers = resolve_workers(workers)
         self.cache = statespace_cache or StructuralStateSpaceCache()
-        self.timer = Timer()
-        self.retry = retry
-        self.faults = faults
-        self.tracer = tracer
-        #: Default steady-state backend for every Markovian solve
-        #: (``None`` resolves through ``$REPRO_SOLVER`` to ``auto``).
-        self.solver = solver
         #: Default workload applied to every general-phase simulation at
         #: the family's workload hook (docs/WORKLOADS.md); the Markovian
         #: and functional phases never see it.
@@ -402,56 +302,22 @@ class IncrementalMethodology:
         #: Default simulation engine for every general-phase run
         #: (``reference`` or ``fast``, docs/SIMULATION.md).
         self.engine = resolve_engine(engine)
-        if workload is not None and family.workload_pattern is None:
-            raise AnalysisError(
-                f"model family {family.name!r} declares no workload hook "
-                f"(workload_pattern); cannot apply workload {workload}"
-            )
-        #: Per-point solver reports of every Markovian solve so far,
-        #: in execution order (see runtime_stats()["solver"]).
-        self.solver_records: List[Dict[str, object]] = []
+        self._resolve_workload(workload)  # hook presence check
         self._lts_cache: Dict[Tuple, LTS] = {}
 
-    def _solver_method(self, method: Optional[str]) -> str:
-        """Resolve a per-call method request against the default chain.
-
-        Explicit *method* wins over the methodology's ``solver`` which
-        wins over ``$REPRO_SOLVER`` which defaults to ``auto``; the
-        resolved name is what sweep fingerprints and workers see.
-        """
-        return resolve_method(
-            method if method is not None else self.solver
-        )
+    @property
+    def case(self) -> str:
+        return self.family.name
 
     def _engine(self, engine: Optional[str]) -> str:
         """Per-call engine request wins over the methodology default."""
         return resolve_engine(engine) if engine else self.engine
 
-    def _resilience(self, checkpoint: Optional[SweepCheckpoint], phase: str):
-        """Executor kwargs engaging the fault-tolerant path when needed.
-
-        With no retry policy, fault injector, tracer or checkpoint
-        configured this returns ``{}`` and sweeps use the zero-overhead
-        fast path, exactly as before the reliability layer existed.
-        """
-        if (
-            self.retry is None
-            and self.faults is None
-            and self.tracer is None
-            and checkpoint is None
-        ):
-            return {}
-        if self.tracer is None:
-            # Lazily attach an in-memory recorder so retry/checkpoint
-            # counters always reach runtime_stats().
-            self.tracer = TraceRecorder()
-        return {
-            "retry": self.retry,
-            "faults": self.faults,
-            "tracer": self.tracer,
-            "checkpoint": checkpoint,
-            "phase": phase,
-        }
+    def runtime_stats(self) -> Dict[str, object]:
+        """The driver's stats plus the state-space cache counters."""
+        stats = super().runtime_stats()
+        stats["cache"] = self.cache.stats.as_dict()
+        return stats
 
     # -- shared helpers ------------------------------------------------------
 
@@ -467,55 +333,6 @@ class IncrementalMethodology:
                 f"model family {self.family.name!r} has no {attribute} model"
             )
         return archi
-
-    def _executor(self, workers: Optional[int]) -> ParallelExecutor:
-        return ParallelExecutor(
-            self.workers if workers is None else workers
-        )
-
-    def runtime_stats(self) -> Dict[str, object]:
-        """Workers, cache counters and per-phase wall-clock so far.
-
-        When the reliability layer is engaged (retry/faults/trace/
-        checkpoint) the snapshot also carries retry and checkpoint-hit
-        counters plus the aggregated trace.
-        """
-        stats: Dict[str, object] = {
-            "workers": self.workers,
-            "cache": self.cache.stats.as_dict(),
-            "timings": self.timer.as_dict(),
-        }
-        if self.solver_records:
-            stats["solver"] = summarize_solver_records(self.solver_records)
-        if self.tracer is not None:
-            stats["retries"] = self.tracer.retries
-            stats["checkpoint_hits"] = self.tracer.checkpoint_hits
-            stats["trace"] = self.tracer.summary()
-        return stats
-
-    def _sweep_checkpoint(
-        self,
-        checkpoint: Optional[str],
-        **definition: object,
-    ) -> Optional[SweepCheckpoint]:
-        """Open a sweep journal keyed by the full sweep definition.
-
-        The fingerprint covers everything that determines point results
-        (family, phase, parameter, values, overrides, solver/simulation
-        settings) and nothing that doesn't — notably not the worker
-        count, so a journal written under ``--workers 4`` resumes under
-        ``--workers 1`` and vice versa.
-        """
-        if checkpoint is None:
-            return None
-        return SweepCheckpoint(
-            checkpoint,
-            sweep_fingerprint(
-                family=self.family.name,
-                max_states=self.max_states,
-                **definition,
-            ),
-        )
 
     def build_lts(
         self,
@@ -560,6 +377,111 @@ class IncrementalMethodology:
             lts, self.family.workload_pattern, workload
         )
 
+    # -- sweep specs ---------------------------------------------------------
+
+    def _simulation(
+        self,
+        run_length: float,
+        runs: int,
+        warmup: float,
+        seed: int,
+        engine: Optional[str],
+    ) -> Dict[str, object]:
+        """Layer-call settings shared by every general-phase sweep point."""
+        return {
+            "run_length": run_length,
+            "runs": runs,
+            "warmup": warmup,
+            "seed": seed,
+            "engine": self._engine(engine),
+        }
+
+    def _sweep_spec(
+        self,
+        kind: str,
+        phase: str,
+        evaluate: Callable[..., Any],
+        settings: Mapping[str, object],
+        archis: Sequence[ArchiType],
+        parameter: str,
+        values: Sequence[float],
+        const_overrides: Optional[Mapping[str, object]],
+        fold: Callable[[List[Any]], Any],
+        workloads: Sequence[Optional[Distribution]] = (None,),
+        parametric: Any = None,
+        **attributes: object,
+    ) -> SweepSpec:
+        """Declare a sweep whose points evaluate the state spaces of
+        *archis* through the layer call ``evaluate(*ltss, measures,
+        **settings)``.
+
+        The swept *parameter* binds on the first architecture only (the
+        paired sweep's NO-DPM baseline has no DPM constants);
+        *const_overrides* bind on all.  Every (workload, value) pair is
+        one task, workload-major.  A source whose parameter is rate-only
+        relabels one cached skeleton per point instead of re-exploring.
+        A *parametric* solution replaces the per-point solves by
+        evaluations of its rational functions.  The identity is built
+        from the same arguments the points run on.
+        """
+        base = dict(const_overrides or {})
+        if parametric is not None:
+            point, shared = _markov_point_parametric, parametric
+            items: List[Any] = [float(v) for v in values]
+        else:
+            sources, points, relabels = [], [], 0
+            for archi in archis:
+                skeleton = None
+                if self.cache.enabled and self.cache.is_rate_only(
+                    archi, parameter
+                ):
+                    skeleton = self.cache.skeleton(
+                        archi, base, self.max_states, timer=self.timer
+                    )
+                sources.append((archi, skeleton))
+            for value in values:
+                row = []
+                for position, (archi, skeleton) in enumerate(sources):
+                    overrides = base
+                    if position == 0:
+                        overrides = {**base, parameter: value}
+                    if skeleton is not None:
+                        overrides = archi.bind_constants(overrides)
+                        relabels += overrides != skeleton.const_env
+                    row.append(overrides)
+                points.append(tuple(row))
+            self.cache.stats.relabel(relabels * len(workloads))
+            point = _lts_point
+            shared = LtsTask(
+                evaluate, tuple(sources), self.max_states,
+                self.family.measures, settings,
+                self.family.workload_pattern, tuple(workloads),
+            )
+            items = [(i, p) for i in range(len(workloads)) for p in points]
+            attributes["relabel"] = sources[0][1] is not None
+        return SweepSpec(
+            kind=kind,
+            phase=phase,
+            point=point,
+            shared=shared,
+            items=items,
+            fold=fold,
+            identity={
+                "max_states": self.max_states,
+                "parameter": parameter,
+                "values": list(values),
+                "const_overrides": sorted(base.items()),
+                "settings": dict(settings),
+                "workloads": [workload_fingerprint(w) for w in workloads],
+            },
+            models=lambda: [print_architecture(a) for a in archis],
+            measures=self.family.measures,
+            attributes={
+                "parameter": parameter, "points": len(values), **settings,
+                **attributes,
+            },
+        )
+
     # -- phase 1: functional -------------------------------------------------
 
     @_phase_span("phase:functional")
@@ -594,32 +516,11 @@ class IncrementalMethodology:
         self.solver_records.append(result["solver"])
         return result["measures"]
 
-    def _sweep_points(
-        self,
-        kind: str,
-        variant: str,
-        parameter: str,
-        values: Sequence[float],
-        const_overrides: Optional[Mapping[str, object]],
-    ) -> Tuple[ArchiType, List[Dict[str, object]], bool]:
-        """Per-point override dicts plus whether the skeleton is reusable."""
-        archi = self._variant_archi(kind, variant)
-        points = []
-        for value in values:
-            overrides = dict(const_overrides or {})
-            overrides[parameter] = value
-            points.append(overrides)
-        reusable = self.cache.enabled and self.cache.is_rate_only(
-            archi, parameter
-        )
-        return archi, points, reusable
-
     def _parametric_solution(
         self,
         archi: ArchiType,
         parameter: str,
         values: Sequence[float],
-        rate_only: bool,
         method: str,
         const_overrides: Optional[Mapping[str, object]],
     ):
@@ -638,7 +539,9 @@ class IncrementalMethodology:
             method == "auto" and len(values) >= PARAMETRIC_AUTO_THRESHOLD
         ):
             return None
-        if not rate_only:
+        if not (
+            self.cache.enabled and self.cache.is_rate_only(archi, parameter)
+        ):
             if method == "parametric":
                 record_parametric_fallback("structure")
                 _LOG.warning(
@@ -702,84 +605,23 @@ class IncrementalMethodology:
         to resume through per-point solves and vice versa.
         """
         method = self._solver_method(method)
-        archi, points, rate_only = self._sweep_points(
-            "markovian", variant, parameter, values, const_overrides
-        )
+        archi = self._variant_archi("markovian", variant)
+        names = self.family.measure_names()
+
+        def fold(results):
+            self.solver_records.extend(r["solver"] for r in results)
+            return _columns([r["measures"] for r in results], names)
+
         parametric = self._parametric_solution(
-            archi, parameter, values, rate_only, method, const_overrides
+            archi, parameter, values, method, const_overrides
         )
-        if parametric is not None:
-            method = "parametric"
-        _LOG.info(
-            "markovian sweep: %s over %s (%d points, %s, workers=%d)",
-            self.family.name, parameter, len(points),
-            "parametric solution" if parametric is not None
-            else "cached skeleton" if rate_only
-            else "fresh state spaces",
-            self.workers if workers is None else resolve_workers(workers),
+        spec = self._sweep_spec(
+            "markovian", "solve", _solve_ctmc_point,
+            {"method": method if parametric is None else "parametric"},
+            [archi], parameter, values, const_overrides, fold,
+            parametric=parametric, variant=variant,
         )
-        tracing.add_attributes(
-            parameter=parameter, points=len(points), method=method,
-            variant=variant,
-        )
-        executor = self._executor(workers)
-        journal = self._sweep_checkpoint(
-            checkpoint,
-            kind="markovian",
-            variant=variant,
-            parameter=parameter,
-            values=list(values),
-            const_overrides=sorted((const_overrides or {}).items()),
-            method=method,
-        )
-        resilience = self._resilience(journal, "solve")
-        try:
-            if parametric is not None:
-                shared = (parametric,)
-                with self.timer.span("solve"):
-                    results = executor.map(
-                        _markov_point_parametric,
-                        [float(v) for v in values],
-                        shared,
-                        **resilience,
-                    )
-            elif rate_only:
-                skeleton = self.cache.skeleton(
-                    archi, const_overrides, self.max_states,
-                    timer=self.timer,
-                )
-                envs = [archi.bind_constants(p) for p in points]
-                self.cache.stats.relabel(
-                    sum(1 for env in envs if env != skeleton.const_env)
-                )
-                shared = (skeleton, self.family.measures, method)
-                with self.timer.span("solve"):
-                    results = executor.map(
-                        _markov_point_cached, envs, shared, **resilience
-                    )
-            else:
-                # Structural parameter: every point is a different state
-                # space, so each task generates its own from scratch.
-                shared = (
-                    archi, self.family.measures, method, self.max_states,
-                )
-                with self.timer.span("solve"):
-                    results = executor.map(
-                        _markov_point_fresh, points, shared, **resilience
-                    )
-        finally:
-            if journal is not None:
-                journal.close()
-        _count_sweep_points(self.family.name, "markovian", len(results))
-        series: Dict[str, List[float]] = {
-            name: [] for name in self.family.measure_names()
-        }
-        for point_result in results:
-            measures = point_result["measures"]
-            self.solver_records.append(point_result["solver"])
-            for name in series:
-                series[name].append(measures[name])
-        return series
+        return self.run_sweep(spec, workers, checkpoint)
 
     # -- phase 3: general ----------------------------------------------------------
 
@@ -886,75 +728,16 @@ class IncrementalMethodology:
         kernel; it is part of the checkpoint identity because the two
         engines follow different RNG disciplines (docs/SIMULATION.md).
         """
-        workload = self._resolve_workload(workload)
-        engine = self._engine(engine)
-        archi, points, rate_only = self._sweep_points(
-            "general", variant, parameter, values, const_overrides
-        )
-        _LOG.info(
-            "general sweep: %s over %s (%d points, %d runs each, %s)",
-            self.family.name, parameter, len(points), runs,
-            "cached skeleton" if rate_only else "fresh state spaces",
-        )
-        tracing.add_attributes(
-            parameter=parameter, points=len(points), runs=runs,
-            engine=engine, variant=variant,
-        )
-        executor = self._executor(workers)
-        journal = self._sweep_checkpoint(
-            checkpoint,
-            kind="general",
+        names = self.family.measure_names()
+        spec = self._sweep_spec(
+            "general", "simulate", _replicate_means,
+            self._simulation(run_length, runs, warmup, seed, engine),
+            [self._variant_archi("general", variant)], parameter, values,
+            const_overrides, lambda results: _columns(results, names),
+            workloads=(self._resolve_workload(workload),),
             variant=variant,
-            parameter=parameter,
-            values=list(values),
-            const_overrides=sorted((const_overrides or {}).items()),
-            run_length=run_length,
-            runs=runs,
-            warmup=warmup,
-            seed=seed,
-            workload=workload_fingerprint(workload),
-            engine=engine,
         )
-        resilience = self._resilience(journal, "simulate")
-        pattern = self.family.workload_pattern
-        try:
-            if rate_only:
-                skeleton = self.cache.skeleton(
-                    archi, const_overrides, self.max_states,
-                    timer=self.timer,
-                )
-                envs = [archi.bind_constants(p) for p in points]
-                self.cache.stats.relabel(
-                    sum(1 for env in envs if env != skeleton.const_env)
-                )
-                shared = (
-                    skeleton, self.family.measures, run_length, runs,
-                    warmup, seed, pattern, workload, engine,
-                )
-                with self.timer.span("simulate"):
-                    results = executor.map(
-                        _general_point_cached, envs, shared, **resilience
-                    )
-            else:
-                shared = (
-                    archi, self.family.measures, run_length, runs, warmup,
-                    seed, self.max_states, pattern, workload, engine,
-                )
-                with self.timer.span("simulate"):
-                    results = executor.map(
-                        _general_point_fresh, points, shared, **resilience
-                    )
-        finally:
-            if journal is not None:
-                journal.close()
-        _count_sweep_points(self.family.name, "general", len(results))
-        series: Dict[str, List[float]] = {
-            name: [] for name in self.family.measure_names()
-        }
-        for point_result in results:
-            for name in series:
-                series[name].append(point_result[name])
-        return series
+        return self.run_sweep(spec, workers, checkpoint)
 
     @_phase_span("sweep:general-paired")
     def sweep_general_paired(
@@ -985,63 +768,25 @@ class IncrementalMethodology:
         ``"dpm"`` and ``"nodpm"`` means, ``"delta"`` (dpm − nodpm mean
         difference) and ``"delta_half_width"`` (paired-t half-widths).
         """
-        workload = self._resolve_workload(workload)
-        engine = self._engine(engine)
-        archi_dpm = self._variant_archi("general", "dpm")
-        archi_nodpm = self._variant_archi("general", "nodpm")
-        _LOG.info(
-            "paired general sweep: %s over %s (%d points, %d runs each, "
-            "crn=%s, engine=%s)",
-            self.family.name, parameter, len(values), runs, crn, engine,
+        names = self.family.measure_names()
+        spec = self._sweep_spec(
+            "general-paired", "simulate", _paired_means,
+            {
+                **self._simulation(run_length, runs, warmup, seed, engine),
+                "crn": crn,
+            },
+            [
+                self._variant_archi("general", "dpm"),
+                self._variant_archi("general", "nodpm"),
+            ],
+            parameter, values, const_overrides,
+            lambda results: {
+                group: _columns([r[group] for r in results], names)
+                for group in ("dpm", "nodpm", "delta", "delta_half_width")
+            },
+            workloads=(self._resolve_workload(workload),),
         )
-        tracing.add_attributes(
-            parameter=parameter, points=len(values), runs=runs,
-            engine=engine, crn=crn,
-        )
-        executor = self._executor(workers)
-        journal = self._sweep_checkpoint(
-            checkpoint,
-            kind="general-paired",
-            parameter=parameter,
-            values=list(values),
-            const_overrides=sorted((const_overrides or {}).items()),
-            run_length=run_length,
-            runs=runs,
-            warmup=warmup,
-            seed=seed,
-            workload=workload_fingerprint(workload),
-            engine=engine,
-            crn=crn,
-        )
-        resilience = self._resilience(journal, "simulate")
-        shared = (
-            archi_dpm, archi_nodpm, parameter,
-            dict(const_overrides or {}), self.family.measures,
-            run_length, runs, warmup, seed, self.max_states,
-            self.family.workload_pattern, workload, engine, crn,
-        )
-        try:
-            with self.timer.span("simulate"):
-                results = executor.map(
-                    _general_point_paired, list(values), shared,
-                    **resilience,
-                )
-        finally:
-            if journal is not None:
-                journal.close()
-        _count_sweep_points(
-            self.family.name, "general-paired", len(results)
-        )
-        measure_names = self.family.measure_names()
-        series: Dict[str, Dict[str, List[float]]] = {
-            group: {name: [] for name in measure_names}
-            for group in ("dpm", "nodpm", "delta", "delta_half_width")
-        }
-        for point_result in results:
-            for group, columns in series.items():
-                for name in columns:
-                    columns[name].append(point_result[group][name])
-        return series
+        return self.run_sweep(spec, workers, checkpoint)
 
     @_phase_span("replicate:rare")
     def replicate_rare(
@@ -1129,70 +874,28 @@ class IncrementalMethodology:
         splitting geometry refuses to resume under another, because the
         per-point samples would not be comparable (docs/RELIABILITY.md).
         """
-        workload = self._resolve_workload(workload)
-        engine = self._engine(engine)
-        archi, points, _ = self._sweep_points(
-            "general", variant, parameter, values, const_overrides
-        )
-        _LOG.info(
-            "rare sweep: %s over %s (%d points, %d trees each, "
-            "levels=%d splits=%d segments=%d)",
-            self.family.name, parameter, len(points), runs, levels,
-            splits, segments,
-        )
-        tracing.add_attributes(
-            parameter=parameter, points=len(points), runs=runs,
-            levels=levels, splits=splits, segments=segments,
-        )
-        executor = self._executor(workers)
-        journal = self._sweep_checkpoint(
-            checkpoint,
-            kind="rare",
+        names = self.family.measure_names()
+        spec = self._sweep_spec(
+            "rare", "simulate", _splitting_estimates,
+            {
+                **self._simulation(run_length, runs, warmup, seed, engine),
+                "levels": levels,
+                "splits": splits,
+                "segments": segments,
+                "rare_measure": rare_measure,
+            },
+            [self._variant_archi("general", variant)], parameter, values,
+            const_overrides,
+            lambda results: {
+                **_columns([r["measures"] for r in results], names),
+                **_columns(
+                    results, ("rare_probability", "rare_low", "rare_high")
+                ),
+            },
+            workloads=(self._resolve_workload(workload),),
             variant=variant,
-            parameter=parameter,
-            values=list(values),
-            const_overrides=sorted((const_overrides or {}).items()),
-            run_length=run_length,
-            runs=runs,
-            warmup=warmup,
-            seed=seed,
-            workload=workload_fingerprint(workload),
-            engine=engine,
-            levels=levels,
-            splits=splits,
-            segments=segments,
-            rare=rare_measure,
         )
-        resilience = self._resilience(journal, "simulate")
-        shared = (
-            archi, self.family.measures, rare_measure, run_length, runs,
-            warmup, seed, self.max_states, self.family.workload_pattern,
-            workload, engine, levels, splits, segments,
-        )
-        try:
-            with self.timer.span("simulate"):
-                results = executor.map(
-                    _rare_point, points, shared, **resilience
-                )
-        finally:
-            if journal is not None:
-                journal.close()
-        _count_sweep_points(self.family.name, "rare", len(results))
-        series: Dict[str, List[float]] = {
-            name: [] for name in self.family.measure_names()
-        }
-        series["rare_probability"] = []
-        series["rare_low"] = []
-        series["rare_high"] = []
-        for point_result in results:
-            for name in self.family.measure_names():
-                series[name].append(point_result["measures"][name])
-            series["rare_probability"].append(
-                point_result["rare_probability"]
-            )
-            series["rare_low"].append(point_result["rare_low"])
-            series["rare_high"].append(point_result["rare_high"])
-        return series
+        return self.run_sweep(spec, workers, checkpoint)
 
     @_phase_span("sweep:workloads")
     def sweep_workloads(
@@ -1216,99 +919,35 @@ class IncrementalMethodology:
         workload hook (``None`` = the specification's own duration).
         Every (class, point) pair is one executor task, so all classes
         progress in parallel; the result maps each class name to the
-        same per-measure series :meth:`sweep_general` returns.  The
-        checkpoint fingerprint covers every class's workload
-        fingerprint, so one journal resumes the whole grid.
+        same per-measure series :meth:`sweep_general` returns, simulated
+        on the methodology's engine.  The checkpoint fingerprint covers
+        every class's workload fingerprint and the engine, so one journal
+        resumes the whole grid.
         """
         if not workloads:
             raise AnalysisError("sweep_workloads needs at least one class")
-        for name, workload in workloads.items():
+        for workload in workloads.values():
             if workload is not None:
                 self._resolve_workload(workload)  # hook presence check
-        archi, points, rate_only = self._sweep_points(
-            "general", variant, parameter, values, const_overrides
-        )
-        class_names = list(workloads)
-        _LOG.info(
-            "workload sweep: %s over %s x %d classes (%s; %d tasks)",
-            self.family.name, parameter, len(class_names),
-            ", ".join(class_names), len(points) * len(class_names),
-        )
-        tracing.add_attributes(
-            parameter=parameter,
-            points=len(points),
-            classes=len(class_names),
-        )
-        executor = self._executor(workers)
-        journal = self._sweep_checkpoint(
-            checkpoint,
-            kind="workloads",
+        names = self.family.measure_names()
+        classes = list(workloads)
+        count = len(values)
+        spec = self._sweep_spec(
+            "workloads", "simulate", _replicate_means,
+            self._simulation(run_length, runs, warmup, seed, None),
+            [self._variant_archi("general", variant)], parameter, values,
+            const_overrides,
+            lambda results: {
+                name: _columns(
+                    results[position * count:(position + 1) * count], names
+                )
+                for position, name in enumerate(classes)
+            },
+            workloads=tuple(workloads.values()),
             variant=variant,
-            parameter=parameter,
-            values=list(values),
-            const_overrides=sorted((const_overrides or {}).items()),
-            run_length=run_length,
-            runs=runs,
-            warmup=warmup,
-            seed=seed,
-            workloads=[
-                (name, workload_fingerprint(workloads[name]))
-                for name in class_names
-            ],
+            classes=len(classes),
         )
-        resilience = self._resilience(journal, "simulate")
-        pattern = self.family.workload_pattern
-        try:
-            if rate_only:
-                skeleton = self.cache.skeleton(
-                    archi, const_overrides, self.max_states,
-                    timer=self.timer,
-                )
-                envs = [archi.bind_constants(p) for p in points]
-                self.cache.stats.relabel(
-                    len(class_names)
-                    * sum(1 for env in envs if env != skeleton.const_env)
-                )
-                shared = (
-                    skeleton, None, self.family.measures, run_length,
-                    runs, warmup, seed, pattern, self.max_states,
-                )
-                items = [
-                    (workloads[name], env)
-                    for name in class_names
-                    for env in envs
-                ]
-            else:
-                shared = (
-                    None, archi, self.family.measures, run_length, runs,
-                    warmup, seed, pattern, self.max_states,
-                )
-                items = [
-                    (workloads[name], point)
-                    for name in class_names
-                    for point in points
-                ]
-            with self.timer.span("simulate"):
-                results = executor.map(
-                    _workload_point, items, shared, **resilience
-                )
-        finally:
-            if journal is not None:
-                journal.close()
-        _count_sweep_points(
-            self.family.name, "workloads", len(results)
-        )
-        grid: Dict[str, Dict[str, List[float]]] = {}
-        measure_names = self.family.measure_names()
-        for position, name in enumerate(class_names):
-            block = results[
-                position * len(points):(position + 1) * len(points)
-            ]
-            grid[name] = {
-                measure: [point[measure] for point in block]
-                for measure in measure_names
-            }
-        return grid
+        return self.run_sweep(spec, workers, checkpoint)
 
     # -- one-call driver ------------------------------------------------------
 

@@ -566,11 +566,7 @@ def run_sweep(argv: List[str]) -> int:
             args.fleet_size,
             policy=args.policy,
             representation=args.representation,
-            workers=options.workers,
-            retry=options.retry,
-            faults=options.faults,
-            tracer=options.tracer,
-            solver=options.solver,
+            **options.driver_kwargs(),
         )
     else:
         methodology = IncrementalMethodology(
@@ -604,43 +600,35 @@ def run_sweep(argv: List[str]) -> int:
                     method=args.method,
                     checkpoint=args.checkpoint,
                 )
-            elif args.paired:
-                series = methodology.sweep_general_paired(
-                    args.parameter,
-                    values,
-                    run_length=args.run_length,
-                    runs=args.runs,
-                    warmup=args.warmup,
-                    seed=args.seed,
-                    checkpoint=args.checkpoint,
-                    crn=not args.independent,
-                )
-            elif args.rare:
-                series = methodology.sweep_rare(
-                    args.parameter,
-                    values,
-                    variant=args.variant,
-                    run_length=args.run_length,
-                    levels=args.levels,
-                    splits=args.splits,
-                    segments=args.segments,
-                    rare_measure=args.rare_measure,
-                    runs=args.runs,
-                    warmup=args.warmup,
-                    seed=args.seed,
-                    checkpoint=args.checkpoint,
-                )
             else:
-                series = methodology.sweep_general(
-                    args.parameter,
-                    values,
-                    variant=args.variant,
+                simulation = dict(
                     run_length=args.run_length,
                     runs=args.runs,
                     warmup=args.warmup,
                     seed=args.seed,
                     checkpoint=args.checkpoint,
                 )
+                if args.paired:
+                    series = methodology.sweep_general_paired(
+                        args.parameter, values, crn=not args.independent,
+                        **simulation,
+                    )
+                elif args.rare:
+                    series = methodology.sweep_rare(
+                        args.parameter,
+                        values,
+                        variant=args.variant,
+                        levels=args.levels,
+                        splits=args.splits,
+                        segments=args.segments,
+                        rare_measure=args.rare_measure,
+                        **simulation,
+                    )
+                else:
+                    series = methodology.sweep_general(
+                        args.parameter, values, variant=args.variant,
+                        **simulation,
+                    )
     except CheckpointError as error:
         _LOG.error("checkpoint rejected: %s", error)
         return 1

@@ -94,13 +94,7 @@ def fleet_policies(
     series: Dict[str, Dict[str, List[float]]] = {}
     for policy in sorted(POLICIES):
         assessment = FleetAssessment(
-            n,
-            policy=policy,
-            workers=options.workers,
-            retry=options.retry,
-            faults=options.faults,
-            tracer=options.tracer,
-            solver=options.solver,
+            n, policy=policy, **options.driver_kwargs()
         )
         series[policy] = assessment.sweep("arrival_rate", rates)
     sizes = []

@@ -70,14 +70,21 @@ class RunOptions:
             return options
         return cls(workers=workers if workers is not None else 1)
 
-    def methodology_kwargs(self) -> Dict[str, object]:
-        """Constructor kwargs for :class:`IncrementalMethodology`."""
+    def driver_kwargs(self) -> Dict[str, object]:
+        """Constructor kwargs every :class:`~repro.core.sweep.SweepDriver`
+        takes (also :class:`~repro.fleet.FleetAssessment`)."""
         return {
             "workers": self.workers,
             "retry": self.retry,
             "faults": self.faults,
             "tracer": self.tracer,
             "solver": self.solver,
+        }
+
+    def methodology_kwargs(self) -> Dict[str, object]:
+        """Constructor kwargs for :class:`IncrementalMethodology`."""
+        return {
+            **self.driver_kwargs(),
             "workload": self.workload,
             "engine": self.engine,
         }

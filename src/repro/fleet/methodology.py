@@ -2,69 +2,87 @@
 
 :class:`FleetAssessment` is the fleet counterpart of
 :class:`repro.core.methodology.IncrementalMethodology`: one point solve
-(:meth:`solve`) plus a parameter sweep (:meth:`sweep`) that distributes
-points over the :class:`~repro.runtime.ParallelExecutor` — workers-N
-bit-identical to serial — with the full reliability surface: bounded
-retries, deterministic chaos injection, span tracing and fingerprinted
-JSONL checkpoints with SIGKILL-safe resume (docs/RELIABILITY.md).
+(:meth:`solve`) plus a parameter sweep (:meth:`sweep`) declared as a
+:class:`~repro.core.sweep.SweepSpec` and run by the shared
+:class:`~repro.core.sweep.SweepDriver` — workers-N bit-identical to
+serial, with the full reliability surface: bounded retries,
+deterministic chaos injection, span tracing and fingerprinted JSONL
+checkpoints with SIGKILL-safe resume (docs/RELIABILITY.md).
 
 Each sweep point rebuilds the two *component* automata (a handful of
 states each — milliseconds) and solves the lumped or product operator
 through the matrix-free registry; nothing of product-space size is ever
-constructed.  The checkpoint fingerprint embeds everything that
-determines point results — case, fleet size, policy, representation,
-parameter, values, overrides and the resolved solver method — and
-nothing that doesn't (notably not the worker count).
+constructed.  The checkpoint fingerprint hashes the shared point
+payload (fleet size, policy, representation, resolved solver method),
+every point's overrides, the built component automata and sync events,
+and the fleet measures — and nothing else (notably not the worker
+count).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+import json
+from dataclasses import asdict
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
-from ..core.methodology import summarize_solver_records
-from ..ctmc.solvers import resolve_method
+import numpy as np
+
+from ..core.sweep import SweepDriver, SweepSpec
 from ..errors import SpecificationError
-from ..obs import log as obs_log
-from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from ..runtime import (
-    FaultInjector,
-    ParallelExecutor,
-    RetryPolicy,
-    SweepCheckpoint,
-    Timer,
-    TraceRecorder,
-    resolve_workers,
-    sweep_fingerprint,
-)
+from ..runtime import FaultInjector, RetryPolicy, TraceRecorder
 from .solve import REPRESENTATIONS, solve_fleet
+from .topology import FleetTopology
 
-_LOG = obs_log.get_logger("fleet")
+
+class FleetPoint(NamedTuple):
+    """Shared payload of a fleet sweep point; every field is identity."""
+
+    n: int
+    policy: str
+    representation: str
+    method: str
 
 
-def _fleet_point(shared: Any, value: float) -> Dict[str, object]:
-    """Solve one fleet sweep point (executor task, must stay pickleable).
+def _content(value: Any) -> Any:
+    """JSON fallback for :func:`_topology_content`: arrays as nested
+    lists, sets sorted (their iteration order varies between processes)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    return repr(value)
 
-    Rebuilds the component automata with the point's parameter value
-    folded into the Æmilia consts, then solves through
+
+def _topology_content(topology: FleetTopology) -> str:
+    """Canonical printed content of a built fleet topology: both
+    component automata (states, local rates, sync-hook matrices) and
+    the sync events — everything the Kronecker operator is built from."""
+    return json.dumps(asdict(topology), sort_keys=True, default=_content)
+
+
+def _fleet_point(
+    shared: FleetPoint, overrides: Dict[str, float]
+) -> Dict[str, object]:
+    """Solve one fleet point (executor task, must stay pickleable).
+
+    Rebuilds the component automata with *overrides* folded into the
+    Æmilia consts, then solves through
     :func:`repro.fleet.solve.solve_fleet`.
     """
-    (n, policy, parameter, base_overrides, representation, method) = shared
-    from ..casestudies.fleet import build_model, DEFAULT_PARAMETERS
+    from ..casestudies.fleet import DEFAULT_PARAMETERS, build_model
 
-    overrides = dict(base_overrides)
-    overrides[parameter] = float(value)
     model = build_model(
-        n, policy, DEFAULT_PARAMETERS.override(overrides)
+        shared.n, shared.policy, DEFAULT_PARAMETERS.override(overrides)
     )
     with tracing.span(
-        "fleet:solve", value=float(value), representation=representation
+        "fleet:solve", representation=shared.representation, **overrides
     ):
         solution = solve_fleet(
             model.topology,
             model.measures,
-            representation=representation,
-            method=method,
+            representation=shared.representation,
+            method=shared.method,
         )
     return {
         "measures": solution.measures,
@@ -80,8 +98,10 @@ def _fleet_point(shared: Any, value: float) -> Dict[str, object]:
     }
 
 
-class FleetAssessment:
+class FleetAssessment(SweepDriver):
     """Drives fleet solves and sweeps for one (size, policy) setting."""
+
+    case = "fleet"
 
     def __init__(
         self,
@@ -102,88 +122,38 @@ class FleetAssessment:
                 f"unknown fleet representation {representation!r} "
                 f"(have: {', '.join(REPRESENTATIONS)})"
             )
+        super().__init__(workers, retry, faults, tracer, solver)
         self.n = int(n)
         self.policy = policy
-        self.workers = resolve_workers(workers)
         self.representation = representation
-        self.retry = retry
-        self.faults = faults
-        self.tracer = tracer
-        self.solver = solver
-        self.timer = Timer()
-        #: Per-point solver reports in execution order.
-        self.solver_records: List[Dict[str, object]] = []
         #: Per-point operator diagnostics in execution order.
         self.operator_records: List[Dict[str, object]] = []
 
-    # -- plumbing (mirrors IncrementalMethodology) -------------------------
-
-    def _solver_method(self, method: Optional[str]) -> str:
-        return resolve_method(method if method is not None else self.solver)
-
-    def _executor(self, workers: Optional[int]) -> ParallelExecutor:
-        return ParallelExecutor(
-            self.workers if workers is None else workers
-        )
-
-    def _resilience(self, checkpoint: Optional[SweepCheckpoint], phase: str):
-        if (
-            self.retry is None
-            and self.faults is None
-            and self.tracer is None
-            and checkpoint is None
-        ):
-            return {}
-        if self.tracer is None:
-            self.tracer = TraceRecorder()
-        return {
-            "retry": self.retry,
-            "faults": self.faults,
-            "tracer": self.tracer,
-            "checkpoint": checkpoint,
-            "phase": phase,
-        }
-
     def runtime_stats(self) -> Dict[str, object]:
-        stats: Dict[str, object] = {
-            "workers": self.workers,
-            "timings": self.timer.as_dict(),
-        }
-        if self.solver_records:
-            stats["solver"] = summarize_solver_records(self.solver_records)
+        """The driver's stats plus the last point's operator shape."""
+        stats = super().runtime_stats()
         if self.operator_records:
-            last = self.operator_records[-1]
-            stats["operator"] = dict(last)
-        if self.tracer is not None:
-            stats["retries"] = self.tracer.retries
-            stats["checkpoint_hits"] = self.tracer.checkpoint_hits
-            stats["trace"] = self.tracer.summary()
+            stats["operator"] = dict(self.operator_records[-1])
         return stats
 
     # -- solving -----------------------------------------------------------
+
+    def _point(self, method: Optional[str]) -> FleetPoint:
+        return FleetPoint(
+            self.n, self.policy, self.representation,
+            self._solver_method(method),
+        )
 
     def solve(
         self,
         const_overrides: Optional[Dict[str, float]] = None,
         method: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Solve one fleet point; returns the worker payload shape."""
-        from ..casestudies.fleet import DEFAULT_PARAMETERS, build_model
-
-        parameters = DEFAULT_PARAMETERS.override(const_overrides or {})
-        model = build_model(self.n, self.policy, parameters)
+        """Solve one fleet point; returns the sweep point's payload."""
         with self.timer.span("solve"):
-            solution = solve_fleet(
-                model.topology,
-                model.measures,
-                representation=self.representation,
-                method=self._solver_method(method),
+            result = _fleet_point(
+                self._point(method), dict(const_overrides or {})
             )
-        result = {
-            "measures": solution.measures,
-            "solver": solution.report.as_dict(),
-            "operator": solution.payload(),
-        }
         self.solver_records.append(result["solver"])
         return result
 
@@ -197,68 +167,43 @@ class FleetAssessment:
         checkpoint: Optional[str] = None,
     ) -> Dict[str, List[float]]:
         """Sweep one fleet parameter; series keyed by measure name."""
-        from ..casestudies.fleet import DEFAULT_PARAMETERS
+        from ..casestudies.fleet import DEFAULT_PARAMETERS, build_model
+        from ..casestudies.fleet import measures as fleet_measures
 
-        method = self._solver_method(method)
-        base_overrides = dict(const_overrides or {})
+        shared = self._point(method)
+        base = dict(const_overrides or {})
+        items = [{**base, parameter: float(v)} for v in values]
         # Validate the parameter names before any worker sees them.
-        DEFAULT_PARAMETERS.override(
-            {**base_overrides, parameter: float(values[0])}
-        )
-        _LOG.info(
-            "fleet sweep: n=%d policy=%s over %s (%d points, %s, "
-            "workers=%d)",
-            self.n, self.policy, parameter, len(values),
-            self.representation,
-            self.workers if workers is None else resolve_workers(workers),
-        )
-        tracing.add_attributes(
-            parameter=parameter, points=len(values),
-            fleet_size=self.n, policy=self.policy,
-            representation=self.representation, method=method,
-        )
-        executor = self._executor(workers)
-        journal = None
-        if checkpoint is not None:
-            journal = SweepCheckpoint(
-                checkpoint,
-                sweep_fingerprint(
-                    family="fleet",
-                    kind="fleet",
-                    fleet_size=self.n,
-                    policy=self.policy,
-                    representation=self.representation,
-                    parameter=parameter,
-                    values=[float(v) for v in values],
-                    const_overrides=sorted(base_overrides.items()),
-                    method=method,
-                ),
-            )
-        resilience = self._resilience(journal, "solve")
-        shared = (
-            self.n, self.policy, parameter, base_overrides,
-            self.representation, method,
-        )
-        try:
-            with self.timer.span("solve"):
-                results = executor.map(
-                    _fleet_point,
-                    [float(v) for v in values],
-                    shared,
-                    **resilience,
+        first = DEFAULT_PARAMETERS.override(items[0])
+
+        def fold(results: List[Dict[str, Any]]) -> Dict[str, List[float]]:
+            series: Dict[str, List[float]] = {}
+            for point_result in results:
+                self.solver_records.append(point_result["solver"])
+                self.operator_records.append(point_result["operator"])
+                for name, value in point_result["measures"].items():
+                    series.setdefault(name, []).append(value)
+            return series
+
+        spec = SweepSpec(
+            kind="fleet",
+            phase="solve",
+            point=_fleet_point,
+            shared=shared,
+            items=items,
+            fold=fold,
+            identity={**shared._asdict(), "items": items},
+            models=lambda: [
+                _topology_content(
+                    build_model(self.n, self.policy, first).topology
                 )
-        finally:
-            if journal is not None:
-                journal.close()
-        registry = obs_metrics.get_registry()
-        if registry.enabled and results:
-            obs_metrics.SWEEP_POINTS.on(registry).labels(
-                case="fleet", kind="fleet"
-            ).inc(len(results))
-        series: Dict[str, List[float]] = {}
-        for point_result in results:
-            self.solver_records.append(point_result["solver"])
-            self.operator_records.append(point_result["operator"])
-            for name, value in point_result["measures"].items():
-                series.setdefault(name, []).append(value)
-        return series
+            ],
+            measures=fleet_measures(first),
+            attributes={
+                "parameter": parameter, "points": len(items),
+                "fleet_size": self.n, "policy": self.policy,
+                "representation": self.representation,
+                "method": shared.method,
+            },
+        )
+        return self.run_sweep(spec, workers, checkpoint)

@@ -16,13 +16,16 @@ Journal format (one JSON object per line)::
     {"kind": "point", "index": 0, "result": {...}, "elapsed": 0.12}
     {"kind": "point", "index": 1, "result": {...}, "elapsed": 0.11}
 
-The ``fingerprint`` hashes the full sweep definition (case study, phase,
-parameter, values, overrides, simulation parameters, seed, and — for
-general-phase sweeps — the simulation engine and CRN pairing mode, since
-the ``reference`` and ``fast`` engines follow different RNG disciplines:
-everything that determines the results, and nothing that doesn't, so a
-journal written with ``--workers 4`` resumes fine under ``--workers 1``
-but refuses to resume under a different ``--engine``).
+The ``fingerprint`` is the content hash of the sweep's
+:class:`~repro.core.sweep.SweepSpec` (:meth:`SweepSpec.fingerprint`):
+its identity fields (parameter, values, overrides, layer-call settings
+such as the solver method, simulation engine, CRN mode or splitting
+geometry, workload fingerprints), the printed content of every model the
+points use, the measure definitions and the pipeline version — everything
+that determines the results, and nothing that doesn't, so a journal
+written with ``--workers 4`` resumes fine under ``--workers 1`` but
+refuses to resume after an edited model or measure, or under a different
+``--engine``.
 Opening a journal whose fingerprint does not match raises
 :class:`~repro.errors.CheckpointError` instead of silently mixing two
 different sweeps.  A torn final line (the crash happened mid-write) is

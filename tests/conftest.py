@@ -8,6 +8,26 @@ from repro.aemilia import parse_architecture
 from repro.lts import build_lts
 
 
+@pytest.fixture
+def sweep_spec():
+    """``sweep_spec(driver, "sweep_markovian", *args, **kwargs)`` returns
+    the :class:`~repro.core.sweep.SweepSpec` a sweep entry point declares,
+    captured instead of run — tests derive journal fingerprints from it
+    rather than re-listing the identity fields by hand."""
+
+    def capture(driver, entry_point, *args, **kwargs):
+        specs = []
+        driver.run_sweep = lambda spec, *_, **__: specs.append(spec)
+        try:
+            getattr(driver, entry_point)(*args, **kwargs)
+        finally:
+            del driver.run_sweep
+        [spec] = specs
+        return spec
+
+    return capture
+
+
 @pytest.fixture(scope="session")
 def pingpong_spec() -> str:
     """A tiny two-component untimed architecture used across tests."""

@@ -187,3 +187,180 @@ class TestRareSweep:
         ):
             with pytest.raises(CheckpointError):
                 self._sweep(rpc_family, tmp_path, **change)
+
+
+#: A 2-point grid and a tiny simulation budget shared by every sweep kind.
+GRID = [2.0, 8.0]
+SIMULATION = dict(run_length=300.0, runs=2, warmup=20.0, seed=11)
+SPLITTING = dict(levels=2, splits=2, segments=4)
+
+
+def _workload_classes():
+    from repro.distributions import Exponential
+
+    return {"spec": None, "exp": Exponential(1.0 / 9.7)}
+
+
+def _sweep(kind, rpc_family, **kwargs):
+    """Run one sweep kind on the 2-point grid; returns (driver, series)."""
+    if kind == "fleet":
+        from repro.fleet import FleetAssessment
+
+        driver = FleetAssessment(2)
+        return driver, driver.sweep("arrival_rate", GRID, **kwargs)
+    driver = IncrementalMethodology(rpc_family)
+    if kind == "markovian":
+        series = driver.sweep_markovian("shutdown_timeout", GRID, **kwargs)
+    elif kind == "general":
+        series = driver.sweep_general(
+            "shutdown_timeout", GRID, **SIMULATION, **kwargs
+        )
+    elif kind == "general-paired":
+        series = driver.sweep_general_paired(
+            "shutdown_timeout", GRID, **SIMULATION, **kwargs
+        )
+    elif kind == "rare":
+        series = driver.sweep_rare(
+            "shutdown_timeout", GRID, **SPLITTING, **SIMULATION, **kwargs
+        )
+    else:
+        series = driver.sweep_workloads(
+            _workload_classes(), "shutdown_timeout", GRID, **SIMULATION,
+            **kwargs,
+        )
+    return driver, series
+
+
+def _recompose(kind, family):
+    """The series of *kind*, recomposed point by point from public layer
+    calls on freshly generated state spaces (the driver's oracle)."""
+    from repro.aemilia.semantics import generate_lts
+    from repro.ctmc import build_ctmc
+    from repro.ctmc.measures import evaluate_measures
+    from repro.ctmc.solvers import resolve_method
+    from repro.ctmc.steady_state import steady_state_solution
+    from repro.sim.output import replicate, replicate_paired, resolve_engine
+    from repro.sim.splitting import split_replicate
+    from repro.workload.hooks import apply_workload
+
+    names = family.measure_names()
+    engine = resolve_engine(None)
+
+    def lts(model, value=None):
+        overrides = {} if value is None else {"shutdown_timeout": value}
+        return generate_lts(getattr(family, model), overrides)
+
+    def means(estimates):
+        return {name: est.mean for name, est in estimates.items()}
+
+    def columns(rows, keys=names):
+        return {key: [row[key] for row in rows] for key in keys}
+
+    if kind == "fleet":
+        from repro.casestudies.fleet import DEFAULT_PARAMETERS, build_model
+        from repro.fleet.solve import solve_fleet
+
+        rows = []
+        for value in GRID:
+            model = build_model(
+                2, "balanced",
+                DEFAULT_PARAMETERS.override({"arrival_rate": value}),
+            )
+            rows.append(
+                solve_fleet(
+                    model.topology, model.measures,
+                    method=resolve_method(None),
+                ).measures
+            )
+        return columns(rows, list(rows[0]))
+    if kind == "markovian":
+        rows = []
+        for value in GRID:
+            ctmc = build_ctmc(lts("markovian_dpm", value))
+            solution = steady_state_solution(ctmc, resolve_method(None))
+            rows.append(
+                evaluate_measures(ctmc, solution.pi, family.measures)
+            )
+        return columns(rows)
+    if kind == "general":
+        return columns([
+            means(replicate(
+                lts("general_dpm", value), family.measures,
+                engine=engine, **SIMULATION,
+            ).estimates)
+            for value in GRID
+        ])
+    if kind == "general-paired":
+        rows = []
+        for value in GRID:
+            paired = replicate_paired(
+                lts("general_dpm", value), lts("general_nodpm"),
+                family.measures, engine=engine, **SIMULATION,
+            )
+            rows.append({
+                "dpm": means(paired.first.estimates),
+                "nodpm": means(paired.second.estimates),
+                "delta": means(paired.delta),
+                "delta_half_width": {
+                    name: est.half_width for name, est in paired.delta.items()
+                },
+            })
+        return {
+            group: columns([row[group] for row in rows])
+            for group in ("dpm", "nodpm", "delta", "delta_half_width")
+        }
+    if kind == "rare":
+        rows = []
+        for value in GRID:
+            result = split_replicate(
+                lts("general_dpm", value), family.measures,
+                engine=engine, **SPLITTING, **SIMULATION,
+            )
+            rare = result.rare_probability()
+            rows.append({
+                **means(result.estimates),
+                "rare_probability": rare.mean,
+                "rare_low": rare.low,
+                "rare_high": rare.high,
+            })
+        return columns(
+            rows, names + ["rare_probability", "rare_low", "rare_high"]
+        )
+    grid = {}
+    for name, workload in _workload_classes().items():
+        rows = []
+        for value in GRID:
+            model = lts("general_dpm", value)
+            if workload is not None:
+                model = apply_workload(
+                    model, family.workload_pattern, workload
+                )
+            rows.append(means(replicate(
+                model, family.measures, engine=engine, **SIMULATION,
+            ).estimates))
+        grid[name] = columns(rows)
+    return grid
+
+
+KINDS = [
+    "markovian", "general", "general-paired", "rare", "workloads", "fleet",
+]
+
+
+class TestSweepDriver:
+    """Every sweep kind runs through the one driver."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_series_equal_layer_recomposition(self, rpc_family, kind):
+        _, series = _sweep(kind, rpc_family)
+        assert series == _recompose(kind, rpc_family)
+
+    # TestRareSweep.test_resume_is_bit_identical covers the rare kind.
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "rare"])
+    def test_resume_is_bit_identical(self, rpc_family, tmp_path, kind):
+        journal = str(tmp_path / "journal.jsonl")
+        _, first = _sweep(kind, rpc_family, checkpoint=journal)
+        resumed_driver, resumed = _sweep(kind, rpc_family, checkpoint=journal)
+        assert resumed == first
+        tasks = 2 * len(GRID) if kind == "workloads" else len(GRID)
+        assert resumed_driver.tracer.checkpoint_hits == tasks

@@ -30,11 +30,7 @@ from repro.ctmc.solvers import (
     solver_choices,
 )
 from repro.errors import CheckpointError, ParametricError, SolverError
-from repro.runtime import (
-    StructuralStateSpaceCache,
-    SweepCheckpoint,
-    sweep_fingerprint,
-)
+from repro.runtime import StructuralStateSpaceCache, SweepCheckpoint
 
 #: (parameter, low, high) per case — the ranges the paper's figures sweep.
 SWEEP_RANGES = {
@@ -245,7 +241,7 @@ class TestRuntimeIntegration:
         assert methodology.cache.stats.as_dict()["parametric_builds"] == 1
 
     def test_checkpoint_fingerprint_embeds_parametric(
-        self, tmp_path, rpc_family
+        self, tmp_path, rpc_family, sweep_spec
     ):
         parameter, points = _random_points("rpc")
         journal = tmp_path / "sweep.jsonl"
@@ -256,16 +252,12 @@ class TestRuntimeIntegration:
         )
         # The journal's identity carries the *resolved* method: a
         # per-point ``direct`` resume must be refused outright ...
+        direct = sweep_spec(
+            IncrementalMethodology(rpc_family), "sweep_markovian",
+            parameter, points, method="direct",
+        )
         with pytest.raises(CheckpointError):
-            SweepCheckpoint(
-                journal,
-                sweep_fingerprint(
-                    family=rpc_family.name, max_states=200_000,
-                    kind="markovian", variant="dpm",
-                    parameter=parameter, values=points,
-                    const_overrides=[], method="direct",
-                ),
-            ).load()
+            SweepCheckpoint(journal, direct.fingerprint()).load()
         # ... while a parametric resume replays every point unchanged.
         resumed_methodology = IncrementalMethodology(rpc_family)
         resumed = resumed_methodology.sweep_markovian(

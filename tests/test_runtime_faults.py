@@ -13,12 +13,15 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.aemilia import parse_architecture
+from repro.aemilia.pretty import print_architecture
+from repro.core import sweep as sweep_module
 from repro.core.methodology import IncrementalMethodology
-from repro.ctmc.solvers import resolve_method
 from repro.errors import (
     CheckpointError,
     ReproError,
@@ -26,6 +29,7 @@ from repro.errors import (
     RuntimeExecutionError,
     WorkerFaultError,
 )
+from repro.fleet import FleetAssessment
 from repro.runtime import (
     FaultInjector,
     ParallelExecutor,
@@ -182,7 +186,7 @@ class TestCheckpointJournal:
         assert reopened.completed[1] == {"m": 2.0}
 
     def test_interrupted_sweep_resumes_bit_identically(
-        self, tmp_path, rpc_family
+        self, tmp_path, rpc_family, sweep_spec
     ):
         values = [0.5, 2.0, 5.0, 11.0, 25.0]
         baseline = IncrementalMethodology(rpc_family).sweep_markovian(
@@ -204,12 +208,11 @@ class TestCheckpointJournal:
                 "shutdown_timeout", values, checkpoint=str(journal)
             )
         survivor = SweepCheckpoint(
-            journal, sweep_fingerprint(
-                family=rpc_family.name, max_states=200_000,
-                kind="markovian", variant="dpm",
-                parameter="shutdown_timeout", values=values,
-                const_overrides=[], method=resolve_method(None),
-            )
+            journal,
+            sweep_spec(
+                IncrementalMethodology(rpc_family), "sweep_markovian",
+                "shutdown_timeout", values,
+            ).fingerprint(),
         )
         survivor.load()
         assert set(survivor.completed) == {0, 1, 2}
@@ -221,6 +224,114 @@ class TestCheckpointJournal:
         )
         assert resumed == baseline
         assert resumed_methodology.tracer.checkpoint_hits == 3
+
+
+class TestJournalIdentity:
+    """A journal resumes only the sweep that wrote it.
+
+    The fingerprint is the sweep spec's content hash, so an edited
+    measure, an edited model, another engine or a bumped pipeline
+    version refuses the journal instead of replaying stale points.
+    """
+
+    VALUES = [1.0, 5.0]
+
+    def _sweep(self, family, journal):
+        return IncrementalMethodology(family).sweep_markovian(
+            "shutdown_timeout", self.VALUES, checkpoint=str(journal)
+        )
+
+    def test_edited_measure_reward_is_refused(self, tmp_path, rpc_family):
+        journal = tmp_path / "sweep.jsonl"
+        baseline = self._sweep(rpc_family, journal)
+        doubled = [
+            replace(
+                measure,
+                clauses=tuple(
+                    replace(clause, value=2 * clause.value)
+                    for clause in measure.clauses
+                ),
+            )
+            if measure.name == "waiting_time"
+            else measure
+            for measure in rpc_family.measures
+        ]
+        edited = replace(rpc_family, measures=doubled)
+        fresh = IncrementalMethodology(edited).sweep_markovian(
+            "shutdown_timeout", self.VALUES
+        )
+        assert fresh["waiting_time"] == pytest.approx(
+            [2 * value for value in baseline["waiting_time"]]
+        )
+        with pytest.raises(CheckpointError):
+            self._sweep(edited, journal)
+
+    def test_swapped_architecture_is_refused(self, tmp_path, rpc_family):
+        journal = tmp_path / "sweep.jsonl"
+        self._sweep(rpc_family, journal)
+        text = print_architecture(rpc_family.markovian_dpm)
+        assert "const real proc_time := 9.7," in text
+        swapped = replace(
+            rpc_family,
+            markovian_dpm=parse_architecture(
+                text.replace(
+                    "const real proc_time := 9.7,",
+                    "const real proc_time := 19.4,",
+                )
+            ),
+        )
+        assert swapped.name == rpc_family.name
+        with pytest.raises(CheckpointError):
+            self._sweep(swapped, journal)
+
+    def test_bumped_pipeline_version_is_refused(
+        self, tmp_path, rpc_family, monkeypatch
+    ):
+        journal = tmp_path / "sweep.jsonl"
+        self._sweep(rpc_family, journal)
+        monkeypatch.setattr(
+            sweep_module, "PIPELINE_VERSION",
+            sweep_module.PIPELINE_VERSION + 1,
+        )
+        with pytest.raises(CheckpointError):
+            self._sweep(rpc_family, journal)
+
+    def test_workload_sweep_on_another_engine_is_refused(
+        self, tmp_path, rpc_family
+    ):
+        journal = str(tmp_path / "grid.jsonl")
+        settings = dict(run_length=200.0, runs=2, checkpoint=journal)
+        IncrementalMethodology(
+            rpc_family, engine="reference"
+        ).sweep_workloads(
+            {"spec": None}, "shutdown_timeout", self.VALUES, **settings
+        )
+        with pytest.raises(CheckpointError):
+            IncrementalMethodology(rpc_family, engine="fast").sweep_workloads(
+                {"spec": None}, "shutdown_timeout", self.VALUES, **settings
+            )
+
+    @pytest.mark.parametrize(
+        "edit", [{"drain_rate": 0.07}, {"power_busy": 2.5}],
+        ids=["component-model", "measure"],
+    )
+    def test_edited_fleet_model_or_measure_is_refused(
+        self, tmp_path, monkeypatch, edit
+    ):
+        import repro.casestudies.fleet as fleet_case
+
+        journal = str(tmp_path / "fleet.jsonl")
+        FleetAssessment(2).sweep(
+            "arrival_rate", [0.5, 1.5], checkpoint=journal
+        )
+        monkeypatch.setattr(
+            fleet_case, "DEFAULT_PARAMETERS",
+            fleet_case.DEFAULT_PARAMETERS.override(edit),
+        )
+        with pytest.raises(CheckpointError):
+            FleetAssessment(2).sweep(
+                "arrival_rate", [0.5, 1.5], checkpoint=journal
+            )
 
 
 class TestWelfordRetryRegression:

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.methodology import (
-    IncrementalMethodology,
-    summarize_solver_records,
-)
+from repro.core.methodology import IncrementalMethodology
+from repro.core.sweep import summarize_solver_records
 from repro.ctmc import CTMC, build_ctmc
 from repro.ctmc import solvers as solvers_module
 from repro.ctmc.solvers import (

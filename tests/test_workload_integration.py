@@ -185,6 +185,22 @@ class TestSweepWorkloads:
         # Distinct workload shapes produce distinct series.
         assert serial["poisson"] != serial["pareto"]
 
+    def test_engine_is_honoured(self, rpc_family):
+        grids = {
+            engine: IncrementalMethodology(
+                rpc_family, engine=engine
+            ).sweep_workloads(
+                {"spec": None}, "shutdown_timeout", self.CLASSES, **FAST
+            )
+            for engine in ("reference", "fast")
+        }
+        assert grids["fast"] != grids["reference"]
+        # The spec-duration class is exactly sweep_general on that engine.
+        for engine, grid in grids.items():
+            assert grid["spec"] == IncrementalMethodology(
+                rpc_family, engine=engine
+            ).sweep_general("shutdown_timeout", self.CLASSES, **FAST)
+
     def test_empty_grid_is_rejected(self, rpc_family):
         with pytest.raises(AnalysisError, match="at least one"):
             IncrementalMethodology(rpc_family).sweep_workloads(
