@@ -8,8 +8,9 @@ and writes ``BENCH_runtime.json`` next to the repo root:
   per-point rate relabeling);
 * **workers** — the same sweeps and a replication batch at 1 vs N worker
   processes (bit-identical results, so only wall-clock may differ);
-* **phases** — per-phase wall-clock (statespace / relabel / solve /
-  simulate) as recorded by the methodology's :class:`~repro.runtime.Timer`.
+* **phases** — per-span wall-clock (statespace, the sweep phase spans,
+  solver and simulation spans) from the methodology's runtime stats,
+  i.e. the span totals of :mod:`repro.obs.tracing`.
 
 Runs as a benchmark module (``pytest benchmarks/bench_runtime_scaling.py``)
 or as a plain script (``python benchmarks/bench_runtime_scaling.py``).
@@ -53,6 +54,9 @@ def _sweep_case(family_fn, parameter, values, workers):
         lambda: cached.sweep_markovian(parameter, values)
     )
     assert series == reference, "cached sweep changed the results"
+    # runtime_stats() counts every span this process closes after the
+    # methodology was created, so read it before the next sweep runs.
+    timings = cached.runtime_stats()["timings"]
 
     parallel = IncrementalMethodology(family_fn(), workers=workers)
     parallel_series, parallel_seconds = _timed(
@@ -71,7 +75,7 @@ def _sweep_case(family_fn, parameter, values, workers):
             uncached_seconds / max(parallel_seconds, 1e-9), 2
         ),
         "cache": cached.cache.stats.as_dict(),
-        "timings": cached.timer.as_dict(),
+        "timings": timings,
     }
 
 

@@ -44,7 +44,6 @@ from ..runtime import (
     ParametricLTS,
     RetryPolicy,
     StructuralStateSpaceCache,
-    TraceRecorder,
 )
 from ..distributions import Distribution
 from ..sim.output import (
@@ -75,8 +74,8 @@ _LOG = obs_log.get_logger("methodology")
 def _phase_span(name: str):
     """Open a tracing span named *name* around a methodology phase.
 
-    A no-op when no tracer is active; when one is, the phase span is the
-    parent every executor point span (and, through
+    Without a tracer only the span totals see it; with one, the phase
+    span is the parent every executor point span (and, through
     :class:`~repro.obs.tracing.TraceContext` propagation, every
     worker-side span) attaches under.  It is opened *before* the sweep
     journal loads so a checkpoint resume can stamp its ``resumed_from``
@@ -286,12 +285,11 @@ class IncrementalMethodology(SweepDriver):
         statespace_cache: Optional[StructuralStateSpaceCache] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultInjector] = None,
-        tracer: Optional[TraceRecorder] = None,
         solver: Optional[str] = None,
         workload: Optional[Distribution] = None,
         engine: Optional[str] = None,
     ):
-        super().__init__(workers, retry, faults, tracer, solver)
+        super().__init__(workers, retry, faults, solver)
         self.family = family
         self.max_states = max_states
         self.cache = statespace_cache or StructuralStateSpaceCache()
@@ -349,9 +347,7 @@ class IncrementalMethodology(SweepDriver):
         cached = self._lts_cache.get(key)
         if cached is None:
             archi = self._variant_archi(kind, variant)
-            cached = self.cache.lts(
-                archi, const_overrides, self.max_states, timer=self.timer
-            )
+            cached = self.cache.lts(archi, const_overrides, self.max_states)
             self._lts_cache[key] = cached
         return cached
 
@@ -436,7 +432,7 @@ class IncrementalMethodology(SweepDriver):
                     archi, parameter
                 ):
                     skeleton = self.cache.skeleton(
-                        archi, base, self.max_states, timer=self.timer
+                        archi, base, self.max_states
                     )
                 sources.append((archi, skeleton))
             for value in values:
@@ -509,10 +505,9 @@ class IncrementalMethodology(SweepDriver):
     ) -> Dict[str, float]:
         """Analytic steady-state measure values for one variant."""
         lts = self.build_lts("markovian", variant, const_overrides)
-        with self.timer.span("solve"):
-            result = _solve_ctmc_point(
-                lts, self.family.measures, self._solver_method(method)
-            )
+        result = _solve_ctmc_point(
+            lts, self.family.measures, self._solver_method(method)
+        )
         self.solver_records.append(result["solver"])
         return result["measures"]
 
@@ -561,7 +556,6 @@ class IncrementalMethodology(SweepDriver):
                 domain,
                 const_overrides,
                 self.max_states,
-                timer=self.timer,
             )
         except ParametricError as error:
             record_parametric_fallback(error.reason)
@@ -640,21 +634,19 @@ class IncrementalMethodology(SweepDriver):
     ) -> ValidationReport:
         """Cross-validate the general model per Sect. 5.1."""
         lts = self.build_lts("general", variant, const_overrides)
-        with self.timer.span("simulate"):
-            return cross_validate(
-                lts,
-                self.family.measures,
-                run_length,
-                runs=runs,
-                warmup=warmup,
-                seed=seed,
-                relative_tolerance=relative_tolerance,
-                workers=self._executor(workers).workers,
-                retry=self.retry,
-                faults=self.faults,
-                tracer=self.tracer,
-                engine=self._engine(engine),
-            )
+        return cross_validate(
+            lts,
+            self.family.measures,
+            run_length,
+            runs=runs,
+            warmup=warmup,
+            seed=seed,
+            relative_tolerance=relative_tolerance,
+            workers=self._executor(workers).workers,
+            retry=self.retry,
+            faults=self.faults,
+            engine=self._engine(engine),
+        )
 
     @_phase_span("simulate:general")
     def simulate_general(
@@ -681,21 +673,19 @@ class IncrementalMethodology(SweepDriver):
             self.build_lts("general", variant, const_overrides),
             self._resolve_workload(workload),
         )
-        with self.timer.span("simulate"):
-            return replicate(
-                lts,
-                self.family.measures,
-                run_length,
-                runs=runs,
-                warmup=warmup,
-                seed=seed,
-                confidence=confidence,
-                workers=self._executor(workers).workers,
-                retry=self.retry,
-                faults=self.faults,
-                tracer=self.tracer,
-                engine=self._engine(engine),
-            )
+        return replicate(
+            lts,
+            self.family.measures,
+            run_length,
+            runs=runs,
+            warmup=warmup,
+            seed=seed,
+            confidence=confidence,
+            workers=self._executor(workers).workers,
+            retry=self.retry,
+            faults=self.faults,
+            engine=self._engine(engine),
+        )
 
     @_phase_span("sweep:general")
     def sweep_general(
@@ -820,25 +810,23 @@ class IncrementalMethodology(SweepDriver):
             self.build_lts("general", variant, const_overrides),
             self._resolve_workload(workload),
         )
-        with self.timer.span("simulate"):
-            return split_replicate(
-                lts,
-                self.family.measures,
-                run_length,
-                levels=levels,
-                splits=splits,
-                segments=segments,
-                rare_measure=rare_measure,
-                runs=runs,
-                warmup=warmup,
-                seed=seed,
-                confidence=confidence,
-                workers=self._executor(workers).workers,
-                retry=self.retry,
-                faults=self.faults,
-                tracer=self.tracer,
-                engine=self._engine(engine),
-            )
+        return split_replicate(
+            lts,
+            self.family.measures,
+            run_length,
+            levels=levels,
+            splits=splits,
+            segments=segments,
+            rare_measure=rare_measure,
+            runs=runs,
+            warmup=warmup,
+            seed=seed,
+            confidence=confidence,
+            workers=self._executor(workers).workers,
+            retry=self.retry,
+            faults=self.faults,
+            engine=self._engine(engine),
+        )
 
     @_phase_span("sweep:rare")
     def sweep_rare(

@@ -10,7 +10,7 @@ plus the fleet extension.  Each sweep entry point
 the labels, a fold from point results to the returned series, and the
 identity fields.  :meth:`SweepDriver.run_sweep` owns everything the
 sweeps have in common — the executor and its resilience kwargs, the log
-line and span attributes, the timer span, the checkpoint journal, the
+line and span attributes, the checkpoint journal, the
 ``repro_sweep_points_total`` counter and the fold.
 
 The spec's content hash **is** the checkpoint fingerprint
@@ -35,8 +35,6 @@ from ..runtime import (
     ParallelExecutor,
     RetryPolicy,
     SweepCheckpoint,
-    Timer,
-    TraceRecorder,
     resolve_workers,
     sweep_fingerprint,
 )
@@ -87,9 +85,9 @@ class SweepSpec:
     be a module-level function so the process pool can pickle it), and
     ``fold`` turns the input-ordered point results into the returned
     series.  ``kind`` labels the fingerprint and
-    ``repro_sweep_points_total``; ``phase`` names the executor phase and
-    the timer span; ``attributes`` go to the log line and the enclosing
-    tracing span.
+    ``repro_sweep_points_total``; ``phase`` labels the executor's point
+    and attempt spans; ``attributes`` go to the log line and the
+    enclosing tracing span.
 
     ``identity`` holds the plain-data fields that, with ``models()`` (the
     printed content of every model the points use — called only when a
@@ -125,9 +123,11 @@ class SweepSpec:
 class SweepDriver:
     """Sweep plumbing shared by every assessment front end.
 
-    Holds the parallelism, the reliability layer (retry policy, fault
-    injector, trace recorder), the default solver and the phase timer,
-    and runs :class:`SweepSpec` declarations through one code path.
+    Holds the parallelism, the reliability layer (retry policy and
+    fault injector) and the default solver, and runs :class:`SweepSpec`
+    declarations through one code path.  Its runtime stats are the span
+    totals (:func:`repro.obs.tracing.totals`) of this process since the
+    driver was created.
     """
 
     #: Case label of ``repro_sweep_points_total`` and the sweep log line.
@@ -138,17 +138,15 @@ class SweepDriver:
         workers: Optional[int] = 1,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultInjector] = None,
-        tracer: Optional[TraceRecorder] = None,
         solver: Optional[str] = None,
     ):
         self.workers = resolve_workers(workers)
         self.retry = retry
         self.faults = faults
-        self.tracer = tracer
         #: Default steady-state backend for every Markovian solve
         #: (``None`` resolves through ``$REPRO_SOLVER`` to ``auto``).
         self.solver = solver
-        self.timer = Timer()
+        self._spans_before = tracing.totals()
         #: Per-point solver reports of every Markovian solve so far,
         #: in execution order (see runtime_stats()["solver"]).
         self.solver_records: List[Dict[str, object]] = []
@@ -165,51 +163,24 @@ class SweepDriver:
     def _executor(self, workers: Optional[int]) -> ParallelExecutor:
         return ParallelExecutor(self.workers if workers is None else workers)
 
-    def _resilience(
-        self, checkpoint: Optional[SweepCheckpoint], phase: str
-    ) -> Dict[str, object]:
-        """Executor kwargs engaging the fault-tolerant path when needed.
-
-        With no retry policy, fault injector, tracer or checkpoint
-        configured this returns ``{}`` and sweeps use the zero-overhead
-        fast path, exactly as before the reliability layer existed.
-        """
-        if (
-            self.retry is None
-            and self.faults is None
-            and self.tracer is None
-            and checkpoint is None
-        ):
-            return {}
-        if self.tracer is None:
-            # Lazily attach an in-memory recorder so retry/checkpoint
-            # counters always reach runtime_stats().
-            self.tracer = TraceRecorder()
-        return {
-            "retry": self.retry,
-            "faults": self.faults,
-            "tracer": self.tracer,
-            "checkpoint": checkpoint,
-            "phase": phase,
-        }
-
     def runtime_stats(self) -> Dict[str, object]:
-        """Workers, per-phase wall-clock and solver summary so far.
+        """Workers, per-span wall-clock, counters and solver summary.
 
-        When the reliability layer is engaged (retry/faults/trace/
-        checkpoint) the snapshot also carries retry and checkpoint-hit
-        counters plus the aggregated trace.
+        ``timings`` maps every span name closed in this process since
+        the driver was created to its seconds and count; ``retries`` and
+        ``checkpoint_hits`` count the executor's ``retry`` attempts and
+        journal-answered points, and ``trace`` holds every status count.
         """
+        spans = tracing.totals().since(self._spans_before)
         stats: Dict[str, object] = {
             "workers": self.workers,
-            "timings": self.timer.as_dict(),
+            "timings": spans.timings(),
+            "retries": spans.count(tracing.STATUS_RETRY),
+            "checkpoint_hits": spans.count(tracing.STATUS_CHECKPOINT_HIT),
+            "trace": {"statuses": dict(sorted(spans.statuses.items()))},
         }
         if self.solver_records:
             stats["solver"] = summarize_solver_records(self.solver_records)
-        if self.tracer is not None:
-            stats["retries"] = self.tracer.retries
-            stats["checkpoint_hits"] = self.tracer.checkpoint_hits
-            stats["trace"] = self.tracer.summary()
         return stats
 
     def run_sweep(
@@ -238,12 +209,11 @@ class SweepDriver:
             if checkpoint is not None
             else None
         )
-        resilience = self._resilience(journal, spec.phase)
         try:
-            with self.timer.span(spec.phase):
-                results = executor.map(
-                    spec.point, spec.items, spec.shared, **resilience
-                )
+            results = executor.map(
+                spec.point, spec.items, spec.shared, retry=self.retry,
+                faults=self.faults, checkpoint=journal, phase=spec.phase,
+            )
         finally:
             if journal is not None:
                 journal.close()

@@ -102,7 +102,6 @@ def cross_validate(
     workers: int = 1,
     retry=None,
     faults=None,
-    tracer=None,
     engine=None,
 ) -> ValidationReport:
     """Validate the simulator against the analytic solution (Sect. 5.1).
@@ -110,7 +109,7 @@ def cross_validate(
     A measure validates when the analytic value falls inside the simulated
     confidence interval *or* within ``relative_tolerance`` of the mean (the
     second clause keeps near-zero measures, whose intervals collapse, from
-    failing on noise).  *retry*/*faults*/*tracer* are forwarded to the
+    failing on noise).  *retry*/*faults* are forwarded to the
     replication engine (docs/RELIABILITY.md); they cannot change the
     verdict, only survive worker failures while reaching it.  *engine*
     selects the simulation kernel (``reference``/``fast``,
@@ -130,7 +129,6 @@ def cross_validate(
         workers=workers,
         retry=retry,
         faults=faults,
-        tracer=tracer,
         engine=engine,
     )
     report: Dict[str, MeasureValidation] = {}

@@ -81,14 +81,7 @@ from ..obs.ledger import (
     render_entries_table,
     render_entry,
 )
-from ..runtime import (
-    FaultInjector,
-    RetryPolicy,
-    TraceRecorder,
-    read_trace,
-    render_summary,
-    summarize_events,
-)
+from ..runtime import FaultInjector, RetryPolicy
 from ..errors import WorkloadError
 from ..workload import (
     TraceReplay,
@@ -136,15 +129,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
             "deterministic fault injection, e.g. "
             "'seed=7,kill=0.1,poison=0.2,delay=0.5,delay-seconds=0.05' "
             "(see FaultInjector.parse)"
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help=(
-            "stream flat JSONL attempt records to FILE (legacy "
-            "TraceRecorder view; see trace-summary)"
         ),
     )
     parser.add_argument(
@@ -232,9 +216,6 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
     if args.retry is not None:
         retry = RetryPolicy(max_attempts=args.retry)
     faults = FaultInjector.parse(args.chaos) if args.chaos else None
-    tracer = None
-    if args.trace or retry is not None or faults is not None:
-        tracer = TraceRecorder(args.trace)
     workload = None
     if getattr(args, "workload", None):
         try:
@@ -252,7 +233,6 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
         workers=args.workers,
         retry=retry,
         faults=faults,
-        tracer=tracer,
         solver=args.solver,
         metrics_out=args.metrics_out,
         verbose=args.verbose,
@@ -279,6 +259,7 @@ def _finish_observability(
     command: str,
     started: float,
     cpu_started: float,
+    spans_before: tracing.SpanTotals,
     **fields: object,
 ) -> None:
     """Finalise the ``--trace-out`` / ``--ledger`` side of a run.
@@ -286,7 +267,8 @@ def _finish_observability(
     Closes the hierarchical tracer, writes the Perfetto and OTLP views
     next to the span JSONL, and appends one run-ledger entry carrying
     the run's identity (command, configuration, trace id, checkpoint
-    link) plus its wall/cpu time, phase timings and condensed metrics.
+    link) plus its wall/cpu time, condensed metrics and phase timings:
+    the seconds per span name closed since *spans_before*.
     """
     trace_id = None
     resumed_from = None
@@ -312,6 +294,7 @@ def _finish_observability(
             )
     if options.ledger is None:
         return
+    spans = tracing.totals().since(spans_before)
     registry = get_registry()
     entry = {
         "command": command,
@@ -326,6 +309,10 @@ def _finish_observability(
         "trace": options.trace_out,
         "trace_id": trace_id,
         "resumed_from": resumed_from,
+        "phases": {
+            name: timing["seconds"]
+            for name, timing in spans.timings().items()
+        },
         "metrics": condense_metrics(registry.snapshot())
         if registry.enabled
         else {},
@@ -576,6 +563,7 @@ def run_sweep(argv: List[str]) -> int:
         )
     started = time.time()
     cpu_started = time.process_time()
+    spans_before = tracing.totals()
     try:
         with tracing.span(
             "run-sweep",
@@ -682,56 +670,45 @@ def run_sweep(argv: List[str]) -> int:
             f", solver {backends} "
             f"max residual={solver_stats['max_residual']:.2e}"
         )
-    if methodology.tracer is not None:
-        summary += (
-            f", retries={methodology.tracer.retries}"
-            f", checkpoint hits={methodology.tracer.checkpoint_hits}"
-        )
-        methodology.tracer.close()
+    summary += (
+        f", retries={stats['retries']}"
+        f", checkpoint hits={stats['checkpoint_hits']}"
+    )
     _LOG.info("%s", summary)
     _export_metrics(options)
-    timings = methodology.runtime_stats().get("timings", {})
     _finish_observability(
         options,
         "run-sweep",
         started,
         cpu_started,
+        spans_before,
         case=args.case,
         phase=args.phase,
         parameter=args.parameter,
         checkpoint=args.checkpoint,
-        phases={
-            name: info["seconds"] for name, info in timings.items()
-        },
     )
     return 0
 
 
 def trace_summary(argv: List[str]) -> int:
-    """``trace-summary``: aggregate a JSONL trace file into tables.
+    """``trace-summary``: aggregate a ``--trace-out`` span file.
 
-    Reads both trace formats: flat per-attempt records written by the
-    legacy ``--trace`` recorder (phase table with retries and wall/cpu
-    time) and hierarchical span records written by ``--trace-out``
-    (per-span self-time vs cumulative-time).  A file may mix both; each
-    format present gets its own table.
+    Prints per-span self-time vs cumulative-time and the status counts.
 
-    Exit codes: 0 for a valid (possibly empty) trace, 1 for a missing
-    file or malformed JSONL (a torn final line — a crash mid-write — is
-    tolerated, corruption anywhere else is not), and 1 when ``--check``
-    finds a malformed span tree.
+    Exit codes: 0 for a trace with span records, 1 for a missing file,
+    malformed JSONL (a torn final line — a crash mid-write — is
+    tolerated, corruption anywhere else is not), a file without span
+    records (e.g. the flat per-attempt format, which is no longer
+    read), and when ``--check`` finds a malformed span tree.
     """
     parser = argparse.ArgumentParser(
         prog="repro-experiments trace-summary",
         description=(
-            "Summarise a JSONL trace file: flat --trace records "
-            "(spans by phase/status) and/or hierarchical --trace-out "
-            "span trees (self vs cumulative time)"
+            "Summarise a --trace-out JSONL span file (self vs "
+            "cumulative time per span name)"
         ),
     )
-    parser.add_argument(
-        "trace_file", help="JSONL file written by --trace or --trace-out"
-    )
+    parser.add_argument("trace_file", help="JSONL file written by --trace-out")
     parser.add_argument(
         "--check",
         action="store_true",
@@ -743,7 +720,7 @@ def trace_summary(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     configure_logging()
     try:
-        records = read_trace(args.trace_file)
+        spans = tracing.read_spans(args.trace_file)
     except OSError as error:
         _LOG.error("cannot read trace file: %s", error)
         return 1
@@ -752,32 +729,18 @@ def trace_summary(argv: List[str]) -> int:
             "%s is not a valid JSONL trace: %s", args.trace_file, error
         )
         return 1
-    spans = [
-        record
-        for record in records
-        if record.get("kind") == tracing.RECORD_KIND
-    ]
-    flat = [
-        record
-        for record in records
-        if record.get("kind") != tracing.RECORD_KIND
-    ]
-    if flat or not spans:
-        emit(render_summary(summarize_events(flat), title=args.trace_file))
-    if spans:
-        if flat:
-            emit()
-        emit(
-            tracing.render_span_summary(
-                tracing.summarize_spans(spans), title=args.trace_file
-            )
+    if not spans:
+        _LOG.error(
+            "%s has no span records (write one with --trace-out)",
+            args.trace_file,
         )
+        return 1
+    emit(
+        tracing.render_span_summary(
+            tracing.summarize_spans(spans), title=args.trace_file
+        )
+    )
     if args.check:
-        if not spans:
-            _LOG.error(
-                "%s has no span records to check", args.trace_file
-            )
-            return 1
         problems = tracing.validate_tree(spans)
         for problem in problems:
             _LOG.error("span tree: %s", problem)
@@ -1103,6 +1066,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     options = _run_options(args)
     run_started = time.time()
     cpu_started = time.process_time()
+    spans_before = tracing.totals()
     with tracing.span(
         "experiments",
         targets=",".join(targets),
@@ -1122,21 +1086,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             emit(report)
             emit(f"[{target} done in {time.time() - started:.1f}s]")
             emit()
-    if options.tracer is not None:
-        options.tracer.close()
-        if args.trace:
-            emit(f"[trace written to {args.trace}]")
     _export_metrics(options)
     _finish_observability(
         options,
         args.experiment,
         run_started,
         cpu_started,
+        spans_before,
         case=None,
         phase=None,
         parameter=None,
         checkpoint=None,
-        phases={},
     )
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.reporting import ascii_chart, format_table
-from ..runtime import FaultInjector, RetryPolicy, TraceRecorder
+from ..runtime import FaultInjector, RetryPolicy
 
 
 @dataclass
@@ -20,15 +20,14 @@ class RunOptions:
     """Execution options threaded from the CLI into figure regeneration.
 
     Bundles everything the reliability layer can vary — worker count,
-    retry policy, fault injection (chaos runs) and the trace recorder —
-    so the registry only ever forwards one object.  The defaults are the
-    plain fast path: serial, no retries, no faults, no trace file.
+    retry policy and fault injection (chaos runs) — so the registry only
+    ever forwards one object.  The defaults are the plain fast path:
+    serial, no retries, no faults, no trace file.
     """
 
     workers: int = 1
     retry: Optional[RetryPolicy] = None
     faults: Optional[FaultInjector] = None
-    tracer: Optional[TraceRecorder] = None
     #: Steady-state backend for Markovian solves (``--solver``); ``None``
     #: resolves through ``$REPRO_SOLVER`` to automatic selection.
     solver: Optional[str] = None
@@ -77,7 +76,6 @@ class RunOptions:
             "workers": self.workers,
             "retry": self.retry,
             "faults": self.faults,
-            "tracer": self.tracer,
             "solver": self.solver,
         }
 
@@ -96,9 +94,9 @@ class RuntimeStats:
 
     Snapshot of :meth:`IncrementalMethodology.runtime_stats` taken when
     the figure finished; attached to result objects so reports (and the
-    runtime-scaling benchmark) can show where the time went.  When the
-    reliability layer was engaged the snapshot also carries retry /
-    checkpoint counters and the aggregated trace.
+    runtime-scaling benchmark) can show where the time went.  Timings,
+    retry / checkpoint counters and the status counts all come from the
+    span totals of :mod:`repro.obs.tracing`.
     """
 
     workers: int = 1
@@ -130,9 +128,9 @@ class RuntimeStats:
             cache_misses=cache["misses"],
             cache_relabels=cache["relabels"],
             timings=snapshot["timings"],
-            retries=snapshot.get("retries", 0),
-            checkpoint_hits=snapshot.get("checkpoint_hits", 0),
-            trace=snapshot.get("trace"),
+            retries=snapshot["retries"],
+            checkpoint_hits=snapshot["checkpoint_hits"],
+            trace=snapshot["trace"],
             solver=snapshot.get("solver"),
             metrics=registry.snapshot() if registry.enabled else None,
         )

@@ -30,7 +30,7 @@ import numpy as np
 from ..core.sweep import SweepDriver, SweepSpec
 from ..errors import SpecificationError
 from ..obs import tracing
-from ..runtime import FaultInjector, RetryPolicy, TraceRecorder
+from ..runtime import FaultInjector, RetryPolicy
 from .solve import REPRESENTATIONS, solve_fleet
 from .topology import FleetTopology
 
@@ -111,7 +111,6 @@ class FleetAssessment(SweepDriver):
         representation: str = "lumped",
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultInjector] = None,
-        tracer: Optional[TraceRecorder] = None,
         solver: Optional[str] = None,
     ):
         from ..casestudies.fleet import policy as resolve_policy
@@ -122,7 +121,7 @@ class FleetAssessment(SweepDriver):
                 f"unknown fleet representation {representation!r} "
                 f"(have: {', '.join(REPRESENTATIONS)})"
             )
-        super().__init__(workers, retry, faults, tracer, solver)
+        super().__init__(workers, retry, faults, solver)
         self.n = int(n)
         self.policy = policy
         self.representation = representation
@@ -150,10 +149,9 @@ class FleetAssessment(SweepDriver):
         method: Optional[str] = None,
     ) -> Dict[str, object]:
         """Solve one fleet point; returns the sweep point's payload."""
-        with self.timer.span("solve"):
-            result = _fleet_point(
-                self._point(method), dict(const_overrides or {})
-            )
+        result = _fleet_point(
+            self._point(method), dict(const_overrides or {})
+        )
         self.solver_records.append(result["solver"])
         return result
 

@@ -20,8 +20,9 @@ One subsystem, three concerns:
   (``$REPRO_LOG`` / ``--verbose``), the :func:`~repro.obs.profile.observe`
   span timer and the per-iteration solver callback protocol.
 * **Tracing + run ledger** (:mod:`repro.obs.tracing`,
-  :mod:`repro.obs.ledger`) — hierarchical causal spans with
-  cross-process :class:`~repro.obs.tracing.TraceContext` propagation,
+  :mod:`repro.obs.ledger`) — hierarchical causal spans (the one timing
+  instrument: every closed span also feeds always-on per-name totals)
+  with cross-process :class:`~repro.obs.tracing.TraceContext` propagation,
   Perfetto/OTLP exporters, and the append-only registry of top-level
   runs behind ``repro-experiments runs list|show|diff``.
 
@@ -63,7 +64,6 @@ from .tracing import (
     current_context,
     export_otlp,
     export_perfetto,
-    flatten_spans,
     get_tracer,
     read_spans,
     record_span,
@@ -97,7 +97,6 @@ __all__ = [
     "diff_entries",
     "export_otlp",
     "export_perfetto",
-    "flatten_spans",
     "get_tracer",
     "read_spans",
     "record_span",

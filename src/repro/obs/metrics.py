@@ -607,17 +607,17 @@ FASTSIM_EVENT_RATE = MetricSpec(
 )
 RUNTIME_SPANS = MetricSpec(
     "repro_runtime_spans_total", "counter",
-    "Runtime work spans, by phase and outcome status.",
+    "Executor attempts and checkpoint-answered points, by phase and status.",
     ("phase", "status"),
 )
 RUNTIME_SPAN_SECONDS = MetricSpec(
     "repro_runtime_span_seconds_total", "counter",
-    "Cumulative wall-clock seconds of runtime spans, by phase.",
+    "Cumulative wall-clock seconds of executor attempts, by phase.",
     ("phase",),
 )
 RUNTIME_WORKER_TASKS = MetricSpec(
     "repro_runtime_worker_tasks_total", "counter",
-    "Completed task spans, by worker process id.", ("worker",),
+    "Executor attempts, by worker process id.", ("worker",),
 )
 EXECUTOR_TASKS = MetricSpec(
     "repro_executor_tasks_total", "counter",
@@ -640,7 +640,7 @@ SWEEP_POINTS = MetricSpec(
 )
 PHASE_SECONDS = MetricSpec(
     "repro_phase_seconds_total", "counter",
-    "Cumulative wall-clock seconds per methodology phase (Timer spans).",
+    "Cumulative wall-clock seconds per span name (non-executor spans).",
     ("phase",),
 )
 WORKLOAD_TRACES = MetricSpec(

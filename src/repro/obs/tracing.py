@@ -1,7 +1,6 @@
 """Hierarchical causal tracing with cross-process span propagation.
 
-This module upgrades the flat span records of
-:mod:`repro.runtime.trace` into a proper trace *tree*: every unit of
+The one timing and tracing instrument of the package.  Every unit of
 work is a :class:`Span` with a ``trace_id`` shared by the whole run, its
 own ``span_id``, and a ``parent_id`` pointing at the span that caused
 it.  A context-local "current span" (:func:`span`) nests automatically
@@ -15,10 +14,16 @@ Design rules (all pinned by ``tests/test_tracing.py``):
 * **Bit-identity** — tracing reads only wall clocks and draws span ids
   from :func:`os.urandom`; it never touches a seeded random stream, so a
   traced run produces byte-identical numeric output to an untraced one.
-* **Crash safety** — like the legacy recorder, every finished span is
-  appended to the JSONL sink with a single ``os.write`` on an
-  ``O_APPEND`` descriptor; concurrent processes can never interleave
-  partial lines, and a SIGKILL tears at most the final line.
+* **Always-on totals** — every span closed in this process, traced or
+  not, adds its duration to a per-name aggregate and its status to a
+  per-status count (:func:`totals`).  Sweep runtime stats, the run
+  ledger's phase timings and the ``repro_phase_seconds_total`` /
+  ``repro_runtime_*`` metrics all come from that one funnel; with no
+  tracer installed a span costs two clock reads and a dict update.
+* **Crash safety** — every finished span is appended to the JSONL
+  sink with a single ``os.write`` on an ``O_APPEND`` descriptor;
+  concurrent processes can never interleave partial lines, and a
+  SIGKILL tears at most the final line.
 * **Pre-allocated identity** — the submitting side may allocate a span
   id (:func:`new_span_id`), ship it to a worker inside a
   :class:`TraceContext`, and only *materialise* the span when the result
@@ -34,13 +39,8 @@ Span record schema (one JSON object per line)::
      "attrs": {"phase": "solve", "index": 3, "attempt": 0},
      "events": [{"name": "fallback", "ts": ..., "attrs": {...}}]}
 
-Legacy flat records have no ``"kind"`` key — that is the discriminator
-``repro-experiments trace-summary`` uses to support both formats.
-
 Exporters: :func:`export_perfetto` (Chrome ``trace_event`` JSON, opens
 in ``ui.perfetto.dev``) and :func:`export_otlp` (OTLP-shaped JSON).
-:func:`flatten_spans` renders a span tree as legacy-shaped flat records
-so existing aggregation keeps working (the compatibility view).
 """
 
 from __future__ import annotations
@@ -53,9 +53,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional
 
-#: Span statuses shared with :mod:`repro.runtime.trace`.
+from . import metrics as obs_metrics
+
+#: Span statuses with a fixed meaning across the runtime.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
+STATUS_RETRY = "retry"          # attempt failed, another one is coming
+STATUS_FAILED = "failed"        # attempt failed and the budget is gone
+STATUS_CHECKPOINT_HIT = "checkpoint_hit"
+STATUS_DEGRADED = "degraded"    # process pool abandoned for serial
+
+#: The executor's work spans; they feed the ``repro_runtime_*`` metrics
+#: instead of ``repro_phase_seconds_total``.
+_EXECUTOR_SPANS = frozenset({"point", "execute", "queue-wait"})
 
 RECORD_KIND = "span"
 
@@ -202,11 +212,104 @@ class Tracer:
             self._fd = None
 
 
-class _NullSpan:
-    """What :func:`span` yields when tracing is off: every op a no-op.
+class SpanTotals:
+    """Span count and seconds per name, plus a span count per status."""
 
-    ``status`` is writable so callers can set outcomes unconditionally;
-    the shared instance simply forgets the value.
+    __slots__ = ("names", "statuses")
+
+    def __init__(self) -> None:
+        self.names: Dict[str, List[float]] = {}  # name -> [count, seconds]
+        self.statuses: Dict[str, int] = {}
+
+    def add(self, name: str, seconds: float, status: str) -> None:
+        stats = self.names.get(name)
+        if stats is None:
+            stats = self.names[name] = [0, 0.0]
+        stats[0] += 1
+        stats[1] += seconds
+        self.statuses[status] = self.statuses.get(status, 0) + 1
+
+    def copy(self) -> "SpanTotals":
+        copied = SpanTotals()
+        copied.names = {name: list(stat) for name, stat in self.names.items()}
+        copied.statuses = dict(self.statuses)
+        return copied
+
+    def since(self, earlier: "SpanTotals") -> "SpanTotals":
+        """The spans closed after the *earlier* snapshot was taken."""
+        delta = SpanTotals()
+        for name, (count, seconds) in self.names.items():
+            before = earlier.names.get(name, (0, 0.0))
+            if count > before[0]:
+                delta.names[name] = [count - before[0], seconds - before[1]]
+        for status, count in self.statuses.items():
+            count -= earlier.statuses.get(status, 0)
+            if count > 0:
+                delta.statuses[status] = count
+        return delta
+
+    def count(self, status: str) -> int:
+        return self.statuses.get(status, 0)
+
+    def timings(self) -> Dict[str, Dict[str, float]]:
+        """``{name: {seconds, count}}``, sorted by name."""
+        return {
+            name: {"seconds": seconds, "count": count}
+            for name, (count, seconds) in sorted(self.names.items())
+        }
+
+
+#: Every span closed in this process (workers keep their own).
+_TOTALS = SpanTotals()
+
+
+def totals() -> SpanTotals:
+    """Snapshot of this process's span totals; diff two with
+    :meth:`SpanTotals.since`."""
+    return _TOTALS.copy()
+
+
+def _closed(
+    name: str,
+    seconds: float,
+    status: str,
+    attrs: Dict[str, Any],
+    worker: Optional[int] = None,
+) -> None:
+    """The funnel every closed span passes: totals, then metrics.
+
+    Executor attempts (``execute``) and points answered from a journal
+    count as ``repro_runtime_*`` work spans labelled with the executor
+    phase; every non-executor span adds its seconds to
+    ``repro_phase_seconds_total`` under its own name.
+    """
+    _TOTALS.add(name, seconds, status)
+    registry = obs_metrics.get_registry()
+    if not registry.enabled:
+        return
+    if name not in _EXECUTOR_SPANS:
+        obs_metrics.PHASE_SECONDS.on(registry).labels(phase=name).inc(seconds)
+        return
+    if name != "execute" and status != STATUS_CHECKPOINT_HIT:
+        return
+    phase = str(attrs.get("phase", name))
+    obs_metrics.RUNTIME_SPANS.on(registry).labels(
+        phase=phase, status=status
+    ).inc()
+    if seconds:
+        obs_metrics.RUNTIME_SPAN_SECONDS.on(registry).labels(
+            phase=phase
+        ).inc(seconds)
+    obs_metrics.RUNTIME_WORKER_TASKS.on(registry).labels(
+        worker=str(worker or os.getpid())
+    ).inc()
+
+
+class _UntracedSpan:
+    """What :func:`span` yields when tracing is off.
+
+    Only ``status`` is kept (it reaches the totals); attributes and
+    events are dropped.
     """
 
     __slots__ = ("status",)
@@ -220,8 +323,6 @@ class _NullSpan:
     def add_event(self, name: str, **attrs: Any) -> None:
         pass
 
-
-NULL_SPAN = _NullSpan()
 
 #: The process-wide active tracer (None = tracing off).  Mirrors the
 #: ``get_registry`` idiom of :mod:`repro.obs.metrics`.
@@ -294,14 +395,25 @@ def current_span_id() -> Optional[str]:
 def span(name: str, **attrs: Any) -> Iterator[Any]:
     """Open a child of the current span for the duration of the block.
 
-    Yields the mutable :class:`Span` (or a shared no-op span when
+    Yields the mutable :class:`Span` (or a status-only stand-in when
     tracing is off — callers never need to branch).  An exception
     escaping the block marks the span ``error`` with the exception type
-    attached, then propagates.
+    attached, then propagates.  Either way the closed span reaches the
+    process totals.
     """
     tracer = _ACTIVE
     if tracer is None:
-        yield NULL_SPAN
+        untraced = _UntracedSpan()
+        started = time.perf_counter()
+        try:
+            yield untraced
+        except BaseException:
+            untraced.status = STATUS_ERROR
+            raise
+        finally:
+            _closed(
+                name, time.perf_counter() - started, untraced.status, attrs
+            )
         return
     current = _CURRENT.get()
     trace_id = current[0] if current else tracer.trace_id
@@ -325,8 +437,10 @@ def span(name: str, **attrs: Any) -> Iterator[Any]:
         raise
     finally:
         _CURRENT.reset(token)
-        opened.end = started_wall + (time.perf_counter() - started_perf)
+        elapsed = time.perf_counter() - started_perf
+        opened.end = started_wall + elapsed
         tracer.finish(opened)
+        _closed(name, elapsed, opened.status, opened.attributes)
 
 
 def add_attributes(**attrs: Any) -> None:
@@ -348,22 +462,38 @@ def record_span(name: str, elapsed: float, status: str = STATUS_OK, **attrs: Any
 
     The instrumentation primitive for code that already measured its own
     duration (solver reports, fast-engine batches): one call at the
-    existing metrics funnel, zero overhead when tracing is off.
+    existing metrics funnel; only the totals when tracing is off.
     """
-    tracer = _ACTIVE
-    if tracer is None:
-        return
     current = _CURRENT.get()
     ended = time.time()
-    tracer.add_span(
+    add_span(
         name,
         parent_id=current[1] if current else None,
         start=ended - max(elapsed, 0.0),
         end=ended,
         status=status,
-        trace_id=current[0] if current else tracer.trace_id,
+        trace_id=current[0] if current else None,
         **attrs,
     )
+
+
+def add_span(
+    name: str,
+    parent_id: Optional[str],
+    start: float,
+    end: float,
+    status: str = STATUS_OK,
+    worker: Optional[int] = None,
+    **attrs: Any,
+) -> None:
+    """Count an already-finished span in the totals and, when tracing,
+    emit it through :meth:`Tracer.add_span` (same keyword arguments)."""
+    _closed(name, end - start, status, attrs, worker)
+    tracer = _ACTIVE
+    if tracer is not None:
+        tracer.add_span(
+            name, parent_id, start, end, status, worker=worker, **attrs
+        )
 
 
 # -- file handling ---------------------------------------------------------
@@ -372,7 +502,7 @@ def record_span(name: str, elapsed: float, status: str = STATUS_OK, **attrs: Any
 def read_spans(path: str) -> List[Dict[str, Any]]:
     """Load span records from a JSONL trace file (torn tail tolerated).
 
-    Non-span lines (legacy flat records in a mixed file) are skipped.
+    Lines that are not span records are skipped.
     """
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -452,34 +582,7 @@ def validate_tree(records: Iterable[Dict[str, Any]]) -> List[str]:
     return problems
 
 
-# -- aggregation and compatibility ----------------------------------------
-
-
-def flatten_spans(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Render span records as legacy flat records (compatibility view).
-
-    The span ``name`` becomes the legacy ``phase``; index / attempt /
-    cpu are lifted out of the attributes when present, so
-    :func:`repro.runtime.trace.summarize_events` aggregates a span tree
-    exactly like it aggregates an old flat trace.
-    """
-    flat: List[Dict[str, Any]] = []
-    for record in records:
-        attrs = record.get("attrs", {})
-        flat.append(
-            {
-                "phase": attrs.get("phase", record["name"]),
-                "event": record["name"],
-                "index": attrs.get("index", -1),
-                "attempt": attrs.get("attempt", 0),
-                "status": record.get("status", STATUS_OK),
-                "worker": record.get("worker", 0),
-                "wall": round(record["end"] - record["start"], 6),
-                "cpu": attrs.get("cpu", 0.0),
-                "ts": record["start"],
-            }
-        )
-    return flat
+# -- aggregation ----------------------------------------------------------
 
 
 def summarize_spans(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

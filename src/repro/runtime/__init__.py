@@ -1,6 +1,6 @@
 """Parallel, cache-aware execution runtime for sweeps and replications.
 
-Three layers, threaded through the whole experiment stack:
+Two layers, threaded through the whole experiment stack:
 
 * :class:`ParallelExecutor` — deterministic process-pool map with a serial
   fallback (``workers=1``), shared read-only payloads shipped once per
@@ -10,11 +10,8 @@ Three layers, threaded through the whole experiment stack:
 * :class:`StructuralStateSpaceCache` — a sweep over a parameter that only
   appears in rate expressions reuses one generated state-space skeleton
   and relabels the rates per point instead of re-exploring.
-* :class:`Timer` — named wall-clock spans around the generate / relabel /
-  solve / simulate phases, surfaced in experiment reports and the
-  ``BENCH_runtime.json`` scaling benchmark.
 
-Plus a fault-tolerance and observability layer (see docs/RELIABILITY.md):
+Plus a fault-tolerance layer (see docs/RELIABILITY.md):
 
 * :class:`RetryPolicy` — bounded per-task retries with exponential
   backoff; exhaustion raises the typed
@@ -24,14 +21,13 @@ Plus a fault-tolerance and observability layer (see docs/RELIABILITY.md):
   repeated worker deaths, execution degrades gracefully to serial.
 * :class:`SweepCheckpoint` — an append-only JSONL journal of completed
   sweep points; an interrupted sweep resumes bit-identically.
-* :class:`TraceRecorder` — flat per-attempt span records (phase, point
-  index, worker, retries, wall/cpu time, cache and checkpoint hits)
-  kept in memory and optionally streamed to JSONL.  **Deprecated for
-  new instrumentation**: the hierarchical tracer of
-  :mod:`repro.obs.tracing` supersedes it (the executor emits both, and
-  ``repro-experiments trace-summary`` reads either format); the flat
-  records remain as the compatibility view and the source of the
-  ``repro_runtime_*`` metrics.
+
+Timing and tracing are not a runtime layer: every phase, sweep point
+and attempt is a :mod:`repro.obs.tracing` span, whose always-on
+per-process totals give the per-phase timings, the retry and
+checkpoint-hit counters of ``runtime_stats()`` and the
+``repro_phase_seconds_total`` / ``repro_runtime_*`` metrics, with or
+without a ``--trace-out`` file.
 
 Every layer mirrors its counters onto the unified metric registry of
 :mod:`repro.obs` (``repro_runtime_*``, ``repro_executor_*``,
@@ -57,8 +53,6 @@ from .statespace_cache import (
     generate_parametric,
     structural_params,
 )
-from .timing import Timer
-from .trace import TraceRecorder, read_trace, render_summary, summarize_events
 
 __all__ = [
     "CacheStats",
@@ -70,13 +64,8 @@ __all__ = [
     "RetryPolicy",
     "StructuralStateSpaceCache",
     "SweepCheckpoint",
-    "Timer",
-    "TraceRecorder",
     "generate_parametric",
-    "read_trace",
-    "render_summary",
     "resolve_workers",
     "structural_params",
-    "summarize_events",
     "sweep_fingerprint",
 ]

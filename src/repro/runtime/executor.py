@@ -21,8 +21,10 @@ with the conventions the experiment stack needs:
   :mod:`repro.errors` (:class:`~repro.errors.RetryBudgetExceededError`).
 * **Checkpoint / trace hooks** — completed tasks can be journaled to a
   :class:`~repro.runtime.checkpoint.SweepCheckpoint` (so an interrupted
-  sweep resumes bit-identically) and every attempt can emit a span on a
-  :class:`~repro.runtime.trace.TraceRecorder`.
+  sweep resumes bit-identically), and on the resilient path every point
+  and attempt is a :mod:`repro.obs.tracing` span, so retries, checkpoint
+  hits and degradations reach the span totals with or without a trace
+  file.
 
 Worker functions must be module-level callables of the form
 ``fn(shared, item)`` so they can be pickled by reference.  Tasks must be
@@ -32,6 +34,7 @@ rebuilds and serial degradation invisible in the results.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -41,7 +44,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..errors import RetryBudgetExceededError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from . import trace as trace_mod
 from .faults import KILL, FaultInjector
 
 
@@ -115,125 +117,124 @@ class _PointSpans:
 
     The pool path cannot use :func:`repro.obs.tracing.span` context
     managers — a point's attempts interleave with other points across
-    rounds — so it *pre-allocates* span ids instead: one point span per
-    index (materialised when the point completes) and one execute span
-    per submission, whose id travels to the worker inside the
+    rounds — so it manufactures finished spans through
+    :func:`repro.obs.tracing.add_span`: one point span per index
+    (materialised when the point completes) and one execute span per
+    submission, with queue wait (submit → worker start) as a separate
+    child span of the point.  These always reach the span totals.  When
+    a tracer is active, span ids are *pre-allocated*: the execute span's
+    id travels to the worker inside the
     :class:`~repro.obs.tracing.TraceContext` so worker-side spans parent
-    correctly.  Queue wait (submit → worker start) and execution are
-    emitted as separate child spans of the point.
+    correctly.
     """
 
     def __init__(self, phase: str):
         self.tracer = tracing.get_tracer()
         self.active = self.tracer is not None
         self.phase = phase
-        if not self.active:
-            return
         context = tracing.current_context()
-        self.trace_id = context.trace_id if context else self.tracer.trace_id
+        self.trace_id = context.trace_id if context else None
         self.parent_id = tracing.current_span_id()
         self._points: Dict[int, tuple] = {}  # index -> (span_id, start)
         self._finished: set = set()
 
-    def point_id(self, index: int) -> str:
+    def point_id(self, index: int) -> Optional[str]:
         point = self._points.get(index)
         if point is None:
-            point = (tracing.new_span_id(), time.time())
+            span_id = tracing.new_span_id() if self.active else None
+            point = (span_id, time.time())
             self._points[index] = point
         return point[0]
 
     def submit(self, index: int) -> Optional[tracing.TraceContext]:
         """Allocate the execute-span identity for one submission."""
+        self.point_id(index)
         if not self.active:
             return None
-        self.point_id(index)
         return tracing.TraceContext(self.trace_id, tracing.new_span_id())
 
     def executed(
         self,
         index: int,
-        ctx: tracing.TraceContext,
+        ctx: Optional[tracing.TraceContext],
         submitted: float,
         meta: Dict[str, Any],
         attempt: int,
     ) -> None:
         """Record a completed submission: queue-wait + execute + worker spans."""
-        if not self.active:
-            return
         point_id = self.point_id(index)
         started = max(meta["started"], submitted)
-        self.tracer.add_span(
+        tracing.add_span(
             "queue-wait",
             parent_id=point_id,
             start=submitted,
             end=started,
             trace_id=self.trace_id,
         )
-        self.tracer.add_span(
+        tracing.add_span(
             "execute",
             parent_id=point_id,
             start=started,
             end=max(meta["ended"], started),
-            span_id=ctx.span_id,
+            span_id=ctx.span_id if ctx else None,
             trace_id=self.trace_id,
             worker=meta["worker"],
+            phase=self.phase,
             attempt=attempt,
             cpu=round(meta["cpu"], 6),
         )
-        self.tracer.ingest(meta["spans"])
+        if self.active:
+            self.tracer.ingest(meta["spans"])
 
     def failed(
         self,
         index: int,
-        ctx: tracing.TraceContext,
+        ctx: Optional[tracing.TraceContext],
         submitted: float,
         attempt: int,
         status: str,
         error: str,
     ) -> None:
         """Record a submission that died without shipping metadata back."""
-        if not self.active:
-            return
-        self.tracer.add_span(
+        tracing.add_span(
             "execute",
             parent_id=self.point_id(index),
             start=submitted,
             end=time.time(),
             status=status,
-            span_id=ctx.span_id,
+            span_id=ctx.span_id if ctx else None,
             trace_id=self.trace_id,
+            phase=self.phase,
             attempt=attempt,
             error=error,
         )
 
     def checkpoint_hit(self, index: int) -> None:
         """A point answered from the journal: zero-duration point span."""
-        if not self.active:
-            return
-        now = time.time()
         span_id = self.point_id(index)
+        now = self._points[index][1]
         self._finished.add(index)
-        self.tracer.add_span(
+        tracing.add_span(
             "point",
             parent_id=self.parent_id,
             start=now,
             end=now,
-            status=trace_mod.STATUS_CHECKPOINT_HIT,
+            status=tracing.STATUS_CHECKPOINT_HIT,
             span_id=span_id,
             trace_id=self.trace_id,
             phase=self.phase,
             index=index,
         )
 
-    def finish(self, index: int, status: str = trace_mod.STATUS_OK) -> None:
+    def finish(self, index: int, status: str = tracing.STATUS_OK) -> None:
         """Materialise the point span once the point has a result."""
-        if not self.active or index in self._finished:
+        if index in self._finished:
             return
         point = self._points.get(index)
         if point is None:
             return
         self._finished.add(index)
-        self.tracer.add_span(
+        tracing.add_span(
             "point",
             parent_id=self.parent_id,
             start=point[1],
@@ -248,16 +249,17 @@ class _PointSpans:
     def finish_abandoned(self) -> None:
         """Materialise points left open by an aborted run (failed tasks),
         so even a crashed sweep leaves a well-formed tree behind."""
-        if not self.active:
-            return
         for index in list(self._points):
-            self.finish(index, status=trace_mod.STATUS_FAILED)
+            self.finish(index, status=tracing.STATUS_FAILED)
 
     def reparent(self, index: int):
         """Context for serial-degrade attempts: nest under the point span."""
+        span_id = self.point_id(index)
+        if not self.active:
+            return contextlib.nullcontext()
         return tracing.use_tracer(
             self.tracer,
-            context=tracing.TraceContext(self.trace_id, self.point_id(index)),
+            context=tracing.TraceContext(self.trace_id, span_id),
         )
 
 
@@ -334,17 +336,18 @@ class ParallelExecutor:
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultInjector] = None,
         checkpoint: Optional[Any] = None,
-        tracer: Optional[trace_mod.TraceRecorder] = None,
         phase: str = "task",
     ) -> List[Any]:
         """Run ``fn(shared, item)`` over *items*, preserving input order.
 
-        With none of *retry*/*faults*/*checkpoint*/*tracer* set this is the
-        zero-overhead fast path (chunked ``pool.map`` or an inline loop).
-        Setting any of them engages the resilient path: per-task attempts
-        under *retry* (default :data:`DEFAULT_RETRY`), planned faults from
-        *faults*, completed tasks journaled to *checkpoint* (and replayed
-        from it instead of recomputed), spans recorded on *tracer*.
+        With none of *retry*/*faults*/*checkpoint* set and no active
+        tracer this is the zero-overhead fast path (chunked ``pool.map``
+        or an inline loop).  Otherwise the resilient path runs: per-task
+        attempts under *retry* (default :data:`DEFAULT_RETRY`), planned
+        faults from *faults*, completed tasks journaled to *checkpoint*
+        (and replayed from it instead of recomputed), and one ``point``
+        span per item with one ``execute`` span per attempt, labelled
+        with *phase*.
 
         Either way the results are bit-identical to the plain serial
         ``[fn(shared, item) for item in items]`` — tasks are pure, retries
@@ -359,7 +362,6 @@ class ParallelExecutor:
             retry is not None
             or faults is not None
             or checkpoint is not None
-            or tracer is not None
             or tracing.active()
         )
         if not resilient:
@@ -368,15 +370,14 @@ class ParallelExecutor:
             )
             return self._map_fast(fn, items, shared, chunksize)
         retry = retry or DEFAULT_RETRY
-        tracer = tracer or trace_mod.TraceRecorder()
         if self.is_serial or len(items) == 1:
             _count_tasks("resilient-serial", len(items))
             return self._map_serial(
-                fn, items, shared, retry, faults, checkpoint, tracer, phase
+                fn, items, shared, retry, faults, checkpoint, phase
             )
         _count_tasks("resilient-pool", len(items))
         return self._map_parallel(
-            fn, items, shared, retry, faults, checkpoint, tracer, phase
+            fn, items, shared, retry, faults, checkpoint, phase
         )
 
     # -- fast path (no retry/trace/checkpoint machinery) -------------------
@@ -424,26 +425,21 @@ class ParallelExecutor:
         retry: RetryPolicy,
         faults: Optional[FaultInjector],
         checkpoint: Optional[Any],
-        tracer: trace_mod.TraceRecorder,
         phase: str,
     ) -> List[Any]:
         results: List[Any] = [None] * len(items)
         for index, item in enumerate(items):
             if checkpoint is not None and index in checkpoint.completed:
                 results[index] = checkpoint.completed[index]
-                tracer.record(
-                    phase, index=index,
-                    status=trace_mod.STATUS_CHECKPOINT_HIT,
-                )
                 tracing.record_span(
                     "point", 0.0,
-                    status=trace_mod.STATUS_CHECKPOINT_HIT,
+                    status=tracing.STATUS_CHECKPOINT_HIT,
                     phase=phase, index=index,
                 )
                 continue
             with tracing.span("point", phase=phase, index=index):
                 results[index] = self._attempt_serial(
-                    fn, shared, item, index, retry, faults, tracer, phase,
+                    fn, shared, item, index, retry, faults, phase,
                     checkpoint,
                 )
         return results
@@ -456,7 +452,6 @@ class ParallelExecutor:
         index: int,
         retry: RetryPolicy,
         faults: Optional[FaultInjector],
-        tracer: trace_mod.TraceRecorder,
         phase: str,
         checkpoint: Optional[Any],
         first_attempt: int = 0,
@@ -466,7 +461,6 @@ class ParallelExecutor:
             if attempt > first_attempt:
                 time.sleep(retry.delay_before(attempt - first_attempt))
             wall_started = time.perf_counter()
-            cpu_started = time.process_time()
             with tracing.span(
                 "execute", phase=phase, index=index, attempt=attempt
             ) as exec_span:
@@ -477,34 +471,17 @@ class ParallelExecutor:
                 except Exception as error:  # noqa: BLE001 — retry task errors
                     last_error = error
                     exhausted = attempt + 1 >= retry.max_attempts
-                    status = (
-                        trace_mod.STATUS_FAILED
+                    exec_span.status = (
+                        tracing.STATUS_FAILED
                         if exhausted
-                        else trace_mod.STATUS_RETRY
+                        else tracing.STATUS_RETRY
                     )
-                    exec_span.status = status
                     exec_span.set_attributes(error=repr(error))
-                    tracer.record(
-                        phase,
-                        index=index,
-                        attempt=attempt,
-                        status=status,
-                        wall=time.perf_counter() - wall_started,
-                        cpu=time.process_time() - cpu_started,
-                        error=repr(error),
-                    )
                     continue
-            wall = time.perf_counter() - wall_started
-            tracer.record(
-                phase,
-                index=index,
-                attempt=attempt,
-                status=trace_mod.STATUS_OK,
-                wall=wall,
-                cpu=time.process_time() - cpu_started,
-            )
             if checkpoint is not None:
-                checkpoint.record(index, value, elapsed=wall)
+                checkpoint.record(
+                    index, value, elapsed=time.perf_counter() - wall_started
+                )
             return value
         raise RetryBudgetExceededError(
             index, retry.max_attempts - first_attempt, last_error
@@ -520,7 +497,6 @@ class ParallelExecutor:
         retry: RetryPolicy,
         faults: Optional[FaultInjector],
         checkpoint: Optional[Any],
-        tracer: trace_mod.TraceRecorder,
         phase: str,
     ) -> List[Any]:
         """Submit-per-task pool execution in rounds.
@@ -543,10 +519,6 @@ class ParallelExecutor:
         for index in range(len(items)):
             if checkpoint is not None and index in checkpoint.completed:
                 results[index] = checkpoint.completed[index]
-                tracer.record(
-                    phase, index=index,
-                    status=trace_mod.STATUS_CHECKPOINT_HIT,
-                )
                 point_spans.checkpoint_hit(index)
             else:
                 attempts[index] = 0
@@ -554,8 +526,8 @@ class ParallelExecutor:
 
         try:
             return self._run_parallel_rounds(
-                fn, items, shared, retry, faults, checkpoint, tracer,
-                phase, point_spans, results, attempts, pending,
+                fn, items, shared, retry, faults, checkpoint, phase,
+                point_spans, results, attempts, pending,
                 as_completed, BrokenProcessPool,
             )
         finally:
@@ -569,7 +541,6 @@ class ParallelExecutor:
         retry: RetryPolicy,
         faults: Optional[FaultInjector],
         checkpoint: Optional[Any],
-        tracer: trace_mod.TraceRecorder,
         phase: str,
         point_spans: _PointSpans,
         results: Dict[int, Any],
@@ -581,32 +552,19 @@ class ParallelExecutor:
         pool_restarts = 0
         while pending:
             if pool_restarts > self.max_pool_restarts:
-                tracer.record(
-                    phase,
-                    event="pool",
-                    status=trace_mod.STATUS_DEGRADED,
-                    pool_restarts=pool_restarts,
-                )
                 for index in pending:
-                    if point_spans.active:
-                        # Execute spans already reference this point's
-                        # pre-allocated id: nest the serial attempts
-                        # under it, then materialise it as degraded.
-                        with point_spans.reparent(index):
-                            results[index] = self._attempt_serial(
-                                fn, shared, items[index], index, retry,
-                                faults, tracer, phase, checkpoint,
-                                first_attempt=attempts[index],
-                            )
-                        point_spans.finish(
-                            index, status=trace_mod.STATUS_DEGRADED
-                        )
-                    else:
+                    # Execute spans already reference this point's id:
+                    # nest the serial attempts under it, then
+                    # materialise it as degraded.
+                    with point_spans.reparent(index):
                         results[index] = self._attempt_serial(
-                            fn, shared, items[index], index, retry, faults,
-                            tracer, phase, checkpoint,
+                            fn, shared, items[index], index, retry,
+                            faults, phase, checkpoint,
                             first_attempt=attempts[index],
                         )
+                    point_spans.finish(
+                        index, status=tracing.STATUS_DEGRADED
+                    )
                 pending = []
                 break
             backoff = max(
@@ -656,16 +614,9 @@ class ParallelExecutor:
                             # The kill consumed this task's attempt; tasks
                             # merely caught in the pool collapse retry for
                             # free.
-                            tracer.record(
-                                phase,
-                                index=index,
-                                attempt=attempts[index],
-                                status=trace_mod.STATUS_RETRY,
-                                error="worker killed",
-                            )
                             point_spans.failed(
                                 index, ctx, submitted, attempts[index],
-                                trace_mod.STATUS_RETRY, "worker killed",
+                                tracing.STATUS_RETRY, "worker killed",
                             )
                             attempts[index] += 1
                             if attempts[index] >= retry.max_attempts:
@@ -682,16 +633,9 @@ class ParallelExecutor:
                         attempts[index] += 1
                         exhausted = attempts[index] >= retry.max_attempts
                         status = (
-                            trace_mod.STATUS_FAILED
+                            tracing.STATUS_FAILED
                             if exhausted
-                            else trace_mod.STATUS_RETRY
-                        )
-                        tracer.record(
-                            phase,
-                            index=index,
-                            attempt=attempts[index] - 1,
-                            status=status,
-                            error=repr(error),
+                            else tracing.STATUS_RETRY
                         )
                         point_spans.failed(
                             index, ctx, submitted, attempts[index] - 1,
@@ -704,15 +648,6 @@ class ParallelExecutor:
                         still_pending.append(index)
                         continue
                     results[index] = value
-                    tracer.record(
-                        phase,
-                        index=index,
-                        attempt=attempts[index],
-                        status=trace_mod.STATUS_OK,
-                        worker=meta["worker"],
-                        wall=meta["wall"],
-                        cpu=meta["cpu"],
-                    )
                     point_spans.executed(
                         index, ctx, submitted, meta, attempts[index]
                     )

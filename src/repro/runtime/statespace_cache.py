@@ -27,7 +27,6 @@ to a fresh generation.
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -51,7 +50,7 @@ from ..aemilia.semantics import (
 from ..errors import SemanticsError
 from ..lts.lts import LTS
 from ..obs import metrics as obs_metrics
-from .timing import Timer
+from ..obs import tracing
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,6 @@ class StructuralStateSpaceCache:
         const_overrides: Optional[Mapping[str, Value]] = None,
         max_states: int = 200_000,
         apply_preemption: bool = True,
-        timer: Optional[Timer] = None,
     ) -> ParametricLTS:
         """Get (or generate and cache) the skeleton for this structure."""
         env = archi.bind_constants(const_overrides)
@@ -336,7 +334,7 @@ class StructuralStateSpaceCache:
         skeleton = self._skeletons.get(key) if self.enabled else None
         if skeleton is None:
             self.stats.miss()
-            with timer.span("statespace") if timer else nullcontext():
+            with tracing.span("statespace"):
                 skeleton = generate_parametric(
                     archi, const_overrides, max_states, apply_preemption
                 )
@@ -352,17 +350,16 @@ class StructuralStateSpaceCache:
         const_overrides: Optional[Mapping[str, Value]] = None,
         max_states: int = 200_000,
         apply_preemption: bool = True,
-        timer: Optional[Timer] = None,
     ) -> LTS:
         """Concrete state space under *const_overrides*, cache-aware."""
         env = archi.bind_constants(const_overrides)
         skeleton = self.skeleton(
-            archi, const_overrides, max_states, apply_preemption, timer
+            archi, const_overrides, max_states, apply_preemption
         )
         if env == skeleton.const_env:
             return skeleton.lts
         self.stats.relabel()
-        with timer.span("relabel") if timer else nullcontext():
+        with tracing.span("relabel"):
             return skeleton.relabel(env)
 
     def parametric_solution(
@@ -374,7 +371,6 @@ class StructuralStateSpaceCache:
         const_overrides: Optional[Mapping[str, Value]] = None,
         max_states: int = 200_000,
         apply_preemption: bool = True,
-        timer: Optional[Timer] = None,
     ):
         """Get (or build and cache) the rational-function solution of a
         rate-only sweep over *parameter* on *domain*.
@@ -391,7 +387,7 @@ class StructuralStateSpaceCache:
 
         env = archi.bind_constants(const_overrides)
         skeleton = self.skeleton(
-            archi, const_overrides, max_states, apply_preemption, timer
+            archi, const_overrides, max_states, apply_preemption
         )
         key = (
             self._key(archi, env, max_states, apply_preemption),
@@ -407,7 +403,7 @@ class StructuralStateSpaceCache:
         solution = self._parametric.get(key) if self.enabled else None
         if solution is None:
             self.stats.parametric_build()
-            with timer.span("parametric") if timer else nullcontext():
+            with tracing.span("parametric"):
                 solution = build_parametric_solution(
                     archi, skeleton, parameter, measures, domain, env
                 )

@@ -35,7 +35,6 @@ from ..errors import SimulationError
 from ..lts.lts import LTS
 from ..runtime.executor import ParallelExecutor, RetryPolicy
 from ..runtime.faults import FaultInjector
-from ..runtime.trace import TraceRecorder
 from .engine import Simulator
 from .estimators import log_scale_interval, wilson_interval
 from .fastengine import FastSimulator
@@ -390,7 +389,6 @@ def replicate_until(
     reuse_warmup_state: bool = True,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
-    tracer: Optional[TraceRecorder] = None,
 ) -> ReplicationResult:
     """Sequential replication: run until every measure's confidence
     interval is tight enough (half-width below ``relative_half_width`` of
@@ -490,9 +488,9 @@ def replicate_until(
         start_state,
     )
     resilience = {}
-    if retry is not None or faults is not None or tracer is not None:
+    if retry is not None or faults is not None:
         resilience = {
-            "retry": retry, "faults": faults, "tracer": tracer,
+            "retry": retry, "faults": faults,
             "phase": "replicate",
         }
         # The resilient serial path routes through _replication_run in
@@ -552,7 +550,6 @@ def replicate(
     workers: int = 1,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
-    tracer: Optional[TraceRecorder] = None,
     engine: Optional[str] = None,
 ) -> ReplicationResult:
     """Independent-replications estimation of all measures.
@@ -563,7 +560,7 @@ def replicate(
 
     ``workers > 1`` distributes runs over a process pool.  Each run draws
     its stream from the master seed by index, so the estimates are
-    bit-identical to the serial execution.  *retry*/*faults*/*tracer*
+    bit-identical to the serial execution.  *retry*/*faults*
     engage the fault-tolerant executor path: failed runs are re-executed
     on the same stream index (same value), so faults and retries cannot
     change the estimates.
@@ -579,9 +576,9 @@ def replicate(
     samples: Dict[str, List[float]] = {m.name: [] for m in measures}
     executor = ParallelExecutor(workers)
     resilience = {}
-    if retry is not None or faults is not None or tracer is not None:
+    if retry is not None or faults is not None:
         resilience = {
-            "retry": retry, "faults": faults, "tracer": tracer,
+            "retry": retry, "faults": faults,
             "phase": "replicate",
         }
     if resolve_engine(engine) == "fast":
@@ -688,7 +685,6 @@ def replicate_paired(
     crn: bool = True,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
-    tracer: Optional[TraceRecorder] = None,
 ) -> PairedReplicationResult:
     """Paired replications of two model variants (CRN by default).
 
@@ -710,9 +706,9 @@ def replicate_paired(
     resolved_engine = resolve_engine(engine)
     executor = ParallelExecutor(workers)
     resilience = {}
-    if retry is not None or faults is not None or tracer is not None:
+    if retry is not None or faults is not None:
         resilience = {
-            "retry": retry, "faults": faults, "tracer": tracer,
+            "retry": retry, "faults": faults,
             "phase": "replicate-paired",
         }
     shared = (

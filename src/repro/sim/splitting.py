@@ -75,7 +75,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..runtime.executor import ParallelExecutor, RetryPolicy
 from ..runtime.faults import FaultInjector
-from ..runtime.trace import TraceRecorder
 from .engine import Simulator
 from .fastengine import FastSimulator
 from .output import (
@@ -590,7 +589,6 @@ def split_replicate(
     workers: int = 1,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
-    tracer: Optional[TraceRecorder] = None,
 ) -> SplittingResult:
     """Rare-event splitting estimation of all measures.
 
@@ -648,9 +646,9 @@ def split_replicate(
 
     executor = ParallelExecutor(workers)
     resilience = {}
-    if retry is not None or faults is not None or tracer is not None:
+    if retry is not None or faults is not None:
         resilience = {
-            "retry": retry, "faults": faults, "tracer": tracer,
+            "retry": retry, "faults": faults,
             "phase": "split-replicate",
         }
     shared = (

@@ -6,14 +6,12 @@ first ``capacity`` events as ``(time, label, state_info)`` triples —
 enough to eyeball a trajectory without drowning in output.
 
 Naming note (docs/OBSERVABILITY.md): this records *simulation event
-trajectories*; the runtime's *work-span* recorder is
-:class:`repro.runtime.trace.TraceRecorder`.  The historical name
-``TraceRecorder`` is kept here as a deprecated alias.
+trajectories*; the runtime's work spans are :mod:`repro.obs.tracing`
+spans.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -38,12 +36,7 @@ class TraceEntry:
 
 
 class EventTraceRecorder:
-    """Simulate while recording a bounded prefix of the event trace.
-
-    Distinct from the runtime work-span recorder
-    :class:`repro.runtime.trace.TraceRecorder` — see
-    docs/OBSERVABILITY.md for how the two fit together.
-    """
+    """Simulate while recording a bounded prefix of the event trace."""
 
     def __init__(
         self,
@@ -83,22 +76,3 @@ class EventTraceRecorder:
         if len(self.entries) == self.capacity:
             lines.append(f"... (trace capped at {self.capacity} events)")
         return "\n".join(lines)
-
-
-class TraceRecorder(EventTraceRecorder):
-    """Deprecated alias of :class:`EventTraceRecorder`.
-
-    The old name collided with the runtime's work-span recorder
-    (:class:`repro.runtime.trace.TraceRecorder`); it stays importable
-    for one deprecation cycle.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "repro.sim.trace.TraceRecorder was renamed to "
-            "EventTraceRecorder (the old name collides with "
-            "repro.runtime.trace.TraceRecorder)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

@@ -1,6 +1,16 @@
-"""Shared fixtures: small specimen models and cached case-study families."""
+"""Shared fixtures: specimen models, cached case-study families, sweep
+specs and a subprocess runner for ``run-sweep``."""
 
 from __future__ import annotations
+
+import contextlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +36,90 @@ def sweep_spec():
         return spec
 
     return capture
+
+
+class SweepCLI:
+    """``repro-experiments run-sweep`` in a subprocess, for the SIGKILL
+    resume tests.
+
+    Every sweep starts its own session, so its process group holds the
+    sweep and all of its pool workers: a kill reaches every one of them.
+    """
+
+    root = Path(__file__).resolve().parents[1]
+
+    def start(self, extra) -> subprocess.Popen:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(self.root / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "run-sweep", *extra],
+            cwd=self.root, env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+    @staticmethod
+    def completed(journal: Path) -> int:
+        """Points recorded in a checkpoint journal (torn tail ignored)."""
+        if not journal.exists():
+            return 0
+        count = 0
+        with open(journal, encoding="utf-8") as handle:
+            for line in handle:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # torn tail
+                if record.get("kind") == "point":
+                    count += 1
+        return count
+
+    def kill_mid_sweep(self, victim: subprocess.Popen, journal: Path):
+        """SIGKILL the sweep's whole process group once the journal holds
+        a point, and check that no process of the group survives."""
+        deadline = time.time() + 120
+        try:
+            while self.completed(journal) < 1:
+                if victim.poll() is not None:
+                    pytest.fail("sweep finished before it could be killed")
+                if time.time() > deadline:
+                    pytest.fail("no checkpoint record appeared in time")
+                time.sleep(0.01)
+        finally:
+            # SIGKILL: no cleanup handlers run, in any process.  The
+            # group is gone already when the sweep finished first.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=30)
+        deadline = time.time() + 10
+        while _live_members(victim.pid) and time.time() < deadline:
+            time.sleep(0.05)
+        assert not _live_members(victim.pid), "pool workers survived"
+
+
+def _live_members(pgid: int):
+    """Pids of process group *pgid* that are still running (zombies
+    waiting to be reaped count as dead)."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        state, _, group = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(group) == pgid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
+@pytest.fixture(scope="session")
+def sweep_cli() -> SweepCLI:
+    """Subprocess runner of ``run-sweep`` (see :class:`SweepCLI`)."""
+    return SweepCLI()
 
 
 @pytest.fixture(scope="session")

@@ -6,42 +6,66 @@ the exports must cover solver iterations, sim event throughput, cache
 events and retry/span counters for both case studies.
 """
 
+import io
 import json
 
 import pytest
 
 from repro.experiments.cli import main
-from repro.obs import MetricRegistry, load_json_export, use_registry
-from repro.runtime.trace import TraceRecorder
+from repro.obs import (
+    MetricRegistry,
+    configure_logging,
+    load_json_export,
+    use_registry,
+)
+from repro.obs.tracing import Tracer
 
 
 @pytest.fixture()
 def trace_file(tmp_path):
-    """A small valid JSONL trace written by the runtime recorder."""
+    """A small valid span trace, as ``--trace-out`` writes it."""
     path = str(tmp_path / "trace.jsonl")
-    recorder = TraceRecorder(path, emit_metrics=False)
-    recorder.record("solve", index=0, wall=0.1)
-    recorder.record("solve", index=1, status="retry", wall=0.2)
-    recorder.record("simulate", index=0, wall=0.3)
-    recorder.close()
+    tracer = Tracer(path)
+    root = tracer.add_span("sweep", None, 0.0, 1.0)
+    tracer.add_span("solve", root, 0.0, 0.1, index=0)
+    tracer.add_span("solve", root, 0.1, 0.3, status="retry", index=1)
+    tracer.add_span("simulate", root, 0.3, 0.6, index=0)
+    tracer.close()
     return path
 
 
 class TestTraceSummary:
     def test_valid_trace(self, trace_file, capsys):
-        assert main(["trace-summary", trace_file]) == 0
+        assert main(["trace-summary", trace_file, "--check"]) == 0
         out = capsys.readouterr().out
         assert "solve" in out
         assert "retry" in out
+        assert "span tree OK" in out
 
     def test_missing_file(self, tmp_path):
         missing = str(tmp_path / "nope.jsonl")
         assert main(["trace-summary", missing]) == 1
 
-    def test_empty_file_is_valid(self, tmp_path, capsys):
+    def test_empty_file_has_no_span_records(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert main(["trace-summary", str(path)]) == 0
+        assert main(["trace-summary", str(path)]) == 1
+
+    def test_flat_records_are_refused(self, tmp_path, capsys):
+        path = tmp_path / "flat.jsonl"
+        path.write_text(
+            json.dumps({"phase": "solve", "event": "point", "index": 0,
+                        "status": "ok", "wall": 0.1})
+            + "\n"
+        )
+        stream = io.StringIO()
+        configure_logging(stream=stream, force=True)
+        try:
+            assert main(["trace-summary", str(path)]) == 1
+        finally:
+            configure_logging(force=True)
+        assert "has no span records" in stream.getvalue()
+        assert capsys.readouterr().out == ""
 
     def test_malformed_middle_line(self, trace_file):
         with open(trace_file) as handle:

@@ -275,7 +275,8 @@ class TestAssessment:
             "arrival_rate", values, checkpoint=journal
         )
         assert first == resumed
-        assert resumed_assessment.tracer.checkpoint_hits == len(values)
+        stats = resumed_assessment.runtime_stats()
+        assert stats["checkpoint_hits"] == len(values)
 
     def test_sweep_rejects_unknown_parameter(self):
         with pytest.raises(SpecificationError):

@@ -363,4 +363,4 @@ class TestSweepDriver:
         resumed_driver, resumed = _sweep(kind, rpc_family, checkpoint=journal)
         assert resumed == first
         tasks = 2 * len(GRID) if kind == "workloads" else len(GRID)
-        assert resumed_driver.tracer.checkpoint_hits == tasks
+        assert resumed_driver.runtime_stats()["checkpoint_hits"] == tasks

@@ -36,6 +36,7 @@ from repro.obs import (
     use_registry,
     write_exports,
 )
+from repro.obs import tracing
 from repro.obs.log import verbosity_level
 from repro.obs.metrics import (
     CACHE_EVENTS,
@@ -47,7 +48,6 @@ from repro.obs.metrics import (
     SWEEP_POINTS,
     MetricError,
 )
-from repro.runtime.trace import TraceRecorder
 from repro.sim import Simulator, make_generator
 from repro.sim.batch_means import batch_means
 
@@ -605,25 +605,13 @@ class TestSimInstrumentation:
 
 
 class TestRuntimeTrace:
-    def test_jsonl_lines_are_complete_records(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        with use_registry(MetricRegistry()):
-            recorder = TraceRecorder(path)
-            for index in range(5):
-                recorder.record("solve", index=index, wall=0.25)
-            recorder.close()
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) == 5
-        for line in lines:
-            record = json.loads(line)  # every line parses on its own
-            assert record["phase"] == "solve"
-
     def test_span_metrics_mirrored(self):
         with use_registry(MetricRegistry()) as registry:
-            recorder = TraceRecorder()
-            recorder.record("solve", status="ok", wall=0.5, worker=7)
-            recorder.record("solve", status="retry", wall=0.5, worker=7)
+            tracing.record_span("execute", 0.5, phase="solve", worker=7)
+            tracing.record_span(
+                "execute", 0.5, status="retry", phase="solve", worker=7
+            )
+            tracing.record_span("statespace", 0.25)
             assert registry.value(
                 "repro_runtime_spans_total",
                 {"phase": "solve", "status": "ok"},
@@ -638,13 +626,9 @@ class TestRuntimeTrace:
             assert registry.value(
                 "repro_runtime_worker_tasks_total", {"worker": "7"}
             ) == 2
-
-    def test_emit_metrics_false_stays_silent(self):
-        with use_registry(MetricRegistry()) as registry:
-            recorder = TraceRecorder(emit_metrics=False)
-            recorder.record("solve", wall=0.5)
-            assert registry.snapshot() == {}
-        assert recorder.summary()["phases"]["solve"]["spans"] == 1
+            assert registry.value(
+                "repro_phase_seconds_total", {"phase": "statespace"}
+            ) == pytest.approx(0.25)
 
 
 class TestProfiling:

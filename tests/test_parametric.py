@@ -265,7 +265,8 @@ class TestRuntimeIntegration:
             checkpoint=str(journal),
         )
         assert resumed == baseline
-        assert resumed_methodology.tracer.checkpoint_hits == len(points)
+        stats = resumed_methodology.runtime_stats()
+        assert stats["checkpoint_hits"] == len(points)
 
 
 class TestSolutionObject:

@@ -8,13 +8,7 @@ the retry budget runs out the failure is a typed error that says which
 task gave up after how many attempts.
 """
 
-import json
-import os
-import subprocess
-import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -30,18 +24,16 @@ from repro.errors import (
     WorkerFaultError,
 )
 from repro.fleet import FleetAssessment
+from repro.obs import tracing
 from repro.runtime import (
     FaultInjector,
     ParallelExecutor,
     RetryPolicy,
     SweepCheckpoint,
-    TraceRecorder,
     sweep_fingerprint,
 )
 from repro.runtime.faults import DELAY, KILL, POISON, plan_preview
 from repro.sim.output import replicate, replicate_until
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.0)
 
@@ -104,42 +96,40 @@ class TestChaosEquivalence:
     def test_poisoned_tasks_retry_to_identical_results(self, workers):
         items = list(range(12))
         clean = ParallelExecutor(workers).map(_cube, items, shared=2)
-        tracer = TraceRecorder()
+        before = tracing.totals()
         faults = FaultInjector(
             seed=11, poison_indices=frozenset({1, 5, 9})
         )
         chaotic = ParallelExecutor(workers).map(
-            _cube, items, shared=2,
-            retry=FAST_RETRY, faults=faults, tracer=tracer,
+            _cube, items, shared=2, retry=FAST_RETRY, faults=faults,
         )
         assert chaotic == clean == [2 + i**3 for i in items]
-        assert tracer.retries == 3
+        assert tracing.totals().since(before).count("retry") == 3
 
     def test_killed_workers_rebuild_pool_and_match(self):
         items = list(range(10))
         clean = [3 + i**3 for i in items]
-        tracer = TraceRecorder()
+        before = tracing.totals()
         faults = FaultInjector(seed=5, kill_indices=frozenset({2, 7}))
         survived = ParallelExecutor(4).map(
-            _cube, items, shared=3,
-            retry=FAST_RETRY, faults=faults, tracer=tracer,
+            _cube, items, shared=3, retry=FAST_RETRY, faults=faults,
         )
         assert survived == clean
-        assert tracer.retries >= 2  # both killed tasks were re-run
+        # both killed tasks were re-run
+        assert tracing.totals().since(before).count("retry") >= 2
 
     def test_degrades_to_serial_when_workers_keep_dying(self):
         # Kill probability 1.0 for two attempts per task: every pool
         # round breaks until the executor gives up on pools entirely.
         items = list(range(6))
-        tracer = TraceRecorder()
+        before = tracing.totals()
         faults = FaultInjector(seed=2, kill=1.0, max_faults_per_task=2)
         executor = ParallelExecutor(2, max_pool_restarts=1)
         results = executor.map(
-            _cube, items, shared=0,
-            retry=FAST_RETRY, faults=faults, tracer=tracer,
+            _cube, items, shared=0, retry=FAST_RETRY, faults=faults,
         )
         assert results == [i**3 for i in items]
-        assert tracer.count("degraded") >= 1
+        assert tracing.totals().since(before).count("degraded") >= 1
 
 
 class TestRetryBudget:
@@ -223,7 +213,58 @@ class TestCheckpointJournal:
             "shutdown_timeout", values, checkpoint=str(journal)
         )
         assert resumed == baseline
-        assert resumed_methodology.tracer.checkpoint_hits == 3
+        assert resumed_methodology.runtime_stats()["checkpoint_hits"] == 3
+
+
+class TestSpanDerivedCounters:
+    """``runtime_stats()`` retry and checkpoint-hit counts, pinned.
+
+    The expected numbers were recorded from the flat per-attempt
+    recorder that used to feed these counters, on the same sweeps; the
+    span aggregate of :mod:`repro.obs.tracing` must reproduce them.
+    """
+
+    VALUES = [0.5, 2.0, 11.0, 25.0]
+
+    def _counts(self, family, workers, chaos, retry, checkpoint=None):
+        methodology = IncrementalMethodology(
+            family,
+            workers=workers,
+            retry=RetryPolicy(max_attempts=retry) if retry else None,
+            faults=FaultInjector.parse(chaos) if chaos else None,
+        )
+        methodology.sweep_markovian(
+            "shutdown_timeout", self.VALUES, checkpoint=checkpoint
+        )
+        stats = methodology.runtime_stats()
+        return stats["retries"], stats["checkpoint_hits"]
+
+    def test_serial_poison_retries(self, rpc_family):
+        assert self._counts(rpc_family, 1, "seed=7,poison=0.3", 3) == (2, 0)
+
+    def test_pool_kill_retries(self, rpc_family):
+        assert self._counts(rpc_family, 4, "kill-indices=0", 3) == (1, 0)
+
+    def test_checkpoint_resume_hits(self, rpc_family, tmp_path):
+        journal = str(tmp_path / "journal.jsonl")
+        doomed = IncrementalMethodology(
+            rpc_family,
+            retry=RetryPolicy(max_attempts=2, backoff=0.0),
+            faults=FaultInjector(
+                seed=0, poison_indices=frozenset({2}),
+                max_faults_per_task=99,
+            ),
+        )
+        with pytest.raises(RetryBudgetExceededError):
+            doomed.sweep_markovian(
+                "shutdown_timeout", self.VALUES, checkpoint=journal
+            )
+        assert doomed.runtime_stats()["retries"] == 1
+        resumed = self._counts(
+            rpc_family, 1, "seed=7,poison=0.3", 3, checkpoint=journal
+        )
+        assert resumed == (2, 2)
+        assert self._counts(rpc_family, 4, None, None, journal) == (0, 4)
 
 
 class TestJournalIdentity:
@@ -357,18 +398,17 @@ class TestWelfordRetryRegression:
             run_length=400.0, relative_half_width=0.5,
             min_runs=4, max_runs=12, seed=99,
         )
-        tracer = TraceRecorder()
         clean = replicate_until(lts, measures, workers=1, **kwargs)
+        before = tracing.totals()
         # Fault indices address positions within each internal batch, so
         # index 0 poisons (and retries) the first task of every batch.
         chaotic = replicate_until(
             lts, measures, workers=workers,
             retry=FAST_RETRY,
             faults=FaultInjector(seed=6, poison_indices=frozenset({0})),
-            tracer=tracer,
             **kwargs,
         )
-        assert tracer.retries >= 1
+        assert tracing.totals().since(before).count("retry") >= 1
         for name, estimate in clean.estimates.items():
             other = chaotic.estimates[name]
             assert estimate.mean == other.mean
@@ -399,41 +439,14 @@ SIGKILL_SWEEPS = {
 }
 
 
-def _run_sweep_cli(extra, timeout=180):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments", "run-sweep", *extra],
-        cwd=REPO_ROOT, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-
-
-def _journal_completed(path):
-    if not path.exists():
-        return 0
-    count = 0
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail
-            if record.get("kind") == "point":
-                count += 1
-    return count
-
-
 @pytest.fixture(scope="module")
-def sweep_baselines(tmp_path_factory):
+def sweep_baselines(tmp_path_factory, sweep_cli):
     """Uninterrupted run-sweep JSON output, once per case."""
     outputs = {}
     root = tmp_path_factory.mktemp("baselines")
     for case, (parameter, values) in SIGKILL_SWEEPS.items():
         out = root / f"{case}.json"
-        process = _run_sweep_cli([
+        process = sweep_cli.start([
             "--case", case, "--phase", "markovian",
             "--parameter", parameter, "--values", values,
             "--output", str(out),
@@ -449,7 +462,7 @@ class TestSigkillResume:
     """The acceptance scenario: SIGKILL mid-sweep, resume, same bits."""
 
     def test_sigkill_interrupted_sweep_resumes_bit_identically(
-        self, case, workers, tmp_path, sweep_baselines
+        self, case, workers, tmp_path, sweep_baselines, sweep_cli
     ):
         parameter, values = SIGKILL_SWEEPS[case]
         journal = tmp_path / "journal.jsonl"
@@ -460,29 +473,19 @@ class TestSigkillResume:
         ]
         # A deterministic delay fault slows every point down so the kill
         # reliably lands mid-sweep.
-        victim = _run_sweep_cli(
+        victim = sweep_cli.start(
             common + ["--chaos", "seed=1,delay=1.0,delay-seconds=0.3"]
         )
-        deadline = time.time() + 120
-        while time.time() < deadline:
-            if _journal_completed(journal) >= 1:
-                break
-            if victim.poll() is not None:
-                pytest.fail("sweep finished before it could be killed")
-            time.sleep(0.01)
-        else:
-            pytest.fail("no checkpoint record appeared before timeout")
-        victim.kill()  # SIGKILL — no cleanup handlers run
-        victim.wait(timeout=30)
+        sweep_cli.kill_mid_sweep(victim, journal)
         total = len(values.split(","))
-        completed = _journal_completed(journal)
+        completed = sweep_cli.completed(journal)
         assert 1 <= completed < total, (
             f"kill landed outside the sweep: {completed}/{total} points"
         )
         # Resume: same journal, no chaos; replays the completed prefix
         # and finishes the rest.
         out = tmp_path / "resumed.json"
-        resumed = _run_sweep_cli(common + ["--output", str(out)])
+        resumed = sweep_cli.start(common + ["--output", str(out)])
         assert resumed.wait(timeout=180) == 0
         assert out.read_bytes() == sweep_baselines[case]
-        assert _journal_completed(journal) == total
+        assert sweep_cli.completed(journal) == total

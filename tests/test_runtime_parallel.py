@@ -159,4 +159,4 @@ class TestParallelReplication:
         stats = methodology.runtime_stats()
         assert stats["workers"] == 4
         assert stats["cache"]["misses"] == 1
-        assert set(stats["timings"]) >= {"statespace", "solve"}
+        assert set(stats["timings"]) >= {"statespace", "sweep:markovian"}

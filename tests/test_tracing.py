@@ -31,14 +31,16 @@ from repro.obs.tracing import (
     build_tree,
     export_otlp,
     export_perfetto,
-    flatten_spans,
     read_spans,
     summarize_spans,
     use_tracer,
     validate_tree,
 )
-from repro.runtime import ParallelExecutor
-from repro.runtime.trace import summarize_events
+from repro.runtime import ParallelExecutor, RetryPolicy
+
+
+def _square(shared, item):
+    return item * item
 
 
 @pytest.fixture()
@@ -154,6 +156,47 @@ class TestSpanModel:
         assert read_spans(str(path)) == [record]
 
 
+class TestSpanTotals:
+    """Every closed span reaches the process totals, traced or not."""
+
+    def test_untraced_spans_are_counted(self):
+        before = tracing.totals()
+        with tracing.span("ghost") as ghost:
+            ghost.status = "retry"
+        with pytest.raises(ValueError):
+            with tracing.span("ghost"):
+                raise ValueError("boom")
+        tracing.record_span("leaf", 0.25, status="checkpoint_hit")
+        spans = tracing.totals().since(before)
+        assert spans.timings()["ghost"]["count"] == 2
+        assert spans.timings()["leaf"] == {"seconds": 0.25, "count": 1}
+        assert spans.statuses == {
+            "checkpoint_hit": 1, "error": 1, "retry": 1,
+        }
+
+    def test_traced_and_untraced_totals_agree(self, tracer):
+        before = tracing.totals()
+        with tracing.span("outer"):
+            with tracing.span("inner"):
+                pass
+        spans = tracing.totals().since(before)
+        assert len(tracer.records()) == 2
+        assert {name: t["count"] for name, t in spans.timings().items()} == {
+            "inner": 1, "outer": 1,
+        }
+        assert spans.count("ok") == 2
+
+    def test_untraced_resilient_pool_counts_points(self):
+        before = tracing.totals()
+        ParallelExecutor(2).map(
+            _square, [1, 2, 3], retry=RetryPolicy(max_attempts=1)
+        )
+        spans = tracing.totals().since(before)
+        assert spans.timings()["point"]["count"] == 3
+        assert spans.timings()["execute"]["count"] == 3
+        assert spans.timings()["queue-wait"]["count"] == 3
+
+
 class TestTreeTools:
     def test_validate_accepts_well_formed_tree(self, tracer):
         with tracing.span("root"):
@@ -194,13 +237,6 @@ class TestTreeTools:
         )
         problems = validate_tree(tracer.records())
         assert any("trace id" in problem for problem in problems)
-
-    def test_flatten_feeds_legacy_summary(self, tracer):
-        with tracing.span("point", phase="sweep:markovian", index=3):
-            pass
-        flat = flatten_spans(tracer.records())
-        summary = summarize_events(flat)
-        assert summary["phases"]["sweep:markovian"]["spans"] == 1
 
     def test_summarize_separates_self_from_cumulative(self):
         trace = tracing.new_trace_id()
@@ -335,21 +371,6 @@ class TestTracedSweepCLI:
                 + "\n"
             )
         assert main(["trace-summary", str(trace), "--check"]) == 1
-
-    def test_trace_summary_reads_mixed_file(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        main(
-            _sweep_argv(
-                tmp_path / "out.json",
-                ["--trace-out", str(trace), "--trace", str(trace)],
-            )
-        )
-        assert main(["trace-summary", str(trace)]) == 0
-        out = capsys.readouterr().out
-        # Both the legacy phase table (wall/cpu columns) and the span
-        # table (self/cum columns) rendered.
-        assert "cpu [s]" in out
-        assert "self [s]" in out
 
     def test_perfetto_and_otlp_written_next_to_trace(self, tmp_path):
         trace = tmp_path / "trace.jsonl"

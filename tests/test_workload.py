@@ -445,23 +445,7 @@ class TestParseWorkloadAndFingerprint:
 
 
 class TestSimTraceRecorderAlias:
-    """Satellite: the renamed EventTraceRecorder keeps its old name alive."""
-
-    def test_deprecated_alias_warns_and_preserves_identity(self, mm1k):
-        from repro.aemilia import generate_lts
-        from repro.sim.trace import EventTraceRecorder, TraceRecorder
-
-        lts = generate_lts(mm1k)
-        with pytest.warns(DeprecationWarning, match="EventTraceRecorder"):
-            recorder = TraceRecorder(lts, capacity=10)
-        assert isinstance(recorder, EventTraceRecorder)
-        recorder.run(50.0, make_generator(1))
-        fresh = EventTraceRecorder(lts, capacity=10)
-        fresh.run(50.0, make_generator(1))
-        # Same behaviour, entry for entry: the alias is only a name.
-        assert [str(e) for e in recorder.entries] == [
-            str(e) for e in fresh.entries
-        ]
+    """The event-trajectory recorder imports without a warning."""
 
     def test_new_name_does_not_warn(self, mm1k, recwarn):
         from repro.aemilia import generate_lts

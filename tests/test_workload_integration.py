@@ -16,10 +16,6 @@ The contracts under test (ISSUE acceptance criteria):
 """
 
 import json
-import os
-import subprocess
-import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -39,7 +35,6 @@ from repro.workload import (
     write_trace,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Fast general-sweep settings shared by the in-process tests.
 FAST = dict(run_length=800.0, runs=2, warmup=50.0)
@@ -152,7 +147,7 @@ class TestSweepDeterminism:
             checkpoint=journal, **FAST
         )
         assert resumed == first
-        assert resumed_methodology.tracer.checkpoint_hits == 2
+        assert resumed_methodology.runtime_stats()["checkpoint_hits"] == 2
 
 
 class TestSweepWorkloads:
@@ -342,33 +337,6 @@ class TestWorkloadCLI:
 # ---------------------------------------------------------------------------
 
 
-def _run_sweep_cli(extra):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments", "run-sweep", *extra],
-        cwd=REPO_ROOT, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-
-
-def _journal_completed(path):
-    if not path.exists():
-        return 0
-    count = 0
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail
-            if record.get("kind") == "point":
-                count += 1
-    return count
-
-
 class TestSigkillResumeWithWorkload:
     VALUES = "0.5,2.0,5.0,11.0,15.0,25.0"
 
@@ -380,7 +348,7 @@ class TestSigkillResumeWithWorkload:
             "--workload", f"trace:{trace_file}:cycle",
         ]
 
-    def test_sigkill_resume_is_bit_identical(self, tmp_path):
+    def test_sigkill_resume_is_bit_identical(self, tmp_path, sweep_cli):
         trace_file = str(tmp_path / "workload.jsonl")
         write_trace(
             PoissonGenerator(1.0 / 9.7).generate(500, seed=13), trace_file
@@ -388,35 +356,25 @@ class TestSigkillResumeWithWorkload:
         common = self._common(trace_file)
 
         baseline_out = tmp_path / "baseline.json"
-        clean = _run_sweep_cli(common + ["--output", str(baseline_out)])
+        clean = sweep_cli.start(common + ["--output", str(baseline_out)])
         assert clean.wait(timeout=180) == 0
 
         journal = tmp_path / "journal.jsonl"
-        victim = _run_sweep_cli(
+        victim = sweep_cli.start(
             common + [
                 "--checkpoint", str(journal), "--workers", "4",
                 "--chaos", "seed=1,delay=1.0,delay-seconds=0.3",
             ]
         )
-        deadline = time.time() + 120
-        while time.time() < deadline:
-            if _journal_completed(journal) >= 1:
-                break
-            if victim.poll() is not None:
-                pytest.fail("sweep finished before it could be killed")
-            time.sleep(0.01)
-        else:
-            pytest.fail("no checkpoint record appeared before timeout")
-        victim.kill()  # SIGKILL — no cleanup handlers run
-        victim.wait(timeout=30)
+        sweep_cli.kill_mid_sweep(victim, journal)
         total = len(self.VALUES.split(","))
-        completed = _journal_completed(journal)
+        completed = sweep_cli.completed(journal)
         assert 1 <= completed < total, (
             f"kill landed outside the sweep: {completed}/{total} points"
         )
 
         resumed_out = tmp_path / "resumed.json"
-        resumed = _run_sweep_cli(
+        resumed = sweep_cli.start(
             common + [
                 "--checkpoint", str(journal), "--workers", "4",
                 "--output", str(resumed_out),
@@ -424,4 +382,4 @@ class TestSigkillResumeWithWorkload:
         )
         assert resumed.wait(timeout=180) == 0
         assert resumed_out.read_bytes() == baseline_out.read_bytes()
-        assert _journal_completed(journal) == total
+        assert sweep_cli.completed(journal) == total
