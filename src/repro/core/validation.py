@@ -17,11 +17,12 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import ClassVar, Dict, Sequence
 
 from ..aemilia.rates import GeneralRate
 from ..ctmc.build import build_ctmc
-from ..ctmc.measures import Measure, evaluate_measure
+from ..ctmc.chain import CTMC
+from ..ctmc.measures import Measure, evaluate_measures
 from ..ctmc.steady_state import steady_state
 from ..errors import ValidationError
 from ..lts.lts import LTS
@@ -59,13 +60,48 @@ class MeasureValidation:
     within_interval: bool
     relative_error: float
 
+    #: How the report line names the estimate.
+    estimate_kind: ClassVar[str] = "simulated"
+
     def __str__(self) -> str:
         flag = "OK " if self.within_interval else "FAIL"
         return (
             f"[{flag}] {self.name}: analytic={self.analytic:.6g}, "
-            f"simulated={self.simulated} "
+            f"{self.estimate_kind}={self.simulated} "
             f"(rel.err {self.relative_error:.2%})"
         )
+
+
+def judge_measures(
+    ctmc: CTMC,
+    pi,
+    measures: Sequence[Measure],
+    estimates,
+    relative_tolerance: float,
+    verdict: type = MeasureValidation,
+) -> Dict[str, MeasureValidation]:
+    """One *verdict* per measure: its analytic value under *pi* vs
+    ``estimates[name]``.
+
+    A measure validates when the analytic value falls inside the
+    estimate's confidence interval *or* within ``relative_tolerance`` of
+    its mean (the second clause keeps near-zero measures, whose
+    intervals collapse, from failing on noise).
+    """
+    analytic = evaluate_measures(ctmc, pi, measures)
+    report: Dict[str, MeasureValidation] = {}
+    for measure in measures:
+        value = analytic[measure.name]
+        estimate = estimates[measure.name]
+        scale = max(abs(value), abs(estimate.mean), 1e-12)
+        relative_error = abs(value - estimate.mean) / scale
+        within = estimate.overlaps(value) or (
+            relative_error <= relative_tolerance
+        )
+        report[measure.name] = verdict(
+            measure.name, value, estimate, within, relative_error
+        )
+    return report
 
 
 @dataclass
@@ -106,14 +142,12 @@ def cross_validate(
 ) -> ValidationReport:
     """Validate the simulator against the analytic solution (Sect. 5.1).
 
-    A measure validates when the analytic value falls inside the simulated
-    confidence interval *or* within ``relative_tolerance`` of the mean (the
-    second clause keeps near-zero measures, whose intervals collapse, from
-    failing on noise).  *retry*/*faults* are forwarded to the
-    replication engine (docs/RELIABILITY.md); they cannot change the
-    verdict, only survive worker failures while reaching it.  *engine*
-    selects the simulation kernel (``reference``/``fast``,
-    docs/SIMULATION.md) — the verdict criteria are identical either way.
+    Each measure is judged by :func:`judge_measures`.  *retry*/*faults*
+    are forwarded to the replication engine (docs/RELIABILITY.md); they
+    cannot change the verdict, only survive worker failures while
+    reaching it.  *engine* selects the simulation kernel
+    (``reference``/``fast``, docs/SIMULATION.md) — the verdict criteria
+    are identical either way.
     """
     plugin = exponential_plugin(general_lts)
     ctmc = build_ctmc(plugin)
@@ -131,19 +165,9 @@ def cross_validate(
         faults=faults,
         engine=engine,
     )
-    report: Dict[str, MeasureValidation] = {}
-    for measure in measures:
-        analytic = evaluate_measure(ctmc, pi, measure)
-        estimate = replication[measure.name]
-        scale = max(abs(analytic), abs(estimate.mean), 1e-12)
-        relative_error = abs(analytic - estimate.mean) / scale
-        within = estimate.overlaps(analytic) or (
-            relative_error <= relative_tolerance
-        )
-        report[measure.name] = MeasureValidation(
-            measure.name, analytic, estimate, within, relative_error
-        )
-    return ValidationReport(report)
+    return ValidationReport(
+        judge_measures(ctmc, pi, measures, replication, relative_tolerance)
+    )
 
 
 def require_valid(report: ValidationReport) -> None:

@@ -14,6 +14,7 @@ from .measures import (
     Measure,
     RewardClause,
     RewardKind,
+    RewardTable,
     evaluate_measure,
     evaluate_measures,
     measure,
@@ -61,6 +62,7 @@ __all__ = [
     "Measure",
     "RewardClause",
     "RewardKind",
+    "RewardTable",
     "evaluate_measure",
     "evaluate_measures",
     "measure",

@@ -62,7 +62,7 @@ from ..errors import ParametricError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from .build import _VanishingResolver, build_ctmc, classify_states
-from .measures import Measure
+from .measures import Measure, RewardTable
 from .ratfunc import BarycentricRational, RationalFunction, aaa_fit
 
 @dataclass(frozen=True)
@@ -444,6 +444,7 @@ def _capture_chain(
         m.name: {} for m in measures
     }
     parametric_transitions = 0
+    table = RewardTable(measures)
 
     def add_contribution(
         source_position: int,
@@ -454,13 +455,13 @@ def _capture_chain(
         counts: Mapping[str, float],
     ) -> None:
         """One CTMC transition contribution (already vanishing-resolved)."""
-        for m in measures:
+        impulses = [
+            (count, table.impulses(label)) for label, count in counts.items()
+        ]
+        for j, m in enumerate(table.measures):
             if not m.has_trans_clauses():
                 continue
-            reward = sum(
-                count * m.trans_reward(label)
-                for label, count in counts.items()
-            )
+            reward = sum(count * row[j] for count, row in impulses)
             if reward == 0.0:
                 continue
             if atom is None:
@@ -569,12 +570,13 @@ def _capture_chain(
     # Constant reward per position: state rewards (enabled labels are
     # structural) plus the accumulated constant-rate transition rewards.
     const_rewards: Dict[str, np.ndarray] = {}
-    for m in measures:
+    for j, m in enumerate(table.measures):
         rewards = np.zeros(len(recurrent))
         for position, ctmc_state in enumerate(recurrent):
             value = const_trans[m.name].get(position, 0.0)
             if m.has_state_clauses():
-                value += m.state_reward(ctmc.enabled_labels(ctmc_state))
+                enabled = ctmc.enabled_labels(ctmc_state)
+                value += table.state_rewards(enabled)[j]
             rewards[position] = value
         const_rewards[m.name] = rewards
 

@@ -11,7 +11,7 @@ to that class.  Backends are registered by name:
   the solution is renormalised afterwards;
 * ``gmres`` — restarted GMRES with an ILU preconditioner on the same
   anchored system, for chains too large to factorise;
-* ``sor`` (alias ``gauss_seidel``) — vectorized Gauss-Seidel/SOR sweeps:
+* ``sor`` — vectorized Gauss-Seidel/SOR sweeps:
   the lower-triangular part ``D + omega L`` of ``Q^T`` is factorised once
   and each sweep is one compiled triangular solve plus one sparse
   mat-vec, replacing the historical pure-Python per-row loop;
@@ -266,7 +266,6 @@ def _converged(
 SolverBackend = Callable[[_Problem, SolverOptions], Tuple[np.ndarray, int]]
 
 _REGISTRY: Dict[str, SolverBackend] = {}
-_ALIASES: Dict[str, str] = {"gauss_seidel": "sor"}
 
 #: Tried in order when ``auto``'s preferred backend fails.
 _FALLBACK_CHAIN = ("direct", "sor", "power")
@@ -323,30 +322,28 @@ def available_solvers() -> Tuple[str, ...]:
 
 
 def solver_choices() -> Tuple[str, ...]:
-    """Every accepted method name: ``auto``, backends, aliases and the
+    """Every accepted method name: ``auto``, the backends and the
     ``parametric`` sweep mode (docs/SOLVERS.md)."""
-    return ("auto", *available_solvers(), *sorted(_ALIASES), "parametric")
+    return ("auto", *available_solvers(), "parametric")
 
 
 def resolve_method(method: Optional[str] = None) -> str:
     """Normalise a method request: None -> $REPRO_SOLVER -> ``auto``.
 
-    Aliases are canonicalised; unknown names raise
-    :class:`~repro.errors.SolverError`.  ``parametric`` is accepted even
-    though it is not a per-chain backend: sweeps intercept it to build a
-    rational-function solution (:mod:`repro.ctmc.parametric`), and any
-    concrete solve reached with it falls back along
-    :data:`_FALLBACK_CHAIN` deterministically.
+    Unknown names raise :class:`~repro.errors.SolverError`.
+    ``parametric`` is accepted even though it is not a per-chain
+    backend: sweeps intercept it to build a rational-function solution
+    (:mod:`repro.ctmc.parametric`), and any concrete solve reached with
+    it falls back along :data:`_FALLBACK_CHAIN` deterministically.
     """
     if method is None:
         method = os.environ.get(SOLVER_ENV_VAR) or "auto"
-    name = _ALIASES.get(method, method)
-    if name not in ("auto", "parametric") and name not in _REGISTRY:
+    if method not in ("auto", "parametric") and method not in _REGISTRY:
         known = ", ".join(solver_choices())
         raise SolverError(
             f"unknown steady-state method {method!r} (use one of: {known})"
         )
-    return name
+    return method
 
 
 def select_method(size: int, nnz: int, matrix_free: bool = False) -> str:
@@ -892,7 +889,7 @@ def solve_steady_state(
     ``diagonal()`` (e.g. :class:`repro.ctmc.kronecker.KroneckerOperator`
     — the flat matrix is never formed).
 
-    *method* is a registry name, an alias, ``auto`` or ``None``
+    *method* is a registry name, ``auto`` or ``None``
     (= ``$REPRO_SOLVER`` or ``auto``).  ``auto`` selects by size and
     sparsity and falls back along :data:`_FALLBACK_CHAIN` when the
     preferred backend fails (matrix-free operands skip the

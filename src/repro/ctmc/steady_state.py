@@ -1,10 +1,10 @@
 """Steady-state solution of CTMCs.
 
 The numerical work lives in the pluggable backend registry of
-:mod:`repro.ctmc.solvers` (``direct``, ``gmres``, ``sor``/
-``gauss_seidel``, ``power``, or ``auto`` selection by chain size and
-sparsity — see docs/SOLVERS.md).  This module handles the chain
-structure: all solvers operate on the recurrent class of the chain, the
+:mod:`repro.ctmc.solvers` (``direct``, ``gmres``, ``sor``, ``power``,
+or ``auto`` selection by chain size and sparsity — see
+docs/SOLVERS.md).  This module handles the chain structure: all
+solvers operate on the recurrent class of the chain, the
 steady-state distribution assigns probability zero to transient states,
 and chains with several bottom strongly connected components have no
 unique steady state and are rejected with a descriptive error.

@@ -9,7 +9,7 @@ report; tests assert on the data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..core.reporting import ascii_chart, format_table
 from ..runtime import FaultInjector, RetryPolicy
@@ -246,6 +246,21 @@ class FigureResult:
 def constant_series(value: float, length: int) -> List[float]:
     """Replicate a parameter-independent baseline across a sweep."""
     return [value] * length
+
+
+def baseline_series(
+    point: Mapping[str, float],
+    derive: Callable[[Dict[str, List[float]]], Dict[str, List[float]]],
+    length: int,
+) -> Dict[str, List[float]]:
+    """Series of a parameter-independent *point* (the NO-DPM variant):
+    its measures plus the *derive*-d indices, each held constant across
+    a sweep of *length* points."""
+    derived = derive({name: [value] for name, value in point.items()})
+    return {
+        name: constant_series(values[0], length)
+        for name, values in derived.items()
+    }
 
 
 def ratio_series(

@@ -22,7 +22,7 @@ from .results import (
     FigureResult,
     RunOptions,
     RuntimeStats,
-    constant_series,
+    baseline_series,
     ratio_series,
 )
 
@@ -92,15 +92,10 @@ def fig3_markov(
     dpm = methodology.sweep_markovian(
         "shutdown_timeout", timeouts, "dpm", workers=workers
     )
-    nodpm_point = methodology.solve_markovian("nodpm")
-    dpm = _derive_rpc(dpm)
-    nodpm = _derive_rpc(
-        {name: [value] for name, value in nodpm_point.items()}
+    nodpm = baseline_series(
+        methodology.solve_markovian("nodpm"), _derive_rpc, len(timeouts)
     )
-    nodpm = {
-        name: constant_series(values[0], len(timeouts))
-        for name, values in nodpm.items()
-    }
+    dpm = _derive_rpc(dpm)
     return FigureResult(
         figure_id="fig3-left",
         title="rpc Markovian model: throughput / waiting time / energy "
@@ -161,17 +156,12 @@ def fig3_general(
         seed=seed,
         workers=workers,
     )
-    nodpm_point = {
-        name: nodpm_rep[name].mean for name in nodpm_rep.estimates
-    }
-    dpm = _derive_rpc(dpm)
-    nodpm_derived = _derive_rpc(
-        {name: [value] for name, value in nodpm_point.items()}
+    nodpm = baseline_series(
+        {name: nodpm_rep[name].mean for name in nodpm_rep.estimates},
+        _derive_rpc,
+        len(timeouts),
     )
-    nodpm = {
-        name: constant_series(values[0], len(timeouts))
-        for name, values in nodpm_derived.items()
-    }
+    dpm = _derive_rpc(dpm)
     mean_idle = rpc.DEFAULT_PARAMETERS.mean_idle_period
     return FigureResult(
         figure_id="fig3-right",

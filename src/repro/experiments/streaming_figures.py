@@ -23,7 +23,7 @@ from .results import (
     FigureResult,
     RunOptions,
     RuntimeStats,
-    constant_series,
+    baseline_series,
     ratio_series,
 )
 
@@ -94,21 +94,15 @@ def _figure(
     notes: List[str],
     runtime: Optional[RuntimeStats] = None,
 ) -> FigureResult:
-    dpm = derive_streaming(dpm_raw)
-    nodpm_derived = derive_streaming(
-        {name: [value] for name, value in nodpm_raw.items()}
-    )
-    nodpm = {
-        name: constant_series(values[0], len(awake_periods))
-        for name, values in nodpm_derived.items()
-    }
     return FigureResult(
         figure_id=figure_id,
         title=title,
         parameter_name="awake period [ms]",
         parameter_values=awake_periods,
-        dpm_series=dpm,
-        nodpm_series=nodpm,
+        dpm_series=derive_streaming(dpm_raw),
+        nodpm_series=baseline_series(
+            nodpm_raw, derive_streaming, len(awake_periods)
+        ),
         notes=notes,
         runtime=runtime,
     )

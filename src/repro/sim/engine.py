@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +38,11 @@ from ..aemilia.rates import (
     ImmediateRate,
     PassiveRate,
 )
-from ..ctmc.measures import Measure
+from ..ctmc.measures import Measure, RewardTable
 from ..errors import SimulationError
 from ..lts.lts import LTS, Transition
 from ..distributions import Distribution, Exponential
 from ..obs import metrics as obs_metrics
-from .estimators import MeasureAccumulator, make_accumulators
 
 #: Abort a run after this many consecutive zero-time firings.
 _MAX_IMMEDIATE_CHAIN = 100_000
@@ -66,6 +65,8 @@ class _StateSchedule:
     immediate: Optional[List[Transition]]
     immediate_total_weight: float
     events: Dict[str, _Event]
+    #: Per-measure reward rate earned while sojourning in the state.
+    rewards: Tuple[float, ...]
 
 
 @dataclass
@@ -102,18 +103,9 @@ class Simulator:
         self.lts = lts
         self.measures = list(measures)
         self.clock_semantics = clock_semantics
+        #: Shared by every run (and by the fast engine's compiled model).
+        self.rewards = RewardTable(self.measures)
         self._schedules: Dict[int, _StateSchedule] = {}
-        # Self-loop events can be skipped unless a TRANS_REWARD clause
-        # counts their firings: they never change the state and only slow
-        # the run down.  (STATE_REWARD clauses look at *enabled* labels,
-        # which needs no firing.)
-        from ..ctmc.measures import RewardKind
-
-        self._observed_selfloop_labels = set()
-        for measure_obj in self.measures:
-            for clause in measure_obj.clauses:
-                if clause.kind is RewardKind.TRANS:
-                    self._observed_selfloop_labels.add(clause.pattern)
 
     # -- schedule compilation ---------------------------------------------
 
@@ -122,6 +114,9 @@ class Simulator:
         if schedule is not None:
             return schedule
         transitions = self.lts.outgoing(state)
+        rewards = self.rewards.state_rewards(
+            frozenset(t.label for t in transitions)
+        )
         immediate = [
             t for t in transitions if isinstance(t.rate, ImmediateRate)
         ]
@@ -132,7 +127,7 @@ class Simulator:
                     f"and timed transitions"
                 )
             total = sum(t.rate.weight for t in immediate)
-            schedule = _StateSchedule(immediate, total, {})
+            schedule = _StateSchedule(immediate, total, {}, rewards)
             self._schedules[state] = schedule
             return schedule
         events: Dict[str, _Event] = {}
@@ -177,28 +172,22 @@ class Simulator:
                     )
                 event.branches.append(transition)
                 event.total_weight += transition.weight
-        # Monitor self-loops that no measure observes never change the
+        # Self-loops that no TRANS_REWARD clause counts never change the
         # state: skip scheduling them entirely (pure speed-up).
+        # STATE_REWARD clauses look at *enabled* labels, which needs no
+        # firing.
         events = {
             name: event
             for name, event in events.items()
             if not all(
                 branch.source == branch.target
-                and not self._selfloop_observed(branch.label)
+                and not self.rewards.observes(branch.label)
                 for branch in event.branches
             )
         }
-        schedule = _StateSchedule(None, 0.0, events)
+        schedule = _StateSchedule(None, 0.0, events, rewards)
         self._schedules[state] = schedule
         return schedule
-
-    def _selfloop_observed(self, label: str) -> bool:
-        from ..lts.labels import matches
-
-        return any(
-            matches(pattern, label)
-            for pattern in self._observed_selfloop_labels
-        )
 
     # -- running -------------------------------------------------------------
 
@@ -236,7 +225,8 @@ class Simulator:
         if rng is None and streams is None:
             raise SimulationError("run() needs an rng or a streams sampler")
         started = time.perf_counter()
-        accumulators = make_accumulators(self.measures, self.lts)
+        time_weighted = [0.0] * len(self.measures)
+        impulses = [0.0] * len(self.measures)
         state = self.lts.initial if start_state is None else start_state
         now = 0.0
         end = warmup + run_length
@@ -261,8 +251,7 @@ class Simulator:
                     streams,
                 )
                 if now >= warmup:
-                    for accumulator in accumulators:
-                        accumulator.on_fire(transition.label)
+                    self._collect_impulses(impulses, transition.label)
                 if observer is not None:
                     observer(now, transition.label, transition.target)
                 state = transition.target
@@ -274,7 +263,7 @@ class Simulator:
                 deadlocked = True
                 elapsed = end - now
                 self._accumulate_time(
-                    accumulators, state, now, elapsed, warmup
+                    time_weighted, schedule.rewards, now, elapsed, warmup
                 )
                 now = end
                 break
@@ -303,13 +292,15 @@ class Simulator:
                 # run carries the correct residuals.
                 remaining = end - now
                 self._accumulate_time(
-                    accumulators, state, now, remaining, warmup
+                    time_weighted, schedule.rewards, now, remaining, warmup
                 )
                 for name in clocks:
                     clocks[name] -= remaining
                 now = end
                 break
-            self._accumulate_time(accumulators, state, now, elapsed, warmup)
+            self._accumulate_time(
+                time_weighted, schedule.rewards, now, elapsed, warmup
+            )
             now += elapsed
             for name in clocks:
                 clocks[name] -= elapsed
@@ -319,15 +310,14 @@ class Simulator:
                 event.branches, event.total_weight, rng, streams
             )
             if now >= warmup:
-                for accumulator in accumulators:
-                    accumulator.on_fire(transition.label)
+                self._collect_impulses(impulses, transition.label)
             if observer is not None:
                 observer(now, transition.label, transition.target)
             state = transition.target
             fired += 1
         values = {
-            accumulator.measure.name: accumulator.value(run_length)
-            for accumulator in accumulators
+            measure.name: (time_weighted[j] + impulses[j]) / run_length
+            for j, measure in enumerate(self.measures)
         }
         self._record_run_metrics(
             fired, deadlocked, start_clocks, time.perf_counter() - started
@@ -364,23 +354,31 @@ class Simulator:
         if elapsed > 0.0:
             obs_metrics.SIM_EVENT_RATE.on(registry).set(fired / elapsed)
 
+    def _collect_impulses(self, impulses: List[float], label: str) -> None:
+        """Credit the impulses of one firing of a *label* transition."""
+        for j, reward in enumerate(self.rewards.impulses(label)):
+            if reward:
+                impulses[j] += reward
+
     @staticmethod
     def _accumulate_time(
-        accumulators: List[MeasureAccumulator],
-        state: int,
+        time_weighted: List[float],
+        rewards: Tuple[float, ...],
         now: float,
         elapsed: float,
         warmup: float,
     ) -> None:
-        """Credit sojourn time to the accumulators, clipping the warm-up."""
+        """Credit sojourn time at reward rates *rewards*, clipping the
+        warm-up."""
         if elapsed <= 0:
             return
         measured_start = max(now, warmup)
         measured_elapsed = now + elapsed - measured_start
         if measured_elapsed <= 0:
             return
-        for accumulator in accumulators:
-            accumulator.accumulate_time(state, measured_elapsed)
+        for j, reward in enumerate(rewards):
+            if reward:
+                time_weighted[j] += reward * measured_elapsed
 
     @staticmethod
     def _choose_weighted(

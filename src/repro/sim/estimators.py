@@ -1,28 +1,20 @@
-"""Measure estimation over simulated trajectories.
+"""Interval estimators for simulated measures.
 
-The same :class:`~repro.ctmc.measures.Measure` objects used for analytic
-CTMC solution are estimated here from a trajectory:
-
-* ``STATE_REWARD`` clauses accumulate *time-weighted* rewards — the
-  estimator reports the time average over the measured horizon;
-* ``TRANS_REWARD`` clauses accumulate impulses at transition firings — the
-  estimator reports the firing-rate-weighted sum per unit of model time.
-
-Both conventions coincide with the steady-state semantics of
-:func:`repro.ctmc.measures.evaluate_measure`, which is what makes the
-cross-validation of Sect. 5.1 meaningful.
+Simulated trajectories earn rewards from the same
+:class:`~repro.ctmc.measures.RewardTable` the analytic solver reads
+(each engine accumulates ``STATE_REWARD`` rates over sojourn time and
+``TRANS_REWARD`` impulses at firings, per unit of measured model time),
+which is what makes the cross-validation of Sect. 5.1 meaningful.  This
+module holds the interval constructions for the resulting estimates
+whose plain Student-t form breaks down near zero.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Tuple
 
-import numpy as np
 from scipy import stats
-
-from ..ctmc.measures import Measure
-from ..lts.lts import LTS
 
 
 def wilson_interval(
@@ -77,122 +69,3 @@ def log_scale_interval(
     critical = float(stats.t.ppf(0.5 + confidence / 2.0, runs - 1))
     half = critical * std_dev / (math.sqrt(runs) * mean)
     return mean * math.exp(-half), mean * math.exp(half)
-
-
-class MeasureAccumulator:
-    """Accumulates one measure along a trajectory."""
-
-    def __init__(self, measure: Measure, lts: LTS):
-        self.measure = measure
-        self._lts = lts
-        self._state_reward_cache: Dict[int, float] = {}
-        self._trans_reward_cache: Dict[str, float] = {}
-        self.time_weighted = 0.0
-        self.impulses = 0.0
-
-    def _state_reward(self, state: int) -> float:
-        cached = self._state_reward_cache.get(state)
-        if cached is None:
-            enabled = {t.label for t in self._lts.outgoing(state)}
-            cached = self.measure.state_reward(enabled)
-            self._state_reward_cache[state] = cached
-        return cached
-
-    def _trans_reward(self, label: str) -> float:
-        cached = self._trans_reward_cache.get(label)
-        if cached is None:
-            cached = self.measure.trans_reward(label)
-            self._trans_reward_cache[label] = cached
-        return cached
-
-    def accumulate_time(self, state: int, elapsed: float) -> None:
-        """Record *elapsed* time units spent in *state*."""
-        if elapsed > 0 and self.measure.has_state_clauses():
-            reward = self._state_reward(state)
-            if reward:
-                self.time_weighted += reward * elapsed
-
-    def on_fire(self, label: str) -> None:
-        """Record the firing of a transition with the given label."""
-        if self.measure.has_trans_clauses():
-            reward = self._trans_reward(label)
-            if reward:
-                self.impulses += reward
-
-    def value(self, horizon: float) -> float:
-        """The estimate over a measured horizon of the given length."""
-        if horizon <= 0:
-            return 0.0
-        return (self.time_weighted + self.impulses) / horizon
-
-    def reset(self) -> None:
-        """Forget accumulated values (used at the end of the warm-up)."""
-        self.time_weighted = 0.0
-        self.impulses = 0.0
-
-
-def make_accumulators(
-    measures: Iterable[Measure], lts: LTS
-) -> List[MeasureAccumulator]:
-    """Build one accumulator per measure."""
-    return [MeasureAccumulator(m, lts) for m in measures]
-
-
-class CompiledRewards:
-    """Vectorized reward tables for a measure set over one LTS.
-
-    The scalar :class:`MeasureAccumulator` evaluates rewards lazily per
-    state/label; the vectorized kernel needs them as dense arrays so a
-    whole batch of runs can accumulate in a couple of numpy operations:
-
-    * ``state_reward_matrix(n)[s, j]`` — state reward of measure *j* in
-      state *s* (0.0 where the measure has no ``STATE_REWARD`` clauses);
-    * ``label_row(label)`` — a stable integer id for a transition label;
-      after :meth:`finalize`, ``label_rewards[row, j]`` is the impulse of
-      measure *j* when a transition with that label fires.
-
-    Both tables evaluate exactly the expressions the accumulator caches
-    (``measure.state_reward`` on the enabled-label set, and
-    ``measure.trans_reward`` on the label), so per-step accumulation of
-    ``state_reward * elapsed`` and row-wise impulse adds reproduces the
-    scalar engine's sums bit for bit — zero rewards contribute ``+0.0``,
-    which IEEE addition leaves invisible.
-    """
-
-    def __init__(self, measures: Iterable[Measure], lts: LTS):
-        self.measures = list(measures)
-        self._lts = lts
-        self._label_rows: Dict[str, int] = {}
-        self._label_order: List[str] = []
-
-    def state_reward_matrix(self, n_states: int) -> np.ndarray:
-        """Dense ``(n_states, n_measures)`` state-reward table."""
-        matrix = np.zeros((n_states, len(self.measures)), float)
-        has_state = [m.has_state_clauses() for m in self.measures]
-        if not any(has_state):
-            return matrix
-        for state in range(n_states):
-            enabled = {t.label for t in self._lts.outgoing(state)}
-            for j, measure in enumerate(self.measures):
-                if has_state[j]:
-                    matrix[state, j] = measure.state_reward(enabled)
-        return matrix
-
-    def label_row(self, label: str) -> int:
-        """Stable row id of *label* in the finalized impulse table."""
-        row = self._label_rows.get(label)
-        if row is None:
-            row = len(self._label_order)
-            self._label_rows[label] = row
-            self._label_order.append(label)
-        return row
-
-    def finalize(self) -> Tuple[List[str], np.ndarray]:
-        """``(labels, label_rewards)`` for every label seen so far."""
-        labels = list(self._label_order)
-        rewards = np.zeros((max(1, len(labels)), len(self.measures)), float)
-        for row, label in enumerate(labels):
-            for j, measure in enumerate(self.measures):
-                if measure.has_trans_clauses():
-                    rewards[row, j] = measure.trans_reward(label)
-        return labels, rewards

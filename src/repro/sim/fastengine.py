@@ -42,7 +42,6 @@ from ..lts.lts import LTS
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from .engine import SimulationResult, Simulator, _MAX_IMMEDIATE_CHAIN
-from .estimators import CompiledRewards
 from .streams import EventStreamAllocator, normalize_stream_index
 
 __all__ = ["CompiledModel", "FastSimulator"]
@@ -85,8 +84,17 @@ class CompiledModel:
         self.n_states = n_states
         self.n_events = n_events
 
-        rewards = CompiledRewards(self.measures, lts)
-        self.state_rewards = rewards.state_reward_matrix(n_states)
+        # Reward rows come from the reference engine's reward table:
+        # ``state_rewards[s, j]`` is measure j's rate in state s, and
+        # ``label_rewards[label_ids[label], j]`` its impulse per firing.
+        # Batched adds of the zero entries contribute ``+0.0``, which
+        # IEEE addition leaves invisible, so the sums stay the reference
+        # engine's (it skips zero rewards) bit for bit.
+        n_measures = len(self.measures)
+        self.state_rewards = np.array(
+            [sched.rewards for sched in schedules], float
+        ).reshape(n_states, n_measures)
+        label_ids: Dict[str, int] = {}
 
         max_kt = 1
         max_ki = 1
@@ -127,8 +135,8 @@ class CompiledModel:
                     acc += transition.rate.weight
                     self.im_cum[state, k] = acc
                     self.im_target[state, k] = transition.target
-                    self.im_label[state, k] = rewards.label_row(
-                        transition.label
+                    self.im_label[state, k] = label_ids.setdefault(
+                        transition.label, len(label_ids)
                     )
                 continue
             if not sched.events:
@@ -150,11 +158,14 @@ class CompiledModel:
                     acc += transition.weight
                     self.br_cum[state, e, k] = acc
                     self.br_target[state, e, k] = transition.target
-                    self.br_label[state, e, k] = rewards.label_row(
-                        transition.label
+                    self.br_label[state, e, k] = label_ids.setdefault(
+                        transition.label, len(label_ids)
                     )
 
-        self.labels, self.label_rewards = rewards.finalize()
+        self.labels: List[str] = list(label_ids)
+        self.label_rewards = np.zeros((max(1, len(self.labels)), n_measures))
+        for row, label in enumerate(self.labels):
+            self.label_rewards[row] = self.reference.rewards.impulses(label)
 
         # Per-event distribution shortcut: almost every event type has
         # the same distribution in every state that enables it, letting

@@ -67,7 +67,7 @@ from typing import (
 import numpy as np
 
 from ..aemilia.rates import ExpRate, GeneralRate
-from ..ctmc.measures import Measure
+from ..ctmc.measures import Measure, RewardTable
 from ..distributions import Exponential
 from ..errors import SimulationError
 from ..lts.lts import LTS
@@ -155,18 +155,15 @@ def reward_importance(
     if levels < 1:
         raise SimulationError(f"need levels >= 1, got {levels}")
     n = lts.num_states
+    table = RewardTable([measure])
     targets = set()
     for state in lts.states():
         outgoing = lts.outgoing(state)
-        if measure.has_state_clauses():
-            enabled = {t.label for t in outgoing}
-            if measure.state_reward(enabled) != 0.0:
-                targets.add(state)
-        if measure.has_trans_clauses():
-            if any(
-                measure.trans_reward(t.label) != 0.0 for t in outgoing
-            ):
-                targets.add(state)
+        enabled = frozenset(t.label for t in outgoing)
+        if table.state_rewards(enabled)[0] != 0.0 or any(
+            table.impulses(label)[0] != 0.0 for label in enabled
+        ):
+            targets.add(state)
     if not targets:
         raise SimulationError(
             f"measure {measure.name!r} has no reward support on this "

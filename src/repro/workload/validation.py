@@ -11,13 +11,13 @@ trace container, replay distribution, LTS rewrite, engine clock carry —
 is jointly validated against ground truth, and non-Markovian traces can
 be trusted to measure what they claim.
 
-The verdict per measure mirrors ``cross_validate``: the analytic value
-must fall inside the batch-means confidence interval *or* within a
-relative tolerance of the mean (the second clause keeps near-zero
-measures, whose intervals collapse, from failing on noise).  Bootstrap
-replay of an exponential trace is i.i.d. sampling of an empirical
-exponential distribution, so for traces of a few thousand events the
-discretisation error is far below the confidence half-widths.
+The verdict per measure is ``cross_validate``'s
+(:func:`~repro.core.validation.judge_measures`): the analytic value must
+fall inside the batch-means confidence interval *or* within a relative
+tolerance of the mean.  Bootstrap replay of an exponential trace is
+i.i.d. sampling of an empirical exponential distribution, so for traces
+of a few thousand events the discretisation error is far below the
+confidence half-widths.
 """
 
 from __future__ import annotations
@@ -25,13 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
+from ..core.validation import (
+    MeasureValidation,
+    exponential_plugin,
+    judge_measures,
+)
 from ..ctmc.build import build_ctmc
-from ..ctmc.measures import Measure, evaluate_measure
+from ..ctmc.measures import Measure
 from ..ctmc.steady_state import steady_state
 from ..errors import ValidationError
 from ..lts.lts import LTS
 from ..sim.batch_means import batch_means
-from ..sim.output import Estimate
 from .generators import PoissonGenerator
 from .hooks import apply_workload
 from .replay import TraceReplay
@@ -44,23 +48,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class ReplayMeasureValidation:
+class ReplayMeasureValidation(MeasureValidation):
     """Verdict for one measure of a replay cross-validation."""
 
-    name: str
-    analytic: float
-    simulated: Estimate
-    within_interval: bool
-    relative_error: float
-
-    def __str__(self) -> str:
-        flag = "OK " if self.within_interval else "FAIL"
-        return (
-            f"[{flag}] {self.name}: analytic={self.analytic:.6g}, "
-            f"replayed={self.simulated} "
-            f"(rel.err {self.relative_error:.2%})"
-        )
+    estimate_kind = "replayed"
 
 
 @dataclass
@@ -112,8 +103,6 @@ def cross_validate_replay(
     derived from *seed*).  Batch means on the replayed model must
     reproduce the analytic measures of the untouched Markovian model.
     """
-    from ..core.validation import exponential_plugin
-
     markovian = exponential_plugin(general_lts)
     ctmc = build_ctmc(markovian)
     pi = steady_state(ctmc)
@@ -132,18 +121,10 @@ def cross_validate_replay(
         confidence=confidence,
     )
 
-    report: Dict[str, ReplayMeasureValidation] = {}
-    for measure in measures:
-        analytic = evaluate_measure(ctmc, pi, measure)
-        estimate = result[measure.name]
-        scale = max(abs(analytic), abs(estimate.mean), 1e-12)
-        relative_error = abs(analytic - estimate.mean) / scale
-        within = estimate.overlaps(analytic) or (
-            relative_error <= relative_tolerance
-        )
-        report[measure.name] = ReplayMeasureValidation(
-            measure.name, analytic, estimate, within, relative_error
-        )
+    report = judge_measures(
+        ctmc, pi, measures, result, relative_tolerance,
+        verdict=ReplayMeasureValidation,
+    )
     return ReplayValidationReport(
         hook, trace.fingerprint, len(trace), report
     )

@@ -112,6 +112,120 @@ class TestEvaluation:
             evaluate_measure(small_chain, np.ones(3) / 3, m)
 
 
+def _oracle_reward_vector(ctmc, m):
+    """Per-state rewards computed clause by clause (the code
+    :class:`RewardTable` replaced), kept as the differential oracle."""
+    rewards = np.zeros(ctmc.num_states)
+    for state in range(ctmc.num_states):
+        rewards[state] = m.state_reward(ctmc.enabled_labels(state))
+    return rewards
+
+
+def _oracle_measure(ctmc, pi, m):
+    """Clause-by-clause steady-state evaluation of one measure."""
+    pi = np.asarray(pi, float)
+    value = 0.0
+    if m.has_state_clauses():
+        value += float(pi @ _oracle_reward_vector(ctmc, m))
+    if m.has_trans_clauses():
+        for transition in ctmc.transitions:
+            weight = pi[transition.source] * transition.rate
+            if weight == 0.0:
+                continue
+            for label, count in transition.label_counts.items():
+                reward = m.trans_reward(label)
+                if reward:
+                    value += weight * count * reward
+    return value
+
+
+def _synthetic_case():
+    """Wildcards, sync participants, fractional counts, negative and
+    zero clauses, and states enabling two labels one clause matches."""
+    pool = [
+        {"M.tick#S.obs": 1.0},
+        {"M.tock": 0.5, "C.send#S.recv": 1 / 3},
+        {"S.recv": 0.98, "M.tick": 0.02},
+        {"C.send#S.recv": 1.0},
+        {},
+    ]
+    rng = np.random.default_rng(3)
+    n = 40
+    ctmc = CTMC(n)
+    for state in range(n):
+        enabled = {"S.idle"} if state % 3 == 0 else set()
+        for step in (1, 2, 7):
+            counts = pool[(state + step) % len(pool)]
+            ctmc.add_transition(
+                state, (state + step) % n, float(rng.uniform(0.1, 5.0)),
+                counts,
+            )
+            enabled.update(counts)
+        ctmc.set_enabled_labels(state, frozenset(enabled))
+    measures = [
+        measure("ticks", trans_clause("M.*", 1.0), trans_clause("S.obs", 0.5)),
+        measure(
+            "received",
+            trans_clause("S.recv", 2.0),
+            state_clause("S.recv", 1.5),
+        ),
+        measure(
+            "mixed",
+            state_clause("M.*", -0.75),
+            state_clause("S.idle", 0.0),
+            trans_clause("M.tock", -1.25),
+            trans_clause("C.send", 0.0),
+        ),
+        measure("silent", trans_clause("nothing", 0.0)),
+    ]
+    return ctmc, measures
+
+
+def _case_chain(case):
+    from repro.aemilia import generate_lts
+    from repro.casestudies.rpc import battery
+    from repro.casestudies.rpc import markovian as rpc
+    from repro.casestudies.streaming import markovian as streaming
+    from repro.ctmc import build_ctmc
+
+    if case == "synthetic":
+        return _synthetic_case()
+    if case == "rpc-battery":
+        archi, measures = battery.dpm_architecture(), rpc.measures()
+    else:
+        module = rpc if case == "rpc" else streaming
+        archi, measures = module.dpm_architecture(), module.measures()
+    return build_ctmc(generate_lts(archi)), measures
+
+
+class TestRewardTableDifferential:
+    """``evaluate_measures`` through the shared reward table equals the
+    clause-by-clause evaluation bit for bit (``==``, not approx)."""
+
+    @pytest.mark.parametrize(
+        "case", ["rpc", "streaming", "rpc-battery", "synthetic"]
+    )
+    def test_equals_clause_oracle(self, case):
+        ctmc, measures = _case_chain(case)
+        rng = np.random.default_rng(7)
+        noisy = rng.random(ctmc.num_states)
+        noisy[rng.random(ctmc.num_states) < 0.2] = 0.0  # zero weights
+        distributions = [noisy / noisy.sum()]
+        if case != "rpc-battery":  # the drained battery absorbs
+            distributions.append(steady_state(ctmc))
+        for pi in distributions:
+            values = evaluate_measures(ctmc, pi, measures)
+            assert values == {
+                m.name: _oracle_measure(ctmc, pi, m) for m in measures
+            }
+            for m in measures:
+                assert evaluate_measure(ctmc, pi, m) == values[m.name]
+        for m in measures:
+            assert np.array_equal(
+                state_reward_vector(ctmc, m), _oracle_reward_vector(ctmc, m)
+            )
+
+
 class TestMeasureLanguage:
     def test_paper_syntax(self):
         measures = parse_measures("""

@@ -323,10 +323,19 @@ class TestSelfLoopOptimisation:
         assert result.events_fired < 3_000
         assert result.measures["marked"] == pytest.approx(0.5, abs=0.05)
 
-    def test_trans_observed_selfloops_still_fire(self):
+    @pytest.mark.parametrize(
+        "label, pattern",
+        [
+            ("tick", "tick"),
+            ("M.tick#S.obs", "M.*"),
+            ("M.tick#S.obs", "S.obs"),
+        ],
+        ids=["whole-label", "wildcard", "sync-participant"],
+    )
+    def test_trans_observed_selfloops_still_fire(self, label, pattern):
         lts = LTS(0)
         lts.add_state()
-        lts.add_transition(0, "tick", 0, ExpRate(10.0), "tick")
-        m = measure("ticks", trans_clause("tick", 1.0))
+        lts.add_transition(0, label, 0, ExpRate(10.0), label)
+        m = measure("ticks", trans_clause(pattern, 1.0))
         result = simulate(lts, [m], 5_000.0, make_generator(8))
         assert result.measures["ticks"] == pytest.approx(10.0, rel=0.05)

@@ -109,12 +109,6 @@ class TestBackendAgreement:
                 f"{method} disagrees with direct by {gap:.3e}"
             )
 
-    def test_alias_gauss_seidel_is_sor(self, rpc_ctmc):
-        via_alias = steady_state_solution(rpc_ctmc, method="gauss_seidel")
-        via_name = steady_state_solution(rpc_ctmc, method="sor")
-        assert via_alias.report.method == "sor"
-        assert np.array_equal(via_alias.pi, via_name.pi)
-
 
 class TestVectorizedGaussSeidelPin:
     """The vectorized sweeps reach the historical sweep's fixed point."""
@@ -229,7 +223,6 @@ class TestRegistryAndSelection:
     def test_solver_choices_cover_backends_and_aliases(self):
         choices = solver_choices()
         assert "auto" in choices
-        assert "gauss_seidel" in choices
         for backend in ("direct", "gmres", "power", "sor"):
             assert backend in choices
 
@@ -247,9 +240,6 @@ class TestRegistryAndSelection:
         monkeypatch.setenv(SOLVER_ENV_VAR, "nonsense")
         with pytest.raises(SolverError, match="unknown steady-state"):
             resolve_method(None)
-
-    def test_alias_canonicalised(self):
-        assert resolve_method("gauss_seidel") == "sor"
 
     def test_select_method_heuristics(self):
         assert select_method(100, 500) == "direct"

@@ -35,7 +35,7 @@ class TestTwoState:
         assert pi == pytest.approx([0.6, 0.4])
 
     def test_gauss_seidel(self):
-        pi = steady_state(two_state(), method="gauss_seidel")
+        pi = steady_state(two_state(), method="sor")
         assert pi == pytest.approx([0.6, 0.4], rel=1e-8)
 
     def test_power(self):
@@ -61,7 +61,7 @@ class TestBirthDeath:
     def test_solver_agreement(self):
         ctmc = birth_death([1.0, 2.0, 0.5], [3.0, 1.0, 2.0])
         direct = steady_state(ctmc, method="direct")
-        gauss = steady_state(ctmc, method="gauss_seidel")
+        gauss = steady_state(ctmc, method="sor")
         power = steady_state(ctmc, method="power")
         assert direct == pytest.approx(gauss, abs=1e-8)
         assert direct == pytest.approx(power, abs=1e-6)
