@@ -14,7 +14,7 @@ import pytest
 
 from repro.casestudies.streaming import family
 from repro.core import IncrementalMethodology
-from repro.ctmc import build_ctmc, steady_state
+from repro.ctmc import build_ctmc, steady_state_solution
 from repro.ctmc.solvers import available_solvers
 
 
@@ -28,10 +28,12 @@ def streaming_ctmc():
 @pytest.mark.parametrize("method", available_solvers())
 def test_solver(benchmark, streaming_ctmc, method):
     pi = benchmark.pedantic(
-        lambda: steady_state(streaming_ctmc, method=method, tolerance=1e-10),
+        lambda: steady_state_solution(
+            streaming_ctmc, method=method, tolerance=1e-10
+        ).pi,
         rounds=1,
         iterations=1,
     )
-    reference = steady_state(streaming_ctmc, method="direct")
+    reference = steady_state_solution(streaming_ctmc, method="direct").pi
     assert np.abs(pi - reference).max() < 1e-6
     assert pi.sum() == pytest.approx(1.0)

@@ -31,11 +31,12 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from gates import ALL, AS_COMMITTED, COMMITTED, RECHECK, Gate, failures
 from repro.casestudies import rpc
 from repro.core.methodology import IncrementalMethodology
 from repro.obs import tracing
 
-ROOT = Path(__file__).resolve().parent.parent
+OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 PARAMETER = "shutdown_timeout"
 
@@ -51,12 +52,22 @@ REPEATS = 15
 #: scheduler-jitter scale without changing the per-sweep span counts.
 SWEEPS_PER_REPEAT = 3
 
+#: The committed overhead ratio honours the <= 5% contract (fresh walls
+#: are too noisy to gate); the traced sweep reproduces the untraced
+#: series exactly; the re-measure emits exactly the committed span
+#: counts.
+GATES = [
+    Gate("fig3_sweep.overhead_ratio", "<=", 1.05, COMMITTED),
+    Gate("fig3_sweep.bit_identical", "true", on=ALL),
+    Gate("fig3_sweep.spans.by_name", "==", AS_COMMITTED, RECHECK),
+]
 
-def _run_sweeps() -> tuple:
+
+def _run_sweeps(sweeps: int = SWEEPS_PER_REPEAT) -> tuple:
     values = list(rpc.SHUTDOWN_TIMEOUT_SWEEP)
     series = None
     started = time.perf_counter()
-    for _ in range(SWEEPS_PER_REPEAT):
+    for _ in range(sweeps):
         methodology = IncrementalMethodology(rpc.family())
         series = methodology.sweep_markovian(PARAMETER, values)
     return time.perf_counter() - started, series
@@ -126,13 +137,40 @@ def collect() -> dict:
     }
 
 
+def recheck() -> dict:
+    """One untraced and one traced fig3 sweep (``bench_regression.py``):
+    span counts and bit-identity are deterministic, walls report-only."""
+    wall_off, series_off = _run_sweeps(1)
+    tracer = tracing.Tracer()
+    previous = tracing.set_tracer(tracer)
+    try:
+        wall_on, series_on = _run_sweeps(1)
+    finally:
+        tracing.set_tracer(previous)
+        tracer.close()
+    records = tracer.records()
+    return {
+        "fig3_sweep": {
+            "spans": {
+                "total": len(records),
+                "by_name": dict(
+                    sorted(Counter(r["name"] for r in records).items())
+                ),
+            },
+            "bit_identical": series_on == series_off,
+            "wall_off": round(wall_off, 4),
+            "wall_on": round(wall_on, 4),
+        }
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="measure tracing overhead on the fig3 sweep"
     )
     parser.add_argument(
         "--out",
-        default=str(ROOT / "BENCH_obs.json"),
+        default=str(OUTPUT_PATH),
         metavar="PATH",
         help="baseline file to write (default: BENCH_obs.json)",
     )
@@ -146,8 +184,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{sweep['spans']['total']} spans, "
         f"bit_identical={sweep['bit_identical']}"
     )
-    if not sweep["bit_identical"]:
-        print("FAIL: traced series differ from untraced", file=sys.stderr)
+    failed = failures(GATES, report)
+    for failure in failed:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failed:
         return 1
     Path(args.out).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -21,14 +21,11 @@ import json
 import time
 from pathlib import Path
 
+from gates import ALL, AS_COMMITTED, RECHECK, Field, Gate, failures
 from repro.casestudies import rpc, streaming
 from repro.core.methodology import IncrementalMethodology
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parametric.json"
-
-#: Acceptance gates of the parametric work (ROADMAP / docs/SOLVERS.md).
-SPEEDUP_GATE = 100.0
-AGREEMENT_TOLERANCE = 1e-9
 
 #: Dense fig3 grid size — the smooth-curve mode the coarse paper grid
 #: could not afford.
@@ -36,6 +33,29 @@ DENSE_POINTS = 1_000
 
 #: Evaluation repeats per point for a stable microsecond-scale timing.
 EVAL_REPEATS = 50
+
+#: The re-measure probes three fig4 points against direct solves.
+RECHECK_POINTS = [25.0, 100.0, 400.0]
+
+#: Acceptance gates of the parametric work (ROADMAP / docs/SOLVERS.md):
+#: per-point evaluation after the one-time elimination beats per-point
+#: direct solves by >= 100x while agreeing to 1e-9 at every point, and
+#: the 1000-point dense sweep costs less wall-clock than the classic
+#: 11-point sweep.  The re-measure also keeps the elimination's
+#: structure exact and lets the validated fit error drift 10x (or to
+#: 1e-10, whichever is looser).
+GATES = [
+    Gate("fig4.max_relative_error", "<=", 1e-9, ALL),
+    Gate("fig4.speedup", ">=", 100.0, ALL),
+    Gate("fig4.recurrent", "==", AS_COMMITTED, RECHECK),
+    Gate("fig4.parametric_transitions", "==", AS_COMMITTED, RECHECK),
+    Gate("fig4.max_fit_error", "band", (0.0, 10.0, 1e-10), RECHECK),
+    Gate("dense_fig3.dense_backends.parametric", "==", DENSE_POINTS),
+    Gate(
+        "dense_fig3.dense_seconds", "<", Field("dense_fig3.coarse_seconds")
+    ),
+    Gate("dense_fig3.max_residual", "<", 1e-8),
+]
 
 
 def _relative_gap(parametric, direct):
@@ -139,6 +159,47 @@ def collect() -> dict:
     }
 
 
+def recheck() -> dict:
+    """Reduced re-measure for ``bench_regression.py``: the fig4
+    elimination once, then the probe points evaluated against per-point
+    direct solves on the same (already explored) structure."""
+    family = streaming.family()
+    methodology = IncrementalMethodology(family)
+    points = list(streaming.AWAKE_PERIOD_SWEEP)
+    started = time.perf_counter()
+    solution = methodology.cache.parametric_solution(
+        family.markovian_dpm,
+        "awake_period",
+        family.measures,
+        (min(points), max(points)),
+    )
+    build_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    direct = methodology.sweep_markovian(
+        "awake_period", RECHECK_POINTS, method="direct"
+    )
+    direct_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    for _ in range(EVAL_REPEATS):
+        evaluated = [solution.evaluate(value) for value in RECHECK_POINTS]
+    eval_seconds = (time.perf_counter() - started) / EVAL_REPEATS
+    return {
+        "fig4": {
+            "recurrent": solution.size,
+            "parametric_transitions": solution.diagnostics[
+                "parametric_transitions"
+            ],
+            "max_fit_error": solution.max_fit_error,
+            "max_relative_error": _relative_gap(
+                {name: [row[name] for row in evaluated] for name in direct},
+                direct,
+            ),
+            "speedup": direct_seconds / eval_seconds,
+            "build_seconds": round(build_seconds, 5),
+        }
+    }
+
+
 def write_report(report: dict) -> Path:
     OUTPUT_PATH.write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -149,28 +210,10 @@ def write_report(report: dict) -> Path:
 def test_bench_parametric():
     report = collect()
     write_report(report)
+    failed = failures(GATES, report)
+    assert not failed, "\n".join(failed)
     fig4 = report["fig4"]
-    # Acceptance gates: per-point evaluation after the one-time
-    # elimination beats per-point direct solves by >= 100x while
-    # agreeing at every point, and the 1000-point dense sweep costs
-    # less wall-clock than the classic 11-point sweep.
-    assert fig4["max_relative_error"] <= AGREEMENT_TOLERANCE, (
-        f"parametric fig4 drifts {fig4['max_relative_error']:.3e} "
-        f"from direct"
-    )
-    assert fig4["speedup"] >= SPEEDUP_GATE, (
-        f"parametric per-point evaluation only {fig4['speedup']}x "
-        f"faster than direct"
-    )
     dense = report["dense_fig3"]
-    assert dense["dense_backends"].get("parametric") == DENSE_POINTS
-    assert dense["dense_seconds"] < dense["coarse_seconds"], (
-        f"dense {dense['dense_points']}-point sweep "
-        f"({dense['dense_seconds']}s) slower than the coarse "
-        f"{dense['coarse_points']}-point sweep "
-        f"({dense['coarse_seconds']}s)"
-    )
-    assert dense["max_residual"] < 1e-8
     print(
         f"\n  fig4: build {fig4['build_seconds']}s, then "
         f"{fig4['per_point_eval_seconds'] * 1e6:.0f}us/point vs "

@@ -1,42 +1,12 @@
 """Regression gate against the committed benchmark baselines.
 
-Re-measures the cheap, deterministic core of the committed baseline
-files and fails when the numbers drift outside tolerance bands:
-
-* ``BENCH_solvers.json`` — every steady-state backend on every case
-  chain: iteration counts must stay within a 2x band of the baseline
-  (the direct solve exactly 1), residuals must stay small, probability
-  mass must stay normalised.
-* ``BENCH_runtime.json`` — the fig3 Markovian sweep must still hit the
-  structural cache exactly as recorded (one skeleton miss, every
-  further point a relabel) over the same number of points.
-* ``BENCH_parametric.json`` — the streaming chain's parametric
-  elimination must keep its recorded structure (recurrent class,
-  parametric transition count), its validated fit error must not blow
-  up, and per-point evaluation must agree with — and stay >= 100x
-  faster than — per-point direct solves (a same-run ratio, so it is
-  robust to machine speed).
-* ``BENCH_sim.json`` — the committed numbers must still honour the
-  fast engine's acceptance gates (>= 5x throughput, >= 2x CRN interval
-  narrowing), and a reduced-budget re-measure must reproduce both
-  effects within generous bands (same-run ratios again, so machine
-  speed cancels).
-* ``BENCH_splitting.json`` — the committed rare-event numbers must
-  still honour the splitting gates (>= 100x work-normalised variance
-  reduction, interval covering the analytic probability), and the
-  moderate-rarity smoke configuration is re-measured: its pinned-seed
-  estimate must stay inside a generous band of the committed value and
-  its interval must still cover the analytic probability.
-* ``BENCH_obs.json`` — the committed tracing-overhead ratio must
-  honour the <= 5% contract, and a fresh traced fig3 sweep must emit
-  exactly the committed span counts while staying bit-identical to an
-  untraced one (walls report-only).
-* ``BENCH_fleet.json`` — the committed fleet numbers must honour the
-  scale gate (>= 10^6 product states solved matrix-free through the
-  lumped operator) and the 1e-9 flat-oracle agreement; a fresh scale
-  solve must keep the recorded state-space structure within the
-  iteration band, and a fresh N=3 differential must still agree with
-  the flat oracle.
+A loop over the gate tables of the ``bench_*.py`` modules (see
+``gates.py``).  For every committed ``BENCH_*.json`` it checks the
+rows declared for the committed file, then runs the bench's reduced
+``recheck()`` re-measure, when it has one, and checks the rows
+declared for it against the committed numbers.  The re-measured
+numbers are deterministic counts (exact), same-run ratios (so machine
+speed cancels) or drift bands around the committed values.
 
 Wall-clock is reported but never gated — CI machines are too noisy for
 timing assertions, and the committed ``seconds`` fields are documentation,
@@ -50,620 +20,65 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.casestudies import rpc, streaming
-from repro.casestudies.fleet import build_model as build_fleet_model
-from repro.core.methodology import IncrementalMethodology
-from repro.ctmc.steady_state import steady_state_solution
-from repro.fleet import solve_fleet
+import bench_fleet
+import bench_obs
+import bench_parametric
+import bench_runtime_scaling
+import bench_sim
+import bench_solvers
+import bench_splitting
+import bench_workloads
+from gates import COMMITTED, RECHECK, check
 
-from bench_fleet import AGREEMENT_TOLERANCE as FLEET_AGREEMENT
-from bench_fleet import SCALE_STATES_GATE as FLEET_SCALE_GATE
-from bench_fleet import _flat_measures, _worst_gap
-from bench_solvers import CASES, _build_ctmc
-from bench_splitting import EFFICIENCY_GATE as SPLITTING_EFFICIENCY_GATE
-from bench_splitting import collect as collect_splitting
-
-ROOT = Path(__file__).resolve().parent.parent
-SOLVERS_BASELINE = ROOT / "BENCH_solvers.json"
-RUNTIME_BASELINE = ROOT / "BENCH_runtime.json"
-PARAMETRIC_BASELINE = ROOT / "BENCH_parametric.json"
-SIM_BASELINE = ROOT / "BENCH_sim.json"
-SPLITTING_BASELINE = ROOT / "BENCH_splitting.json"
-OBS_BASELINE = ROOT / "BENCH_obs.json"
-FLEET_BASELINE = ROOT / "BENCH_fleet.json"
-
-#: The committed tracing-overhead ratio (median of paired traced vs
-#: untraced fig3 sweeps, ``benchmarks/bench_obs.py``) must honour the
-#: ≤ 5% contract; fresh wall-clock is report-only, span counts exact.
-OBS_OVERHEAD_GATE = 1.05
-
-#: Iteration counts may drift with library versions (ILU fill, GMRES
-#: restarts) but an honest reimplementation stays within a 2x band.
-ITERATION_RATIO_BAND = (0.5, 2.0)
-
-#: A residual is acceptable when it is small in absolute terms or no
-#: more than 10x the committed baseline (whichever is looser).
-RESIDUAL_ABS_FLOOR = 1e-9
-RESIDUAL_RATIO = 10.0
-
-MASS_DEFECT_LIMIT = 1e-8
-
-#: Parametric gates: the validated fit error may drift 10x (or to the
-#: absolute floor, whichever is looser), agreement with direct solves
-#: is the acceptance tolerance of the parametric work, and the
-#: per-point speedup is a same-run ratio so machine speed cancels out.
-FIT_ERROR_RATIO = 10.0
-FIT_ERROR_ABS_FLOOR = 1e-10
-PARAMETRIC_AGREEMENT = 1e-9
-PARAMETRIC_SPEEDUP_GATE = 100.0
-PARAMETRIC_PROBE_POINTS = [25.0, 100.0, 400.0]
-PARAMETRIC_EVAL_REPEATS = 50
-
-#: Committed BENCH_sim.json contract (the acceptance gates of the fast
-#: engine work) plus the generous bands for the cheap re-measure: the
-#: reduced batch amortises less, and 10 paired runs estimate interval
-#: widths noisily, so the re-measure gates sit far below the committed
-#: numbers while still catching an engine that lost its edge.
-SIM_BASELINE_SPEEDUP_GATE = 5.0
-SIM_BASELINE_CRN_GATE = 2.0
-SIM_RECHECK_SPEEDUP_GATE = 1.5
-SIM_RECHECK_CRN_GATE = 1.5
-SIM_RECHECK_RUN_LENGTH = 1_000.0
-SIM_RECHECK_WARMUP = 100.0
-SIM_RECHECK_FAST_RUNS = 64
-SIM_RECHECK_REFERENCE_RUNS = 6
-SIM_RECHECK_CRN_RUNS = 10
-
-#: The smoke re-measure is deterministic (pinned seed, worker-count
-#: invariant streams), so the band only absorbs cross-platform float
-#: noise — it is tight by design.
-SPLITTING_SMOKE_BAND = (0.5, 2.0)
-
-
-def _check(failures: List[str], condition: bool, message: str) -> None:
-    if not condition:
-        failures.append(message)
-
-
-def _solver_regressions(baseline: dict, failures: List[str]) -> dict:
-    """Fresh per-backend solves compared against ``BENCH_solvers.json``."""
-    report: Dict[str, dict] = {}
-    for name, family_fn, overrides in CASES:
-        base_case = baseline["cases"].get(name)
-        if base_case is None:
-            failures.append(f"{name}: case missing from baseline file")
-            continue
-        ctmc = _build_ctmc(family_fn, overrides)
-        _check(
-            failures,
-            ctmc.num_states == base_case["states"],
-            f"{name}: state space changed "
-            f"({ctmc.num_states} vs baseline {base_case['states']})",
-        )
-        backends: Dict[str, dict] = {}
-        for method, base in sorted(base_case["backends"].items()):
-            started = time.perf_counter()
-            solution = steady_state_solution(ctmc, method=method)
-            seconds = time.perf_counter() - started
-            measured = solution.report
-            backends[method] = {
-                "iterations": measured.iterations,
-                "baseline_iterations": base["iterations"],
-                "residual": measured.residual,
-                "baseline_residual": base["residual"],
-                "mass_defect": measured.mass_defect,
-                "seconds": round(seconds, 5),
-                "baseline_seconds": base["seconds"],
-            }
-            if method == "direct":
-                _check(
-                    failures,
-                    measured.iterations == 1,
-                    f"{name}/direct: expected exactly 1 iteration, "
-                    f"got {measured.iterations}",
-                )
-            else:
-                low, high = ITERATION_RATIO_BAND
-                ratio = measured.iterations / max(base["iterations"], 1)
-                _check(
-                    failures,
-                    low <= ratio <= high,
-                    f"{name}/{method}: iterations {measured.iterations} "
-                    f"outside [{low}, {high}]x of baseline "
-                    f"{base['iterations']}",
-                )
-            residual_limit = max(
-                RESIDUAL_RATIO * base["residual"], RESIDUAL_ABS_FLOOR
-            )
-            _check(
-                failures,
-                measured.residual <= residual_limit,
-                f"{name}/{method}: residual {measured.residual:.3e} "
-                f"exceeds {residual_limit:.3e}",
-            )
-            _check(
-                failures,
-                abs(measured.mass_defect) <= MASS_DEFECT_LIMIT,
-                f"{name}/{method}: mass defect "
-                f"{measured.mass_defect:.3e} exceeds "
-                f"{MASS_DEFECT_LIMIT:.0e}",
-            )
-        report[name] = {"states": ctmc.num_states, "backends": backends}
-    return report
-
-
-def _runtime_regressions(baseline: dict, failures: List[str]) -> dict:
-    """A fresh fig3 Markovian sweep compared against the committed cache
-    counters of ``BENCH_runtime.json`` — the structural-cache contract
-    (one miss, then relabels only) must not silently degrade."""
-    base = baseline["sweeps"]["fig3-markov"]
-    values = list(rpc.SHUTDOWN_TIMEOUT_SWEEP)
-    methodology = IncrementalMethodology(rpc.family())
-    started = time.perf_counter()
-    methodology.sweep_markovian(base["parameter"], values)
-    seconds = time.perf_counter() - started
-    cache = methodology.cache.stats.as_dict()
-    measured = {
-        "points": len(values),
-        "cache": cache,
-        "seconds": round(seconds, 4),
-        "baseline_cache": base["cache"],
-        "baseline_points": base["points"],
-    }
-    _check(
-        failures,
-        len(values) == base["points"],
-        f"fig3-markov: sweep has {len(values)} points, "
-        f"baseline recorded {base['points']}",
-    )
-    for counter in ("hits", "misses", "relabels"):
-        _check(
-            failures,
-            cache[counter] == base["cache"][counter],
-            f"fig3-markov: cache {counter}={cache[counter]} differs "
-            f"from baseline {base['cache'][counter]}",
-        )
-    return measured
-
-
-def _parametric_regressions(baseline: dict, failures: List[str]) -> dict:
-    """A fresh streaming elimination compared against
-    ``BENCH_parametric.json`` — the structure counters must match, the
-    validated fit error must stay small, and per-point evaluation must
-    agree with (and stay far faster than) per-point direct solves."""
-    base = baseline["fig4"]
-    family = streaming.family()
-    methodology = IncrementalMethodology(family)
-    points = list(streaming.AWAKE_PERIOD_SWEEP)
-    started = time.perf_counter()
-    solution = methodology.cache.parametric_solution(
-        family.markovian_dpm,
-        "awake_period",
-        family.measures,
-        (min(points), max(points)),
-    )
-    build_seconds = time.perf_counter() - started
-    _check(
-        failures,
-        solution.size == base["recurrent"],
-        f"parametric/fig4: recurrent class changed "
-        f"({solution.size} vs baseline {base['recurrent']})",
-    )
-    _check(
-        failures,
-        solution.diagnostics["parametric_transitions"]
-        == base["parametric_transitions"],
-        f"parametric/fig4: parametric transition count changed "
-        f"({solution.diagnostics['parametric_transitions']} vs "
-        f"baseline {base['parametric_transitions']})",
-    )
-    fit_limit = max(
-        FIT_ERROR_RATIO * base["max_fit_error"], FIT_ERROR_ABS_FLOOR
-    )
-    _check(
-        failures,
-        solution.max_fit_error <= fit_limit,
-        f"parametric/fig4: fit error {solution.max_fit_error:.3e} "
-        f"exceeds {fit_limit:.3e}",
-    )
-    probe = list(PARAMETRIC_PROBE_POINTS)
-    started = time.perf_counter()
-    direct = methodology.sweep_markovian(
-        "awake_period", probe, method="direct"
-    )
-    direct_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    for _ in range(PARAMETRIC_EVAL_REPEATS):
-        evaluated = [solution.evaluate(value) for value in probe]
-    eval_seconds = (
-        time.perf_counter() - started
-    ) / PARAMETRIC_EVAL_REPEATS
-    worst = 0.0
-    for position, value in enumerate(probe):
-        for name, series in direct.items():
-            reference = series[position]
-            scale = max(1.0, abs(reference))
-            worst = max(
-                worst,
-                abs(evaluated[position][name] - reference) / scale,
-            )
-    _check(
-        failures,
-        worst <= PARAMETRIC_AGREEMENT,
-        f"parametric/fig4: drifts {worst:.3e} from direct solves "
-        f"(limit {PARAMETRIC_AGREEMENT:.0e})",
-    )
-    speedup = (direct_seconds / len(probe)) / (eval_seconds / len(probe))
-    _check(
-        failures,
-        speedup >= PARAMETRIC_SPEEDUP_GATE,
-        f"parametric/fig4: per-point evaluation only {speedup:.1f}x "
-        f"faster than direct (gate {PARAMETRIC_SPEEDUP_GATE:.0f}x)",
-    )
-    return {
-        "recurrent": solution.size,
-        "parametric_transitions": solution.diagnostics[
-            "parametric_transitions"
-        ],
-        "max_fit_error": solution.max_fit_error,
-        "baseline_max_fit_error": base["max_fit_error"],
-        "max_relative_error": worst,
-        "speedup": round(speedup, 1),
-        "build_seconds": round(build_seconds, 5),
-        "baseline_build_seconds": base["build_seconds"],
-    }
-
-
-def _sim_regressions(baseline: dict, failures: List[str]) -> dict:
-    """The fast engine's edge re-measured against ``BENCH_sim.json``.
-
-    The committed file must honour the acceptance gates it was written
-    under; the fresh reduced-budget run reproduces both effects — the
-    vectorized speedup and the CRN interval narrowing — as same-run
-    ratios, inside bands generous enough for CI noise.
-    """
-    from repro.aemilia.semantics import generate_lts
-    from repro.sim import (
-        FastSimulator,
-        Simulator,
-        replicate_paired,
-        spawn_generators,
-    )
-
-    _check(
-        failures,
-        baseline["throughput"]["speedup"] >= SIM_BASELINE_SPEEDUP_GATE,
-        f"sim: committed speedup {baseline['throughput']['speedup']}x "
-        f"below the {SIM_BASELINE_SPEEDUP_GATE:.0f}x acceptance gate",
-    )
-    _check(
-        failures,
-        baseline["crn"]["min_narrowing"] >= SIM_BASELINE_CRN_GATE,
-        f"sim: committed CRN narrowing "
-        f"{baseline['crn']['min_narrowing']}x below the "
-        f"{SIM_BASELINE_CRN_GATE:.0f}x acceptance gate",
-    )
-
-    family = rpc.family()
-    lts = generate_lts(family.general_dpm, None, 200_000)
-    reference = Simulator(lts, family.measures)
-    started = time.perf_counter()
-    reference_events = sum(
-        reference.run(
-            SIM_RECHECK_RUN_LENGTH, rng, warmup=SIM_RECHECK_WARMUP
-        ).events_fired
-        for rng in spawn_generators(20040628, SIM_RECHECK_REFERENCE_RUNS)
-    )
-    reference_rate = reference_events / max(
-        time.perf_counter() - started, 1e-9
-    )
-    fast = FastSimulator(lts, family.measures)
-    started = time.perf_counter()
-    fast_events = sum(
-        result.events_fired
-        for result in fast.run_many(
-            SIM_RECHECK_RUN_LENGTH,
-            seed=20040628,
-            runs=SIM_RECHECK_FAST_RUNS,
-            warmup=SIM_RECHECK_WARMUP,
-        )
-    )
-    fast_rate = fast_events / max(time.perf_counter() - started, 1e-9)
-    speedup = fast_rate / reference_rate
-    _check(
-        failures,
-        speedup >= SIM_RECHECK_SPEEDUP_GATE,
-        f"sim: re-measured speedup {speedup:.2f}x below the "
-        f"{SIM_RECHECK_SPEEDUP_GATE}x re-check gate",
-    )
-
-    lts_dpm = generate_lts(
-        family.general_dpm, {"shutdown_timeout": 15.0}, 200_000
-    )
-    lts_nodpm = generate_lts(family.general_nodpm, None, 200_000)
-    crn_settings = dict(
-        runs=SIM_RECHECK_CRN_RUNS,
-        warmup=SIM_RECHECK_WARMUP,
-        seed=20040628,
-    )
-    paired = replicate_paired(
-        lts_dpm, lts_nodpm, family.measures, SIM_RECHECK_RUN_LENGTH,
-        crn=True, **crn_settings,
-    )
-    independent = replicate_paired(
-        lts_dpm, lts_nodpm, family.measures, SIM_RECHECK_RUN_LENGTH,
-        crn=False, **crn_settings,
-    )
-    narrowing = min(
-        min(
-            independent.delta[name].half_width
-            / max(paired.delta[name].half_width, 1e-300),
-            1000.0,
-        )
-        for name in family.measure_names()
-    )
-    _check(
-        failures,
-        narrowing >= SIM_RECHECK_CRN_GATE,
-        f"sim: re-measured CRN narrowing {narrowing:.2f}x below the "
-        f"{SIM_RECHECK_CRN_GATE}x re-check gate",
-    )
-    return {
-        "speedup": round(speedup, 2),
-        "baseline_speedup": baseline["throughput"]["speedup"],
-        "crn_narrowing": round(narrowing, 2),
-        "baseline_crn_narrowing": baseline["crn"]["min_narrowing"],
-        "fast_events_per_second": round(fast_rate),
-        "reference_events_per_second": round(reference_rate),
-    }
-
-
-def _splitting_regressions(baseline: dict, failures: List[str]) -> dict:
-    """Committed splitting gates + a deterministic smoke re-measure."""
-    rare = baseline["rare"]
-    _check(
-        failures,
-        rare["efficiency"] >= SPLITTING_EFFICIENCY_GATE,
-        f"splitting: committed efficiency {rare['efficiency']}x below "
-        f"the {SPLITTING_EFFICIENCY_GATE}x gate",
-    )
-    _check(
-        failures,
-        rare["covers_analytic"],
-        "splitting: committed rare interval does not cover the "
-        "analytic probability",
-    )
-    smoke = collect_splitting(smoke=True, workers=1)["smoke"]
-    _check(
-        failures,
-        smoke["covers_analytic"],
-        f"splitting: re-measured smoke interval "
-        f"[{smoke['interval_low']:.3g}, {smoke['interval_high']:.3g}] "
-        f"misses the analytic probability "
-        f"{smoke['analytic_probability']:.3g}",
-    )
-    committed = baseline["smoke"]["estimate"]
-    ratio = smoke["estimate"] / committed if committed else 0.0
-    low, high = SPLITTING_SMOKE_BAND
-    _check(
-        failures,
-        low <= ratio <= high,
-        f"splitting: re-measured smoke estimate {smoke['estimate']:.3g} "
-        f"drifted {ratio:.2f}x from committed {committed:.3g} — the "
-        f"pinned-seed run is supposed to be deterministic",
-    )
-    return {
-        "baseline_efficiency": rare["efficiency"],
-        "smoke_estimate": smoke["estimate"],
-        "baseline_smoke_estimate": committed,
-        "smoke_covers_analytic": smoke["covers_analytic"],
-        "seconds": smoke["seconds"],
-    }
-
-
-def _obs_regressions(baseline: dict, failures: List[str]) -> dict:
-    """One fresh traced fig3 sweep compared against ``BENCH_obs.json``.
-
-    The committed file carries the tracing-overhead contract (median
-    paired-run ratio ≤ 5%); a fresh wall-clock ratio is far too noisy
-    to gate in CI, so the re-measure only gates what is deterministic:
-    the per-name span counts of the sweep's trace, and bit-identity of
-    the traced vs untraced series.  Fresh walls are report-only.
-    """
-    from collections import Counter
-
-    from repro.obs import tracing
-
-    base = baseline["fig3_sweep"]
-    _check(
-        failures,
-        base["overhead_ratio"] <= OBS_OVERHEAD_GATE,
-        f"obs: committed tracing overhead ratio "
-        f"{base['overhead_ratio']} exceeds the "
-        f"{OBS_OVERHEAD_GATE} contract",
-    )
-    _check(
-        failures,
-        base["bit_identical"] is True,
-        "obs: committed baseline was not bit-identical traced vs untraced",
-    )
-    values = list(rpc.SHUTDOWN_TIMEOUT_SWEEP)
-    started = time.perf_counter()
-    series_off = IncrementalMethodology(rpc.family()).sweep_markovian(
-        base["parameter"], values
-    )
-    wall_off = time.perf_counter() - started
-    tracer = tracing.Tracer()
-    previous = tracing.set_tracer(tracer)
-    try:
-        started = time.perf_counter()
-        series_on = IncrementalMethodology(rpc.family()).sweep_markovian(
-            base["parameter"], values
-        )
-        wall_on = time.perf_counter() - started
-    finally:
-        tracing.set_tracer(previous)
-        tracer.close()
-    by_name = dict(
-        sorted(Counter(r["name"] for r in tracer.records()).items())
-    )
-    _check(
-        failures,
-        series_on == series_off,
-        "obs: traced sweep series differ from untraced",
-    )
-    _check(
-        failures,
-        by_name == base["spans"]["by_name"],
-        f"obs: span counts {by_name} differ from committed "
-        f"{base['spans']['by_name']}",
-    )
-    return {
-        "points": len(values),
-        "spans": {"total": len(tracer.records()), "by_name": by_name},
-        "baseline_overhead_ratio": base["overhead_ratio"],
-        "wall_off": round(wall_off, 4),
-        "wall_on": round(wall_on, 4),
-    }
-
-
-def _fleet_regressions(baseline: dict, failures: List[str]) -> dict:
-    """Committed fleet gates + a fresh scale solve and N=3 differential.
-
-    The committed ``BENCH_fleet.json`` must honour its acceptance gates
-    (a >= 10^6-state product space solved matrix-free, <= 1e-9 flat
-    agreement); a fresh lumped solve of the scale fleet must keep the
-    recorded state-space structure, stay within the iteration band and
-    residual bounds, and a fresh N=3 lumped-vs-flat differential must
-    still agree with the independent flat oracle.
-    """
-    scale = baseline["scale"]
-    _check(
-        failures,
-        scale["product_states"] >= FLEET_SCALE_GATE,
-        f"fleet: committed scale fleet spans only "
-        f"{scale['product_states']} product states "
-        f"(gate {FLEET_SCALE_GATE})",
-    )
-    for entry in baseline["agreement"]:
-        for key in ("lumped_vs_flat", "product_vs_flat"):
-            if key in entry:
-                _check(
-                    failures,
-                    entry[key] <= FLEET_AGREEMENT,
-                    f"fleet: committed N={entry['fleet_size']} {key} "
-                    f"gap {entry[key]:.3e} exceeds {FLEET_AGREEMENT:.0e}",
-                )
-
-    model = build_fleet_model(scale["fleet_size"], scale["policy"])
-    _check(
-        failures,
-        model.topology.product_states == scale["product_states"],
-        f"fleet: scale product space changed "
-        f"({model.topology.product_states} vs baseline "
-        f"{scale['product_states']})",
-    )
-    _check(
-        failures,
-        model.topology.lumped_states == scale["lumped_states"],
-        f"fleet: scale lumped space changed "
-        f"({model.topology.lumped_states} vs baseline "
-        f"{scale['lumped_states']})",
-    )
-    started = time.perf_counter()
-    solution = solve_fleet(model.topology, model.measures)
-    seconds = time.perf_counter() - started
-    _check(
-        failures,
-        solution.report.method in ("gmres", "power"),
-        f"fleet: scale solve used non-matrix-free backend "
-        f"{solution.report.method!r}",
-    )
-    low, high = ITERATION_RATIO_BAND
-    matvec_ratio = solution.matvecs / max(scale["solver"]["matvecs"], 1)
-    _check(
-        failures,
-        low <= matvec_ratio <= high,
-        f"fleet: scale solve took {solution.matvecs} matvecs, outside "
-        f"[{low}, {high}]x of baseline {scale['solver']['matvecs']}",
-    )
-    residual_limit = max(
-        RESIDUAL_RATIO * scale["solver"]["residual"], RESIDUAL_ABS_FLOOR
-    )
-    _check(
-        failures,
-        solution.report.residual <= residual_limit,
-        f"fleet: scale solve residual {solution.report.residual:.3e} "
-        f"exceeds {residual_limit:.3e}",
-    )
-
-    small = build_fleet_model(3, "balanced")
-    gap = _worst_gap(
-        solve_fleet(small.topology, small.measures).measures,
-        _flat_measures(small),
-    )
-    _check(
-        failures,
-        gap <= FLEET_AGREEMENT,
-        f"fleet: fresh N=3 lumped-vs-flat gap {gap:.3e} exceeds "
-        f"{FLEET_AGREEMENT:.0e}",
-    )
-    return {
-        "scale_states": scale["product_states"],
-        "scale_lumped_states": scale["lumped_states"],
-        "matvecs": solution.matvecs,
-        "baseline_matvecs": scale["solver"]["matvecs"],
-        "residual": solution.report.residual,
-        "baseline_residual": scale["solver"]["residual"],
-        "n3_gap": gap,
-        "seconds": round(seconds, 4),
-        "baseline_seconds": scale["solver"]["seconds"],
-    }
+#: Every bench that commits a ``BENCH_*.json``, in re-measure order.
+BENCHES = [
+    bench_solvers,
+    bench_runtime_scaling,
+    bench_parametric,
+    bench_sim,
+    bench_splitting,
+    bench_obs,
+    bench_fleet,
+    bench_workloads,
+]
 
 
 def collect() -> dict:
-    """Run every regression check; the report carries the failures."""
+    """Check every table; the report carries each verdict and failure."""
+    gates: List[dict] = []
+    rechecks = {}
     failures: List[str] = []
-    baselines = {
-        "BENCH_solvers.json": SOLVERS_BASELINE,
-        "BENCH_runtime.json": RUNTIME_BASELINE,
-        "BENCH_parametric.json": PARAMETRIC_BASELINE,
-        "BENCH_sim.json": SIM_BASELINE,
-        "BENCH_splitting.json": SPLITTING_BASELINE,
-        "BENCH_obs.json": OBS_BASELINE,
-        "BENCH_fleet.json": FLEET_BASELINE,
-    }
-    missing = [name for name, path in baselines.items() if not path.exists()]
-    if missing:
-        raise FileNotFoundError(
-            f"committed baselines {', '.join(missing)} not found next "
-            f"to the repo root"
-        )
-    solvers_baseline = json.loads(SOLVERS_BASELINE.read_text())
-    runtime_baseline = json.loads(RUNTIME_BASELINE.read_text())
-    parametric_baseline = json.loads(PARAMETRIC_BASELINE.read_text())
-    sim_baseline = json.loads(SIM_BASELINE.read_text())
-    splitting_baseline = json.loads(SPLITTING_BASELINE.read_text())
-    obs_baseline = json.loads(OBS_BASELINE.read_text())
-    fleet_baseline = json.loads(FLEET_BASELINE.read_text())
+    for bench in BENCHES:
+        name = bench.OUTPUT_PATH.name
+        committed = json.loads(bench.OUTPUT_PATH.read_text())
+        runs = [("committed", check(bench.GATES, committed, COMMITTED))]
+        if hasattr(bench, "recheck"):
+            rechecks[name] = bench.recheck()
+            runs.append(
+                ("recheck",
+                 check(bench.GATES, rechecks[name], RECHECK, committed))
+            )
+        for side, verdicts in runs:
+            for verdict in verdicts:
+                gates.append(
+                    {
+                        "file": name,
+                        "side": side,
+                        "path": verdict.path,
+                        "rule": verdict.gate.rule,
+                        "limit": verdict.limit,
+                        "value": verdict.value,
+                        "passed": verdict.passed,
+                    }
+                )
+                if not verdict.passed:
+                    failures.append(f"{name} ({side}): {verdict}")
     return {
-        "solvers": _solver_regressions(solvers_baseline, failures),
-        "runtime": {
-            "fig3-markov": _runtime_regressions(runtime_baseline, failures)
-        },
-        "parametric": _parametric_regressions(
-            parametric_baseline, failures
-        ),
-        "sim": _sim_regressions(sim_baseline, failures),
-        "splitting": _splitting_regressions(
-            splitting_baseline, failures
-        ),
-        "obs": _obs_regressions(obs_baseline, failures),
-        "fleet": _fleet_regressions(fleet_baseline, failures),
+        "gates": gates,
+        "rechecks": rechecks,
         "failures": failures,
         "passed": not failures,
     }
@@ -688,60 +103,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = collect()
     if args.out:
         Path(args.out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+            json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
         )
         print(f"report written to {args.out}")
-    for name, case in report["solvers"].items():
-        times = ", ".join(
-            f"{method} {record['iterations']} it "
-            f"(baseline {record['baseline_iterations']})"
-            for method, record in sorted(case["backends"].items())
-        )
-        print(f"  {name} ({case['states']} states): {times}")
-    fig3 = report["runtime"]["fig3-markov"]
-    print(
-        f"  fig3-markov: {fig3['points']} points, cache {fig3['cache']} "
-        f"in {fig3['seconds']}s"
-    )
-    parametric = report["parametric"]
-    print(
-        f"  parametric: {parametric['recurrent']} recurrent states "
-        f"eliminated in {parametric['build_seconds']}s, "
-        f"{parametric['speedup']}x per point vs direct "
-        f"(max rel err {parametric['max_relative_error']:.2e})"
-    )
-    sim = report["sim"]
-    print(
-        f"  sim: fast {sim['fast_events_per_second']:,} ev/s vs "
-        f"reference {sim['reference_events_per_second']:,} ev/s "
-        f"({sim['speedup']}x, committed {sim['baseline_speedup']}x), "
-        f"CRN narrowing {sim['crn_narrowing']}x "
-        f"(committed {sim['baseline_crn_narrowing']}x)"
-    )
-    splitting = report["splitting"]
-    print(
-        f"  splitting: committed efficiency "
-        f"{splitting['baseline_efficiency']}x, smoke estimate "
-        f"{splitting['smoke_estimate']:.3g} (committed "
-        f"{splitting['baseline_smoke_estimate']:.3g}) in "
-        f"{splitting['seconds']}s"
-    )
-    obs = report["obs"]
-    print(
-        f"  obs: {obs['spans']['total']} spans over {obs['points']} "
-        f"points, committed overhead ratio "
-        f"{obs['baseline_overhead_ratio']} (fresh walls "
-        f"{obs['wall_off']}s untraced / {obs['wall_on']}s traced, "
-        f"report-only)"
-    )
-    fleet = report["fleet"]
-    print(
-        f"  fleet: {fleet['scale_states']:,} product states -> "
-        f"{fleet['scale_lumped_states']:,} lumped solved in "
-        f"{fleet['seconds']}s ({fleet['matvecs']} matvecs, committed "
-        f"{fleet['baseline_matvecs']}), fresh N=3 flat gap "
-        f"{fleet['n3_gap']:.2e}"
-    )
+    for bench in BENCHES:
+        name = bench.OUTPUT_PATH.name
+        for side in ("committed", "recheck"):
+            rows = [
+                row for row in report["gates"]
+                if row["file"] == name and row["side"] == side
+            ]
+            if rows:
+                passed = sum(row["passed"] for row in rows)
+                print(f"  {name} {side}: {passed}/{len(rows)} gates pass")
     if report["failures"]:
         for failure in report["failures"]:
             print(f"REGRESSION: {failure}", file=sys.stderr)

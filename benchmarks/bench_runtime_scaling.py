@@ -23,6 +23,7 @@ import os
 import time
 from pathlib import Path
 
+from gates import AS_COMMITTED, RECHECK, Field, Gate, failures
 from repro.casestudies import rpc, streaming
 from repro.core.methodology import IncrementalMethodology
 from repro.runtime import StructuralStateSpaceCache, resolve_workers
@@ -32,6 +33,26 @@ OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
 #: Worker count exercised by the parallel measurements.
 PARALLEL_WORKERS = resolve_workers(None)
+
+#: One skeleton per sweep, every further point a relabel; the cache
+#: must pay for itself where generation dominates (the streaming model;
+#: the rpc one is small enough to be noisy).  The re-measure must hit
+#: the structural cache exactly as recorded over as many points.
+GATES = [
+    Gate("sweeps.fig3-markov.cache.misses", "==", 1),
+    Gate(
+        "sweeps.fig3-markov.cache.relabels", ">=",
+        Field("sweeps.fig3-markov.points", offset=-1),
+    ),
+    Gate("sweeps.fig4-markov.cache.misses", "==", 1),
+    Gate("sweeps.fig4-markov.cache_speedup", ">", 1.0),
+    Gate("sweeps.fig3-markov.points", "==", AS_COMMITTED, RECHECK),
+    *(
+        Gate(f"sweeps.fig3-markov.cache.{counter}", "==", AS_COMMITTED,
+             RECHECK)
+        for counter in ("hits", "misses", "relabels")
+    ),
+]
 
 
 def _timed(fn):
@@ -143,6 +164,25 @@ def collect(workers: int = PARALLEL_WORKERS) -> dict:
     }
 
 
+def recheck() -> dict:
+    """Reduced re-measure for ``bench_regression.py``: the cache
+    counters of one cached fig3 sweep."""
+    values = list(rpc.SHUTDOWN_TIMEOUT_SWEEP)
+    methodology = IncrementalMethodology(rpc.family())
+    _, seconds = _timed(
+        lambda: methodology.sweep_markovian("shutdown_timeout", values)
+    )
+    return {
+        "sweeps": {
+            "fig3-markov": {
+                "points": len(values),
+                "cache": methodology.cache.stats.as_dict(),
+                "serial_cached_seconds": round(seconds, 4),
+            }
+        }
+    }
+
+
 def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -151,15 +191,10 @@ def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
 def test_runtime_scaling(benchmark):
     report = benchmark.pedantic(collect, rounds=1, iterations=1)
     write_report(report)
+    failed = failures(GATES, report)
+    assert not failed, "\n".join(failed)
     fig3 = report["sweeps"]["fig3-markov"]
     fig4 = report["sweeps"]["fig4-markov"]
-    # One skeleton per sweep, every further point a relabel.
-    assert fig3["cache"]["misses"] == 1
-    assert fig3["cache"]["relabels"] >= fig3["points"] - 1
-    assert fig4["cache"]["misses"] == 1
-    # The cache must actually pay for itself where generation dominates
-    # (the streaming model; the rpc one is small enough to be noisy).
-    assert fig4["cache_speedup"] > 1.0
     print(
         f"\n  fig3-markov: {fig3['serial_uncached_seconds']}s uncached -> "
         f"{fig3['serial_cached_seconds']}s cached -> "

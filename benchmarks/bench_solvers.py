@@ -13,24 +13,26 @@ as a plain script (``python benchmarks/bench_solvers.py``).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
+from gates import AS_COMMITTED, RECHECK, Gate, failures
 from repro.casestudies import rpc, streaming
 from repro.core.methodology import IncrementalMethodology
 from repro.ctmc import build_ctmc
-from repro.ctmc.solvers import (
-    available_solvers,
-    gauss_seidel_reference,
-    solve_steady_state,
-)
-from repro.ctmc.steady_state import _submatrix, steady_state_solution
+from repro.ctmc.solvers import available_solvers, solve_steady_state
+from repro.ctmc.steady_state import steady_state_solution
 from repro.errors import SolverError
 
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_solvers.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from tests.oracles import gauss_seidel_reference  # noqa: E402
+
+OUTPUT_PATH = ROOT / "BENCH_solvers.json"
 
 #: The chains every backend is compared on: the rpc model and the
 #: streaming model at its default and enlarged buffer capacities (the
@@ -52,6 +54,29 @@ SYNTHETIC_SIZE = 5_000
 #: it gets fewer; the vectorized backend amortises its factorisation).
 REFERENCE_SWEEPS = 3
 VECTORIZED_SWEEPS = 50
+
+#: Every backend agrees on every chain and reports a small residual for
+#: every solve; the vectorized sweeps beat the pure-Python loop >= 10x.
+#: The re-measure keeps each state space exact, the direct solve at one
+#: iteration, iteration counts within a 2x band (they drift with
+#: library versions: ILU fill, GMRES restarts), residuals within 10x of
+#: the committed ones (or 1e-9, whichever is looser) and probability
+#: mass normalised to 1e-8.
+GATES = [
+    Gate("cases.*.backends.*.max_diff_vs_first", "<", 1e-9),
+    Gate("cases.*.backends.*.residual", "<", 1e-8),
+    Gate("gauss_seidel_vectorization.speedup", ">=", 10.0),
+    Gate("cases.*.states", "==", AS_COMMITTED, RECHECK),
+    Gate("cases.*.backends.direct.iterations", "==", 1, RECHECK),
+    *(
+        Gate(f"cases.*.backends.{method}.iterations", "band", (0.5, 2.0),
+             RECHECK)
+        for method in ("gmres", "power", "sor")
+    ),
+    Gate("cases.*.backends.*.residual", "band", (0.0, 10.0, 1e-9), RECHECK),
+    Gate("cases.*.backends.*.mass_defect", ">=", -1e-8, RECHECK),
+    Gate("cases.*.backends.*.mass_defect", "<=", 1e-8, RECHECK),
+]
 
 
 def _build_ctmc(family_fn, overrides):
@@ -150,13 +175,21 @@ def _gauss_seidel_speedup_report():
     }
 
 
-def collect() -> dict:
-    """Run every measurement and return the report dict."""
+def recheck() -> dict:
+    """Every backend on every case chain (the reduced re-measure of
+    ``bench_regression.py``: no synthetic Gauss-Seidel timing)."""
     return {
         "cases": {
             name: _case_report(name, family_fn, overrides)
             for name, family_fn, overrides in CASES
-        },
+        }
+    }
+
+
+def collect() -> dict:
+    """Run every measurement and return the report dict."""
+    return {
+        **recheck(),
         "gauss_seidel_vectorization": _gauss_seidel_speedup_report(),
     }
 
@@ -169,19 +202,9 @@ def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
 def test_solver_backends(benchmark):
     report = benchmark.pedantic(collect, rounds=1, iterations=1)
     write_report(report)
-    for name, case in report["cases"].items():
-        for method, record in case["backends"].items():
-            # Acceptance gates: every backend agrees on every chain and
-            # reports a small residual for every solve.
-            assert record["max_diff_vs_first"] < 1e-9, (
-                f"{method} disagrees on {name}"
-            )
-            assert record["residual"] < 1e-8
+    failed = failures(GATES, report)
+    assert not failed, "\n".join(failed)
     vectorization = report["gauss_seidel_vectorization"]
-    assert vectorization["speedup"] >= 10.0, (
-        f"vectorized Gauss-Seidel only "
-        f"{vectorization['speedup']}x faster than the pure-Python loop"
-    )
     for name, case in report["cases"].items():
         times = ", ".join(
             f"{method} {record['seconds']}s"

@@ -24,6 +24,7 @@ import math
 import time
 from pathlib import Path
 
+from gates import Gate, failures
 from repro.distributions import Exponential, Pareto
 from repro.sim.random import make_generator
 from repro.workload import MMPPGenerator, TraceReplay, fit_trace
@@ -37,6 +38,15 @@ SAMPLES = 200_000
 FIT_LENGTHS = (500, 2_000, 8_000)
 
 TRACE_EVENTS = 4_000
+
+#: Replay must stay in the same ballpark as closed-form sampling
+#: (measured ~0.1-0.3x; generous floor so CI noise cannot trip it), and
+#: fit time grows sub-quadratically with trace length.
+GATES = [
+    Gate("replay.bootstrap_vs_closed_form", ">", 0.02),
+    Gate("replay.cycle_vs_closed_form", ">", 0.02),
+    Gate("fit.scaling_exponent", "<", 2.0),
+]
 
 
 def _trace(events=TRACE_EVENTS):
@@ -120,14 +130,10 @@ def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
 def test_workload_benchmarks(benchmark):
     report = benchmark.pedantic(collect, rounds=1, iterations=1)
     write_report(report)
+    failed = failures(GATES, report)
+    assert not failed, "\n".join(failed)
     replay = report["replay"]
     fit = report["fit"]
-    # Replay must stay in the same ballpark as closed-form sampling
-    # (measured ~0.1-0.3x; generous floor so CI noise cannot trip it).
-    assert replay["bootstrap_vs_closed_form"] > 0.02
-    assert replay["cycle_vs_closed_form"] > 0.02
-    # Fit time grows sub-quadratically with trace length.
-    assert fit["scaling_exponent"] < 2.0
     print(
         f"\n  replay: bootstrap {replay['bootstrap_vs_closed_form']}x, "
         f"cycle {replay['cycle_vs_closed_form']}x of closed-form sampling"

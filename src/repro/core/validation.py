@@ -23,7 +23,7 @@ from ..aemilia.rates import GeneralRate
 from ..ctmc.build import build_ctmc
 from ..ctmc.chain import CTMC
 from ..ctmc.measures import Measure, evaluate_measures
-from ..ctmc.steady_state import steady_state
+from ..ctmc.steady_state import steady_state_solution
 from ..errors import ValidationError
 from ..lts.lts import LTS
 from ..sim.output import Estimate, replicate
@@ -151,7 +151,7 @@ def cross_validate(
     """
     plugin = exponential_plugin(general_lts)
     ctmc = build_ctmc(plugin)
-    pi = steady_state(ctmc)
+    pi = steady_state_solution(ctmc).pi
     replication = replicate(
         plugin,
         measures,

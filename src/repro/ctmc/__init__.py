@@ -8,7 +8,6 @@ from .kronecker import (
     KroneckerTerm,
     kron_vector,
 )
-from .lumping import lump, lumping_partition
 from .measure_lang import parse_measures
 from .measures import (
     Measure,
@@ -44,7 +43,7 @@ from .solvers import (
     solver_choices,
     unregister_solver,
 )
-from .steady_state import steady_state, steady_state_solution
+from .steady_state import steady_state_solution
 from .transient import expected_state_reward_at, transient_distribution
 
 __all__ = [
@@ -56,8 +55,6 @@ __all__ = [
     "KroneckerOperator",
     "KroneckerTerm",
     "kron_vector",
-    "lump",
-    "lumping_partition",
     "parse_measures",
     "Measure",
     "RewardClause",
@@ -79,7 +76,6 @@ __all__ = [
     "absorption_probability",
     "accumulated_state_reward",
     "mean_time_to_absorption",
-    "steady_state",
     "steady_state_solution",
     "SolverReport",
     "SteadyStateSolution",

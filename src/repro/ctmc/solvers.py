@@ -716,52 +716,6 @@ def _solve_power(
 
 
 # ---------------------------------------------------------------------------
-# Reference implementation (kept for regression tests and benchmarks)
-# ---------------------------------------------------------------------------
-
-
-def gauss_seidel_reference(
-    q: sparse.csr_matrix,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> np.ndarray:
-    """The historical pure-Python Gauss-Seidel sweep, verbatim.
-
-    Not registered as a backend: it exists so tests can pin that the
-    vectorized ``sor`` backend reaches the identical fixed point, and so
-    ``benchmarks/bench_solvers.py`` can quantify the speedup.  Note it
-    retains the historical *absolute* convergence test.
-    """
-    size = q.shape[0]
-    qt = q.transpose().tocsr()
-    diag = qt.diagonal()
-    if np.any(diag == 0):
-        raise SolverError(
-            "Gauss-Seidel needs non-zero diagonal entries (absorbing state?)"
-        )
-    pi = np.full(size, 1.0 / size)
-    indptr, indices, data = qt.indptr, qt.indices, qt.data
-    for _ in range(max_iterations):
-        old = pi.copy()
-        for row in range(size):
-            acc = 0.0
-            for position in range(indptr[row], indptr[row + 1]):
-                column = indices[position]
-                if column != row:
-                    acc += data[position] * pi[column]
-            pi[row] = -acc / diag[row]
-        total = pi.sum()
-        if total <= 0:
-            raise SolverError("Gauss-Seidel diverged to a non-positive vector")
-        pi /= total
-        if np.max(np.abs(pi - old)) < tolerance:
-            return pi
-    raise SolverError(
-        f"Gauss-Seidel did not converge within {max_iterations} iterations"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 

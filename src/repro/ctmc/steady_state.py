@@ -9,9 +9,8 @@ steady-state distribution assigns probability zero to transient states,
 and chains with several bottom strongly connected components have no
 unique steady state and are rejected with a descriptive error.
 
-:func:`steady_state` returns the bare distribution;
-:func:`steady_state_solution` additionally returns the
-:class:`~repro.ctmc.solvers.SolverReport` — which backend solved the
+:func:`steady_state_solution` returns the distribution (``.pi``) with
+the :class:`~repro.ctmc.solvers.SolverReport` — which backend solved the
 chain, at what residual ``||pi Q||_inf``, in how many iterations — that
 the sweep runtime records per point.
 """
@@ -92,28 +91,6 @@ def steady_state_solution(
     for state, position in index.items():
         pi[state] = solution.pi[position]
     return SteadyStateSolution(pi, solution.report)
-
-
-def steady_state(
-    ctmc: CTMC,
-    method: Optional[str] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
-) -> np.ndarray:
-    """Compute the steady-state distribution of *ctmc*.
-
-    Returns a probability vector over all states; transient states get
-    probability zero.  Use :func:`steady_state_solution` to also obtain
-    the solver report (backend, residual, iterations).
-    """
-    return steady_state_solution(
-        ctmc,
-        method=method,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        residual_tolerance=residual_tolerance,
-    ).pi
 
 
 def _submatrix(ctmc: CTMC, recurrent, index) -> sparse.csr_matrix:

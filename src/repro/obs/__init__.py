@@ -17,8 +17,8 @@ One subsystem, three concerns:
   committed ``BENCH_*.json`` baselines.
 * **Logging + profiling** (:mod:`repro.obs.log`,
   :mod:`repro.obs.profile`) — the ``repro.*`` stderr logger hierarchy
-  (``$REPRO_LOG`` / ``--verbose``), the :func:`~repro.obs.profile.observe`
-  span timer and the per-iteration solver callback protocol.
+  (``$REPRO_LOG`` / ``--verbose``) and the per-iteration solver
+  callback protocol.
 * **Tracing + run ledger** (:mod:`repro.obs.tracing`,
   :mod:`repro.obs.ledger`) — hierarchical causal spans (the one timing
   instrument: every closed span also feeds always-on per-name totals)
@@ -54,7 +54,7 @@ from .metrics import (
     use_registry,
 )
 from .ledger import RunLedger, diff_entries
-from .profile import IterationCallback, IterationSeries, observe
+from .profile import IterationCallback, IterationSeries
 from .tracing import (
     Span,
     TraceContext,
@@ -115,5 +115,4 @@ __all__ = [
     "set_registry",
     "use_registry",
     "write_exports",
-    "observe",
 ]

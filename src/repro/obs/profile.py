@@ -1,32 +1,23 @@
-"""Low-overhead profiling hooks: span timing and iteration observers.
+"""The per-iteration observer protocol of the iterative solvers.
 
-Two opt-in instruments on top of the metrics registry:
+:class:`IterationSeries` is the reference implementation of the
+**per-iteration callback protocol**: any callable
+``(iteration, residual, relative_change)`` can be handed to the
+iterative steady-state solvers (``solve_steady_state(...,
+iteration_callback=...)``) to watch convergence live;
+``IterationSeries`` just records the triples.  The solvers also accept
+``track_iterations=True`` to get the same series attached to the
+returned :class:`~repro.ctmc.solvers.SolverReport` without writing a
+callback.
 
-* :func:`observe` — a context manager timing one block into a labelled
-  histogram (and, optionally, a same-named ``_last_seconds`` gauge).
-  One ``perf_counter`` pair per block; nothing else.
-* :class:`IterationSeries` — the reference implementation of the
-  **per-iteration callback protocol**: any callable
-  ``(iteration, residual, relative_change)`` can be handed to the
-  iterative steady-state solvers (``solve_steady_state(...,
-  iteration_callback=...)``) to watch convergence live;
-  ``IterationSeries`` just records the triples.  The solvers also
-  accept ``track_iterations=True`` to get the same series attached to
-  the returned :class:`~repro.ctmc.solvers.SolverReport` without
-  writing a callback.
-
-Neither hook ever touches the computation it observes — values are read
-after they are produced, so results are bit-identical with profiling on
-or off (asserted in ``tests/test_obs.py``).
+The hook never touches the computation it observes — values are read
+after they are produced, so results are bit-identical with it on or off
+(asserted in ``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Protocol
-
-from .metrics import MetricRegistry, get_registry
+from typing import Dict, List, Optional, Protocol
 
 
 class IterationCallback(Protocol):
@@ -64,27 +55,3 @@ class IterationSeries:
     def __len__(self) -> int:
         return len(self.entries)
 
-
-@contextmanager
-def observe(
-    name: str,
-    registry: Optional[MetricRegistry] = None,
-    help_text: str = "",
-    **labels: str,
-) -> Iterator[None]:
-    """Time the enclosed block into the histogram *name*.
-
-    ``with observe("repro_sim_run_seconds"): ...`` is the one-liner the
-    instrumented hot paths use; labels must match the metric's schema.
-    """
-    registry = registry if registry is not None else get_registry()
-    histogram = registry.histogram(
-        name, help_text, tuple(sorted(labels))
-    )
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - started
-        target = histogram.labels(**labels) if labels else histogram
-        target.observe(elapsed)

@@ -546,17 +546,12 @@ def replicate(
     seed: int = 20040628,
     confidence: float = 0.90,
     clock_semantics: str = "enabling_memory",
-    simulator: Optional[Simulator] = None,
     workers: int = 1,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
     engine: Optional[str] = None,
 ) -> ReplicationResult:
     """Independent-replications estimation of all measures.
-
-    A :class:`Simulator` may be passed in to reuse its compiled schedules
-    across parameter sweeps that share the state space (serial path only;
-    worker processes compile their own copy once per batch).
 
     ``workers > 1`` distributes runs over a process pool.  Each run draws
     its stream from the master seed by index, so the estimates are
@@ -600,8 +595,7 @@ def replicate(
         }
         return ReplicationResult(estimates, samples)
     if executor.is_serial and not resilience:
-        if simulator is None:
-            simulator = Simulator(lts, measures, clock_semantics)
+        simulator = Simulator(lts, measures, clock_semantics)
         for rng in spawn_generators(seed, runs):
             result = simulator.run(run_length, rng, warmup)
             for name, value in result.measures.items():
@@ -610,8 +604,6 @@ def replicate(
         shared = (
             lts, measures, clock_semantics, run_length, warmup, seed, None,
         )
-        if executor.is_serial and simulator is not None:
-            _seed_worker_sim(shared, simulator)
         for measured in executor.map(
             _replication_run,
             range(runs),

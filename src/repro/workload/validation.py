@@ -32,7 +32,7 @@ from ..core.validation import (
 )
 from ..ctmc.build import build_ctmc
 from ..ctmc.measures import Measure
-from ..ctmc.steady_state import steady_state
+from ..ctmc.steady_state import steady_state_solution
 from ..errors import ValidationError
 from ..lts.lts import LTS
 from ..sim.batch_means import batch_means
@@ -105,7 +105,7 @@ def cross_validate_replay(
     """
     markovian = exponential_plugin(general_lts)
     ctmc = build_ctmc(markovian)
-    pi = steady_state(ctmc)
+    pi = steady_state_solution(ctmc).pi
 
     trace = PoissonGenerator(hook_rate).generate(trace_events, seed)
     replay = TraceReplay(trace, "bootstrap")

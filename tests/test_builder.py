@@ -7,7 +7,7 @@ from repro.aemilia import generate_lts
 from repro.aemilia.elemtypes import Direction, Multiplicity
 from repro.aemilia.expressions import DataType, Literal, Variable, binop
 from repro.aemilia.rates import ExpRate
-from repro.ctmc import build_ctmc, measure, steady_state, trans_clause
+from repro.ctmc import build_ctmc, measure, steady_state_solution, trans_clause
 from repro.ctmc.measures import evaluate_measure
 
 
@@ -81,7 +81,7 @@ class TestEndToEndBuiltModel:
         )
         lts = generate_lts(archi)
         ctmc = build_ctmc(lts)
-        pi = steady_state(ctmc)
+        pi = steady_state_solution(ctmc).pi
         finish_rate = evaluate_measure(
             ctmc, pi, measure("f", trans_clause("W.finish", 1.0))
         )

@@ -91,12 +91,12 @@ class TestNumericalEdges:
     def test_extreme_rates_still_solve(self):
         """Rates spanning 12 orders of magnitude must not break the
         steady-state solver."""
-        from repro.ctmc import CTMC, steady_state
+        from repro.ctmc import CTMC, steady_state_solution
 
         ctmc = CTMC(2)
         ctmc.add_transition(0, 1, 1e-6)
         ctmc.add_transition(1, 0, 1e6)
-        pi = steady_state(ctmc)
+        pi = steady_state_solution(ctmc).pi
         assert pi[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_simulator_with_extreme_rates(self):
@@ -116,7 +116,7 @@ class TestNumericalEdges:
 
     def test_tiny_probability_weights(self):
         from repro.aemilia import parse_architecture, generate_lts
-        from repro.ctmc import build_ctmc, steady_state
+        from repro.ctmc import build_ctmc, steady_state_solution
 
         archi = parse_architecture("""
 ARCHI_TYPE Tiny(void)
@@ -136,7 +136,7 @@ ARCHI_TOPOLOGY
 END
 """)
         ctmc = build_ctmc(generate_lts(archi))
-        pi = steady_state(ctmc)
+        pi = steady_state_solution(ctmc).pi
         assert pi.sum() == pytest.approx(1.0)
 
     def test_deep_sequential_behaviour(self):

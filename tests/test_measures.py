@@ -13,7 +13,7 @@ from repro.ctmc import (
     parse_measures,
     state_clause,
     state_reward_vector,
-    steady_state,
+    steady_state_solution,
     trans_clause,
 )
 from repro.errors import ParseError, SpecificationError
@@ -64,7 +64,7 @@ class TestMeasureObjects:
 
 class TestEvaluation:
     def test_state_measure(self, small_chain):
-        pi = steady_state(small_chain)  # [0.6, 0.4]
+        pi = steady_state_solution(small_chain).pi  # [0.6, 0.4]
         m = measure(
             "power",
             state_clause("S.monitor_idle", 2.0),
@@ -74,7 +74,7 @@ class TestEvaluation:
         assert value == pytest.approx(0.6 * 2.0 + 0.4 * 3.0)
 
     def test_trans_measure_is_frequency(self, small_chain):
-        pi = steady_state(small_chain)
+        pi = steady_state_solution(small_chain).pi
         m = measure("work_rate", trans_clause("S.work", 1.0))
         value = evaluate_measure(small_chain, pi, m)
         assert value == pytest.approx(0.6 * 2.0)
@@ -84,7 +84,7 @@ class TestEvaluation:
         ctmc = CTMC(2)
         ctmc.add_transition(0, 1, 2.0, {"hop": 0.5})
         ctmc.add_transition(1, 0, 2.0, {})
-        pi = steady_state(ctmc)
+        pi = steady_state_solution(ctmc).pi
         m = measure("hops", trans_clause("hop", 1.0))
         assert evaluate_measure(ctmc, pi, m) == pytest.approx(0.5 * 2.0 * 0.5)
 
@@ -94,7 +94,7 @@ class TestEvaluation:
         assert vector == pytest.approx([1.0, 0.0])
 
     def test_evaluate_measures_bundle(self, small_chain):
-        pi = steady_state(small_chain)
+        pi = steady_state_solution(small_chain).pi
         results = evaluate_measures(
             small_chain,
             pi,
@@ -212,7 +212,7 @@ class TestRewardTableDifferential:
         noisy[rng.random(ctmc.num_states) < 0.2] = 0.0  # zero weights
         distributions = [noisy / noisy.sum()]
         if case != "rpc-battery":  # the drained battery absorbs
-            distributions.append(steady_state(ctmc))
+            distributions.append(steady_state_solution(ctmc).pi)
         for pi in distributions:
             values = evaluate_measures(ctmc, pi, measures)
             assert values == {

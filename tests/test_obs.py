@@ -29,7 +29,6 @@ from repro.obs import (
     get_logger,
     get_registry,
     load_json_export,
-    observe,
     render_json,
     render_prometheus,
     set_registry,
@@ -629,18 +628,6 @@ class TestRuntimeTrace:
             assert registry.value(
                 "repro_phase_seconds_total", {"phase": "statespace"}
             ) == pytest.approx(0.25)
-
-
-class TestProfiling:
-    def test_observe_times_block_into_histogram(self):
-        registry = MetricRegistry()
-        with observe("repro_phase_seconds", registry, phase="solve"):
-            pass
-        child = registry.histogram(
-            "repro_phase_seconds", "", ("phase",)
-        ).labels(phase="solve")
-        assert child.count == 1
-        assert child.sum >= 0.0
 
 
 class TestLogging:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctmc import CTMC, steady_state, transient_distribution
+from repro.ctmc import CTMC, steady_state_solution, transient_distribution
 from repro.lts import (
     TAU,
     build_lts,
@@ -118,7 +118,7 @@ def test_restricting_nothing_is_identity(lts):
 @settings(max_examples=40, deadline=None)
 @given(random_irreducible_chain())
 def test_steady_state_satisfies_balance(ctmc):
-    pi = steady_state(ctmc)
+    pi = steady_state_solution(ctmc).pi
     q = ctmc.generator_matrix().toarray()
     residual = pi @ q
     assert np.abs(residual).max() < 1e-8
@@ -129,7 +129,7 @@ def test_steady_state_satisfies_balance(ctmc):
 @settings(max_examples=20, deadline=None)
 @given(random_irreducible_chain())
 def test_transient_converges_to_steady_state(ctmc):
-    pi_infinity = steady_state(ctmc)
+    pi_infinity = steady_state_solution(ctmc).pi
     # Mixing is governed by the slowest transitions: scale the horizon by
     # the smallest exit rate (the backbone guarantees it is >= 0.1).
     slowest = min(
@@ -164,20 +164,3 @@ def test_accumulated_reward_is_additive(ctmc, t1, t2):
     second = accumulated_state_reward(ctmc, t2, rewards, initial=middle)
     assert direct == pytest.approx(first + second, rel=1e-6, abs=1e-8)
 
-
-@settings(max_examples=15, deadline=None)
-@given(random_irreducible_chain())
-def test_lumping_preserves_steady_state_masses(ctmc):
-    """Block masses of the lumped chain equal summed full-chain masses."""
-    from repro.ctmc.lumping import lump
-
-    quotient, block_of = lump(ctmc)
-    pi_full = steady_state(ctmc)
-    pi_quotient = steady_state(quotient)
-    for block in range(quotient.num_states):
-        mass = sum(
-            pi_full[s]
-            for s in range(ctmc.num_states)
-            if block_of[s] == block
-        )
-        assert pi_quotient[block] == pytest.approx(mass, abs=1e-9)

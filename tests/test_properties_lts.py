@@ -5,20 +5,15 @@ Laws the reliability layer leans on when it reuses or collapses models:
 * a tau-SCC condensation is weakly bisimilar to the original system, and
   hiding any (tau-free) label set preserves that equivalence — checked on
   guaranteed-equivalent pairs so the property is never vacuous;
-* ordinary lumping preserves every ``ENABLED``-based steady-state reward,
-  not just the block masses;
 * :meth:`ParametricLTS.relabel` round-trips: for random rate
   assignments, relabeling a cached skeleton is bit-identical to fresh
   generation, in both directions.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctmc import CTMC, steady_state
-from repro.ctmc.lumping import lump
 from repro.lts import TAU, build_lts, check_weak_equivalence, hide
 from repro.lts.weak import tau_condensation
 from repro.runtime import generate_parametric
@@ -40,31 +35,6 @@ def random_lts(draw, max_states=5):
         )
     )
     return build_lts(n, transitions)
-
-
-@st.composite
-def random_labelled_chain(draw, max_states=6, labels=("busy", "idle")):
-    """An irreducible CTMC whose states carry enabled-label sets."""
-    n = draw(st.integers(2, max_states))
-    ctmc = CTMC(n)
-    for state in range(n):
-        ctmc.add_transition(state, (state + 1) % n, draw(st.floats(0.1, 5.0)))
-    for source, target, rate in draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1),
-                st.integers(0, n - 1),
-                st.floats(0.1, 5.0),
-            ),
-            max_size=8,
-        )
-    ):
-        if source != target:
-            ctmc.add_transition(source, target, rate)
-    for state in range(n):
-        enabled = draw(st.frozensets(st.sampled_from(list(labels))))
-        ctmc.set_enabled_labels(state, enabled)
-    return ctmc
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,30 +61,6 @@ def test_hiding_preserves_weak_bisimilarity(lts, hidden):
         hide(lts, list(hidden)), hide(quotient, list(hidden))
     )
     assert check.equivalent
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_labelled_chain())
-def test_lumping_preserves_enabled_label_rewards(ctmc):
-    """Every ENABLED-style steady-state reward survives the quotient."""
-    quotient, block_of = lump(ctmc)
-    pi_full = steady_state(ctmc)
-    pi_quotient = steady_state(quotient)
-    for label in ("busy", "idle"):
-        full_reward = sum(
-            pi_full[s]
-            for s in range(ctmc.num_states)
-            if label in ctmc.enabled_labels(s)
-        )
-        quotient_reward = sum(
-            pi_quotient[b]
-            for b in range(quotient.num_states)
-            if label in quotient.enabled_labels(b)
-        )
-        assert quotient_reward == pytest.approx(full_reward, abs=1e-9)
-    # Sanity: both solutions are distributions.
-    assert np.isclose(pi_full.sum(), 1.0)
-    assert np.isclose(pi_quotient.sum(), 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -48,11 +48,11 @@ class TestAccumulatedReward:
 
     def test_long_horizon_matches_steady_state_rate(self):
         """For large t, Y(t)/t -> steady-state reward rate."""
-        from repro.ctmc import steady_state
+        from repro.ctmc import steady_state_solution
 
         ctmc = two_state()
         rewards = np.array([2.0, 5.0])
-        pi = steady_state(ctmc)
+        pi = steady_state_solution(ctmc).pi
         t = 200.0
         value = accumulated_state_reward(ctmc, t, rewards)
         assert value / t == pytest.approx(float(pi @ rewards), rel=1e-3)

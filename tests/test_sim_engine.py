@@ -15,7 +15,7 @@ from repro.ctmc import (
     evaluate_measure,
     measure,
     state_clause,
-    steady_state,
+    steady_state_solution,
     trans_clause,
 )
 from repro.distributions import Deterministic, Exponential
@@ -252,7 +252,7 @@ class TestAgainstAnalyticSolution:
         """Statistical agreement between the simulator and the solver."""
         lts = generate_lts(mm1k)
         ctmc = build_ctmc(lts)
-        pi = steady_state(ctmc)
+        pi = steady_state_solution(ctmc).pi
         served = measure("served", trans_clause("Q.serve", 1.0))
         analytic = evaluate_measure(ctmc, pi, served)
         result = simulate(lts, [served], 100_000.0, make_generator(13))

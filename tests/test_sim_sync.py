@@ -13,7 +13,7 @@ from repro.ctmc import (
     build_ctmc,
     evaluate_measure,
     measure,
-    steady_state,
+    steady_state_solution,
     trans_clause,
 )
 from repro.sim import make_generator, simulate
@@ -90,7 +90,9 @@ class TestOrAttachmentSimulation:
         lts = generate_lts(or_model())
         pushes = measure("pushes", trans_clause("A.push", 1.0))
         ctmc = build_ctmc(lts)
-        analytic = evaluate_measure(ctmc, steady_state(ctmc), pushes)
+        analytic = evaluate_measure(
+            ctmc, steady_state_solution(ctmc).pi, pushes
+        )
         result = simulate(lts, [pushes], 20_000.0, make_generator(29))
         assert result.measures["pushes"] == pytest.approx(
             analytic, rel=0.03
@@ -121,7 +123,9 @@ class TestAndAttachmentSimulation:
         lts = generate_lts(parse_architecture(BROADCAST_SPEC))
         pushes = measure("pushes", trans_clause("A.push", 1.0))
         ctmc = build_ctmc(lts)
-        analytic = evaluate_measure(ctmc, steady_state(ctmc), pushes)
+        analytic = evaluate_measure(
+            ctmc, steady_state_solution(ctmc).pi, pushes
+        )
         result = simulate(lts, [pushes], 20_000.0, make_generator(37))
         assert result.measures["pushes"] == pytest.approx(
             analytic, rel=0.03

@@ -20,7 +20,6 @@ from repro.ctmc import solvers as solvers_module
 from repro.ctmc.solvers import (
     SOLVER_ENV_VAR,
     available_solvers,
-    gauss_seidel_reference,
     resolve_method,
     select_method,
     solve_steady_state,
@@ -28,10 +27,10 @@ from repro.ctmc.solvers import (
 )
 from repro.ctmc.steady_state import (
     _submatrix,
-    steady_state,
     steady_state_solution,
 )
 from repro.errors import SolverError
+from tests.oracles import gauss_seidel_reference
 
 ALL_BACKENDS = available_solvers()
 ITERATIVE_BACKENDS = ("gmres", "power", "sor")
@@ -160,7 +159,7 @@ class TestFailurePaths:
         ctmc.add_transition(0, 1, 1.0)
         ctmc.add_transition(0, 2, 1.0)
         with pytest.raises(SolverError, match="bottom strongly connected"):
-            steady_state(ctmc, method=method)
+            steady_state_solution(ctmc, method=method)
 
     @pytest.mark.parametrize("method", ITERATIVE_BACKENDS)
     def test_max_iterations_exhaustion_carries_diagnostics(self, method):

@@ -8,7 +8,7 @@ import pytest
 from repro.ctmc import (
     CTMC,
     expected_state_reward_at,
-    steady_state,
+    steady_state_solution,
     transient_distribution,
 )
 from repro.errors import SolverError
@@ -40,7 +40,7 @@ class TestTwoStateClosedForm:
 
     def test_long_horizon_converges_to_steady_state(self):
         ctmc = two_state()
-        limit = steady_state(ctmc)
+        limit = steady_state_solution(ctmc).pi
         pi = transient_distribution(ctmc, 100.0)
         assert pi == pytest.approx(limit, abs=1e-9)
 
