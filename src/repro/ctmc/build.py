@@ -11,6 +11,12 @@ immediate actions computable (see :mod:`repro.ctmc.chain`).
 A cycle of immediate transitions is a timeless divergence and is rejected
 (:class:`~repro.errors.ImmediateCycleError`), as in the underlying
 stochastic process algebra.
+
+The elimination depends only on the LTS structure and its immediate
+weights, never on exponential rates, so :func:`build_ctmc` runs it once
+per structure into an :class:`EliminationPlan` and per call only replays
+the CTMC construction with the call's rates.  A rate-only relabeling of a
+state-space skeleton reuses the skeleton's plan (:func:`elimination_plan`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .chain import CTMC
 #: resolve() result: list of (tangible LTS state, probability, expected
 #: label counts accumulated along the vanishing path).
 _Resolution = List[Tuple[int, float, Dict[str, float]]]
+#: One tangible state's plan row: per outgoing transition, the
+#: (tangible target index, probability, label counts) it contributes.
+_Row = Tuple[Tuple[Tuple[int, float, Dict[str, float]], ...], ...]
 
 
 def classify_states(lts: LTS) -> Tuple[List[int], List[int]]:
@@ -154,63 +163,119 @@ class _VanishingResolver:
         aggregated[target] = (previous_probability + probability, merged)
 
 
+class EliminationPlan:
+    """The rate-independent part of :func:`build_ctmc` for one LTS
+    structure.
+
+    Immediate weights and priorities are structural, so which states are
+    vanishing, where each vanishing path ends and with what probability
+    and label counts do not depend on the exponential rates.  The plan
+    records all of that once: the tangible states, the initial
+    distribution, each tangible state's enabled labels, and for every
+    outgoing transition of a tangible state its resolved
+    ``(target index, probability, label counts)`` contributions.
+    :meth:`instantiate` then only multiplies in the point's rates.
+    """
+
+    def __init__(self, lts: LTS):
+        tangible, vanishing = classify_states(lts)
+        if not tangible:
+            raise MarkovianError(
+                "the model has no tangible state: every state is vanishing"
+            )
+        is_vanishing = {state: False for state in lts.states()}
+        for state in vanishing:
+            is_vanishing[state] = True
+        for state in tangible:
+            _check_timed(lts, state)
+        tangible_index = {state: i for i, state in enumerate(tangible)}
+        resolver = _VanishingResolver(lts, is_vanishing)
+
+        # Initial distribution: a vanishing initial state spreads over the
+        # tangible states it resolves to.
+        initial = np.zeros(len(tangible))
+        if is_vanishing[lts.initial]:
+            for target, probability, _ in resolver.resolve(lts.initial):
+                initial[tangible_index[target]] += probability
+        else:
+            initial[tangible_index[lts.initial]] = 1.0
+
+        enabled: List[frozenset] = []
+        contributions: List[_Row] = []
+        for state in tangible:
+            outgoing = lts.outgoing(state)
+            enabled.append(frozenset(t.label for t in outgoing))
+            row = []
+            for transition in outgoing:
+                if not is_vanishing[transition.target]:
+                    # rate * 1.0 is the rate exactly.
+                    row.append((
+                        (
+                            tangible_index[transition.target],
+                            1.0,
+                            {transition.label: 1.0},
+                        ),
+                    ))
+                    continue
+                resolved = []
+                for target, probability, counts in resolver.resolve(
+                    transition.target
+                ):
+                    merged = {
+                        label: count / probability
+                        for label, count in counts.items()
+                    }
+                    merged[transition.label] = merged.get(
+                        transition.label, 0.0
+                    ) + 1.0
+                    resolved.append(
+                        (tangible_index[target], probability, merged)
+                    )
+                row.append(tuple(resolved))
+            contributions.append(tuple(row))
+
+        self.initial_state = lts.initial
+        self.tangible = tangible
+        self.initial_distribution = initial
+        self.enabled = enabled
+        #: Per tangible state, per outgoing transition (in order): the
+        #: ``(target index, probability, label counts)`` it contributes.
+        self.contributions = contributions
+
+    def instantiate(self, lts: LTS) -> CTMC:
+        """The CTMC of *lts*, whose structure this plan was made from."""
+        ctmc = CTMC(len(self.tangible), self.initial_distribution.copy())
+        add = ctmc.add_transition
+        for source, state in enumerate(self.tangible):
+            ctmc.set_state_info(source, lts.state_info(state))
+            ctmc.set_enabled_labels(source, self.enabled[source])
+            for transition, resolved in zip(
+                lts.outgoing(state), self.contributions[source]
+            ):
+                rate = transition.rate
+                if not isinstance(rate, ExpRate):
+                    _check_timed(lts, state)  # raises the precise error
+                for target, probability, counts in resolved:
+                    add(source, target, rate.rate * probability, counts)
+        return ctmc
+
+
+def elimination_plan(lts: LTS) -> EliminationPlan:
+    """The elimination plan for *lts*'s structure, cached on its
+    :meth:`~repro.lts.lts.LTS.structure_key` (and so never pickled).
+
+    A rate relabeling that keeps the structure key
+    (:meth:`~repro.runtime.statespace_cache.ParametricLTS.relabel` keeps
+    it when every rate it replaces is exponential before and after)
+    reuses its skeleton's plan.
+    """
+    derived = lts.structure_key().derived
+    plan = derived.get(EliminationPlan)
+    if plan is None or plan.initial_state != lts.initial:
+        plan = derived[EliminationPlan] = EliminationPlan(lts)
+    return plan
+
+
 def build_ctmc(lts: LTS) -> CTMC:
     """Turn the rate-labelled LTS of a Markovian model into a CTMC."""
-    tangible, vanishing = classify_states(lts)
-    if not tangible:
-        raise MarkovianError(
-            "the model has no tangible state: every state is vanishing"
-        )
-    is_vanishing = {state: False for state in lts.states()}
-    for state in vanishing:
-        is_vanishing[state] = True
-    for state in tangible:
-        _check_timed(lts, state)
-    tangible_index = {state: i for i, state in enumerate(tangible)}
-    resolver = _VanishingResolver(lts, is_vanishing)
-
-    # Initial distribution: a vanishing initial state spreads over the
-    # tangible states it resolves to.
-    initial = np.zeros(len(tangible))
-    if is_vanishing[lts.initial]:
-        for target, probability, _ in resolver.resolve(lts.initial):
-            initial[tangible_index[target]] += probability
-    else:
-        initial[tangible_index[lts.initial]] = 1.0
-
-    ctmc = CTMC(len(tangible), initial)
-    for state in tangible:
-        source = tangible_index[state]
-        ctmc.set_state_info(source, lts.state_info(state))
-        ctmc.set_enabled_labels(
-            source,
-            frozenset(t.label for t in lts.outgoing(state)),
-        )
-        for transition in lts.outgoing(state):
-            rate: ExpRate = transition.rate  # _check_timed guarantees this
-            base_counts = {transition.label: 1.0}
-            if not is_vanishing[transition.target]:
-                ctmc.add_transition(
-                    source,
-                    tangible_index[transition.target],
-                    rate.rate,
-                    base_counts,
-                )
-                continue
-            for target, probability, counts in resolver.resolve(
-                transition.target
-            ):
-                merged = {
-                    label: count / probability
-                    for label, count in counts.items()
-                }
-                merged[transition.label] = merged.get(
-                    transition.label, 0.0
-                ) + 1.0
-                ctmc.add_transition(
-                    source,
-                    tangible_index[target],
-                    rate.rate * probability,
-                    merged,
-                )
-    return ctmc
+    return elimination_plan(lts).instantiate(lts)

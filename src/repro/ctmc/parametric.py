@@ -61,7 +61,7 @@ from ..aemilia.rates import ExpSpec
 from ..errors import ParametricError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from .build import _VanishingResolver, build_ctmc, classify_states
+from .build import elimination_plan
 from .measures import Measure, RewardTable
 from .ratfunc import BarycentricRational, RationalFunction, aaa_fit
 
@@ -367,29 +367,25 @@ def _capture_chain(
     nodes: np.ndarray,
     options: ParametricOptions,
 ) -> _Capture:
-    """Mirror ``build_ctmc``'s construction with symbolic parametric rates.
+    """Replay :func:`~repro.ctmc.build.build_ctmc`'s construction with
+    symbolic parametric rates.
 
     Every CTMC-level transition contribution is split into a constant
-    float part and a sum of ``coefficient * atom(p)`` parts; vanishing
-    states are resolved exactly as :func:`repro.ctmc.build.build_ctmc`
-    resolves them (their weights are structural, so the resolution is
-    parameter-independent).
+    float part and a sum of ``coefficient * atom(p)`` parts.  Vanishing
+    states are resolved by the LTS's shared
+    :class:`~repro.ctmc.build.EliminationPlan` (their weights are
+    structural, so the resolution is parameter-independent).
     """
     watched = dependent | {parameter}
     provenance_of = {
         id(transition): prov
         for transition, prov in zip(lts.transitions, provenance)
     }
-    tangible, vanishing = classify_states(lts)
-    tangible_index = {state: i for i, state in enumerate(tangible)}
-    is_vanishing = {state: False for state in lts.states()}
-    for state in vanishing:
-        is_vanishing[state] = True
-    resolver = _VanishingResolver(lts, is_vanishing)
+    plan = elimination_plan(lts)
 
     # The concrete CTMC (rates at the base point) supplies the recurrent
-    # class and the enabled-label sets; both are parameter-independent.
-    ctmc = build_ctmc(lts)
+    # class, which is parameter-independent.
+    ctmc = plan.instantiate(lts)
     bsccs = ctmc.bottom_strongly_connected_components()
     if len(bsccs) != 1:
         raise ParametricError(
@@ -405,9 +401,6 @@ def _capture_chain(
             reason="budget",
         )
     position_of = {state: i for i, state in enumerate(recurrent)}
-    recurrent_lts_states = {
-        state for state in tangible if tangible_index[state] in position_of
-    }
 
     # Atom table: one exact rational function per distinct (spec, env).
     atom_index: Dict[tuple, int] = {}
@@ -488,9 +481,11 @@ def _capture_chain(
         else:
             entry[1][atom] = entry[1].get(atom, 0.0) + coefficient
 
-    for state in sorted(recurrent_lts_states):
-        source_position = position_of[tangible_index[state]]
-        for transition in lts.outgoing(state):
+    for source_position, ctmc_state in enumerate(recurrent):
+        for transition, resolved in zip(
+            lts.outgoing(plan.tangible[ctmc_state]),
+            plan.contributions[ctmc_state],
+        ):
             prov = provenance_of[id(transition)]
             parametric = (
                 prov is not None
@@ -507,33 +502,14 @@ def _capture_chain(
                 atom = None
                 multiplier = 0.0
                 constant = transition.rate.rate
-            base_counts = {transition.label: 1.0}
-            if not is_vanishing[transition.target]:
-                target_position = position_of[
-                    tangible_index[transition.target]
-                ]
-                add_contribution(
-                    source_position, target_position,
-                    constant, atom, multiplier, base_counts,
-                )
-                continue
-            for target, probability, counts in resolver.resolve(
-                transition.target
-            ):
-                merged = {
-                    label: count / probability
-                    for label, count in counts.items()
-                }
-                merged[transition.label] = (
-                    merged.get(transition.label, 0.0) + 1.0
-                )
+            for target, probability, counts in resolved:
                 add_contribution(
                     source_position,
-                    position_of[tangible_index[target]],
+                    position_of[target],
                     constant * probability,
                     atom,
                     multiplier * probability,
-                    merged,
+                    counts,
                 )
 
     # Evaluate the atoms on the node grid and validate they stay
@@ -575,7 +551,7 @@ def _capture_chain(
         for position, ctmc_state in enumerate(recurrent):
             value = const_trans[m.name].get(position, 0.0)
             if m.has_state_clauses():
-                enabled = ctmc.enabled_labels(ctmc_state)
+                enabled = plan.enabled[ctmc_state]
                 value += table.state_rewards(enabled)[j]
             rewards[position] = value
         const_rewards[m.name] = rewards

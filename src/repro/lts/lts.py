@@ -9,7 +9,16 @@ view of Markovian models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..aemilia.rates import Rate
 from ..errors import AnalysisError
@@ -40,8 +49,31 @@ class Transition:
         return f"{self.source} --{self.label}{rate}--> {self.target}"
 
 
+class StructureKey:
+    """Identity of one LTS structure (see :meth:`LTS.structure_key`),
+    carrying the caches of data derived from that structure.
+
+    ``derived`` maps a cache's owner (e.g. the CTMC elimination plan's
+    class) to its value.  It is never pickled: an unpickled key starts
+    empty, so every process derives its own data once.
+    """
+
+    __slots__ = ("derived",)
+
+    def __init__(self):
+        self.derived: Dict[object, object] = {}
+
+    def __reduce__(self):
+        return (StructureKey, ())
+
+
 class LTS:
     """A finite labelled transition system with a single initial state."""
+
+    #: True while some outgoing lists are shared with another LTS (see
+    #: :meth:`replacing`); the first :meth:`add_transition` copies them.
+    _rows_shared = False
+    _structure: Optional[StructureKey] = None
 
     def __init__(self, initial: int = 0):
         self._num_states = 0
@@ -56,6 +88,7 @@ class LTS:
         """Add a state, optionally with a human-readable description."""
         index = self._num_states
         self._num_states += 1
+        self._structure = None
         if info is not None:
             self._state_info[index] = info
         return index
@@ -76,6 +109,10 @@ class LTS:
                     f"transition endpoint {state} is not a state "
                     f"(have {self._num_states})"
                 )
+        if self._rows_shared:
+            self._outgoing = {s: list(ts) for s, ts in self._outgoing.items()}
+            self._rows_shared = False
+        self._structure = None
         transition = Transition(source, label, target, rate, event, weight)
         self.transitions.append(transition)
         self._outgoing.setdefault(source, []).append(transition)
@@ -129,18 +166,20 @@ class LTS:
         """All states with no outgoing transition."""
         return [s for s in self.states() if not self.outgoing(s)]
 
-    # -- misc -------------------------------------------------------------
+    def structure_key(self) -> StructureKey:
+        """Identity of this LTS's current structure.
 
-    def copy_structure(self) -> "LTS":
-        """Copy of the states and their metadata, with no transitions.
-
-        Used by the sweep runtime to rebuild a cached state-space skeleton
-        with relabeled rates without re-exploring the state space.
+        Adding a state or a transition gives the LTS a new key.  A copy
+        made by :meth:`replacing` with ``keep_structure_key=True`` shares
+        the key: its caller vouches that the replacements change nothing
+        a structure cache derives (the CTMC elimination plan keys on it
+        and derives nothing from exponential rates).
         """
-        clone = LTS(self.initial)
-        clone._num_states = self._num_states
-        clone._state_info = dict(self._state_info)
-        return clone
+        if self._structure is None:
+            self._structure = StructureKey()
+        return self._structure
+
+    # -- misc -------------------------------------------------------------
 
     def copy(self) -> "LTS":
         """Deep-enough copy (transitions are immutable)."""
@@ -149,6 +188,42 @@ class LTS:
         clone.transitions = list(self.transitions)
         clone._outgoing = {s: list(ts) for s, ts in self._outgoing.items()}
         clone._state_info = dict(self._state_info)
+        return clone
+
+    def replacing(
+        self,
+        replacements: Mapping[int, Transition],
+        keep_structure_key: bool = False,
+    ) -> "LTS":
+        """Copy with ``transitions[i]`` swapped for ``replacements[i]``.
+
+        Each replacement must leave the same source state; it takes the
+        replaced transition's place in ``transitions`` and in its source's
+        outgoing list, so every order is kept.  All other transitions are
+        shared with this LTS (they are immutable), and so are the outgoing
+        lists without a replacement until either LTS adds a transition.
+        """
+        clone = LTS(self.initial)
+        if keep_structure_key:
+            clone._structure = self.structure_key()
+        clone._num_states = self._num_states
+        clone.transitions = list(self.transitions)
+        clone._state_info = dict(self._state_info)
+        clone._outgoing = dict(self._outgoing)
+        clone._rows_shared = self._rows_shared = True
+        copied = set()
+        for index, new in replacements.items():
+            old = clone.transitions[index]
+            if new.source != old.source:
+                raise AnalysisError(
+                    f"replacement {new} leaves another state than {old}"
+                )
+            clone.transitions[index] = new
+            row = clone._outgoing[old.source]
+            if old.source not in copied:
+                row = clone._outgoing[old.source] = list(row)
+                copied.add(old.source)
+            row[next(i for i, t in enumerate(row) if t is old)] = new
         return clone
 
     def __str__(self) -> str:

@@ -180,6 +180,11 @@ class _Family:
         return child
 
     def _default_child(self) -> _Child:
+        # A label-less family's one series sits under the empty key; the
+        # fast path matters on per-point hot paths (parametric evaluation).
+        child = self._children.get(())
+        if child is not None:
+            return child
         if self.labelnames:
             raise MetricError(
                 f"{self.name} has labels {list(self.labelnames)}; "

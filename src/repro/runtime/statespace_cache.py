@@ -41,14 +41,20 @@ from ..aemilia.ast import (
 )
 from ..aemilia.expressions import Value
 from ..aemilia.pretty import print_architecture
-from ..aemilia.rates import ExpSpec, GeneralSpec, ImmediateSpec, PassiveSpec
+from ..aemilia.rates import (
+    ExpRate,
+    ExpSpec,
+    GeneralSpec,
+    ImmediateSpec,
+    PassiveSpec,
+)
 from ..aemilia.semantics import (
     RateProvenance,
     StateSpaceGenerator,
     apply_branch_fraction,
 )
 from ..errors import SemanticsError
-from ..lts.lts import LTS
+from ..lts.lts import LTS, Transition
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 
@@ -141,14 +147,25 @@ class ParametricLTS:
     ``relabel`` replays the provenance under a new constant environment:
     states, labels, events, branch weights and targets are reused verbatim;
     only rates whose spec reads a changed constant are re-evaluated.
+    ``structural`` names the constants whose change would alter the
+    structure itself (:func:`structural_params`); relabeling refuses them.
     """
 
     lts: LTS
     provenance: List[Optional[RateProvenance]]
     const_env: Dict[str, Value]
+    structural: frozenset
 
     def relabel(self, const_env: Mapping[str, Value]) -> LTS:
-        """State space under *const_env*, bit-identical to regeneration."""
+        """State space under *const_env*, bit-identical to regeneration.
+
+        Only the transitions whose rate reads a changed constant are
+        rebuilt; every other :class:`~repro.lts.lts.Transition` object is
+        shared with the skeleton.  When every rebuilt rate is exponential
+        before and after, the result keeps the skeleton's structure key,
+        so it shares the skeleton's CTMC elimination plan
+        (:func:`repro.ctmc.build.elimination_plan`).
+        """
         changed = {
             name
             for name in set(self.const_env) | set(const_env)
@@ -156,22 +173,36 @@ class ParametricLTS:
         }
         if not changed:
             return self.lts
-        out = self.lts.copy_structure()
+        if not changed.isdisjoint(self.structural):
+            raise SemanticsError(
+                f"cannot relabel: structural constant(s) "
+                f"{', '.join(sorted(changed & self.structural))} changed; "
+                f"the state space must be regenerated"
+            )
         # Many transitions share one (spec, local env): evaluate each
         # distinct pair once per relabel.
         memo: Dict[tuple, object] = {}
-        for transition, prov in zip(self.lts.transitions, self.provenance):
-            rate = transition.rate
-            if prov is not None and not changed.isdisjoint(prov.free_consts):
-                key = (id(prov.spec), prov.env)
-                base = memo.get(key)
-                if base is None:
-                    env = dict(const_env)
-                    env.update(prov.env)
-                    base = prov.spec.evaluate(env)
-                    memo[key] = base
-                rate = apply_branch_fraction(base, prov.fraction)
-            out.add_transition(
+        replacements: Dict[int, Transition] = {}
+        rates_only = True
+        for index, (transition, prov) in enumerate(
+            zip(self.lts.transitions, self.provenance)
+        ):
+            if prov is None or changed.isdisjoint(prov.free_consts):
+                continue
+            key = (id(prov.spec), prov.env)
+            base = memo.get(key)
+            if base is None:
+                env = dict(const_env)
+                env.update(prov.env)
+                base = prov.spec.evaluate(env)
+                memo[key] = base
+            rate = apply_branch_fraction(base, prov.fraction)
+            rates_only = (
+                rates_only
+                and isinstance(transition.rate, ExpRate)
+                and isinstance(rate, ExpRate)
+            )
+            replacements[index] = Transition(
                 transition.source,
                 transition.label,
                 transition.target,
@@ -179,7 +210,9 @@ class ParametricLTS:
                 transition.event,
                 transition.weight,
             )
-        return out
+        return self.lts.replacing(
+            replacements, keep_structure_key=rates_only
+        )
 
 
 def generate_parametric(
@@ -197,7 +230,12 @@ def generate_parametric(
         record_provenance=True,
     )
     lts = generator.generate()
-    return ParametricLTS(lts, generator.provenance, dict(generator.const_env))
+    return ParametricLTS(
+        lts,
+        generator.provenance,
+        dict(generator.const_env),
+        structural_params(archi),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,294 @@
+"""Differential tests of the cached CTMC elimination plan.
+
+:func:`repro.ctmc.build.build_ctmc` compiles the vanishing-state
+elimination once per LTS structure and replays only the rates per call;
+a rate-only relabeling shares its skeleton's plan.  Every CTMC it builds
+must be ``==`` to the historical one-pass construction
+(:func:`tests.oracles.build_ctmc_reference`): transitions in order
+(source, target, rate, label counts), the initial distribution, the
+enabled labels and the state descriptions.  The cases are both case
+studies (DPM and NO-DPM), the battery extension and a fuzz corpus of
+specimen models and random rate-labelled LTSs, each at its skeleton and
+at three relabeled points.
+"""
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.aemilia import parse_architecture
+from repro.aemilia.expressions import BinaryOp, Literal, Variable
+from repro.aemilia.rates import ExpSpec, ImmediateSpec
+from repro.aemilia.semantics import RateProvenance, generate_lts
+from repro.casestudies.rpc import battery
+from repro.ctmc.build import build_ctmc, elimination_plan
+from repro.errors import MarkovianError, SemanticsError
+from repro.lts import LTS
+from repro.runtime import ParametricLTS, generate_parametric
+from tests.oracles import build_ctmc_reference
+
+TINY_SPEC = """
+ARCHI_TYPE Tiny(const real fire_rate := 1.0)
+ARCHI_ELEM_TYPES
+ELEM_TYPE T_Type(void)
+  BEHAVIOR
+    Main(void; void) = <fire, exp(fire_rate)> . Branch();
+    Branch(void; void) = choice {
+      <rare, inf(1, 1e-9)> . Main(),
+      <common, inf(1, 1.0)> . Main()
+    }
+  INPUT_INTERACTIONS void
+  OUTPUT_INTERACTIONS void
+ARCHI_TOPOLOGY
+  ARCHI_ELEM_INSTANCES
+    X : T_Type()
+END
+"""
+
+
+def ctmc_bits(ctmc):
+    """Everything a CTMC carries, in a form ``==`` compares exactly."""
+    return (
+        ctmc.num_states,
+        [
+            (t.source, t.target, t.rate, t.label_counts)
+            for t in ctmc.transitions
+        ],
+        ctmc.initial_distribution.tolist(),
+        [ctmc.enabled_labels(s) for s in range(ctmc.num_states)],
+        [ctmc.state_info(s) for s in range(ctmc.num_states)],
+    )
+
+
+def outcome(build, lts):
+    """The CTMC's bits, or the error type and message it raised."""
+    try:
+        return ctmc_bits(build(lts))
+    except MarkovianError as error:
+        return type(error), str(error)
+
+
+def _archi(case, rpc_family, streaming_family, mm1k):
+    family = {"rpc": rpc_family, "streaming": streaming_family}.get(
+        case.split("-")[0]
+    )
+    if family is not None:
+        return getattr(family, "markovian_" + case.split("-")[1])
+    return {
+        "battery-dpm": battery.dpm_architecture,
+        "battery-nodpm": battery.nodpm_architecture,
+        "mm1k": lambda: mm1k,
+        "tiny": lambda: parse_architecture(TINY_SPEC),
+    }[case]()
+
+
+CASES = {
+    # case: (rate-only parameter, three sweep values)
+    "rpc-dpm": ("shutdown_timeout", (0.5, 2.0, 11.0)),
+    "rpc-nodpm": ("proc_time", (4.0, 15.0, 20.0)),
+    "streaming-dpm": ("awake_period", (13.351, 49.778, 477.989)),
+    "streaming-nodpm": ("frame_period", (40.0, 90.0, 120.0)),
+    "battery-dpm": ("shutdown_timeout", (1.0, 4.0, 9.0)),
+    "battery-nodpm": ("drain_scale", (0.02, 0.1, 0.3)),
+    "mm1k": ("service_rate", (0.5, 1.0, 7.5)),
+    "tiny": ("fire_rate", (0.25, 3.0, 1e3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_plan_matches_reference_at_skeleton_and_relabeled_points(
+    case, rpc_family, streaming_family, mm1k
+):
+    archi = _archi(case, rpc_family, streaming_family, mm1k)
+    parameter, values = CASES[case]
+    skeleton = generate_parametric(archi)
+    assert ctmc_bits(build_ctmc(skeleton.lts)) == ctmc_bits(
+        build_ctmc_reference(skeleton.lts)
+    )
+    plan = elimination_plan(skeleton.lts)
+    for value in values:
+        env = archi.bind_constants({parameter: value})
+        relabeled = skeleton.relabel(env)
+        assert relabeled is not skeleton.lts
+        # A rate-only relabeling reuses the skeleton's plan ...
+        assert elimination_plan(relabeled) is plan
+        # ... and still builds exactly the historical CTMC, which is also
+        # the CTMC of a fresh generation at that point.
+        built = ctmc_bits(build_ctmc(relabeled))
+        assert built == ctmc_bits(build_ctmc_reference(relabeled))
+        assert built == ctmc_bits(
+            build_ctmc_reference(generate_lts(archi, {parameter: value}))
+        )
+
+
+# ---------------------------------------------------------------------------
+# Fuzz corpus: random rate-labelled LTSs with provenance.
+# ---------------------------------------------------------------------------
+
+#: One drawn transition: (source, target, label, coefficient).
+_transitions = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    ),
+    min_size=1,
+    max_size=14,
+)
+#: States whose transitions are immediate; a few drawn transitions are
+#: flipped to the other kind, so mixed states occur too.
+_vanishing = st.sets(st.integers(0, 5), max_size=4)
+_flipped = st.sets(st.integers(0, 13), max_size=1)
+
+
+def _skeleton(drawn, vanishing, flipped, initial):
+    """A hand-built skeleton: exponential rates ``k * c`` and immediate
+    weights ``w + c``, both recorded as relabelable provenance (no
+    structural constants, so a changed ``w`` is relabeled too and shifts
+    the branch probabilities)."""
+    env = {"k": 1.0, "w": 1.0}
+    lts = LTS(initial)
+    for _ in range(6):
+        lts.add_state()
+    provenance = []
+    for index, (source, target, label, coefficient) in enumerate(drawn):
+        if (source in vanishing) != (index in flipped):
+            spec = ImmediateSpec(
+                Literal(1), BinaryOp("+", Variable("w"), Literal(coefficient))
+            )
+        else:
+            spec = ExpSpec(BinaryOp("*", Variable("k"), Literal(coefficient)))
+        lts.add_transition(
+            source, label, target, spec.evaluate(env), label
+        )
+        provenance.append(
+            RateProvenance(spec, (), spec.free_variables())
+        )
+    return ParametricLTS(lts, provenance, env, frozenset())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _transitions, _vanishing, _flipped, st.integers(0, 5),
+    st.lists(st.sampled_from([0.25, 2.0, 9.0]), min_size=3, max_size=3),
+)
+def test_random_lts_plan_matches_reference(
+    drawn, vanishing, flipped, initial, ks
+):
+    """Skeleton and three rate points: the same CTMC or the same error
+    (mixed states, immediate cycles, no tangible state)."""
+    skeleton = _skeleton(drawn, vanishing, flipped, initial)
+    assert outcome(build_ctmc, skeleton.lts) == outcome(
+        build_ctmc_reference, skeleton.lts
+    )
+    for k in ks:
+        relabeled = skeleton.relabel({"k": k, "w": 1.0})
+        assert outcome(build_ctmc, relabeled) == outcome(
+            build_ctmc_reference, relabeled
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _transitions, _vanishing, _flipped, st.integers(0, 5),
+    st.sampled_from([0.1, 3.0]),
+)
+def test_relabeled_immediate_weights_get_a_fresh_plan(
+    drawn, vanishing, flipped, initial, w
+):
+    """A relabel that replaces an immediate rate must not reuse the
+    skeleton's elimination: its CTMC is the reference's for the new
+    weights."""
+    skeleton = _skeleton(drawn, vanishing, flipped, initial)
+    outcome(build_ctmc, skeleton.lts)  # compile the skeleton's plan
+    relabeled = skeleton.relabel({"k": 2.0, "w": w})
+    assert outcome(build_ctmc, relabeled) == outcome(
+        build_ctmc_reference, relabeled
+    )
+
+
+# ---------------------------------------------------------------------------
+# Relabel contract.
+# ---------------------------------------------------------------------------
+
+
+def test_relabel_of_a_structural_constant_raises(streaming_family):
+    archi = streaming_family.markovian_dpm
+    skeleton = generate_parametric(archi)
+    assert "b_capacity" in skeleton.structural
+    with pytest.raises(SemanticsError, match="b_capacity"):
+        skeleton.relabel(archi.bind_constants({"b_capacity": 4}))
+
+
+def test_relabel_replacing_an_immediate_weight_builds_a_fresh_plan():
+    """One exponential state feeding a weighted immediate choice."""
+    skeleton = _skeleton(
+        [(0, 1, "go", 1.0), (1, 0, "a", 1.0), (1, 2, "b", 3.0),
+         (2, 0, "back", 2.0)],
+        {1}, set(), 0,
+    )
+    base_plan = elimination_plan(skeleton.lts)
+    relabeled = skeleton.relabel({"k": 1.0, "w": 5.0})
+    replaced = [
+        (old, new)
+        for old, new in zip(skeleton.lts.transitions, relabeled.transitions)
+        if old is not new
+    ]
+    assert [old.label for old, _ in replaced] == ["a", "b"]
+    plan = elimination_plan(relabeled)
+    assert plan is not base_plan
+    assert ctmc_bits(build_ctmc(relabeled)) == ctmc_bits(
+        build_ctmc_reference(relabeled)
+    )
+
+
+def test_relabel_reuses_unchanged_transitions(streaming_family):
+    """Only transitions whose rate reads the swept constant are rebuilt;
+    the relabeled LTS as a whole still equals a fresh generation."""
+    archi = streaming_family.markovian_dpm
+    skeleton = generate_parametric(archi)
+    overrides = {"awake_period": 28.185}
+    relabeled = skeleton.relabel(archi.bind_constants(overrides))
+    fresh = generate_lts(archi, overrides)
+    readers = [
+        prov is not None and "awake_period" in prov.free_consts
+        for prov in skeleton.provenance
+    ]
+    assert 0 < sum(readers) < len(readers)
+    for old, new, reads in zip(
+        skeleton.lts.transitions, relabeled.transitions, readers
+    ):
+        assert (old is new) is not reads
+    assert relabeled.transitions == fresh.transitions
+    assert relabeled.num_states == fresh.num_states
+    assert relabeled.initial == fresh.initial
+    for state in fresh.states():
+        assert list(relabeled.outgoing(state)) == list(fresh.outgoing(state))
+        assert relabeled.state_info(state) == fresh.state_info(state)
+
+
+def test_a_grown_lts_gets_a_fresh_plan():
+    skeleton = _skeleton(
+        [(0, 1, "go", 1.0), (1, 0, "back", 2.0)], set(), set(), 0
+    )
+    lts = skeleton.lts
+    before = elimination_plan(lts)
+    lts.add_transition(0, "stay", 0, lts.transitions[0].rate)
+    assert elimination_plan(lts) is not before
+    assert ctmc_bits(build_ctmc(lts)) == ctmc_bits(build_ctmc_reference(lts))
+
+
+def test_plans_are_not_pickled(mm1k):
+    """A pickled skeleton (as shipped to sweep workers) carries no plan:
+    the receiving process compiles its own once."""
+    skeleton = generate_parametric(mm1k)
+    plan = elimination_plan(skeleton.lts)
+    payload = pickle.dumps(skeleton)
+    assert b"EliminationPlan" not in payload
+    shipped = pickle.loads(payload)
+    assert elimination_plan(shipped.lts) is not plan
+    relabeled = shipped.relabel(mm1k.bind_constants({"service_rate": 3.0}))
+    assert elimination_plan(relabeled) is elimination_plan(shipped.lts)

@@ -6,6 +6,7 @@ from repro.aemilia.rates import ExpRate
 from repro.errors import AnalysisError
 from repro.lts import (
     LTS,
+    Transition,
     TAU,
     build_lts,
     disjoint_union,
@@ -87,6 +88,39 @@ class TestLTSStructure:
         clone.add_state()
         assert lts.num_states == 2
         assert clone.num_states == 3
+
+    def test_replacing_keeps_order_and_shares_the_rest(self):
+        lts = build_lts(2, [(0, "a", 1), (0, "b", 1), (1, "c", 0)])
+        new = Transition(0, "b", 1, ExpRate(2.0))
+        clone = lts.replacing({1: new})
+        assert clone.transitions == [lts.transitions[0], new,
+                                     lts.transitions[2]]
+        assert list(clone.outgoing(0)) == [lts.transitions[0], new]
+        assert clone.outgoing(1) is lts.outgoing(1)
+        assert lts.transitions[1].rate is None
+        with pytest.raises(AnalysisError, match="another state"):
+            lts.replacing({2: new})
+
+    def test_replacing_copies_shared_rows_on_write(self):
+        lts = build_lts(2, [(0, "a", 1), (1, "c", 0)])
+        clone = lts.replacing({})
+        clone.add_transition(1, "d", 1)
+        lts.add_transition(1, "e", 0)
+        assert [t.label for t in clone.outgoing(1)] == ["c", "d"]
+        assert [t.label for t in lts.outgoing(1)] == ["c", "e"]
+
+    def test_structure_key(self):
+        lts = build_lts(2, [(0, "a", 1)])
+        key = lts.structure_key()
+        assert lts.structure_key() is key
+        assert lts.replacing({}).structure_key() is not key
+        kept = lts.replacing({}, keep_structure_key=True)
+        assert kept.structure_key() is key
+        kept.add_transition(1, "b", 0)
+        assert kept.structure_key() is not key
+        assert lts.copy().structure_key() is not key
+        lts.add_state()
+        assert lts.structure_key() is not key
 
     def test_visible_labels_excludes_tau(self):
         lts = build_lts(2, [(0, "a", 1), (1, TAU, 0)])
