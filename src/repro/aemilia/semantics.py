@@ -19,13 +19,18 @@ paper's ADL:
 Global states are tuples of per-instance local states; a local state is a
 behaviour term of the original AST plus an environment for its data
 parameters (terms are never rewritten, so object identity keys the caches).
+The generator classifies each local move once per local state, not once
+per global state: a move table per (instance, local state) holds the
+ready-made global moves, and the synchronisation branches of an attached
+output are memoised per tuple of its partners' local states.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     SemanticsError,
@@ -328,6 +333,30 @@ class _GlobalMove:
     provenance: Optional[RateProvenance] = None
 
 
+class _SyncEntry:
+    """An attached output move of one local state.
+
+    ``branches`` memoises :meth:`StateSpaceGenerator._sync_moves` per
+    combination of the attached partners' local states, the only part of
+    the global state the branches read.
+    """
+
+    __slots__ = ("move", "attachments", "partner_states", "branches")
+
+    def __init__(
+        self,
+        move: LocalMove,
+        attachments: List[Attachment],
+        partners: List[int],
+    ):
+        self.move = move
+        self.attachments = attachments
+        #: Global state -> the partners' local states, the key of
+        #: ``branches`` (a bare local state when there is one partner).
+        self.partner_states = operator.itemgetter(*partners)
+        self.branches: Dict[object, List[_GlobalMove]] = {}
+
+
 class StateSpaceGenerator:
     """Exhaustive generator of the composed state space of an architecture."""
 
@@ -361,25 +390,20 @@ class StateSpaceGenerator:
             self._index_of_instance[instance.name] = position
         # Precompute attachment lookup tables.
         self._attachments_from: Dict[Tuple[int, str], List[Attachment]] = {}
-        self._attached_inputs: Dict[Tuple[int, str], Attachment] = {}
+        self._attached_inputs: Set[Tuple[int, str]] = set()
         for attachment in archi.attachments:
             src = self._index_of_instance[attachment.from_instance]
             dst = self._index_of_instance[attachment.to_instance]
             self._attachments_from.setdefault(
                 (src, attachment.from_interaction), []
             ).append(attachment)
-            self._attached_inputs[(dst, attachment.to_interaction)] = attachment
-
-    # -- classification helpers -------------------------------------------
-
-    def _direction(self, instance_index: int, action: str) -> Optional[Direction]:
-        elem_type = self._instances[instance_index].elem_type
-        if elem_type.has_interaction(action):
-            return elem_type.interaction(action).direction
-        return None
-
-    def _is_attached_input(self, instance_index: int, action: str) -> bool:
-        return (instance_index, action) in self._attached_inputs
+            self._attached_inputs.add((dst, attachment.to_interaction))
+        #: Per instance, the move table of each local state met so far
+        #: (:meth:`_move_table`), and its rendered ``Inst:summary``.
+        self._move_tables: List[Dict[int, list]] = [
+            {} for _ in self._instances
+        ]
+        self._rendered: List[Dict[int, str]] = [{} for _ in self._instances]
 
     # -- move computation --------------------------------------------------
 
@@ -393,47 +417,66 @@ class StateSpaceGenerator:
             move.spec, move.spec_env, move.free_consts, fraction
         )
 
+    def _move_table(self, index: int, local_state: int) -> list:
+        """Classify the local moves of one instance's local state.
+
+        Each autonomous move (internal action, open input, open output)
+        becomes one shared :class:`_GlobalMove`; an attached input fires
+        only through its output partner and gets no entry; an attached
+        output becomes a :class:`_SyncEntry`, whose branches depend on
+        the partners' local states.
+        """
+        semantics = self._instances[index]
+        elem_type = semantics.elem_type
+        table: list = []
+        for move in semantics.moves(local_state):
+            direction = (
+                elem_type.interaction(move.action).direction
+                if elem_type.has_interaction(move.action)
+                else None
+            )
+            if direction is Direction.INPUT:
+                if (index, move.action) in self._attached_inputs:
+                    continue
+            elif direction is Direction.OUTPUT:
+                attachments = self._attachments_from.get((index, move.action))
+                if attachments:
+                    partners = [
+                        self._index_of_instance[attachment.to_instance]
+                        for attachment in attachments
+                    ]
+                    table.append(_SyncEntry(move, attachments, partners))
+                    continue
+            label = local_label(semantics.name, move.action)
+            table.append(
+                _GlobalMove(
+                    label, move.rate, label, 1.0,
+                    ((index, move.target),),
+                    self._move_provenance(move),
+                )
+            )
+        return table
+
     def _global_moves(self, state: Tuple[int, ...]) -> List[_GlobalMove]:
         moves: List[_GlobalMove] = []
-        for index, semantics in enumerate(self._instances):
-            instance_name = semantics.name
-            for move in semantics.moves(state[index]):
-                direction = self._direction(index, move.action)
-                if direction is Direction.INPUT:
-                    if self._is_attached_input(index, move.action):
-                        continue  # fires only through its output partner
-                    # Open input: observable passive action.
-                    moves.append(
-                        _GlobalMove(
-                            label=local_label(instance_name, move.action),
-                            rate=move.rate,
-                            event=local_label(instance_name, move.action),
-                            weight=1.0,
-                            targets=((index, move.target),),
-                            provenance=self._move_provenance(move),
-                        )
-                    )
-                    continue
-                if direction is Direction.OUTPUT:
-                    attachments = self._attachments_from.get(
-                        (index, move.action), []
-                    )
-                    if attachments:
-                        moves.extend(
-                            self._sync_moves(state, index, move, attachments)
-                        )
-                        continue
-                # Internal action or open output: autonomous move.
-                moves.append(
-                    _GlobalMove(
-                        label=local_label(instance_name, move.action),
-                        rate=move.rate,
-                        event=local_label(instance_name, move.action),
-                        weight=1.0,
-                        targets=((index, move.target),),
-                        provenance=self._move_provenance(move),
-                    )
+        for index, tables in enumerate(self._move_tables):
+            local_state = state[index]
+            table = tables.get(local_state)
+            if table is None:
+                table = tables[local_state] = self._move_table(
+                    index, local_state
                 )
+            for entry in table:
+                if entry.__class__ is _GlobalMove:
+                    moves.append(entry)
+                    continue
+                partners = entry.partner_states(state)
+                branches = entry.branches.get(partners)
+                if branches is None:
+                    branches = entry.branches[partners] = self._sync_moves(
+                        state, index, entry.move, entry.attachments
+                    )
+                moves.extend(branches)
         return moves
 
     def _sync_moves(
@@ -614,10 +657,15 @@ class StateSpaceGenerator:
 
     def _describe(self, state: Tuple[int, ...]) -> str:
         parts = []
-        for semantics, local_state in zip(self._instances, state):
-            parts.append(
-                f"{semantics.name}:{semantics.state_summary(local_state)}"
-            )
+        for rendered, semantics, local_state in zip(
+            self._rendered, self._instances, state
+        ):
+            text = rendered.get(local_state)
+            if text is None:
+                text = rendered[local_state] = (
+                    f"{semantics.name}:{semantics.state_summary(local_state)}"
+                )
+            parts.append(text)
         return " | ".join(parts)
 
 

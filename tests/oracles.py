@@ -11,16 +11,29 @@ construction, verbatim: it classifies and eliminates the vanishing
 states on every call.  ``tests/test_ctmc_plan.py`` pins the cached
 :class:`~repro.ctmc.build.EliminationPlan` path of
 :func:`~repro.ctmc.build.build_ctmc` to it with ``==``.
+
+:class:`ReferenceStateSpaceGenerator` is the historical per-global-state
+move classification, verbatim: for every reachable state it re-derives
+each local move's direction and attachments, builds fresh global moves
+and re-renders every instance's description.
+``tests/test_generation_tables.py`` pins the per-local-state move tables
+of :class:`~repro.aemilia.semantics.StateSpaceGenerator` to it with
+``==``.
 """
 
 import numpy as np
 from scipy import sparse
 
+from typing import List, Optional, Tuple
+
+from repro.aemilia.elemtypes import Direction
 from repro.aemilia.rates import ExpRate
+from repro.aemilia.semantics import StateSpaceGenerator, _GlobalMove
 from repro.ctmc.build import _check_timed, _VanishingResolver, classify_states
 from repro.ctmc.chain import CTMC
 from repro.ctmc.solvers import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from repro.errors import MarkovianError, SolverError
+from repro.lts.labels import local_label
 from repro.lts.lts import LTS
 
 
@@ -122,3 +135,71 @@ def gauss_seidel_reference(
     raise SolverError(
         f"Gauss-Seidel did not converge within {max_iterations} iterations"
     )
+
+
+class ReferenceStateSpaceGenerator(StateSpaceGenerator):
+    """The generator with the historical per-state move classification."""
+
+    # -- classification helpers -------------------------------------------
+
+    def _direction(self, instance_index: int, action: str) -> Optional[Direction]:
+        elem_type = self._instances[instance_index].elem_type
+        if elem_type.has_interaction(action):
+            return elem_type.interaction(action).direction
+        return None
+
+    def _is_attached_input(self, instance_index: int, action: str) -> bool:
+        return (instance_index, action) in self._attached_inputs
+
+    # -- move computation --------------------------------------------------
+
+    def _global_moves(self, state: Tuple[int, ...]) -> List[_GlobalMove]:
+        moves: List[_GlobalMove] = []
+        for index, semantics in enumerate(self._instances):
+            instance_name = semantics.name
+            for move in semantics.moves(state[index]):
+                direction = self._direction(index, move.action)
+                if direction is Direction.INPUT:
+                    if self._is_attached_input(index, move.action):
+                        continue  # fires only through its output partner
+                    # Open input: observable passive action.
+                    moves.append(
+                        _GlobalMove(
+                            label=local_label(instance_name, move.action),
+                            rate=move.rate,
+                            event=local_label(instance_name, move.action),
+                            weight=1.0,
+                            targets=((index, move.target),),
+                            provenance=self._move_provenance(move),
+                        )
+                    )
+                    continue
+                if direction is Direction.OUTPUT:
+                    attachments = self._attachments_from.get(
+                        (index, move.action), []
+                    )
+                    if attachments:
+                        moves.extend(
+                            self._sync_moves(state, index, move, attachments)
+                        )
+                        continue
+                # Internal action or open output: autonomous move.
+                moves.append(
+                    _GlobalMove(
+                        label=local_label(instance_name, move.action),
+                        rate=move.rate,
+                        event=local_label(instance_name, move.action),
+                        weight=1.0,
+                        targets=((index, move.target),),
+                        provenance=self._move_provenance(move),
+                    )
+                )
+        return moves
+
+    def _describe(self, state: Tuple[int, ...]) -> str:
+        parts = []
+        for semantics, local_state in zip(self._instances, state):
+            parts.append(
+                f"{semantics.name}:{semantics.state_summary(local_state)}"
+            )
+        return " | ".join(parts)
