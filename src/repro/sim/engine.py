@@ -16,6 +16,11 @@ generally distributed rates.  Semantics:
   transition is selected by weight and fired in zero time.  Unboundedly
   long immediate chains indicate a timeless divergence and abort the run.
 * Deadlock states simply let the remaining horizon elapse.
+* An event due within a relative ``HORIZON_TIE`` of the horizon counts as
+  due *at* the horizon and does not fire in this run.  Float sums of the
+  same delays round differently when a trajectory is split into resumed
+  segments, so without this rule a timer landing exactly on the horizon
+  (a deterministic cycle) fires in one segmentation and not in another.
 
 The enabling-memory rule is what gives deterministic timeouts their correct
 semantics (the DPM's periodic wake-up keeps counting down while the system
@@ -46,6 +51,15 @@ from ..obs import metrics as obs_metrics
 
 #: Abort a run after this many consecutive zero-time firings.
 _MAX_IMMEDIATE_CHAIN = 100_000
+
+#: Relative tolerance below the horizon inside which a due event is
+#: treated as due at the horizon (see the module docstring).
+HORIZON_TIE = 1e-12
+
+
+def horizon_due(end: float) -> float:
+    """Earliest firing time that counts as reaching horizon *end*."""
+    return end - end * HORIZON_TIE
 
 
 @dataclass
@@ -230,6 +244,7 @@ class Simulator:
         state = self.lts.initial if start_state is None else start_state
         now = 0.0
         end = warmup + run_length
+        due = horizon_due(end)
         clocks: Dict[str, float] = dict(start_clocks or {})
         fired = 0
         immediate_chain = 0
@@ -286,16 +301,17 @@ class Simulator:
             # matching the fast engine's lexicographic event order.
             winner = min(clocks, key=lambda name: (clocks[name], name))
             elapsed = clocks[winner]
-            if now + elapsed >= end:
+            if now + elapsed >= due:
                 # Horizon reached before the next firing: let the
                 # remaining clocks run down to the horizon so a resumed
-                # run carries the correct residuals.
+                # run carries the correct residuals (never negative: an
+                # event tied with the horizon fires first thing on resume).
                 remaining = end - now
                 self._accumulate_time(
                     time_weighted, schedule.rewards, now, remaining, warmup
                 )
                 for name in clocks:
-                    clocks[name] -= remaining
+                    clocks[name] = max(clocks[name] - remaining, 0.0)
                 now = end
                 break
             self._accumulate_time(

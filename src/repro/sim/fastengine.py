@@ -41,7 +41,12 @@ from ..errors import SimulationError
 from ..lts.lts import LTS
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from .engine import SimulationResult, Simulator, _MAX_IMMEDIATE_CHAIN
+from .engine import (
+    SimulationResult,
+    Simulator,
+    _MAX_IMMEDIATE_CHAIN,
+    horizon_due,
+)
 from .streams import EventStreamAllocator, normalize_stream_index
 
 __all__ = ["CompiledModel", "FastSimulator"]
@@ -293,6 +298,7 @@ class FastSimulator:
 
         now = np.zeros(n_runs)
         end = warmup + run_length
+        due = horizon_due(end)
         finished = np.zeros(n_runs, bool)
         deadlocked = np.zeros(n_runs, bool)
         fired = np.zeros(n_runs, np.int64)
@@ -416,12 +422,13 @@ class FastSimulator:
             local = np.arange(rows.size)
             elapsed = c[local, winner]
             new_now = now[rows] + elapsed
-            over = new_now >= end
+            over = new_now >= due
             used = np.where(over, end - now[rows], elapsed)
             measured_start = np.maximum(now[rows], warmup)
             measured = np.maximum(now[rows] + used - measured_start, 0.0)
             time_weighted[rows] += state_rewards[st] * measured[:, None]
             c -= used[:, None]
+            np.maximum(c, 0.0, out=c)
             firing = ~over
             c[local[firing], winner[firing]] = np.inf
             clocks[rows] = c

@@ -146,6 +146,43 @@ class TestClockCarry:
         assert fast_tail.final_state == ref_tail.final_state
         assert fast_tail.final_clocks == ref_tail.final_clocks
 
+    def test_timer_due_exactly_at_the_horizon(self):
+        """A deterministic 0.2/0.2/0.5 cycle fires ``a`` exactly at the
+        split point 20 and ``e1`` exactly at the horizon 40.  Whole and
+        split runs round those sums differently; both must still agree
+        on what fired."""
+        lts = LTS(0)
+        for _ in range(3):
+            lts.add_state()
+        for source, (label, delay) in enumerate(
+            [("a", 0.2), ("e1", 0.2), ("e2", 0.5)]
+        ):
+            lts.add_transition(
+                source,
+                label,
+                (source + 1) % 3,
+                GeneralRate(Deterministic(delay)),
+                label,
+            )
+        fast = FastSimulator(lts, MEASURES)
+        [full] = fast.run_many(40.0, allocator=EventStreamAllocator(0, [0]))
+        alloc = EventStreamAllocator(0, [0])
+        [head] = fast.run_many(20.0, allocator=alloc)
+        [tail] = fast.run_many(
+            20.0,
+            allocator=alloc,
+            start_states=[head.final_state],
+            start_clocks=[head.final_clocks],
+        )
+        assert head.events_fired + tail.events_fired == full.events_fired
+        assert tail.final_state == full.final_state
+        reference = Simulator(lts, MEASURES)
+        ref_full = reference.run(
+            40.0, None, streams=EventStreamAllocator(0, [0]).run_view(0)
+        )
+        assert ref_full.events_fired == full.events_fired
+        assert ref_full.final_clocks == full.final_clocks
+
 
 def _timer_race(hop_rate: float, timeout: float) -> LTS:
     """Two states; a det ``tick`` enabled in both races an exp ``hop``."""
