@@ -174,7 +174,6 @@ class Tracer:
         span_id: Optional[str] = None,
         trace_id: Optional[str] = None,
         worker: Optional[int] = None,
-        events: Optional[List[Dict[str, Any]]] = None,
         **attrs: Any,
     ) -> str:
         """Manufacture an already-finished span (the executor primitive).
@@ -190,7 +189,6 @@ class Tracer:
             end=end,
             status=status,
             attributes=dict(attrs),
-            events=list(events) if events else [],
             worker=worker if worker is not None else os.getpid(),
         )
         self.emit(span.to_record())

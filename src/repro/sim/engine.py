@@ -22,6 +22,12 @@ generally distributed rates.  Semantics:
   segments, so without this rule a timer landing exactly on the horizon
   (a deterministic cycle) fires in one segmentation and not in another.
 
+Each state is compiled once, on its first visit, into a table: per event
+its distribution, branch targets, prefix-summed branch weights and each
+branch label's nonzero impulses, plus the state's nonzero reward rates.
+:meth:`Simulator.run` is one loop over those tables (docs/SIMULATION.md),
+and the fast engine lays the same tables out as dense arrays.
+
 The enabling-memory rule is what gives deterministic timeouts their correct
 semantics (the DPM's periodic wake-up keeps counting down while the system
 moves); for exponential models it coincides with resampling (memorylessness)
@@ -31,7 +37,9 @@ distribution.  The ablation benchmark compares against restart semantics.
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +56,7 @@ from ..errors import SimulationError
 from ..lts.lts import LTS, Transition
 from ..distributions import Distribution, Exponential
 from ..obs import metrics as obs_metrics
+from ..obs import tracing
 
 #: Abort a run after this many consecutive zero-time firings.
 _MAX_IMMEDIATE_CHAIN = 100_000
@@ -62,25 +71,77 @@ def horizon_due(end: float) -> float:
     return end - end * HORIZON_TIE
 
 
-@dataclass
-class _Event:
-    """A schedulable activity of one state: distribution + branches."""
+def check_horizon(run_length: float, warmup: float) -> None:
+    """Reject a run horizon the event loop cannot reach or measure.
 
-    name: str
-    distribution: Distribution
-    branches: List[Transition]
-    total_weight: float
+    A NaN or infinite ``run_length`` or ``warmup`` would otherwise make
+    the loop run forever or return NaN/zero measures silently.
+    """
+    if not math.isfinite(run_length):
+        raise SimulationError(f"run_length must be finite, got {run_length}")
+    if run_length <= 0:
+        raise SimulationError(f"run_length must be positive, got {run_length}")
+    if not math.isfinite(warmup):
+        raise SimulationError(f"warmup must be finite, got {warmup}")
+    if warmup < 0:
+        raise SimulationError(f"warmup must be >= 0, got {warmup}")
 
 
-@dataclass
-class _StateSchedule:
-    """Compiled per-state view: either vanishing or a set of timed events."""
+#: Nonzero ``(measure index, value)`` pairs of a per-measure tuple.
+_Pairs = Tuple[Tuple[int, float], ...]
 
-    immediate: Optional[List[Transition]]
-    immediate_total_weight: float
-    events: Dict[str, _Event]
-    #: Per-measure reward rate earned while sojourning in the state.
-    rewards: Tuple[float, ...]
+
+def _nonzero(values: Tuple[float, ...]) -> _Pairs:
+    """The nonzero ``(index, value)`` pairs of *values*, in order."""
+    return tuple((j, value) for j, value in enumerate(values) if value)
+
+
+class _Choice:
+    """One weighted choice, compiled: the branches of a timed event
+    (with its ``distribution``) or the immediate transitions of a
+    vanishing state.
+
+    ``cum`` holds the prefix sums of the branch weights, accumulated
+    left to right exactly as a linear scan would, so ``bisect_left(cum,
+    pick)`` finds the branch the scan ``pick <= acc`` stops at (the
+    weights are positive, so ``cum`` is increasing).  ``impulses[k]``
+    lists the nonzero ``(measure, impulse)`` pairs of branch *k*'s
+    label; ``label_ids`` index :attr:`Simulator.labels`.
+    """
+
+    __slots__ = (
+        "distribution", "count", "total", "cum", "targets", "label_ids",
+        "impulses",
+    )
+
+    def __init__(
+        self, distribution, count, total, cum, targets, label_ids, impulses
+    ):
+        self.distribution: Optional[Distribution] = distribution
+        self.count: int = count
+        self.total: float = total
+        self.cum: Tuple[float, ...] = cum
+        self.targets: Tuple[int, ...] = targets
+        self.label_ids: Tuple[int, ...] = label_ids
+        self.impulses: Tuple[_Pairs, ...] = impulses
+
+
+class _StateTable:
+    """One state, compiled: vanishing (``immediate`` set) or a set of
+    timed events by name (``names`` is their key view).
+
+    ``rewards`` is the state's per-measure reward rate, ``rates`` its
+    nonzero ``(measure, rate)`` pairs.
+    """
+
+    __slots__ = ("immediate", "events", "names", "rewards", "rates")
+
+    def __init__(self, immediate, events, rewards):
+        self.immediate: Optional[_Choice] = immediate
+        self.events: Dict[str, _Choice] = events
+        self.names = events.keys()
+        self.rewards: Tuple[float, ...] = rewards
+        self.rates: _Pairs = _nonzero(rewards)
 
 
 @dataclass
@@ -119,14 +180,59 @@ class Simulator:
         self.clock_semantics = clock_semantics
         #: Shared by every run (and by the fast engine's compiled model).
         self.rewards = RewardTable(self.measures)
-        self._schedules: Dict[int, _StateSchedule] = {}
+        #: Every label a compiled branch fires, indexed by its label id.
+        self.labels: List[str] = []
+        #: ``label -> (label id, nonzero (measure, impulse) pairs)``.
+        self._label_entries: Dict[str, Tuple[int, _Pairs]] = {}
+        self._tables: Dict[int, _StateTable] = {}
 
-    # -- schedule compilation ---------------------------------------------
+    # -- table compilation ---------------------------------------------------
 
-    def _compile(self, state: int) -> _StateSchedule:
-        schedule = self._schedules.get(state)
-        if schedule is not None:
-            return schedule
+    def _label_entry(self, label: str) -> Tuple[int, _Pairs]:
+        """*label*'s id and nonzero ``(measure, impulse)`` pairs."""
+        entry = self._label_entries.get(label)
+        if entry is None:
+            entry = self._label_entries[label] = (
+                len(self.labels),
+                _nonzero(self.rewards.impulses(label)),
+            )
+            self.labels.append(label)
+        return entry
+
+    def _choice(
+        self,
+        distribution: Optional[Distribution],
+        transitions: List[Transition],
+        weights: List[float],
+        total: float,
+    ) -> _Choice:
+        cum: List[float] = []
+        targets: List[int] = []
+        label_ids: List[int] = []
+        impulses: List[_Pairs] = []
+        acc = 0.0
+        for transition, weight in zip(transitions, weights):
+            acc += weight
+            cum.append(acc)
+            targets.append(transition.target)
+            label_id, pairs = self._label_entry(transition.label)
+            label_ids.append(label_id)
+            impulses.append(pairs)
+        return _Choice(
+            distribution,
+            len(cum),
+            total,
+            tuple(cum),
+            tuple(targets),
+            tuple(label_ids),
+            tuple(impulses),
+        )
+
+    def _compile(self, state: int) -> _StateTable:
+        """The table of *state*, compiled on its first visit."""
+        table = self._tables.get(state)
+        if table is not None:
+            return table
         transitions = self.lts.outgoing(state)
         rewards = self.rewards.state_rewards(
             frozenset(t.label for t in transitions)
@@ -140,11 +246,15 @@ class Simulator:
                     f"state {self.lts.state_info(state)} mixes immediate "
                     f"and timed transitions"
                 )
-            total = sum(t.rate.weight for t in immediate)
-            schedule = _StateSchedule(immediate, total, {}, rewards)
-            self._schedules[state] = schedule
-            return schedule
-        events: Dict[str, _Event] = {}
+            choice = self._choice(
+                None,
+                immediate,
+                [t.rate.weight for t in immediate],
+                sum(t.rate.weight for t in immediate),
+            )
+            table = self._tables[state] = _StateTable(choice, {}, rewards)
+            return table
+        grouped: Dict[str, Tuple[Distribution, List[Transition]]] = {}
         for transition in transitions:
             rate = transition.rate
             if isinstance(rate, PassiveRate):
@@ -170,38 +280,40 @@ class Simulator:
                 # original activity (memorylessness), so each branch can
                 # be its own event; clock persistence is immaterial for
                 # exponentials.
-                event_name = f"{event_name}::exp{len(events)}"
-            event = events.get(event_name)
+                event_name = f"{event_name}::exp{len(grouped)}"
+            event = grouped.get(event_name)
             if event is None:
-                events[event_name] = _Event(
-                    event_name, distribution, [transition], transition.weight
-                )
+                grouped[event_name] = (distribution, [transition])
             else:
-                if event.distribution != distribution:
+                if event[0] != distribution:
                     raise SimulationError(
                         f"event {event_name!r} in state "
                         f"{self.lts.state_info(state)} has branches with "
-                        f"different distributions ({event.distribution} vs "
+                        f"different distributions ({event[0]} vs "
                         f"{distribution})"
                     )
-                event.branches.append(transition)
-                event.total_weight += transition.weight
+                event[1].append(transition)
         # Self-loops that no TRANS_REWARD clause counts never change the
         # state: skip scheduling them entirely (pure speed-up).
         # STATE_REWARD clauses look at *enabled* labels, which needs no
         # firing.
-        events = {
-            name: event
-            for name, event in events.items()
-            if not all(
+        events = {}
+        for name, (distribution, branches) in grouped.items():
+            if all(
                 branch.source == branch.target
                 and not self.rewards.observes(branch.label)
-                for branch in event.branches
+                for branch in branches
+            ):
+                continue
+            weights = [branch.weight for branch in branches]
+            total = weights[0]
+            for weight in weights[1:]:
+                total += weight
+            events[name] = self._choice(
+                distribution, branches, weights, total
             )
-        }
-        schedule = _StateSchedule(None, 0.0, events, rewards)
-        self._schedules[state] = schedule
-        return schedule
+        table = self._tables[state] = _StateTable(None, events, rewards)
+        return table
 
     # -- running -------------------------------------------------------------
 
@@ -231,11 +343,12 @@ class Simulator:
         vectorized kernel (docs/SIMULATION.md).  With ``streams`` set the
         trajectory is bit-identical to the fast engine's for the same
         allocator parameters, and ``rng`` may be ``None``.
+
+        One loop over the compiled per-state tables: sojourn crediting,
+        weighted branch choice and impulse collection are inlined, in
+        the float operation order the fast engine replays.
         """
-        if run_length <= 0:
-            raise SimulationError(f"run_length must be positive, got {run_length}")
-        if warmup < 0:
-            raise SimulationError(f"warmup must be >= 0, got {warmup}")
+        check_horizon(run_length, warmup)
         if rng is None and streams is None:
             raise SimulationError("run() needs an rng or a streams sampler")
         started = time.perf_counter()
@@ -249,9 +362,21 @@ class Simulator:
         fired = 0
         immediate_chain = 0
         deadlocked = False
+        restart = self.clock_semantics == "restart"
+        tables = self._tables
+        compile_state = self._compile
+        if streams is not None:
+            duration = streams.duration
+            branch_uniform = streams.branch
+        else:
+            uniform = rng.uniform
         while now < end:
-            schedule = self._compile(state)
-            if schedule.immediate is not None:
+            try:
+                table = tables[state]
+            except KeyError:
+                table = compile_state(state)
+            choice = table.immediate
+            if choice is not None:
                 immediate_chain += 1
                 if immediate_chain > _MAX_IMMEDIATE_CHAIN:
                     raise SimulationError(
@@ -259,77 +384,79 @@ class Simulator:
                         f"immediate firings: timeless divergence near "
                         f"{self.lts.state_info(state)}"
                     )
-                transition = self._choose_weighted(
-                    schedule.immediate,
-                    schedule.immediate_total_weight,
-                    rng,
-                    streams,
-                )
-                if now >= warmup:
-                    self._collect_impulses(impulses, transition.label)
-                if observer is not None:
-                    observer(now, transition.label, transition.target)
-                state = transition.target
-                fired += 1
-                continue
-            immediate_chain = 0
-            events = schedule.events
-            if not events:
-                deadlocked = True
-                elapsed = end - now
-                self._accumulate_time(
-                    time_weighted, schedule.rewards, now, elapsed, warmup
-                )
-                now = end
-                break
-            if self.clock_semantics == "restart":
-                clocks = {}
-            # Keep clocks of still-enabled events, sample the new ones.
-            clocks = {
-                name: remaining
-                for name, remaining in clocks.items()
-                if name in events
-            }
-            for name, event in events.items():
-                if name not in clocks:
-                    clocks[name] = (
-                        streams.duration(name, event.distribution)
-                        if streams is not None
-                        else event.distribution.sample(rng)
+            else:
+                immediate_chain = 0
+                events = table.events
+                if not events:
+                    deadlocked = True
+                    _credit(time_weighted, table.rates, now, end - now, warmup)
+                    now = end
+                    break
+                if restart:
+                    clocks = {}
+                elif not clocks.keys() <= table.names:
+                    # Keep clocks of still-enabled events only.
+                    clocks = {
+                        name: remaining
+                        for name, remaining in clocks.items()
+                        if name in events
+                    }
+                if len(clocks) != len(events):
+                    for name, event in events.items():
+                        if name not in clocks:
+                            clocks[name] = (
+                                duration(name, event.distribution)
+                                if streams is not None
+                                else event.distribution.sample(rng)
+                            )
+                # Exact clock ties (deterministic timers) break by event
+                # name, matching the fast engine's lexicographic order.
+                elapsed, winner = min(zip(clocks.values(), clocks))
+                if now + elapsed >= due:
+                    # Horizon reached before the next firing: let the
+                    # remaining clocks run down to the horizon so a
+                    # resumed run carries the correct residuals (never
+                    # negative: an event tied with the horizon fires
+                    # first thing on resume).
+                    remaining = end - now
+                    _credit(time_weighted, table.rates, now, remaining, warmup)
+                    for name in clocks:
+                        clocks[name] = max(clocks[name] - remaining, 0.0)
+                    now = end
+                    break
+                # _credit, inlined (``not x <= 0`` keeps its NaN handling).
+                if not elapsed <= 0:
+                    measured = now + elapsed - (
+                        warmup if warmup > now else now
                     )
-            # Exact clock ties (deterministic timers) break by event name,
-            # matching the fast engine's lexicographic event order.
-            winner = min(clocks, key=lambda name: (clocks[name], name))
-            elapsed = clocks[winner]
-            if now + elapsed >= due:
-                # Horizon reached before the next firing: let the
-                # remaining clocks run down to the horizon so a resumed
-                # run carries the correct residuals (never negative: an
-                # event tied with the horizon fires first thing on resume).
-                remaining = end - now
-                self._accumulate_time(
-                    time_weighted, schedule.rewards, now, remaining, warmup
+                    if not measured <= 0:
+                        for j, rate in table.rates:
+                            time_weighted[j] += rate * measured
+                now += elapsed
+                clocks = {
+                    name: remaining - elapsed
+                    for name, remaining in clocks.items()
+                    if name != winner
+                }
+                choice = events[winner]
+            if choice.count == 1:
+                k = 0
+            else:
+                pick = (
+                    branch_uniform() * choice.total
+                    if streams is not None
+                    else uniform(0.0, choice.total)
                 )
-                for name in clocks:
-                    clocks[name] = max(clocks[name] - remaining, 0.0)
-                now = end
-                break
-            self._accumulate_time(
-                time_weighted, schedule.rewards, now, elapsed, warmup
-            )
-            now += elapsed
-            for name in clocks:
-                clocks[name] -= elapsed
-            del clocks[winner]
-            event = events[winner]
-            transition = self._choose_weighted(
-                event.branches, event.total_weight, rng, streams
-            )
-            if now >= warmup:
-                self._collect_impulses(impulses, transition.label)
+                k = bisect_left(choice.cum, pick)
+                if k == choice.count:
+                    k -= 1
+            collected = choice.impulses[k]
+            if collected and now >= warmup:
+                for j, reward in collected:
+                    impulses[j] += reward
+            state = choice.targets[k]
             if observer is not None:
-                observer(now, transition.label, transition.target)
-            state = transition.target
+                observer(now, self.labels[choice.label_ids[k]], state)
             fired += 1
         values = {
             measure.name: (time_weighted[j] + impulses[j]) / run_length
@@ -349,12 +476,16 @@ class Simulator:
         start_clocks: Optional[Dict[str, float]],
         elapsed: float,
     ) -> None:
-        """Always-on aggregate metrics for one completed run.
+        """Always-on aggregate metrics (and a trace span) for one
+        completed run.
 
         A handful of counter bumps after the trajectory is done — the
         event loop itself is untouched, and the RNG stream never sees
         the instrumentation (docs/OBSERVABILITY.md).
         """
+        tracing.record_span(
+            "engine:run", elapsed, events=fired, deadlocked=deadlocked
+        )
         registry = obs_metrics.get_registry()
         if not registry.enabled:
             return
@@ -370,56 +501,23 @@ class Simulator:
         if elapsed > 0.0:
             obs_metrics.SIM_EVENT_RATE.on(registry).set(fired / elapsed)
 
-    def _collect_impulses(self, impulses: List[float], label: str) -> None:
-        """Credit the impulses of one firing of a *label* transition."""
-        for j, reward in enumerate(self.rewards.impulses(label)):
-            if reward:
-                impulses[j] += reward
 
-    @staticmethod
-    def _accumulate_time(
-        time_weighted: List[float],
-        rewards: Tuple[float, ...],
-        now: float,
-        elapsed: float,
-        warmup: float,
-    ) -> None:
-        """Credit sojourn time at reward rates *rewards*, clipping the
-        warm-up."""
-        if elapsed <= 0:
-            return
-        measured_start = max(now, warmup)
-        measured_elapsed = now + elapsed - measured_start
-        if measured_elapsed <= 0:
-            return
-        for j, reward in enumerate(rewards):
-            if reward:
-                time_weighted[j] += reward * measured_elapsed
-
-    @staticmethod
-    def _choose_weighted(
-        transitions: List[Transition],
-        total_weight: float,
-        rng: Optional[np.random.Generator],
-        streams=None,
-    ) -> Transition:
-        if len(transitions) == 1:
-            return transitions[0]
-        if streams is not None:
-            pick = streams.branch() * total_weight
-        else:
-            pick = rng.uniform(0.0, total_weight)
-        acc = 0.0
-        for transition in transitions:
-            weight = (
-                transition.rate.weight
-                if isinstance(transition.rate, ImmediateRate)
-                else transition.weight
-            )
-            acc += weight
-            if pick <= acc:
-                return transition
-        return transitions[-1]
+def _credit(
+    time_weighted: List[float],
+    rates: Tuple[Tuple[int, float], ...],
+    now: float,
+    elapsed: float,
+    warmup: float,
+) -> None:
+    """Credit a sojourn of *elapsed* from *now* at the nonzero reward
+    *rates*, clipping the warm-up."""
+    if elapsed <= 0:
+        return
+    measured_elapsed = now + elapsed - max(now, warmup)
+    if measured_elapsed <= 0:
+        return
+    for j, rate in rates:
+        time_weighted[j] += rate * measured_elapsed
 
 
 def simulate(

@@ -8,10 +8,11 @@ once, so the per-event cost amortises the interpreter overhead that
 dominates the reference loop.  Design (docs/SIMULATION.md):
 
 * **Compilation.**  :class:`CompiledModel` reuses the reference engine's
-  per-state schedules verbatim (same event naming, self-loop skipping
-  and vanishing-state rules), then flattens them into dense tables —
-  event types in *lexicographic name order*, per-state enabled masks,
-  padded cumulative branch weights, per-state reward rows.
+  per-state tables verbatim (same event naming, self-loop skipping,
+  vanishing-state rules, prefix-summed branch weights and label ids),
+  then lays them out as dense arrays — event types in *lexicographic
+  name order*, per-state enabled masks, padded cumulative branch
+  weights, per-state reward rows.
 * **Bit-exactness by construction.**  Both engines draw durations and
   branch uniforms from the same :class:`~repro.sim.streams
   .EventStreamAllocator` substreams, in the same per-stream order, and
@@ -45,6 +46,7 @@ from .engine import (
     SimulationResult,
     Simulator,
     _MAX_IMMEDIATE_CHAIN,
+    check_horizon,
     horizon_due,
 )
 from .streams import EventStreamAllocator, normalize_stream_index
@@ -60,7 +62,7 @@ Observer = Callable[[int, float, str, int], None]
 
 
 class CompiledModel:
-    """Dense-array form of one model's schedules, shared across batches."""
+    """Dense arrays of one model's per-state tables, shared across batches."""
 
     def __init__(
         self,
@@ -71,16 +73,14 @@ class CompiledModel:
         self.lts = lts
         self.measures = list(measures)
         self.clock_semantics = clock_semantics
-        #: The reference engine whose compiled schedules define the
-        #: semantics; also handy as the oracle in differential tests.
+        #: The reference engine whose compiled per-state tables define
+        #: the semantics (and fill the dense arrays below).
         self.reference = Simulator(lts, measures, clock_semantics)
         states = list(lts.states())
         n_states = len(states)
-        schedules = [self.reference._compile(s) for s in states]
+        tables = [self.reference._compile(s) for s in states]
 
-        names = sorted(
-            {name for sched in schedules for name in sched.events}
-        )
+        names = sorted({name for table in tables for name in table.events})
         self.event_names: List[str] = names
         self.event_ids: Dict[str, int] = {
             name: e for e, name in enumerate(names)
@@ -89,26 +89,19 @@ class CompiledModel:
         self.n_states = n_states
         self.n_events = n_events
 
-        # Reward rows come from the reference engine's reward table:
-        # ``state_rewards[s, j]`` is measure j's rate in state s, and
-        # ``label_rewards[label_ids[label], j]`` its impulse per firing.
-        # Batched adds of the zero entries contribute ``+0.0``, which
-        # IEEE addition leaves invisible, so the sums stay the reference
-        # engine's (it skips zero rewards) bit for bit.
         n_measures = len(self.measures)
         self.state_rewards = np.array(
-            [sched.rewards for sched in schedules], float
+            [table.rewards for table in tables], float
         ).reshape(n_states, n_measures)
-        label_ids: Dict[str, int] = {}
 
         max_kt = 1
         max_ki = 1
-        for sched in schedules:
-            if sched.immediate is not None:
-                max_ki = max(max_ki, len(sched.immediate))
+        for table in tables:
+            if table.immediate is not None:
+                max_ki = max(max_ki, table.immediate.count)
             else:
-                for event in sched.events.values():
-                    max_kt = max(max_kt, len(event.branches))
+                for choice in table.events.values():
+                    max_kt = max(max_kt, choice.count)
 
         self.kind = np.full(n_states, _KIND_TIMED, np.int8)
         self.enabled = np.zeros((n_states, n_events), bool)
@@ -130,44 +123,43 @@ class CompiledModel:
         self.im_count = np.zeros(n_states, np.int64)
         self.im_total = np.zeros(n_states)
 
-        for state, sched in zip(states, schedules):
-            if sched.immediate is not None:
+        for state, table in zip(states, tables):
+            choice = table.immediate
+            if choice is not None:
                 self.kind[state] = _KIND_IMMEDIATE
-                self.im_count[state] = len(sched.immediate)
-                self.im_total[state] = sched.immediate_total_weight
-                acc = 0.0
-                for k, transition in enumerate(sched.immediate):
-                    acc += transition.rate.weight
-                    self.im_cum[state, k] = acc
-                    self.im_target[state, k] = transition.target
-                    self.im_label[state, k] = label_ids.setdefault(
-                        transition.label, len(label_ids)
-                    )
+                count = choice.count
+                self.im_count[state] = count
+                self.im_total[state] = choice.total
+                self.im_cum[state, :count] = choice.cum
+                self.im_target[state, :count] = choice.targets
+                self.im_label[state, :count] = choice.label_ids
                 continue
-            if not sched.events:
+            if not table.events:
                 self.kind[state] = _KIND_DEADLOCK
                 continue
-            for name, event in sched.events.items():
+            for name, choice in table.events.items():
                 e = self.event_ids[name]
                 self.enabled[state, e] = True
-                did = dist_ids.get(event.distribution)
+                did = dist_ids.get(choice.distribution)
                 if did is None:
                     did = len(self.dists)
-                    dist_ids[event.distribution] = did
-                    self.dists.append(event.distribution)
+                    dist_ids[choice.distribution] = did
+                    self.dists.append(choice.distribution)
                 self.dist_ids[state, e] = did
-                self.br_count[state, e] = len(event.branches)
-                self.br_total[state, e] = event.total_weight
-                acc = 0.0
-                for k, transition in enumerate(event.branches):
-                    acc += transition.weight
-                    self.br_cum[state, e, k] = acc
-                    self.br_target[state, e, k] = transition.target
-                    self.br_label[state, e, k] = label_ids.setdefault(
-                        transition.label, len(label_ids)
-                    )
+                count = choice.count
+                self.br_count[state, e] = count
+                self.br_total[state, e] = choice.total
+                self.br_cum[state, e, :count] = choice.cum
+                self.br_target[state, e, :count] = choice.targets
+                self.br_label[state, e, :count] = choice.label_ids
 
-        self.labels: List[str] = list(label_ids)
+        # Reward rows come from the reference engine's reward table:
+        # ``state_rewards[s, j]`` is measure j's rate in state s, and
+        # ``label_rewards[label_id, j]`` its impulse per firing.
+        # Batched adds of the zero entries contribute ``+0.0``, which
+        # IEEE addition leaves invisible, so the sums stay the reference
+        # engine's (it skips zero rewards) bit for bit.
+        self.labels: List[str] = self.reference.labels
         self.label_rewards = np.zeros((max(1, len(self.labels)), n_measures))
         for row, label in enumerate(self.labels):
             self.label_rewards[row] = self.reference.rewards.impulses(label)
@@ -239,12 +231,7 @@ class FastSimulator:
         called as ``(run_row, time, label, target_state)`` at every
         firing, in a deterministic order (runs ascending within a step).
         """
-        if run_length <= 0:
-            raise SimulationError(
-                f"run_length must be positive, got {run_length}"
-            )
-        if warmup < 0:
-            raise SimulationError(f"warmup must be >= 0, got {warmup}")
+        check_horizon(run_length, warmup)
         if run_indices is None:
             if runs is None:
                 if allocator is not None:

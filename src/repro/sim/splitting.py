@@ -75,7 +75,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..runtime.executor import ParallelExecutor, RetryPolicy
 from ..runtime.faults import FaultInjector
-from .engine import Simulator
+from .engine import Simulator, check_horizon
 from .fastengine import FastSimulator
 from .output import (
     Estimate,
@@ -609,10 +609,7 @@ def split_replicate(
         raise SimulationError(f"need splits >= 1, got {splits}")
     if segments < 1:
         raise SimulationError(f"need segments >= 1, got {segments}")
-    if run_length <= 0:
-        raise SimulationError(
-            f"run_length must be positive, got {run_length}"
-        )
+    check_horizon(run_length, warmup)
     resolved_engine = resolve_engine(engine)
     if isinstance(importance, ImportanceFunction):
         if len(importance.table) != lts.num_states:
