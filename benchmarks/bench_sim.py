@@ -1,14 +1,8 @@
-"""Simulation kernel benchmarks: vectorized throughput and CRN payoff.
+"""Common-random-numbers payoff of the paired replication protocol.
 
-Measures the two numbers the fast engine exists for and writes
+Measures the number the paired (CRN) layer exists for and writes
 ``BENCH_sim.json`` next to the repo root:
 
-* **throughput** — events/second of the vectorized kernel
-  (:class:`~repro.sim.fastengine.FastSimulator`, one batch of
-  replications) against the pure-Python reference engine on the fig. 3
-  general-phase workload (the rpc det+normal model).  The speedup is a
-  same-run ratio, so machine speed cancels out; the acceptance gate is
-  >= 5x at the committed batch size.
 * **crn** — paired-delta confidence-interval width under common random
   numbers vs independent pairing, DPM-on (``shutdown_timeout=15``, a
   genuine fig. 3 sweep point where the trajectories stay aligned) vs
@@ -23,53 +17,32 @@ is gated by ``bench_regression.py``.  See docs/SIMULATION.md.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 from gates import RECHECK, Gate, failures
 from repro.aemilia.semantics import generate_lts
 from repro.casestudies import rpc
-from repro.sim import (
-    FastSimulator,
-    Simulator,
-    replicate_paired,
-    spawn_generators,
-)
+from repro.sim import replicate_paired
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 SEED = 20040628
-RUN_LENGTH = 2_000.0
 WARMUP = 100.0
-
-#: Replications per engine for the throughput measurement.  The kernel
-#: amortises per-step overhead across the batch, so its batch size is
-#: the one the acceptance gate is stated at; the reference engine's
-#: rate is per-run and batch-size independent, so fewer runs suffice.
-FAST_RUNS = 256
-REFERENCE_RUNS = 24
 
 #: CRN comparison point: shutdown_timeout=15.0 (fig. 3 sweep point).
 CRN_TIMEOUT = 15.0
 CRN_RUNS = 16
 CRN_RUN_LENGTH = 1_500.0
 
-#: The reduced re-measure of ``bench_regression.py``: the smaller batch
-#: amortises less, and 10 paired runs estimate interval widths noisily,
-#: so its gates sit far below the committed ones while still catching
-#: an engine that lost its edge.
+#: The reduced re-measure of ``bench_regression.py``: 10 paired runs
+#: estimate interval widths noisily, so its gate sits below the
+#: committed one while still catching a layer that lost its edge.
 RECHECK_RUN_LENGTH = 1_000.0
-RECHECK_FAST_RUNS = 64
-RECHECK_REFERENCE_RUNS = 6
 RECHECK_CRN_RUNS = 10
 
-#: The vectorized kernel's reason to exist: >= 5x the reference
-#: engine's event throughput on the fig3 general-phase workload.  The
-#: CRN layer's: >= 2x narrower paired-delta intervals than independent
-#: pairing at equal event budget.
+#: The CRN layer's reason to exist: >= 2x narrower paired-delta
+#: intervals than independent pairing at equal event budget.
 GATES = [
-    Gate("throughput.speedup", ">=", 5.0),
-    Gate("throughput.speedup", ">=", 1.5, RECHECK),
     Gate("crn.min_narrowing", ">=", 2.0),
     Gate("crn.min_narrowing", ">=", 1.5, RECHECK),
 ]
@@ -82,59 +55,6 @@ def _fig3_model(shutdown_timeout=None):
         else {"shutdown_timeout": shutdown_timeout}
     )
     return generate_lts(rpc.family().general_dpm, overrides, 200_000)
-
-
-def _reference_rate(lts, measures, runs, run_length):
-    simulator = Simulator(lts, measures)
-    generators = spawn_generators(SEED, runs)
-    events = 0
-    started = time.perf_counter()
-    for rng in generators:
-        events += simulator.run(run_length, rng, warmup=WARMUP).events_fired
-    elapsed = time.perf_counter() - started
-    return events, elapsed, events / max(elapsed, 1e-9)
-
-
-def _fast_rate(lts, measures, runs, run_length):
-    simulator = FastSimulator(lts, measures)
-    started = time.perf_counter()
-    results = simulator.run_many(
-        run_length, seed=SEED, runs=runs, warmup=WARMUP
-    )
-    elapsed = time.perf_counter() - started
-    events = sum(result.events_fired for result in results)
-    return events, elapsed, events / max(elapsed, 1e-9)
-
-
-def _throughput_case(
-    run_length=RUN_LENGTH, fast_runs=FAST_RUNS, reference_runs=REFERENCE_RUNS
-):
-    family = rpc.family()
-    lts = _fig3_model()
-    ref_events, ref_seconds, ref_rate = _reference_rate(
-        lts, family.measures, reference_runs, run_length
-    )
-    fast_events, fast_seconds, fast_rate = _fast_rate(
-        lts, family.measures, fast_runs, run_length
-    )
-    return {
-        "model": "rpc general_dpm (fig3 workload)",
-        "run_length": run_length,
-        "warmup": WARMUP,
-        "reference": {
-            "runs": reference_runs,
-            "events": ref_events,
-            "seconds": round(ref_seconds, 4),
-            "events_per_second": round(ref_rate),
-        },
-        "fast": {
-            "runs": fast_runs,
-            "events": fast_events,
-            "seconds": round(fast_seconds, 4),
-            "events_per_second": round(fast_rate),
-        },
-        "speedup": fast_rate / ref_rate,
-    }
 
 
 def _crn_case(runs=CRN_RUNS, run_length=CRN_RUN_LENGTH):
@@ -181,22 +101,16 @@ def _crn_case(runs=CRN_RUNS, run_length=CRN_RUN_LENGTH):
 
 
 def collect() -> dict:
-    report = {"throughput": _throughput_case(), "crn": _crn_case()}
-    # The report records both ratios to two decimals; the re-measure
-    # gates the unrounded ones.
-    report["throughput"]["speedup"] = round(report["throughput"]["speedup"], 2)
+    report = {"crn": _crn_case()}
+    # The report records the ratio to two decimals; the re-measure gates
+    # the unrounded one.
     report["crn"]["min_narrowing"] = round(report["crn"]["min_narrowing"], 2)
     return report
 
 
 def recheck() -> dict:
     """Reduced-budget re-measure for ``bench_regression.py``."""
-    return {
-        "throughput": _throughput_case(
-            RECHECK_RUN_LENGTH, RECHECK_FAST_RUNS, RECHECK_REFERENCE_RUNS
-        ),
-        "crn": _crn_case(RECHECK_CRN_RUNS, RECHECK_RUN_LENGTH),
-    }
+    return {"crn": _crn_case(RECHECK_CRN_RUNS, RECHECK_RUN_LENGTH)}
 
 
 def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
@@ -209,16 +123,9 @@ def test_sim_benchmarks(benchmark):
     write_report(report)
     failed = failures(GATES, report)
     assert not failed, "\n".join(failed)
-    throughput = report["throughput"]
     crn = report["crn"]
     print(
-        f"\n  throughput: fast "
-        f"{throughput['fast']['events_per_second']:,} ev/s vs reference "
-        f"{throughput['reference']['events_per_second']:,} ev/s "
-        f"({throughput['speedup']}x)"
-    )
-    print(
-        f"  crn: delta intervals {crn['min_narrowing']}x narrower "
+        f"\n  crn: delta intervals {crn['min_narrowing']}x narrower "
         f"(worst measure) under common random numbers"
     )
     print(f"  report written to {OUTPUT_PATH}")

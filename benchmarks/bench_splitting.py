@@ -42,7 +42,7 @@ from repro.aemilia.rates import GeneralRate
 from repro.ctmc import measure, trans_clause
 from repro.distributions import Exponential
 from repro.lts import LTS
-from repro.sim import replicate, split_replicate, summarize_rare
+from repro.sim import split_replicate, summarize_rare
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_splitting.json"
 
@@ -139,8 +139,7 @@ def _splitting_report(
     started = time.perf_counter()
     result = split_replicate(
         lts, [abort], run_length, levels=depth, splits=splits,
-        segments=segments, runs=runs, seed=SEED, engine="fast",
-        workers=workers,
+        segments=segments, runs=runs, seed=SEED, workers=workers,
     )
     split_seconds = time.perf_counter() - started
     samples = np.asarray(result.samples["abort_rate"], float)
@@ -159,10 +158,12 @@ def _splitting_report(
 
     # Empirical naive run at the same total event budget, to anchor
     # the floor: at rare depths it observes zero abort events and the
-    # only honest statement left is the Wilson upper bound.
+    # only honest statement left is the Wilson upper bound.  One split
+    # per level is naive replication on the per-event-type streams.
     naive_horizon = (events_per_tree * runs) / event_rate / runs
-    naive = replicate(
-        lts, [abort], naive_horizon, runs=runs, seed=SEED, engine="fast"
+    naive = split_replicate(
+        lts, [abort], naive_horizon, levels=depth, splits=1, runs=runs,
+        seed=SEED, workers=workers,
     )
     naive_samples = naive.samples["abort_rate"]
     observed = sum(

@@ -46,12 +46,7 @@ from ..runtime import (
     StructuralStateSpaceCache,
 )
 from ..distributions import Distribution
-from ..sim.output import (
-    ReplicationResult,
-    replicate,
-    replicate_paired,
-    resolve_engine,
-)
+from ..sim.output import ReplicationResult, replicate, replicate_paired
 from ..sim.splitting import SplittingResult, split_replicate
 from ..workload.hooks import apply_workload, workload_fingerprint
 from .noninterference import NoninterferenceResult, check_noninterference
@@ -287,7 +282,6 @@ class IncrementalMethodology(SweepDriver):
         faults: Optional[FaultInjector] = None,
         solver: Optional[str] = None,
         workload: Optional[Distribution] = None,
-        engine: Optional[str] = None,
     ):
         super().__init__(workers, retry, faults, solver)
         self.family = family
@@ -297,19 +291,12 @@ class IncrementalMethodology(SweepDriver):
         #: the family's workload hook (docs/WORKLOADS.md); the Markovian
         #: and functional phases never see it.
         self.workload = workload
-        #: Default simulation engine for every general-phase run
-        #: (``reference`` or ``fast``, docs/SIMULATION.md).
-        self.engine = resolve_engine(engine)
         self._resolve_workload(workload)  # hook presence check
         self._lts_cache: Dict[Tuple, LTS] = {}
 
     @property
     def case(self) -> str:
         return self.family.name
-
-    def _engine(self, engine: Optional[str]) -> str:
-        """Per-call engine request wins over the methodology default."""
-        return resolve_engine(engine) if engine else self.engine
 
     def runtime_stats(self) -> Dict[str, object]:
         """The driver's stats plus the state-space cache counters."""
@@ -381,7 +368,6 @@ class IncrementalMethodology(SweepDriver):
         runs: int,
         warmup: float,
         seed: int,
-        engine: Optional[str],
     ) -> Dict[str, object]:
         """Layer-call settings shared by every general-phase sweep point."""
         return {
@@ -389,7 +375,6 @@ class IncrementalMethodology(SweepDriver):
             "runs": runs,
             "warmup": warmup,
             "seed": seed,
-            "engine": self._engine(engine),
         }
 
     def _sweep_spec(
@@ -630,7 +615,6 @@ class IncrementalMethodology(SweepDriver):
         variant: str = "dpm",
         relative_tolerance: float = 0.10,
         workers: Optional[int] = None,
-        engine: Optional[str] = None,
     ) -> ValidationReport:
         """Cross-validate the general model per Sect. 5.1."""
         lts = self.build_lts("general", variant, const_overrides)
@@ -645,7 +629,6 @@ class IncrementalMethodology(SweepDriver):
             workers=self._executor(workers).workers,
             retry=self.retry,
             faults=self.faults,
-            engine=self._engine(engine),
         )
 
     @_phase_span("simulate:general")
@@ -660,14 +643,12 @@ class IncrementalMethodology(SweepDriver):
         confidence: float = 0.90,
         workers: Optional[int] = None,
         workload: Optional[Distribution] = None,
-        engine: Optional[str] = None,
     ) -> ReplicationResult:
         """Estimate the measures on the general model by simulation.
 
         *workload* (default: the methodology's configured workload, if
         any) replaces the duration at the family's workload hook before
-        simulating (docs/WORKLOADS.md).  *engine* (default: the
-        methodology's engine) picks the simulation kernel.
+        simulating (docs/WORKLOADS.md).
         """
         lts = self._apply_workload(
             self.build_lts("general", variant, const_overrides),
@@ -684,7 +665,6 @@ class IncrementalMethodology(SweepDriver):
             workers=self._executor(workers).workers,
             retry=self.retry,
             faults=self.faults,
-            engine=self._engine(engine),
         )
 
     @_phase_span("sweep:general")
@@ -701,7 +681,6 @@ class IncrementalMethodology(SweepDriver):
         workers: Optional[int] = None,
         checkpoint: Optional[str] = None,
         workload: Optional[Distribution] = None,
-        engine: Optional[str] = None,
     ) -> Dict[str, List[float]]:
         """Simulation sweep; returns mean series keyed by measure name.
 
@@ -713,15 +692,12 @@ class IncrementalMethodology(SweepDriver):
         (default: the methodology's configured workload) replaces the
         family's workload-hook duration at every point; its fingerprint
         is part of the checkpoint identity, so a journal written under
-        one workload refuses to resume under another.  *engine*
-        (default: the methodology's engine) selects the simulation
-        kernel; it is part of the checkpoint identity because the two
-        engines follow different RNG disciplines (docs/SIMULATION.md).
+        one workload refuses to resume under another.
         """
         names = self.family.measure_names()
         spec = self._sweep_spec(
             "general", "simulate", _replicate_means,
-            self._simulation(run_length, runs, warmup, seed, engine),
+            self._simulation(run_length, runs, warmup, seed),
             [self._variant_archi("general", variant)], parameter, values,
             const_overrides, lambda results: _columns(results, names),
             workloads=(self._resolve_workload(workload),),
@@ -742,7 +718,6 @@ class IncrementalMethodology(SweepDriver):
         workers: Optional[int] = None,
         checkpoint: Optional[str] = None,
         workload: Optional[Distribution] = None,
-        engine: Optional[str] = None,
         crn: bool = True,
     ) -> Dict[str, Dict[str, List[float]]]:
         """Paired DPM vs NO-DPM sweep with common random numbers.
@@ -762,7 +737,7 @@ class IncrementalMethodology(SweepDriver):
         spec = self._sweep_spec(
             "general-paired", "simulate", _paired_means,
             {
-                **self._simulation(run_length, runs, warmup, seed, engine),
+                **self._simulation(run_length, runs, warmup, seed),
                 "crn": crn,
             },
             [
@@ -794,7 +769,6 @@ class IncrementalMethodology(SweepDriver):
         confidence: float = 0.90,
         workers: Optional[int] = None,
         workload: Optional[Distribution] = None,
-        engine: Optional[str] = None,
     ) -> SplittingResult:
         """Estimate the measures by rare-event importance splitting.
 
@@ -825,7 +799,6 @@ class IncrementalMethodology(SweepDriver):
             workers=self._executor(workers).workers,
             retry=self.retry,
             faults=self.faults,
-            engine=self._engine(engine),
         )
 
     @_phase_span("sweep:rare")
@@ -846,7 +819,6 @@ class IncrementalMethodology(SweepDriver):
         workers: Optional[int] = None,
         checkpoint: Optional[str] = None,
         workload: Optional[Distribution] = None,
-        engine: Optional[str] = None,
     ) -> Dict[str, List[float]]:
         """Rare-event splitting sweep over the general model.
 
@@ -866,7 +838,7 @@ class IncrementalMethodology(SweepDriver):
         spec = self._sweep_spec(
             "rare", "simulate", _splitting_estimates,
             {
-                **self._simulation(run_length, runs, warmup, seed, engine),
+                **self._simulation(run_length, runs, warmup, seed),
                 "levels": levels,
                 "splits": splits,
                 "segments": segments,
@@ -907,10 +879,9 @@ class IncrementalMethodology(SweepDriver):
         workload hook (``None`` = the specification's own duration).
         Every (class, point) pair is one executor task, so all classes
         progress in parallel; the result maps each class name to the
-        same per-measure series :meth:`sweep_general` returns, simulated
-        on the methodology's engine.  The checkpoint fingerprint covers
-        every class's workload fingerprint and the engine, so one journal
-        resumes the whole grid.
+        same per-measure series :meth:`sweep_general` returns.  The
+        checkpoint fingerprint covers every class's workload fingerprint,
+        so one journal resumes the whole grid.
         """
         if not workloads:
             raise AnalysisError("sweep_workloads needs at least one class")
@@ -922,7 +893,7 @@ class IncrementalMethodology(SweepDriver):
         count = len(values)
         spec = self._sweep_spec(
             "workloads", "simulate", _replicate_means,
-            self._simulation(run_length, runs, warmup, seed, None),
+            self._simulation(run_length, runs, warmup, seed),
             [self._variant_archi("general", variant)], parameter, values,
             const_overrides,
             lambda results: {

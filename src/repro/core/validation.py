@@ -138,16 +138,13 @@ def cross_validate(
     workers: int = 1,
     retry=None,
     faults=None,
-    engine=None,
 ) -> ValidationReport:
     """Validate the simulator against the analytic solution (Sect. 5.1).
 
     Each measure is judged by :func:`judge_measures`.  *retry*/*faults*
     are forwarded to the replication engine (docs/RELIABILITY.md); they
     cannot change the verdict, only survive worker failures while
-    reaching it.  *engine* selects the simulation kernel
-    (``reference``/``fast``, docs/SIMULATION.md) — the verdict criteria
-    are identical either way.
+    reaching it.
     """
     plugin = exponential_plugin(general_lts)
     ctmc = build_ctmc(plugin)
@@ -163,7 +160,6 @@ def cross_validate(
         workers=workers,
         retry=retry,
         faults=faults,
-        engine=engine,
     )
     return ValidationReport(
         judge_measures(ctmc, pi, measures, replication, relative_tolerance)

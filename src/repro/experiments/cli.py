@@ -26,11 +26,12 @@ Observability tooling (docs/OBSERVABILITY.md)::
     repro-experiments runs list                     # the run ledger
     repro-experiments runs diff last~1 last         # phase/metric deltas
 
-Simulation engine tooling (docs/SIMULATION.md)::
+Simulation tooling (docs/SIMULATION.md)::
 
-    repro-experiments fig3 --engine fast --workers 4
     repro-experiments run-sweep --case rpc --phase general --paired \
-        --parameter shutdown_timeout --values 0.5,5,15 --engine fast
+        --parameter shutdown_timeout --values 0.5,5,15
+    repro-experiments run-sweep --case rpc --phase general --rare \
+        --parameter shutdown_timeout --values 4,8 --levels 2 --splits 2
 
 Workload tooling (docs/WORKLOADS.md)::
 
@@ -184,17 +185,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["reference", "fast"],
-        help=(
-            "simulation engine for the general phase: the pure-Python "
-            "'reference' engine (default) or the vectorized 'fast' "
-            "kernel — bit-identical under shared streams, and part of "
-            "checkpoint fingerprints (docs/SIMULATION.md)"
-        ),
-    )
-    parser.add_argument(
         "-v", "--verbose",
         action="count",
         default=0,
@@ -237,7 +227,6 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
         metrics_out=args.metrics_out,
         verbose=args.verbose,
         workload=workload,
-        engine=getattr(args, "engine", None),
         trace_out=getattr(args, "trace_out", None),
         ledger=ledger,
         span_tracer=span_tracer,
@@ -300,7 +289,6 @@ def _finish_observability(
         "command": command,
         "workers": options.workers,
         "solver": options.solver,
-        "engine": options.engine,
         "workload": (
             repr(options.workload) if options.workload is not None else None
         ),

@@ -43,10 +43,6 @@ class RunOptions:
     #: :class:`~repro.distributions.Distribution`, often a
     #: :class:`~repro.workload.replay.TraceReplay`.
     workload: Optional[object] = None
-    #: Simulation engine for the general phase (``--engine``): the
-    #: pure-Python ``reference`` engine or the vectorized ``fast``
-    #: kernel (docs/SIMULATION.md).  ``None`` means ``reference``.
-    engine: Optional[str] = None
     #: Path for the hierarchical span trace (``--trace-out``); the run
     #: streams span records there as JSONL and writes Perfetto / OTLP
     #: views next to it when it finishes (docs/OBSERVABILITY.md).
@@ -84,7 +80,6 @@ class RunOptions:
         return {
             **self.driver_kwargs(),
             "workload": self.workload,
-            "engine": self.engine,
         }
 
 

@@ -3,7 +3,7 @@
 Every ``repro-experiments`` invocation that computes something appends
 one JSONL entry describing *what ran and what came out*: the command
 line, the resolved configuration (case, phase, parameter, workers,
-solver backends, engine, workload), fingerprints (checkpoint journal,
+solver backends, workload), fingerprints (checkpoint journal,
 resumed-from trace), wall/cpu totals, per-phase timings, a condensed
 scalar-metric snapshot, and the trace file path when tracing was on.
 ``repro-experiments runs list|show|diff`` reads it back — ``diff``
@@ -121,7 +121,7 @@ def diff_entries(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """
     config_keys = (
         "command", "case", "phase", "parameter", "workers",
-        "solver", "engine", "workload", "checkpoint", "trace",
+        "solver", "workload", "checkpoint", "trace",
     )
     config = {}
     for key in config_keys:

@@ -586,30 +586,6 @@ SIM_BATCH_LAG1 = MetricSpec(
     "Lag-1 autocorrelation of the latest batch-means run, by measure.",
     ("measure",),
 )
-FASTSIM_RUNS = MetricSpec(
-    "repro_fastsim_runs_total", "counter",
-    "Trajectories completed by the vectorized GSMP kernel.",
-)
-FASTSIM_EVENTS = MetricSpec(
-    "repro_fastsim_events_total", "counter",
-    "Events fired by the vectorized GSMP kernel (immediate + timed).",
-)
-FASTSIM_STEPS = MetricSpec(
-    "repro_fastsim_steps_total", "counter",
-    "Vectorized kernel sweep iterations (one timed step across all runs).",
-)
-FASTSIM_REFILLS = MetricSpec(
-    "repro_fastsim_stream_refills_total", "counter",
-    "Event-stream buffer rows refilled by the stream allocator.",
-)
-FASTSIM_BATCH_SECONDS = MetricSpec(
-    "repro_fastsim_batch_seconds", "histogram",
-    "Wall-clock seconds per vectorized run_many batch.", (), TIME_BUCKETS,
-)
-FASTSIM_EVENT_RATE = MetricSpec(
-    "repro_fastsim_event_rate", "gauge",
-    "Events per wall-clock second of the most recent run_many batch.",
-)
 RUNTIME_SPANS = MetricSpec(
     "repro_runtime_spans_total", "counter",
     "Executor attempts and checkpoint-answered points, by phase and status.",
@@ -755,12 +731,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
     SIM_EVENT_RATE,
     SIM_BATCHES,
     SIM_BATCH_LAG1,
-    FASTSIM_RUNS,
-    FASTSIM_EVENTS,
-    FASTSIM_STEPS,
-    FASTSIM_REFILLS,
-    FASTSIM_BATCH_SECONDS,
-    FASTSIM_EVENT_RATE,
     RUNTIME_SPANS,
     RUNTIME_SPAN_SECONDS,
     RUNTIME_WORKER_TASKS,

@@ -19,13 +19,12 @@ Journal format (one JSON object per line)::
 The ``fingerprint`` is the content hash of the sweep's
 :class:`~repro.core.sweep.SweepSpec` (:meth:`SweepSpec.fingerprint`):
 its identity fields (parameter, values, overrides, layer-call settings
-such as the solver method, simulation engine, CRN mode or splitting
-geometry, workload fingerprints), the printed content of every model the
-points use, the measure definitions and the pipeline version — everything
-that determines the results, and nothing that doesn't, so a journal
-written with ``--workers 4`` resumes fine under ``--workers 1`` but
-refuses to resume after an edited model or measure, or under a different
-``--engine``.
+such as the solver method, CRN mode or splitting geometry, workload
+fingerprints), the printed content of every model the points use, the
+measure definitions and the pipeline version — everything that
+determines the results, and nothing that doesn't, so a journal written
+with ``--workers 4`` resumes fine under ``--workers 1`` but refuses to
+resume after an edited model or measure.
 Opening a journal whose fingerprint does not match raises
 :class:`~repro.errors.CheckpointError` instead of silently mixing two
 different sweeps.  A torn final line (the crash happened mid-write) is

@@ -25,8 +25,7 @@ generally distributed rates.  Semantics:
 Each state is compiled once, on its first visit, into a table: per event
 its distribution, branch targets, prefix-summed branch weights and each
 branch label's nonzero impulses, plus the state's nonzero reward rates.
-:meth:`Simulator.run` is one loop over those tables (docs/SIMULATION.md),
-and the fast engine lays the same tables out as dense arrays.
+:meth:`Simulator.run` is one loop over those tables (docs/SIMULATION.md).
 
 The enabling-memory rule is what gives deterministic timeouts their correct
 semantics (the DPM's periodic wake-up keeps counting down while the system
@@ -178,7 +177,7 @@ class Simulator:
         self.lts = lts
         self.measures = list(measures)
         self.clock_semantics = clock_semantics
-        #: Shared by every run (and by the fast engine's compiled model).
+        #: Shared by every run.
         self.rewards = RewardTable(self.measures)
         #: Every label a compiled branch fires, indexed by its label id.
         self.labels: List[str] = []
@@ -339,16 +338,21 @@ class Simulator:
 
         ``streams`` (a :class:`repro.sim.streams.RunStreams`) switches
         randomness from the single shared ``rng`` to per-event-type
-        substreams — the common-random-numbers discipline shared with the
-        vectorized kernel (docs/SIMULATION.md).  With ``streams`` set the
-        trajectory is bit-identical to the fast engine's for the same
-        allocator parameters, and ``rng`` may be ``None``.
+        substreams — the common-random-numbers discipline of the paired
+        replications and the splitting trees (docs/SIMULATION.md); with
+        ``streams`` set, ``rng`` may be ``None``.
 
         One loop over the compiled per-state tables: sojourn crediting,
-        weighted branch choice and impulse collection are inlined, in
-        the float operation order the fast engine replays.
+        weighted branch choice and impulse collection are inlined.
         """
         check_horizon(run_length, warmup)
+        if start_state is not None and not (
+            0 <= start_state < self.lts.num_states
+        ):
+            raise SimulationError(
+                f"start_state {start_state} is not a state of the model "
+                f"(states 0..{self.lts.num_states - 1})"
+            )
         if rng is None and streams is None:
             raise SimulationError("run() needs an rng or a streams sampler")
         started = time.perf_counter()
@@ -410,7 +414,7 @@ class Simulator:
                                 else event.distribution.sample(rng)
                             )
                 # Exact clock ties (deterministic timers) break by event
-                # name, matching the fast engine's lexicographic order.
+                # name, lexicographically.
                 elapsed, winner = min(zip(clocks.values(), clocks))
                 if now + elapsed >= due:
                     # Horizon reached before the next firing: let the

@@ -5,20 +5,19 @@ report 90% confidence intervals (Fig. 5).  :func:`replicate` reproduces
 that protocol: independent seeded streams, optional warm-up deletion,
 Student-t intervals per measure.
 
-Two engines run the replications (docs/SIMULATION.md):
+The replication protocol picks the random streams (docs/SIMULATION.md);
+every protocol runs the one GSMP engine, :class:`~repro.sim.engine.Simulator`:
 
-* ``engine="reference"`` — the pure-Python event loop with its
-  historical per-run streams (the seed discipline every committed
-  result was produced under);
-* ``engine="fast"`` — the vectorized kernel on per-event-type streams.
-  Same model semantics, different (equally valid) random streams, so
-  estimates agree statistically, not bitwise, with the reference.
-
-:func:`replicate_paired` evaluates two model variants (the paper's
-DPM-on vs DPM-off comparisons) with **common random numbers**: shared
-per-event-type streams make the two trajectories positively correlated,
-so the per-run *differences* — what Sect. 5's tables actually report —
-have far smaller variance than independent runs would give.
+* :func:`replicate` and :func:`replicate_until` give each run its own
+  generator derived from ``(seed, run index)`` — the seed discipline
+  every committed independent-replication result was produced under;
+* :func:`replicate_paired` evaluates two model variants (the paper's
+  DPM-on vs DPM-off comparisons) on per-event-type streams
+  (:class:`~repro.sim.streams.EventStreamAllocator`).  With **common
+  random numbers** both variants draw identical streams, so the two
+  trajectories are positively correlated and the per-run
+  *differences* — what Sect. 5's tables actually report — have far
+  smaller variance than independent runs would give.
 """
 
 from __future__ import annotations
@@ -37,23 +36,19 @@ from ..runtime.executor import ParallelExecutor, RetryPolicy
 from ..runtime.faults import FaultInjector
 from .engine import Simulator
 from .estimators import log_scale_interval, wilson_interval
-from .fastengine import FastSimulator
 from .random import generator_for_run, spawn_generators
 from .streams import EventStreamAllocator, independent_allocator
 
-#: Engines selectable wherever replications are run.
-ENGINES = ("reference", "fast")
-
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name (``None`` means the reference engine)."""
-    resolved = engine or "reference"
-    if resolved not in ENGINES:
+    """Validate an engine name: ``None`` and ``"reference"`` both name
+    :class:`~repro.sim.engine.Simulator`, the only engine."""
+    if engine not in (None, "reference"):
         raise SimulationError(
-            f"unknown simulation engine {engine!r} (use one of "
-            f"{', '.join(ENGINES)})"
+            f"unknown simulation engine {engine!r} (the only engine is "
+            f"'reference')"
         )
-    return resolved
+    return "reference"
 
 
 @dataclass(frozen=True)
@@ -259,18 +254,15 @@ def _seed_worker_sim(shared: Any, simulator: Simulator) -> None:
     _WORKER_SIM = (shared, simulator)
 
 
-# Per-process compiled-model reuse for the vectorized engine: one
-# CompiledModel (or pair, for CRN runs) per shared payload.
-_WORKER_FAST: Optional[Tuple[Any, Any]] = None
+# Per-process simulator pair reuse for paired replications.
+_WORKER_PAIR: Optional[Tuple[Any, Tuple[Simulator, Simulator]]] = None
 
 
 def _run_chunks(runs: int, workers: int) -> List[Tuple[int, ...]]:
     """Contiguous run-index chunks, one per worker (last may be short).
 
-    The vectorized kernel amortises per-step overhead across its batch,
-    so runs are split into a few large chunks rather than scattered —
-    and because every stream is a pure function of ``(seed, run index,
-    event type)``, the chunking never changes any run's numbers.
+    Every stream is a pure function of ``(seed, run index, event
+    type)``, so the chunking never changes any run's numbers.
     """
     if workers <= 1 or runs <= 1:
         return [tuple(range(runs))]
@@ -279,30 +271,6 @@ def _run_chunks(runs: int, workers: int) -> List[Tuple[int, ...]]:
         tuple(range(lo, min(lo + size, runs)))
         for lo in range(0, runs, size)
     ]
-
-
-def _fast_batch(shared: Any, chunk: Tuple[int, ...]) -> List[Dict[str, float]]:
-    """Run one chunk of replications on the vectorized engine.
-
-    Stream identity depends only on ``(seed, run index, event type)``,
-    so any split of the run indices into chunks — serial, or one chunk
-    per worker — produces bit-identical per-run results.
-    """
-    global _WORKER_FAST
-    lts, measures, clock_semantics, run_length, warmup, seed = shared
-    if _WORKER_FAST is None or _WORKER_FAST[0] is not shared:
-        _WORKER_FAST = (
-            shared,
-            FastSimulator(lts, measures, clock_semantics),
-        )
-    simulator = _WORKER_FAST[1]
-    results = simulator.run_many(
-        run_length,
-        seed=seed,
-        warmup=warmup,
-        run_indices=list(chunk),
-    )
-    return [result.measures for result in results]
 
 
 def _paired_batch(
@@ -315,61 +283,36 @@ def _paired_batch(
     by run; otherwise the second variant gets decorrelated streams (the
     independent baseline the benchmarks compare against).
     """
-    global _WORKER_FAST
+    global _WORKER_PAIR
     (
         lts_first, lts_second, measures, clock_semantics,
-        run_length, warmup, seed, crn, engine,
+        run_length, warmup, seed, crn,
     ) = shared
-    if _WORKER_FAST is None or _WORKER_FAST[0] is not shared:
-        if engine == "fast":
-            sims = (
-                FastSimulator(lts_first, measures, clock_semantics),
-                FastSimulator(lts_second, measures, clock_semantics),
-            )
-        else:
-            sims = (
+    if _WORKER_PAIR is None or _WORKER_PAIR[0] is not shared:
+        _WORKER_PAIR = (
+            shared,
+            (
                 Simulator(lts_first, measures, clock_semantics),
                 Simulator(lts_second, measures, clock_semantics),
-            )
-        _WORKER_FAST = (shared, sims)
-    sim_first, sim_second = _WORKER_FAST[1]
-    indices = list(chunk)
-    alloc_first = EventStreamAllocator(seed, indices)
+            ),
+        )
+    sim_first, sim_second = _WORKER_PAIR[1]
+    alloc_first = EventStreamAllocator(seed, chunk)
     alloc_second = (
-        EventStreamAllocator(seed, indices)
+        EventStreamAllocator(seed, chunk)
         if crn
-        else independent_allocator(seed, indices)
+        else independent_allocator(seed, chunk)
     )
-    if engine == "fast":
-        first = sim_first.run_many(
-            run_length,
-            warmup=warmup,
-            run_indices=indices,
-            allocator=alloc_first,
-        )
-        second = sim_second.run_many(
-            run_length,
-            warmup=warmup,
-            run_indices=indices,
-            allocator=alloc_second,
-        )
-    else:
-        first = [
-            sim_first.run(
-                run_length, None, warmup,
-                streams=alloc_first.run_view(row),
-            )
-            for row in range(len(indices))
-        ]
-        second = [
-            sim_second.run(
-                run_length, None, warmup,
-                streams=alloc_second.run_view(row),
-            )
-            for row in range(len(indices))
-        ]
     return [
-        (a.measures, b.measures) for a, b in zip(first, second)
+        (
+            sim_first.run(
+                run_length, None, warmup, streams=alloc_first.run_view(row)
+            ).measures,
+            sim_second.run(
+                run_length, None, warmup, streams=alloc_second.run_view(row)
+            ).measures,
+        )
+        for row in range(len(chunk))
     ]
 
 
@@ -560,14 +503,12 @@ def replicate(
     on the same stream index (same value), so faults and retries cannot
     change the estimates.
 
-    ``engine="fast"`` runs the replications on the vectorized kernel
-    with per-event-type streams — statistically equivalent to, but on a
-    different stream discipline than, the reference engine (so not
-    bitwise comparable across engines; each engine is bit-reproducible
-    against itself for any worker count).
+    *engine* accepts only ``None`` or ``"reference"``
+    (:func:`resolve_engine`).
     """
     if runs < 2:
         raise SimulationError("need at least two runs for an interval")
+    resolve_engine(engine)
     samples: Dict[str, List[float]] = {m.name: [] for m in measures}
     executor = ParallelExecutor(workers)
     resilience = {}
@@ -576,24 +517,6 @@ def replicate(
             "retry": retry, "faults": faults,
             "phase": "replicate",
         }
-    if resolve_engine(engine) == "fast":
-        shared = (lts, measures, clock_semantics, run_length, warmup, seed)
-        chunks = _run_chunks(runs, executor.workers)
-        for batch in executor.map(
-            _fast_batch,
-            chunks,
-            shared=shared,
-            chunksize=1,
-            **resilience,
-        ):
-            for measured in batch:
-                for name, value in measured.items():
-                    samples[name].append(value)
-        estimates = {
-            name: summarize(values, confidence)
-            for name, values in samples.items()
-        }
-        return ReplicationResult(estimates, samples)
     if executor.is_serial and not resilience:
         simulator = Simulator(lts, measures, clock_semantics)
         for rng in spawn_generators(seed, runs):
@@ -673,7 +596,6 @@ def replicate_paired(
     confidence: float = 0.90,
     clock_semantics: str = "enabling_memory",
     workers: int = 1,
-    engine: Optional[str] = "fast",
     crn: bool = True,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
@@ -695,7 +617,6 @@ def replicate_paired(
     """
     if runs < 2:
         raise SimulationError("need at least two runs for an interval")
-    resolved_engine = resolve_engine(engine)
     executor = ParallelExecutor(workers)
     resilience = {}
     if retry is not None or faults is not None:
@@ -705,7 +626,7 @@ def replicate_paired(
         }
     shared = (
         lts_first, lts_second, measures, clock_semantics,
-        run_length, warmup, seed, crn, resolved_engine,
+        run_length, warmup, seed, crn,
     )
     names = [m.name for m in measures]
     first_samples: Dict[str, List[float]] = {name: [] for name in names}

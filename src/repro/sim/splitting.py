@@ -5,7 +5,8 @@ DPM settings: a frame-loss or timeout probability around 1e-6 means a
 naive replication protocol observes the event a handful of times per
 million simulated time units — the estimate is noise at any engine
 speed (docs/SIMULATION.md).  This module layers RESTART-style
-multilevel splitting over both engines:
+multilevel splitting over :class:`~repro.sim.engine.Simulator`, run on
+per-event-type streams:
 
 * An **importance function** maps every state to an integer level
   ``0..levels``; by default it is derived from the rare measure's
@@ -45,9 +46,9 @@ resume.
 
 Degenerate configuration: with ``splits=1`` no clone and no merge can
 ever happen, so the layer collapses to a *single* engine call per
-replication on the per-event-type stream discipline — bit-identical to
-``replicate(engine="fast")`` from either engine (the differential test
-pins this).
+replication on that replication's ``(seed, run index)`` streams — naive
+replication on the per-event-type stream discipline
+(``tests/test_sim_pins.py`` pins this).
 """
 
 from __future__ import annotations
@@ -76,14 +77,7 @@ from ..obs import tracing
 from ..runtime.executor import ParallelExecutor, RetryPolicy
 from ..runtime.faults import FaultInjector
 from .engine import Simulator, check_horizon
-from .fastengine import FastSimulator
-from .output import (
-    Estimate,
-    RareEstimate,
-    resolve_engine,
-    summarize,
-    summarize_rare,
-)
+from .output import Estimate, RareEstimate, summarize, summarize_rare
 from .random import splitting_event_generator
 from .streams import EventStreamAllocator
 
@@ -272,8 +266,7 @@ class _Trajectory:
 
     ``row`` is the trajectory's row in the tree's shared
     :class:`EventStreamAllocator` — the per-row cursors give every
-    trajectory continuous substreams across segments, while the batched
-    kernel advances all of them in one ``run_many`` call per segment.
+    trajectory continuous substreams across segments.
     """
 
     __slots__ = ("ident", "weight", "state", "clocks", "row")
@@ -345,8 +338,8 @@ def _resample(
     clone's future is independent of everything else in the tree —
     statistically identical to a per-clone stream, but without paying
     a generator construction and a block refill for every short-lived
-    clone.  Compaction keeps live slots exactly ``0..n-1`` so the
-    batched kernel never simulates a merged-away trajectory.
+    clone.  Compaction keeps live slots exactly ``0..n-1``, so the
+    allocator never holds more rows than the live population.
 
     All ordering is by weight then trajectory id, so the resample — and
     therefore the whole tree — is deterministic.
@@ -420,7 +413,7 @@ def _resample(
 
 # Per-process simulator reuse across the trees of one batch (the same
 # memo discipline as repro.sim.output's replication workers).
-_WORKER_SPLIT: Optional[Tuple[Any, Any]] = None
+_WORKER_SPLIT: Optional[Tuple[Any, Simulator]] = None
 
 
 def _tree_task(shared: Any, run_index: int) -> Dict[str, Any]:
@@ -445,38 +438,25 @@ def _grow_tree(shared: Any, run_index: int) -> Dict[str, Any]:
     global _WORKER_SPLIT
     (
         lts, measures, clock_semantics, run_length, warmup, seed,
-        engine, levels, splits, segments, table, memoryless,
+        levels, splits, segments, table, memoryless,
     ) = shared
     if _WORKER_SPLIT is None or _WORKER_SPLIT[0] is not shared:
-        simulator = (
-            FastSimulator(lts, measures, clock_semantics)
-            if engine == "fast"
-            else Simulator(lts, measures, clock_semantics)
+        _WORKER_SPLIT = (
+            shared, Simulator(lts, measures, clock_semantics)
         )
-        _WORKER_SPLIT = (shared, simulator)
     simulator = _WORKER_SPLIT[1]
     names = [m.name for m in measures]
 
     if splits <= 1:
         # Degenerate configuration: no clone or merge can ever happen,
         # so skip the segment machinery entirely — one engine call,
-        # bit-identical to naive replication on the fast-engine stream
-        # discipline (the differential test pins this).
-        if engine == "fast":
-            [result] = simulator.run_many(
-                run_length,
-                seed=seed,
-                warmup=warmup,
-                run_indices=[run_index],
-            )
-        else:
-            allocator = EventStreamAllocator(seed, [run_index])
-            result = simulator.run(
-                run_length,
-                None,
-                warmup,
-                streams=allocator.run_view(0),
-            )
+        # naive replication on this run's streams.
+        result = simulator.run(
+            run_length,
+            None,
+            warmup,
+            streams=EventStreamAllocator(seed, [run_index]).run_view(0),
+        )
         top = table[result.final_state]
         occupancy = [
             1.0 if level <= top else 0.0 for level in range(levels + 1)
@@ -503,35 +483,20 @@ def _grow_tree(shared: Any, run_index: int) -> Dict[str, Any]:
     peak = 1
     for segment in range(segments):
         segment_warmup = warmup if segment == 0 else 0.0
-        # run_many indexes its batch by allocator row, so feed the
-        # trajectories in row order (rows and live trajectories are
-        # one-to-one — _resample compacts after every boundary).
+        # Rows and live trajectories are one-to-one (_resample compacts
+        # after every boundary); row order fixes the accumulation order.
         ordered = sorted(trajectories, key=lambda t: t.row)
-        if engine == "fast":
-            restart = {}
-            if segment > 0:
-                restart = {
-                    "start_states": [t.state for t in ordered],
-                    "start_clocks": [t.clocks for t in ordered],
-                }
-            results = simulator.run_many(
+        results = [
+            simulator.run(
                 segment_length,
-                warmup=segment_warmup,
-                allocator=allocator,
-                **restart,
+                None,
+                segment_warmup,
+                start_state=t.state,
+                start_clocks=t.clocks,
+                streams=allocator.run_view(t.row),
             )
-        else:
-            results = [
-                simulator.run(
-                    segment_length,
-                    None,
-                    segment_warmup,
-                    start_state=t.state,
-                    start_clocks=t.clocks,
-                    streams=allocator.run_view(t.row),
-                )
-                for t in ordered
-            ]
+            for t in ordered
+        ]
         for trajectory, result in zip(ordered, results):
             trajectory.state = result.final_state
             trajectory.clocks = result.final_clocks
@@ -582,7 +547,6 @@ def split_replicate(
     seed: int = 20040628,
     confidence: float = 0.90,
     clock_semantics: str = "enabling_memory",
-    engine: Optional[str] = "fast",
     workers: int = 1,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
@@ -610,7 +574,6 @@ def split_replicate(
     if segments < 1:
         raise SimulationError(f"need segments >= 1, got {segments}")
     check_horizon(run_length, warmup)
-    resolved_engine = resolve_engine(engine)
     if isinstance(importance, ImportanceFunction):
         if len(importance.table) != lts.num_states:
             raise SimulationError(
@@ -647,7 +610,7 @@ def split_replicate(
         }
     shared = (
         lts, tuple(measures), clock_semantics, run_length, warmup,
-        seed, resolved_engine, levels, splits, segments,
+        seed, levels, splits, segments,
         resolved.table, _memoryless_events(lts),
     )
     names = [m.name for m in measures]

@@ -1,17 +1,14 @@
 """Per-event-type random streams: the common-random-numbers layer.
 
-The GSMP engines draw two kinds of randomness: event *durations* and
+The GSMP engine draws two kinds of randomness: event *durations* and
 *branch picks* (weighted choice among probabilistic branches).  The
 :class:`EventStreamAllocator` gives every ``(run, event type)`` pair its
 own substream — derived from ``(seed, run index, event-type name)`` by
 :func:`repro.sim.random.event_generator` — plus one branch-pick stream
-per run.  Three properties follow:
+per run.  ``Simulator.run(..., streams=allocator.run_view(row))`` draws
+from them; the paired (CRN) replications and the splitting trees run
+on this discipline (docs/SIMULATION.md).  Two properties follow:
 
-* **Engine independence.**  Both the pure-Python reference engine
-  (``Simulator.run(..., streams=...)``) and the vectorized kernel
-  (:mod:`repro.sim.fastengine`) consume durations from the same buffered
-  pools, in the same per-stream order, so their trajectories are
-  bit-identical by construction (docs/SIMULATION.md).
 * **Common random numbers.**  The streams depend only on ``(seed, run,
   event-type name)`` — not on the model.  Two model variants sharing an
   event type (DPM-on vs DPM-off) draw identical durations for it, so
@@ -20,13 +17,12 @@ per run.  Three properties follow:
   stream: adding an event type to a model reshuffles nobody else.
 
 Durations are pre-drawn in blocks (one vectorized ``sample_block`` call
-refills a whole buffer row), which is also where the kernel's sampling
-speed comes from: per-event consumption is array indexing.
+refills a whole buffer row), so per-event consumption is array indexing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,8 +104,6 @@ class EventStreamAllocator:
         self._gens: Dict[Tuple[int, str], np.random.Generator] = {}
         self._pools: Dict[Tuple[str, Distribution], _Pool] = {}
         self._branch: Optional[_Pool] = None
-        #: Buffer rows refilled so far (amortised cost diagnostic).
-        self.refills = 0
 
     @property
     def runs(self) -> int:
@@ -141,7 +135,6 @@ class EventStreamAllocator:
             self._generator(row, name), self.block
         )
         pool.cur[row] = 0
-        self.refills += 1
 
     def _pool(self, name: str, distribution: Distribution) -> _Pool:
         key = (name, distribution)
@@ -153,27 +146,10 @@ class EventStreamAllocator:
 
     # -- durations ---------------------------------------------------------
 
-    def take(
-        self,
-        name: str,
-        distribution: Distribution,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """One duration of event type *name* for each row in *rows*."""
-        pool = self._pool(name, distribution)
-        cur = pool.cur[rows]
-        if (cur >= self.block).any():
-            for row in rows[cur >= self.block]:
-                self._refill(pool, int(row), name, distribution)
-            cur = pool.cur[rows]
-        values = pool.buf[rows, cur]
-        pool.cur[rows] = cur + 1
-        return values
-
     def take_one(
         self, row: int, name: str, distribution: Distribution
     ) -> float:
-        """Scalar-path variant of :meth:`take` (reference engine)."""
+        """The next duration of event type *name* in row *row*."""
         pool = self._pool(name, distribution)
         cur = pool.cur[row]
         if cur >= self.block:
@@ -195,22 +171,9 @@ class EventStreamAllocator:
             self.block
         )
         pool.cur[row] = 0
-        self.refills += 1
-
-    def branch_uniforms(self, rows: np.ndarray) -> np.ndarray:
-        """One uniform in ``[0, 1)`` per row, from the branch streams."""
-        pool = self._branch_pool()
-        cur = pool.cur[rows]
-        if (cur >= self.block).any():
-            for row in rows[cur >= self.block]:
-                self._refill_branch(pool, int(row))
-            cur = pool.cur[rows]
-        values = pool.buf[rows, cur]
-        pool.cur[rows] = cur + 1
-        return values
 
     def branch_one(self, row: int) -> float:
-        """Scalar-path variant of :meth:`branch_uniforms`."""
+        """The next branch-pick uniform in ``[0, 1)`` of row *row*."""
         pool = self._branch_pool()
         cur = pool.cur[row]
         if cur >= self.block:
@@ -257,27 +220,6 @@ class EventStreamAllocator:
         if self._branch is not None:
             self._branch.cur[row] = self.block
 
-    def move_row(self, src: int, dst: int) -> None:
-        """Relocate *src*'s stream state onto row *dst* (continuity).
-
-        Buffers, cursors, and live generators all move, so the
-        trajectory keeps drawing exactly the numbers it would have on
-        its old row — rows are storage, stream identity lives in the
-        index.  The vacated row is left for :meth:`truncate_rows` or
-        :meth:`rebind_row`.
-        """
-        if src == dst:
-            return
-        self.run_indices[dst] = self.run_indices[src]
-        for pool in self._pools.values():
-            pool.buf[dst] = pool.buf[src]
-            pool.cur[dst] = pool.cur[src]
-        if self._branch is not None:
-            self._branch.buf[dst] = self._branch.buf[src]
-            self._branch.cur[dst] = self._branch.cur[src]
-        for key in [k for k in self._gens if k[0] == src]:
-            self._gens[(dst, key[1])] = self._gens.pop(key)
-
     def truncate_rows(self, rows: int) -> None:
         """Drop every row at index >= *rows* (after compaction).
 
@@ -308,17 +250,18 @@ class EventStreamAllocator:
     # -- per-run facade ----------------------------------------------------
 
     def run_view(self, row: int) -> "RunStreams":
-        """Scalar facade binding one row (for the reference engine)."""
+        """The sampler ``Simulator.run(..., streams=...)`` takes for one
+        row."""
         return RunStreams(self, row)
 
 
 class RunStreams:
-    """One run's view of an allocator: the reference engine's sampler.
+    """One run's view of an allocator: the engine's sampler.
 
     Passing this to :meth:`repro.sim.engine.Simulator.run` replaces the
-    single shared ``rng`` with the per-event-type stream discipline, so
-    the reference trajectory is bit-identical to the vectorized kernel's
-    (same allocator parameters, same row).
+    single shared ``rng`` with the per-event-type stream discipline: the
+    trajectory depends only on the allocator parameters and the row's
+    stream index.
     """
 
     __slots__ = ("allocator", "row")

@@ -265,7 +265,7 @@ class ReferenceSimulator:
         self.lts = lts
         self.measures = list(measures)
         self.clock_semantics = clock_semantics
-        #: Shared by every run (and by the fast engine's compiled model).
+        #: Shared by every run.
         self.rewards = RewardTable(self.measures)
         self._schedules: Dict[int, _StateSchedule] = {}
 
@@ -375,10 +375,9 @@ class ReferenceSimulator:
 
         ``streams`` (a :class:`repro.sim.streams.RunStreams`) switches
         randomness from the single shared ``rng`` to per-event-type
-        substreams — the common-random-numbers discipline shared with the
-        vectorized kernel (docs/SIMULATION.md).  With ``streams`` set the
-        trajectory is bit-identical to the fast engine's for the same
-        allocator parameters, and ``rng`` may be ``None``.
+        substreams — the common-random-numbers discipline
+        (docs/SIMULATION.md); with ``streams`` set, ``rng`` may be
+        ``None``.
         """
         if run_length <= 0:
             raise SimulationError(f"run_length must be positive, got {run_length}")
@@ -446,7 +445,7 @@ class ReferenceSimulator:
                         else event.distribution.sample(rng)
                     )
             # Exact clock ties (deterministic timers) break by event name,
-            # matching the fast engine's lexicographic event order.
+            # lexicographically.
             winner = min(clocks, key=lambda name: (clocks[name], name))
             elapsed = clocks[winner]
             if now + elapsed >= due:

@@ -239,12 +239,11 @@ def _recompose(kind, family):
     from repro.ctmc.measures import evaluate_measures
     from repro.ctmc.solvers import resolve_method
     from repro.ctmc.steady_state import steady_state_solution
-    from repro.sim.output import replicate, replicate_paired, resolve_engine
+    from repro.sim.output import replicate, replicate_paired
     from repro.sim.splitting import split_replicate
     from repro.workload.hooks import apply_workload
 
     names = family.measure_names()
-    engine = resolve_engine(None)
 
     def lts(model, value=None):
         overrides = {} if value is None else {"shutdown_timeout": value}
@@ -285,8 +284,7 @@ def _recompose(kind, family):
     if kind == "general":
         return columns([
             means(replicate(
-                lts("general_dpm", value), family.measures,
-                engine=engine, **SIMULATION,
+                lts("general_dpm", value), family.measures, **SIMULATION,
             ).estimates)
             for value in GRID
         ])
@@ -295,7 +293,7 @@ def _recompose(kind, family):
         for value in GRID:
             paired = replicate_paired(
                 lts("general_dpm", value), lts("general_nodpm"),
-                family.measures, engine=engine, **SIMULATION,
+                family.measures, **SIMULATION,
             )
             rows.append({
                 "dpm": means(paired.first.estimates),
@@ -314,7 +312,7 @@ def _recompose(kind, family):
         for value in GRID:
             result = split_replicate(
                 lts("general_dpm", value), family.measures,
-                engine=engine, **SPLITTING, **SIMULATION,
+                **SPLITTING, **SIMULATION,
             )
             rare = result.rare_probability()
             rows.append({
@@ -336,7 +334,7 @@ def _recompose(kind, family):
                     model, family.workload_pattern, workload
                 )
             rows.append(means(replicate(
-                model, family.measures, engine=engine, **SIMULATION,
+                model, family.measures, **SIMULATION,
             ).estimates))
         grid[name] = columns(rows)
     return grid

@@ -67,12 +67,6 @@ EXPECTED_CATALOG = {
     "repro_sim_event_rate": ("gauge", ()),
     "repro_sim_batches_total": ("counter", ()),
     "repro_sim_batch_lag1": ("gauge", ("measure",)),
-    "repro_fastsim_runs_total": ("counter", ()),
-    "repro_fastsim_events_total": ("counter", ()),
-    "repro_fastsim_steps_total": ("counter", ()),
-    "repro_fastsim_stream_refills_total": ("counter", ()),
-    "repro_fastsim_batch_seconds": ("histogram", ()),
-    "repro_fastsim_event_rate": ("gauge", ()),
     "repro_runtime_spans_total": ("counter", ("phase", "status")),
     "repro_runtime_span_seconds_total": ("counter", ("phase",)),
     "repro_runtime_worker_tasks_total": ("counter", ("worker",)),

@@ -9,6 +9,7 @@ task gave up after how many attempts.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.aemilia import parse_architecture
 from repro.aemilia.pretty import print_architecture
 from repro.core import sweep as sweep_module
 from repro.core.methodology import IncrementalMethodology
+from repro.experiments.cli import main
 from repro.errors import (
     CheckpointError,
     ReproError,
@@ -36,6 +38,9 @@ from repro.runtime.faults import DELAY, KILL, POISON, plan_preview
 from repro.sim.output import replicate, replicate_until
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.0)
+
+#: Committed sweep journals (``tests/data``).
+JOURNALS = Path(__file__).with_name("data")
 
 
 def _cube(shared, item):
@@ -271,8 +276,9 @@ class TestJournalIdentity:
     """A journal resumes only the sweep that wrote it.
 
     The fingerprint is the sweep spec's content hash, so an edited
-    measure, an edited model, another engine or a bumped pipeline
-    version refuses the journal instead of replaying stale points.
+    measure, an edited model, a journal of the retired vectorized engine
+    or a bumped pipeline version refuses the journal instead of
+    replaying stale points.
     """
 
     VALUES = [1.0, 5.0]
@@ -337,20 +343,43 @@ class TestJournalIdentity:
         with pytest.raises(CheckpointError):
             self._sweep(rpc_family, journal)
 
+    @staticmethod
+    def _journal_copy(tmp_path, name):
+        """A copy of a committed journal that the retired vectorized
+        engine (the former ``--engine fast``) wrote."""
+        source = JOURNALS / name
+        journal = tmp_path / name
+        journal.write_bytes(source.read_bytes())
+        return journal, source.read_bytes()
+
     def test_workload_sweep_on_another_engine_is_refused(
         self, tmp_path, rpc_family
     ):
-        journal = str(tmp_path / "grid.jsonl")
-        settings = dict(run_length=200.0, runs=2, checkpoint=journal)
-        IncrementalMethodology(
-            rpc_family, engine="reference"
-        ).sweep_workloads(
-            {"spec": None}, "shutdown_timeout", self.VALUES, **settings
+        """Its per-run streams differ from the per-run generators
+        ``replicate`` uses now, so resuming would mix two samples."""
+        journal, recorded = self._journal_copy(
+            tmp_path, "journal_fast_engine_workloads.jsonl"
         )
         with pytest.raises(CheckpointError):
-            IncrementalMethodology(rpc_family, engine="fast").sweep_workloads(
-                {"spec": None}, "shutdown_timeout", self.VALUES, **settings
+            IncrementalMethodology(rpc_family).sweep_workloads(
+                {"spec": None}, "shutdown_timeout", self.VALUES,
+                run_length=200.0, runs=2, checkpoint=str(journal),
             )
+        assert journal.read_bytes() == recorded
+
+    def test_fast_engine_cli_journal_is_refused(self, tmp_path):
+        journal, recorded = self._journal_copy(
+            tmp_path, "journal_fast_engine_general.jsonl"
+        )
+        output = tmp_path / "series.json"
+        assert main([
+            "run-sweep", "--case", "rpc", "--phase", "general",
+            "--parameter", "shutdown_timeout", "--values", "1,5",
+            "--runs", "2", "--run-length", "200",
+            "--checkpoint", str(journal), "--output", str(output),
+        ]) == 1
+        assert journal.read_bytes() == recorded
+        assert not output.exists()
 
     @pytest.mark.parametrize(
         "edit", [{"drain_rate": 0.07}, {"power_busy": 2.5}],

@@ -129,6 +129,23 @@ class TestBasicRuns:
         with pytest.raises(SimulationError):
             simulate(lts, [], 0.0, make_generator(1))
 
+    @pytest.mark.parametrize("start_state", [226, 231, -1])
+    def test_start_state_outside_the_model_rejected(
+        self, rpc_family, start_state
+    ):
+        """rpc ``general_dpm`` has 226 states: a start state outside
+        them must not run as a silent deadlock with all-zero measures
+        (or, for a negative index, as the last state)."""
+        lts = generate_lts(rpc_family.general_dpm, None, 200_000)
+        assert lts.num_states == 226
+        simulator = Simulator(lts, rpc_family.measures)
+        with pytest.raises(SimulationError, match="not a state"):
+            simulator.run(
+                100.0, make_generator(1), start_state=start_state
+            )
+        last = simulator.run(100.0, make_generator(1), start_state=225)
+        assert last.events_fired > 0
+
 
 class TestClockSemantics:
     def _interrupt_model(self):

@@ -1,10 +1,11 @@
-"""Property-based tests of the simulation kernel (hypothesis).
+"""Property-based tests of the simulation engine (hypothesis).
 
-Three laws the vectorized engine and the stream allocator must obey on
-*randomly generated* models and parameters, not just the case studies:
+Three laws the engine on per-event-type streams and the stream allocator
+must obey on *randomly generated* models and parameters, not just the
+case studies:
 
 * **Clock carry.**  Splitting a trajectory at an arbitrary batch
-  boundary (``start_states``/``start_clocks``) continues it — same
+  boundary (``start_state``/``start_clocks``) continues it — same
   firings, same final state, same residual clocks — so batch-means
   boundaries are never spurious regeneration points.
 * **Enabling memory.**  An event that stays enabled across state
@@ -37,7 +38,6 @@ from repro.distributions import (
 from repro.lts import LTS
 from repro.sim import (
     EventStreamAllocator,
-    FastSimulator,
     Simulator,
     event_generator,
     event_stream_key,
@@ -49,6 +49,19 @@ MEASURES = [
 ]
 
 
+def _streamed(simulator, run_length, allocator, resume=None):
+    """One run on row 0 of *allocator*, continuing *resume* if given."""
+    if resume is None:
+        return simulator.run(run_length, None, streams=allocator.run_view(0))
+    return simulator.run(
+        run_length,
+        None,
+        start_state=resume.final_state,
+        start_clocks=resume.final_clocks,
+        streams=allocator.run_view(0),
+    )
+
+
 @st.composite
 def cycle_model(draw, states=3):
     """A random timed cycle: state i fires event ``e{i}`` to state i+1.
@@ -56,7 +69,7 @@ def cycle_model(draw, states=3):
     Distribution families are drawn per state from the same mix the
     case studies use (deterministic timeouts, Gaussian service times,
     uniform and exponential phases), so the property runs cover every
-    clock-arithmetic path of the kernel.
+    clock-arithmetic path of the engine.
     """
     lts = LTS(0)
     for _ in range(states):
@@ -88,18 +101,11 @@ class TestClockCarry:
         """run(L) == run(s) ∘ run(L−s) when clocks are carried across."""
         horizon = 40.0
         boundary = split * horizon
-        fast = FastSimulator(model, MEASURES)
-        [full] = fast.run_many(
-            horizon, allocator=EventStreamAllocator(seed, [0])
-        )
+        simulator = Simulator(model, MEASURES)
+        full = _streamed(simulator, horizon, EventStreamAllocator(seed, [0]))
         alloc = EventStreamAllocator(seed, [0])
-        [head] = fast.run_many(boundary, allocator=alloc)
-        [tail] = fast.run_many(
-            horizon - boundary,
-            allocator=alloc,
-            start_states=[head.final_state],
-            start_clocks=[head.final_clocks],
-        )
+        head = _streamed(simulator, boundary, alloc)
+        tail = _streamed(simulator, horizon - boundary, alloc, head)
         assert head.events_fired + tail.events_fired == full.events_fired
         assert tail.final_state == full.final_state
         assert set(tail.final_clocks) == set(full.final_clocks)
@@ -109,42 +115,6 @@ class TestClockCarry:
             assert tail.final_clocks[name] == pytest.approx(
                 residual, rel=1e-9, abs=1e-9
             )
-
-    @given(model=cycle_model(), seed=st.integers(0, 2**16), split=st.floats(0.05, 0.95))
-    @settings(max_examples=25, deadline=None)
-    def test_fast_and_reference_agree_across_boundaries(
-        self, model, seed, split
-    ):
-        """Chained fast segments stay bit-identical to chained reference
-        segments — the shared-stream contract holds through resume."""
-        horizon = 30.0
-        boundary = split * horizon
-        fast = FastSimulator(model, MEASURES)
-        fast_alloc = EventStreamAllocator(seed, [0])
-        [fast_head] = fast.run_many(boundary, allocator=fast_alloc)
-        [fast_tail] = fast.run_many(
-            horizon - boundary,
-            allocator=fast_alloc,
-            start_states=[fast_head.final_state],
-            start_clocks=[fast_head.final_clocks],
-        )
-        reference = Simulator(model, MEASURES)
-        ref_alloc = EventStreamAllocator(seed, [0])
-        ref_head = reference.run(
-            boundary, None, streams=ref_alloc.run_view(0)
-        )
-        ref_tail = reference.run(
-            horizon - boundary,
-            None,
-            start_state=ref_head.final_state,
-            start_clocks=ref_head.final_clocks,
-            streams=ref_alloc.run_view(0),
-        )
-        assert fast_head.measures == ref_head.measures
-        assert fast_head.final_clocks == ref_head.final_clocks
-        assert fast_tail.measures == ref_tail.measures
-        assert fast_tail.final_state == ref_tail.final_state
-        assert fast_tail.final_clocks == ref_tail.final_clocks
 
     def test_timer_due_exactly_at_the_horizon(self):
         """A deterministic 0.2/0.2/0.5 cycle fires ``a`` exactly at the
@@ -164,24 +134,13 @@ class TestClockCarry:
                 GeneralRate(Deterministic(delay)),
                 label,
             )
-        fast = FastSimulator(lts, MEASURES)
-        [full] = fast.run_many(40.0, allocator=EventStreamAllocator(0, [0]))
+        simulator = Simulator(lts, MEASURES)
+        full = _streamed(simulator, 40.0, EventStreamAllocator(0, [0]))
         alloc = EventStreamAllocator(0, [0])
-        [head] = fast.run_many(20.0, allocator=alloc)
-        [tail] = fast.run_many(
-            20.0,
-            allocator=alloc,
-            start_states=[head.final_state],
-            start_clocks=[head.final_clocks],
-        )
+        head = _streamed(simulator, 20.0, alloc)
+        tail = _streamed(simulator, 20.0, alloc, head)
         assert head.events_fired + tail.events_fired == full.events_fired
         assert tail.final_state == full.final_state
-        reference = Simulator(lts, MEASURES)
-        ref_full = reference.run(
-            40.0, None, streams=EventStreamAllocator(0, [0]).run_view(0)
-        )
-        assert ref_full.events_fired == full.events_fired
-        assert ref_full.final_clocks == full.final_clocks
 
 
 def _timer_race(hop_rate: float, timeout: float) -> LTS:
@@ -217,29 +176,29 @@ class TestEnablingMemory:
         model = _timer_race(hop_rate, timeout)
         firings = []
 
-        def observer(row, when, label, target):
+        def observer(when, label, target):
             if label == "tick" and not firings:
                 firings.append(when)
 
-        fast = FastSimulator(model, TIMER_MEASURES)
-        fast.run_many(
+        Simulator(model, TIMER_MEASURES).run(
             timeout * 3,
-            allocator=EventStreamAllocator(seed, [0]),
+            None,
             observer=observer,
+            streams=EventStreamAllocator(seed, [0]).run_view(0),
         )
         assert firings, "det timer never fired within 3 timeouts"
         assert firings[0] == pytest.approx(timeout, rel=1e-12)
 
         restarted = []
 
-        def restart_observer(row, when, label, target):
+        def restart_observer(when, label, target):
             restarted.append((when, label))
 
-        restart = FastSimulator(model, TIMER_MEASURES, "restart")
-        restart.run_many(
+        Simulator(model, TIMER_MEASURES, "restart").run(
             timeout * 3,
-            allocator=EventStreamAllocator(seed, [0]),
+            None,
             observer=restart_observer,
+            streams=EventStreamAllocator(seed, [0]).run_view(0),
         )
         hops_before = [
             when for when, label in restarted if label == "hop"
@@ -270,15 +229,12 @@ class TestStreamIdentity:
         dist = Exponential(1.0)
         forward = EventStreamAllocator(seed, [run])
         backward = EventStreamAllocator(seed, [run])
-        row = np.array([0])
         first = {
-            name: [float(forward.take(name, dist, row)[0]) for _ in range(3)]
+            name: [forward.take_one(0, name, dist) for _ in range(3)]
             for name in names
         }
         second = {
-            name: [
-                float(backward.take(name, dist, row)[0]) for _ in range(3)
-            ]
+            name: [backward.take_one(0, name, dist) for _ in range(3)]
             for name in reversed(names)
         }
         assert first == second
@@ -288,14 +244,12 @@ class TestStreamIdentity:
     def test_streams_unaffected_by_other_event_types(self, seed, run):
         """Adding an event type to a model reshuffles nobody else."""
         dist = Uniform(0.0, 1.0)
-        row = np.array([0])
         small = EventStreamAllocator(seed, [run])
         large = EventStreamAllocator(seed, [run])
-        large.take("Z.newcomer", dist, row)
-        np.testing.assert_array_equal(
-            [small.take("S.serve", dist, row)[0] for _ in range(4)],
-            [large.take("S.serve", dist, row)[0] for _ in range(4)],
-        )
+        large.take_one(0, "Z.newcomer", dist)
+        assert [small.take_one(0, "S.serve", dist) for _ in range(4)] == [
+            large.take_one(0, "S.serve", dist) for _ in range(4)
+        ]
 
 
 class TestStreamRegression:

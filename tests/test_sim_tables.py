@@ -16,7 +16,7 @@ Models: the rpc and streaming general DPM/NO-DPM families, their
 exponential plug-in, a trace-replay workload, and hand-built LTSs for
 immediate branch weights, deadlock, warm-ups spanning several sojourns
 and each compile-time error.  Non-finite horizons, which the historical
-engine accepted silently, are rejected by both engines and by
+engine accepted silently, are rejected by the engine and by
 ``split_replicate`` (one test per case).
 """
 
@@ -46,7 +46,6 @@ from repro.obs import tracing
 from repro.obs.tracing import Tracer
 from repro.sim import (
     EventStreamAllocator,
-    FastSimulator,
     Simulator,
     spawn_generators,
     split_replicate,
@@ -447,20 +446,6 @@ def test_reference_rejects_non_finite_warmup(value):
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-def test_fast_engine_rejects_non_finite_run_length(value):
-    simulator = FastSimulator(_model("rpc", "dpm"), _family("rpc").measures)
-    with pytest.raises(SimulationError, match="run_length must be finite"):
-        simulator.run_many(value, seed=1, runs=2)
-
-
-@pytest.mark.parametrize("value", NON_FINITE)
-def test_fast_engine_rejects_non_finite_warmup(value):
-    simulator = FastSimulator(_model("rpc", "dpm"), _family("rpc").measures)
-    with pytest.raises(SimulationError, match="warmup must be finite"):
-        simulator.run_many(100.0, seed=1, runs=2, warmup=value)
-
-
-@pytest.mark.parametrize("value", NON_FINITE)
 def test_split_replicate_rejects_non_finite_run_length(value):
     with pytest.raises(SimulationError, match="run_length must be finite"):
         split_replicate(
@@ -512,18 +497,3 @@ def test_tracing_does_not_perturb_runs():
         tracing.set_tracer(previous)
         tracer.close()
     assert traced == untraced
-
-
-def test_fast_engine_batch_span_carries_events_under_tracing():
-    """``events`` is an ordinary span attribute: a traced fast-engine
-    batch records its ``fastengine:batch`` span instead of failing."""
-    simulator = FastSimulator(_model("rpc", "dpm"), _family("rpc").measures)
-    tracer = Tracer()
-    previous = tracing.set_tracer(tracer)
-    try:
-        results = simulator.run_many(50.0, seed=1, runs=2)
-    finally:
-        tracing.set_tracer(previous)
-        tracer.close()
-    [record] = [r for r in tracer.records() if r["name"] == "fastengine:batch"]
-    assert record["attrs"]["events"] == sum(r.events_fired for r in results)

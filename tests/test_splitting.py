@@ -1,12 +1,15 @@
 """Tests for rare-event importance splitting (repro.sim.splitting).
 
-Covers the tentpole contracts: the degenerate configuration collapses
-bit-identically to naive replication on both engines, results are
-worker-count invariant and engine-independent, the estimator's interval
-covers the analytic CTMC probability, weight is conserved, and the
-allocator's dynamic-row machinery (slot streams) never replays a
-stream.
+Covers the layer's contracts: the degenerate configuration collapses
+bit-identically to naive replication on the per-event-type streams,
+results are worker-count invariant, the estimator's interval covers the
+analytic CTMC probability, weight is conserved, and the allocator's
+dynamic-row machinery (slot streams) never replays a stream.  The
+literal values are pinned in ``tests/test_sim_pins.py``.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +25,15 @@ from repro.obs import MetricRegistry, render_prometheus, use_registry
 from repro.sim import (
     EventStreamAllocator,
     ImportanceFunction,
-    replicate,
+    Simulator,
     reward_importance,
     split_replicate,
     splitting_event_generator,
     tabulate_importance,
 )
+
+#: Literal protocol values (``tests/test_sim_pins.py``).
+PINS = json.loads(Path(__file__).with_name("sim_pins.json").read_text())
 
 
 def cascade_lts(depth, up=1.0, down=2.0, out=2.0):
@@ -141,23 +147,41 @@ class TestParameterValidation:
 
 
 class TestDegenerateCollapse:
-    """splits=1 must be *bit-identical* to naive replication — the
-    differential anchor tying the splitting layer to the engines."""
+    """splits=1 must be *bit-identical* to naive replication on the
+    per-event-type streams — the anchor tying the splitting layer to
+    the engine."""
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_one_split_equals_naive_replication(self, engine):
+    @pytest.mark.parametrize("baseline", ["fast", "reference"])
+    def test_one_split_equals_naive_replication(self, baseline):
+        """``fast``: the naive replication the retired vectorized kernel
+        produced on these streams (recorded in ``tests/sim_pins.json``);
+        ``reference``: the engine, run live on the same streams."""
         lts = cascade_lts(3)
-        naive = replicate(
-            lts, abort_measures(), 400.0, runs=6, warmup=20.0,
-            seed=97, engine="fast",
-        )
+        if baseline == "fast":
+            recorded = PINS["split_one"]["protocol"]
+            naive = recorded["samples"]
+            events = recorded["events"]
+        else:
+            simulator = Simulator(lts, abort_measures())
+            runs = [
+                simulator.run(
+                    400.0, None, 20.0,
+                    streams=EventStreamAllocator(97, [run]).run_view(0),
+                )
+                for run in range(6)
+            ]
+            naive = {
+                name: [result.measures[name] for result in runs]
+                for name in ("abort_rate", "deep")
+            }
+            events = sum(result.events_fired for result in runs)
         split = split_replicate(
             lts, abort_measures(), 400.0, levels=3, splits=1,
-            segments=17, runs=6, warmup=20.0, seed=97, engine=engine,
+            segments=17, runs=6, warmup=20.0, seed=97,
         )
         for name in ("abort_rate", "deep"):
-            assert split.samples[name] == naive.samples[name]
-            assert split[name].mean == naive[name].mean
+            assert split.samples[name] == naive[name]
+        assert split.events == events
         assert split.clones == 0
         assert split.merges == 0
         assert split.peak_trajectories == 1
@@ -167,7 +191,7 @@ class TestDeterminism:
     def _run(self, **kwargs):
         settings = dict(
             levels=3, splits=3, segments=25, runs=4, warmup=5.0,
-            seed=41, engine="fast",
+            seed=41,
         )
         settings.update(kwargs)
         return split_replicate(
@@ -182,12 +206,15 @@ class TestDeterminism:
         assert serial.events == parallel.events
 
     def test_engines_bit_identical(self):
-        fast = self._run()
-        reference = self._run(engine="reference")
-        assert fast.samples == reference.samples
-        assert fast.occupancy == reference.occupancy
-        assert fast.clones == reference.clones
-        assert fast.merges == reference.merges
+        """The engine grows, bit for bit, the trees the retired
+        vectorized kernel grew for this configuration (recorded in
+        ``tests/sim_pins.json``)."""
+        result = self._run()
+        recorded = PINS["split_cascade"]["protocol"]
+        assert result.samples == recorded["samples"]
+        assert result.occupancy == recorded["occupancy"]
+        assert result.clones == recorded["clones"]
+        assert result.merges == recorded["merges"]
 
     def test_seed_reproducible_and_sensitive(self):
         first = self._run()
@@ -206,7 +233,7 @@ class TestEstimator:
         result = split_replicate(
             cascade_lts(3), abort_measures(), 100.0, levels=3,
             splits=4, segments=200, runs=30, warmup=5.0, seed=7,
-            confidence=0.95, engine="fast", workers=4,
+            confidence=0.95, workers=4,
         )
         rare = result.rare["deep"]
         assert rare.low <= truth <= rare.high
@@ -321,21 +348,20 @@ class TestAllocatorDynamicRows:
         # Engine-level byte identity: running one trajectory in two
         # segments — restarting from (final_state, final_clocks) on
         # the same allocator — reproduces the uninterrupted run.
-        from repro.sim import FastSimulator
-
         lts = cascade_lts(3)
-        simulator = FastSimulator(lts, abort_measures())
-        whole = simulator.run_many(
-            100.0, allocator=EventStreamAllocator(9, [0])
-        )[0]
+        simulator = Simulator(lts, abort_measures())
+        whole = simulator.run(
+            100.0, None, streams=EventStreamAllocator(9, [0]).run_view(0)
+        )
         allocator = EventStreamAllocator(9, [0])
-        first = simulator.run_many(50.0, allocator=allocator)[0]
-        second = simulator.run_many(
+        first = simulator.run(50.0, None, streams=allocator.run_view(0))
+        second = simulator.run(
             50.0,
-            allocator=allocator,
-            start_states=[first.final_state],
-            start_clocks=[first.final_clocks],
-        )[0]
+            None,
+            start_state=first.final_state,
+            start_clocks=first.final_clocks,
+            streams=allocator.run_view(0),
+        )
         assert second.final_state == whole.final_state
         assert (
             first.events_fired + second.events_fired

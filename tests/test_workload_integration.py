@@ -180,21 +180,14 @@ class TestSweepWorkloads:
         # Distinct workload shapes produce distinct series.
         assert serial["poisson"] != serial["pareto"]
 
-    def test_engine_is_honoured(self, rpc_family):
-        grids = {
-            engine: IncrementalMethodology(
-                rpc_family, engine=engine
-            ).sweep_workloads(
-                {"spec": None}, "shutdown_timeout", self.CLASSES, **FAST
-            )
-            for engine in ("reference", "fast")
-        }
-        assert grids["fast"] != grids["reference"]
-        # The spec-duration class is exactly sweep_general on that engine.
-        for engine, grid in grids.items():
-            assert grid["spec"] == IncrementalMethodology(
-                rpc_family, engine=engine
-            ).sweep_general("shutdown_timeout", self.CLASSES, **FAST)
+    def test_spec_class_is_sweep_general(self, rpc_family):
+        """The spec-duration class is exactly the plain general sweep."""
+        grid = IncrementalMethodology(rpc_family).sweep_workloads(
+            {"spec": None}, "shutdown_timeout", self.CLASSES, **FAST
+        )
+        assert grid["spec"] == IncrementalMethodology(
+            rpc_family
+        ).sweep_general("shutdown_timeout", self.CLASSES, **FAST)
 
     def test_empty_grid_is_rejected(self, rpc_family):
         with pytest.raises(AnalysisError, match="at least one"):
