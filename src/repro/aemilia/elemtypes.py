@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Set, Tuple
 
 from ..errors import SpecificationError, TypeCheckError, UnguardedRecursionError
 from .ast import (
@@ -277,24 +277,3 @@ class ElemType:
                 seen.add(name)
                 frontier.extend(graph.get(name, frozenset()))
 
-
-def make_interactions(
-    inputs: Iterable[str] = (),
-    outputs: Iterable[str] = (),
-    or_inputs: Iterable[str] = (),
-    or_outputs: Iterable[str] = (),
-    and_outputs: Iterable[str] = (),
-) -> Tuple[Interaction, ...]:
-    """Convenience constructor for interaction declarations."""
-    interactions = []
-    for name in inputs:
-        interactions.append(Interaction(name, Direction.INPUT))
-    for name in outputs:
-        interactions.append(Interaction(name, Direction.OUTPUT))
-    for name in or_inputs:
-        interactions.append(Interaction(name, Direction.INPUT, Multiplicity.OR))
-    for name in or_outputs:
-        interactions.append(Interaction(name, Direction.OUTPUT, Multiplicity.OR))
-    for name in and_outputs:
-        interactions.append(Interaction(name, Direction.OUTPUT, Multiplicity.AND))
-    return tuple(interactions)

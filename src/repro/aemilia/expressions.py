@@ -383,11 +383,6 @@ def check_closed(expr: Expr, bound: frozenset, context: str) -> None:
         raise TypeCheckError(f"unbound variable(s) {names} in {context}")
 
 
-def substitute_env(env: Env) -> Dict[str, Value]:
-    """Return a plain dict copy of an environment (defensive copy helper)."""
-    return dict(env)
-
-
 # ---------------------------------------------------------------------------
 # Memoised evaluation for the state-space generation hot path.
 #

@@ -36,12 +36,10 @@ from .solvers import (
     SolverReport,
     SteadyStateSolution,
     available_solvers,
-    register_solver,
     resolve_method,
     select_method,
     solve_steady_state,
     solver_choices,
-    unregister_solver,
 )
 from .steady_state import steady_state_solution
 from .transient import expected_state_reward_at, transient_distribution
@@ -80,8 +78,6 @@ __all__ = [
     "SolverReport",
     "SteadyStateSolution",
     "available_solvers",
-    "register_solver",
-    "unregister_solver",
     "resolve_method",
     "select_method",
     "solve_steady_state",

@@ -2,7 +2,7 @@
 
 Every backend solves the singular system ``pi Q = 0, sum(pi) = 1`` on the
 recurrent class of a CTMC, given the generator submatrix ``Q`` restricted
-to that class.  Backends are registered by name:
+to that class.  The backends, by name:
 
 * ``direct`` — sparse LU on the anchored system: the *most diagonally
   dominant* balance equation (the redundant one whose removal loses the
@@ -265,8 +265,6 @@ def _converged(
 #: A backend maps (problem, options) to (raw solution, iterations used).
 SolverBackend = Callable[[_Problem, SolverOptions], Tuple[np.ndarray, int]]
 
-_REGISTRY: Dict[str, SolverBackend] = {}
-
 #: Tried in order when ``auto``'s preferred backend fails.
 _FALLBACK_CHAIN = ("direct", "sor", "power")
 
@@ -299,21 +297,6 @@ def _require_materialized(problem: "_Problem", method: str) -> None:
             method=method,
             reason="matrix_free_unsupported",
         )
-
-
-def register_solver(name: str) -> Callable[[SolverBackend], SolverBackend]:
-    """Decorator registering a steady-state backend under *name*."""
-
-    def decorate(backend: SolverBackend) -> SolverBackend:
-        _REGISTRY[name] = backend
-        return backend
-
-    return decorate
-
-
-def unregister_solver(name: str) -> None:
-    """Remove a registered backend (used by tests injecting fakes)."""
-    _REGISTRY.pop(name, None)
 
 
 def available_solvers() -> Tuple[str, ...]:
@@ -461,7 +444,6 @@ def _anchored_operator(
     return system, rhs, anchor
 
 
-@register_solver("direct")
 def _solve_direct(
     problem: _Problem, options: SolverOptions
 ) -> Tuple[np.ndarray, int]:
@@ -477,7 +459,6 @@ def _solve_direct(
     return solution, 1
 
 
-@register_solver("gmres")
 def _solve_gmres(
     problem: _Problem, options: SolverOptions
 ) -> Tuple[np.ndarray, int]:
@@ -617,7 +598,6 @@ def _sor_sweep_operator(
     return factor, upper, relaxation
 
 
-@register_solver("sor")
 def _solve_sor(
     problem: _Problem, options: SolverOptions, omega: float = 1.0
 ) -> Tuple[np.ndarray, int]:
@@ -659,7 +639,6 @@ def _solve_sor(
     )
 
 
-@register_solver("power")
 def _solve_power(
     problem: _Problem, options: SolverOptions
 ) -> Tuple[np.ndarray, int]:
@@ -713,6 +692,15 @@ def _solve_power(
         iterations=options.max_iterations,
         residual=problem.residual(x),
     )
+
+
+#: Every steady-state backend by name; each solve dispatches through it.
+_REGISTRY: Dict[str, SolverBackend] = {
+    "direct": _solve_direct,
+    "gmres": _solve_gmres,
+    "sor": _solve_sor,
+    "power": _solve_power,
+}
 
 
 # ---------------------------------------------------------------------------

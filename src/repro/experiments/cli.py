@@ -119,7 +119,8 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "max attempts per sweep point / replication before raising "
-            "RetryBudgetExceededError (enables the fault-tolerant path)"
+            "RetryBudgetExceededError (default: one attempt, and a failing "
+            "task raises its own error)"
         ),
     )
     parser.add_argument(
@@ -129,7 +130,8 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "deterministic fault injection, e.g. "
             "'seed=7,kill=0.1,poison=0.2,delay=0.5,delay-seconds=0.05' "
-            "(see FaultInjector.parse)"
+            "(see FaultInjector.parse); without --retry the first injected "
+            "failure ends the run"
         ),
     )
     parser.add_argument(
@@ -486,7 +488,6 @@ def run_experiment(
     identifier: str,
     quick: bool,
     charts: bool = True,
-    workers: int = 1,
     options: Optional[RunOptions] = None,
 ) -> str:
     """Run one experiment and return its rendered report."""
@@ -496,7 +497,7 @@ def run_experiment(
         raise SystemExit(
             f"unknown experiment {identifier!r}; known: {known}"
         )
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     result = experiments[identifier].run(quick, options)
     if hasattr(result, "report"):
         try:

@@ -21,8 +21,8 @@ class RunOptions:
 
     Bundles everything the reliability layer can vary — worker count,
     retry policy and fault injection (chaos runs) — so the registry only
-    ever forwards one object.  The defaults are the plain fast path:
-    serial, no retries, no faults, no trace file.
+    ever forwards one object.  The defaults: serial, one attempt per
+    task, no faults, no trace file.
     """
 
     workers: int = 1
@@ -55,15 +55,9 @@ class RunOptions:
     span_tracer: Optional[object] = None
 
     @classmethod
-    def resolve(
-        cls,
-        options: Optional["RunOptions"],
-        workers: Optional[int] = None,
-    ) -> "RunOptions":
-        """Normalise the (options, legacy workers argument) pair."""
-        if options is not None:
-            return options
-        return cls(workers=workers if workers is not None else 1)
+    def resolve(cls, options: Optional["RunOptions"]) -> "RunOptions":
+        """*options*, or the defaults when none were given."""
+        return options if options is not None else cls()
 
     def driver_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs every :class:`~repro.core.sweep.SweepDriver`

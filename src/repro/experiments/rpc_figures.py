@@ -80,17 +80,16 @@ def _derive_rpc(series: Dict[str, List[float]]) -> Dict[str, List[float]]:
 def fig3_markov(
     timeouts: Optional[Sequence[float]] = None,
     methodology: Optional[IncrementalMethodology] = None,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> FigureResult:
     """Fig. 3 (left): rpc Markovian comparison, DPM vs NO-DPM."""
     timeouts = list(timeouts if timeouts is not None else DEFAULT_TIMEOUTS)
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         rpc.family(), **options.methodology_kwargs()
     )
     dpm = methodology.sweep_markovian(
-        "shutdown_timeout", timeouts, "dpm", workers=workers
+        "shutdown_timeout", timeouts, "dpm"
     )
     nodpm = baseline_series(
         methodology.solve_markovian("nodpm"), _derive_rpc, len(timeouts)
@@ -129,12 +128,11 @@ def fig3_general(
     runs: int = 8,
     warmup: float = 500.0,
     seed: int = 20040628,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> FigureResult:
     """Fig. 3 (right): rpc general model (deterministic + Gaussian delays)."""
     timeouts = list(timeouts if timeouts is not None else DEFAULT_TIMEOUTS)
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         rpc.family(), **options.methodology_kwargs()
     )
@@ -146,7 +144,6 @@ def fig3_general(
         runs=runs,
         warmup=warmup,
         seed=seed,
-        workers=workers,
     )
     nodpm_rep = methodology.simulate_general(
         "nodpm",
@@ -154,7 +151,6 @@ def fig3_general(
         runs=runs,
         warmup=warmup,
         seed=seed,
-        workers=workers,
     )
     nodpm = baseline_series(
         {name: nodpm_rep[name].mean for name in nodpm_rep.estimates},
@@ -225,13 +221,12 @@ def fig5_validation(
     runs: int = 30,
     warmup: float = 500.0,
     seed: int = 20040628,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> ValidationFigure:
     """Fig. 5: cross-validation at several shutdown timeouts (30 runs,
     90% confidence intervals, as in the paper)."""
     timeouts = list(timeouts if timeouts is not None else [5.0, 15.0, 25.0])
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         rpc.family(), **options.methodology_kwargs()
     )
@@ -243,7 +238,6 @@ def fig5_validation(
             runs=runs,
             warmup=warmup,
             seed=seed,
-            workers=workers,
         )
     return ValidationFigure(
         list(timeouts),
@@ -276,12 +270,11 @@ class TradeoffFigure:
 def fig7_tradeoff(
     markov_figure: Optional[FigureResult] = None,
     general_figure: Optional[FigureResult] = None,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
     **general_kwargs,
 ) -> TradeoffFigure:
     """Fig. 7 from the fig3 sweeps (recomputing them if not supplied)."""
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = IncrementalMethodology(
         rpc.family(), **options.methodology_kwargs()
     )
@@ -367,7 +360,6 @@ def fig7_workloads(
     warmup: float = 500.0,
     seed: int = 20040628,
     trace_events: int = 4000,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
     checkpoint: Optional[str] = None,
 ) -> WorkloadTradeoffFigure:
@@ -379,7 +371,7 @@ def fig7_workloads(
     resume of the whole grid.
     """
     timeouts = list(timeouts if timeouts is not None else DEFAULT_TIMEOUTS)
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         rpc.family(), **options.methodology_kwargs()
     )
@@ -394,7 +386,6 @@ def fig7_workloads(
         runs=runs,
         warmup=warmup,
         seed=seed,
-        workers=workers,
         checkpoint=checkpoint,
     )
     curves = {}

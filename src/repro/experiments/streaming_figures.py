@@ -111,19 +111,18 @@ def _figure(
 def fig4_markov(
     awake_periods: Optional[Sequence[float]] = None,
     methodology: Optional[IncrementalMethodology] = None,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> FigureResult:
     """Fig. 4: streaming Markovian comparison, DPM vs NO-DPM."""
     awake_periods = list(
         awake_periods if awake_periods is not None else DEFAULT_AWAKE_PERIODS
     )
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         streaming.family(), **options.methodology_kwargs()
     )
     dpm_raw = methodology.sweep_markovian(
-        "awake_period", awake_periods, "dpm", workers=workers
+        "awake_period", awake_periods, "dpm"
     )
     nodpm_raw = methodology.solve_markovian("nodpm")
     return _figure(
@@ -147,7 +146,6 @@ def fig4_markov(
 def fig4_dense(
     points: int = DENSE_POINTS,
     methodology: Optional[IncrementalMethodology] = None,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> FigureResult:
     """Fig. 4 on a dense uniform grid via the parametric fast path.
@@ -159,7 +157,7 @@ def fig4_dense(
     not afford (falls back to per-point solves if elimination fails).
     """
     awake_periods = dense_awake_periods(points)
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         streaming.family(), **options.methodology_kwargs()
     )
@@ -168,7 +166,6 @@ def fig4_dense(
         awake_periods,
         "dpm",
         method="parametric",
-        workers=workers,
     )
     nodpm_raw = methodology.solve_markovian("nodpm")
     return _figure(
@@ -195,14 +192,13 @@ def fig6_general(
     runs: int = 6,
     warmup: float = 2_000.0,
     seed: int = 20040628,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> FigureResult:
     """Fig. 6: streaming general model (deterministic CBR video)."""
     awake_periods = list(
         awake_periods if awake_periods is not None else DEFAULT_AWAKE_PERIODS
     )
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         streaming.family(), **options.methodology_kwargs()
     )
@@ -214,7 +210,6 @@ def fig6_general(
         runs=runs,
         warmup=warmup,
         seed=seed,
-        workers=workers,
     )
     nodpm_rep = methodology.simulate_general(
         "nodpm",
@@ -222,7 +217,6 @@ def fig6_general(
         runs=runs,
         warmup=warmup,
         seed=seed,
-        workers=workers,
     )
     nodpm_raw = {name: nodpm_rep[name].mean for name in nodpm_rep.estimates}
     return _figure(
@@ -276,14 +270,13 @@ def streaming_validation(
     runs: int = 10,
     warmup: float = 1_000.0,
     seed: int = 20040628,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> StreamingValidationFigure:
     """Cross-validate the streaming general model at several periods."""
     awake_periods = list(
         awake_periods if awake_periods is not None else [50.0, 200.0]
     )
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = methodology or IncrementalMethodology(
         streaming.family(), **options.methodology_kwargs()
     )
@@ -296,7 +289,6 @@ def streaming_validation(
             warmup=warmup,
             seed=seed,
             relative_tolerance=0.15,
-            workers=workers,
         )
     return StreamingValidationFigure(
         list(awake_periods),
@@ -329,12 +321,11 @@ class StreamingTradeoffFigure:
 def fig8_tradeoff(
     markov_figure: Optional[FigureResult] = None,
     general_figure: Optional[FigureResult] = None,
-    workers: Optional[int] = None,
     options: Optional[RunOptions] = None,
     **general_kwargs,
 ) -> StreamingTradeoffFigure:
     """Fig. 8 from the fig4/fig6 sweeps (recomputing if not supplied)."""
-    options = RunOptions.resolve(options, workers)
+    options = RunOptions.resolve(options)
     methodology = IncrementalMethodology(
         streaming.family(), **options.methodology_kwargs()
     )

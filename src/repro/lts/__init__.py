@@ -7,13 +7,11 @@ from .bisimulation import (
     strongly_bisimilar,
 )
 from .distinguish import distinguishing_formula, verify_distinguishing
-from .dot import ctmc_to_dot, lts_to_dot
 from .hml import And, DiamondWeak, Formula, Not, Top, conjunction
 from .labels import TAU, local_label, matches, matches_any, sync_label
 from .lts import LTS, Transition, build_lts
 from .ops import disjoint_union, hide, relabel, restrict
 from .reachability import reachable_states, restrict_to_reachable
-from .traces import completed_weak_traces, trace_equivalent, weak_traces
 from .weak import (
     WeakBisimulationResult,
     WeakEquivalenceCheck,
@@ -28,8 +26,6 @@ __all__ = [
     "strong_bisimulation",
     "strongly_bisimilar",
     "distinguishing_formula",
-    "ctmc_to_dot",
-    "lts_to_dot",
     "verify_distinguishing",
     "And",
     "DiamondWeak",
@@ -50,9 +46,6 @@ __all__ = [
     "relabel",
     "restrict",
     "reachable_states",
-    "completed_weak_traces",
-    "trace_equivalent",
-    "weak_traces",
     "restrict_to_reachable",
     "WeakBisimulationResult",
     "WeakEquivalenceCheck",

@@ -54,7 +54,7 @@ from .metrics import (
     use_registry,
 )
 from .ledger import RunLedger, diff_entries
-from .profile import IterationCallback, IterationSeries
+from .profile import IterationSeries
 from .tracing import (
     Span,
     TraceContext,
@@ -79,7 +79,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "IterationCallback",
     "IterationSeries",
     "LOG_ENV_VAR",
     "MetricRegistry",

@@ -17,19 +17,7 @@ after they are produced, so results are bit-identical with it on or off
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
-
-
-class IterationCallback(Protocol):
-    """Per-iteration observer protocol of the iterative solvers."""
-
-    def __call__(
-        self,
-        iteration: int,
-        residual: float,
-        relative_change: Optional[float],
-    ) -> None:
-        """Called once per iteration; must not mutate solver state."""
+from typing import Dict, List, Optional
 
 
 class IterationSeries:

@@ -379,11 +379,6 @@ def current_context() -> Optional[TraceContext]:
     return None
 
 
-def current_trace_id() -> Optional[str]:
-    context = current_context()
-    return context.trace_id if context else None
-
-
 def current_span_id() -> Optional[str]:
     current = _CURRENT.get()
     return current[1] if current else None

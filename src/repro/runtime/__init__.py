@@ -15,7 +15,8 @@ Plus a fault-tolerance layer (see docs/RELIABILITY.md):
 
 * :class:`RetryPolicy` — bounded per-task retries with exponential
   backoff; exhaustion raises the typed
-  :class:`~repro.errors.RetryBudgetExceededError`.
+  :class:`~repro.errors.RetryBudgetExceededError`.  Without a policy a
+  task gets one attempt and its own exception propagates.
 * :class:`FaultInjector` — deterministic, seeded kill/poison/delay fault
   injection for chaos tests; a broken process pool is rebuilt and, after
   repeated worker deaths, execution degrades gracefully to serial.
@@ -39,8 +40,6 @@ without any extra wiring.
 
 from .checkpoint import SweepCheckpoint, sweep_fingerprint
 from .executor import (
-    DEFAULT_RETRY,
-    NO_RETRY,
     ParallelExecutor,
     RetryPolicy,
     resolve_workers,
@@ -56,9 +55,7 @@ from .statespace_cache import (
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_RETRY",
     "FaultInjector",
-    "NO_RETRY",
     "ParallelExecutor",
     "ParametricLTS",
     "RetryPolicy",

@@ -3,28 +3,28 @@
 :class:`ParallelExecutor` wraps :class:`concurrent.futures.ProcessPoolExecutor`
 with the conventions the experiment stack needs:
 
-* **Serial fallback** — ``workers=1`` runs tasks inline with zero process
-  overhead and is the CI-deterministic default everywhere; any parallel
-  result is required (and tested) to be identical to the serial one.
+* **One path per worker count** — ``workers=1`` (or a single item) runs
+  tasks inline and is the CI-deterministic default everywhere; more
+  workers run them on a process pool.  Retries, faults, checkpoints and
+  tracing never pick the path, and any parallel result is required (and
+  tested) to be identical to the serial one.
 * **Shared payload** — large read-only inputs (a cached state-space
   skeleton, the measure set) are shipped to each worker process *once* via
   the pool initializer instead of being pickled per task.
 * **Deterministic ordering** — results always come back in input order
   regardless of completion order.
-* **Chunked submission** — tasks are submitted in chunks so thousands of
-  tiny tasks (replication runs) don't drown in IPC overhead.
-* **Fault tolerance** — with a :class:`RetryPolicy`, each task gets a
-  bounded number of attempts with exponential backoff; a broken process
-  pool (a worker died) is rebuilt, and after ``max_pool_restarts``
-  breakages the executor degrades gracefully to the serial path, which is
-  always result-identical.  Typed failures come from
-  :mod:`repro.errors` (:class:`~repro.errors.RetryBudgetExceededError`).
+* **Fault tolerance** — without a :class:`RetryPolicy` each task gets one
+  attempt and a failing task's own exception propagates; with one, each
+  task gets a bounded number of attempts with exponential backoff, and
+  exhaustion raises :class:`~repro.errors.RetryBudgetExceededError`.  A
+  broken process pool (a worker died) is rebuilt, and after
+  ``max_pool_restarts`` breakages the executor degrades gracefully to the
+  serial path, which is always result-identical.
 * **Checkpoint / trace hooks** — completed tasks can be journaled to a
   :class:`~repro.runtime.checkpoint.SweepCheckpoint` (so an interrupted
-  sweep resumes bit-identically), and on the resilient path every point
-  and attempt is a :mod:`repro.obs.tracing` span, so retries, checkpoint
-  hits and degradations reach the span totals with or without a trace
-  file.
+  sweep resumes bit-identically), and every point and attempt is a
+  :mod:`repro.obs.tracing` span, so retries, checkpoint hits and
+  degradations reach the span totals with or without a trace file.
 
 Worker functions must be module-level callables of the form
 ``fn(shared, item)`` so they can be pickled by reference.  Tasks must be
@@ -38,10 +38,9 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..errors import RetryBudgetExceededError
+from ..errors import RetryBudgetExceededError, WorkerFaultError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from .faults import KILL, FaultInjector
@@ -66,11 +65,7 @@ def _init_shared(shared: Any) -> None:
     _SHARED = shared
 
 
-def _call_with_shared(fn: Callable[[Any, Any], Any], item: Any) -> Any:
-    return fn(_SHARED, item)
-
-
-def _resilient_call(
+def _pool_call(
     fn: Callable[[Any, Any], Any],
     faults: Optional[FaultInjector],
     index: int,
@@ -113,7 +108,7 @@ def _resilient_call(
 
 
 class _PointSpans:
-    """Parent-side span bookkeeping for the resilient pool path.
+    """Parent-side span bookkeeping for the pool path.
 
     The pool path cannot use :func:`repro.obs.tracing.span` context
     managers — a point's attempts interleave with other points across
@@ -305,10 +300,25 @@ class RetryPolicy:
         )
 
 
-#: Retrying is the default as soon as the resilient path is engaged.
-DEFAULT_RETRY = RetryPolicy()
-#: Fail fast: a single attempt per task.
-NO_RETRY = RetryPolicy(max_attempts=1)
+def _budget(retry: Optional[RetryPolicy]) -> int:
+    """Attempts per task: the policy's, or one without a policy."""
+    return 1 if retry is None else retry.max_attempts
+
+
+def _gave_up(
+    retry: Optional[RetryPolicy],
+    index: int,
+    attempts: int,
+    error: Exception,
+) -> Exception:
+    """The error a task ends with once its last attempt has failed.
+
+    Without a policy the task had its one attempt and its own exception
+    propagates unchanged; under a policy the typed budget error wraps it.
+    """
+    if retry is None:
+        return error
+    return RetryBudgetExceededError(index, attempts, error)
 
 
 class ParallelExecutor:
@@ -332,7 +342,6 @@ class ParallelExecutor:
         fn: Callable[[Any, Any], Any],
         items: Sequence[Any],
         shared: Any = None,
-        chunksize: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultInjector] = None,
         checkpoint: Optional[Any] = None,
@@ -340,16 +349,18 @@ class ParallelExecutor:
     ) -> List[Any]:
         """Run ``fn(shared, item)`` over *items*, preserving input order.
 
-        With none of *retry*/*faults*/*checkpoint* set and no active
-        tracer this is the zero-overhead fast path (chunked ``pool.map``
-        or an inline loop).  Otherwise the resilient path runs: per-task
-        attempts under *retry* (default :data:`DEFAULT_RETRY`), planned
-        faults from *faults*, completed tasks journaled to *checkpoint*
-        (and replayed from it instead of recomputed), and one ``point``
-        span per item with one ``execute`` span per attempt, labelled
-        with *phase*.
+        One worker (or one item) runs the tasks inline, more run them on
+        a process pool; nothing else selects the path.  Each task gets
+        the attempts of *retry*: without a policy one attempt, whose
+        exception propagates unchanged; under one, a task that fails
+        every attempt raises
+        :class:`~repro.errors.RetryBudgetExceededError`.  *faults* plans
+        injected failures, *checkpoint* journals completed tasks (and
+        replays them instead of recomputing), and every item is one
+        ``point`` span with one ``execute`` span per attempt, labelled
+        with *phase*, traced or not.
 
-        Either way the results are bit-identical to the plain serial
+        The results are bit-identical to the plain serial
         ``[fn(shared, item) for item in items]`` — tasks are pure, retries
         recompute the same value, and checkpoints replay exact values.
         If the platform refuses to fork worker processes the call degrades
@@ -358,71 +369,24 @@ class ParallelExecutor:
         items = list(items)
         if not items:
             return []
-        resilient = (
-            retry is not None
-            or faults is not None
-            or checkpoint is not None
-            or tracing.active()
-        )
-        if not resilient:
-            _count_tasks(
-                "serial" if self.is_serial else "pool", len(items)
-            )
-            return self._map_fast(fn, items, shared, chunksize)
-        retry = retry or DEFAULT_RETRY
         if self.is_serial or len(items) == 1:
-            _count_tasks("resilient-serial", len(items))
+            _count_tasks("serial", len(items))
             return self._map_serial(
                 fn, items, shared, retry, faults, checkpoint, phase
             )
-        _count_tasks("resilient-pool", len(items))
+        _count_tasks("pool", len(items))
         return self._map_parallel(
             fn, items, shared, retry, faults, checkpoint, phase
         )
 
-    # -- fast path (no retry/trace/checkpoint machinery) -------------------
-
-    def _map_fast(
-        self,
-        fn: Callable[[Any, Any], Any],
-        items: List[Any],
-        shared: Any,
-        chunksize: Optional[int],
-    ) -> List[Any]:
-        if self.is_serial or len(items) == 1:
-            return [fn(shared, item) for item in items]
-        if chunksize is None:
-            chunksize = max(1, len(items) // (self.workers * 4))
-        # Imported lazily: merely importing the pool machinery is useless
-        # on the serial path, and some sandboxes forbid process creation.
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(items)),
-                initializer=_init_shared,
-                initargs=(shared,),
-            ) as pool:
-                return list(
-                    pool.map(
-                        partial(_call_with_shared, fn),
-                        items,
-                        chunksize=chunksize,
-                    )
-                )
-        except (OSError, PermissionError):
-            # Process creation unavailable (restricted sandbox): degrade
-            # to the serial path, which is always result-identical.
-            return [fn(shared, item) for item in items]
-
-    # -- resilient serial path ---------------------------------------------
+    # -- serial path -------------------------------------------------------
 
     def _map_serial(
         self,
         fn: Callable[[Any, Any], Any],
         items: List[Any],
         shared: Any,
-        retry: RetryPolicy,
+        retry: Optional[RetryPolicy],
         faults: Optional[FaultInjector],
         checkpoint: Optional[Any],
         phase: str,
@@ -450,14 +414,15 @@ class ParallelExecutor:
         shared: Any,
         item: Any,
         index: int,
-        retry: RetryPolicy,
+        retry: Optional[RetryPolicy],
         faults: Optional[FaultInjector],
         phase: str,
         checkpoint: Optional[Any],
         first_attempt: int = 0,
     ) -> Any:
+        budget = _budget(retry)
         last_error: Optional[Exception] = None
-        for attempt in range(first_attempt, retry.max_attempts):
+        for attempt in range(first_attempt, budget):
             if attempt > first_attempt:
                 time.sleep(retry.delay_before(attempt - first_attempt))
             wall_started = time.perf_counter()
@@ -470,7 +435,7 @@ class ParallelExecutor:
                     value = fn(shared, item)
                 except Exception as error:  # noqa: BLE001 — retry task errors
                     last_error = error
-                    exhausted = attempt + 1 >= retry.max_attempts
+                    exhausted = attempt + 1 >= budget
                     exec_span.status = (
                         tracing.STATUS_FAILED
                         if exhausted
@@ -483,18 +448,16 @@ class ParallelExecutor:
                     index, value, elapsed=time.perf_counter() - wall_started
                 )
             return value
-        raise RetryBudgetExceededError(
-            index, retry.max_attempts - first_attempt, last_error
-        )
+        raise _gave_up(retry, index, budget - first_attempt, last_error)
 
-    # -- resilient parallel path -------------------------------------------
+    # -- pool path ---------------------------------------------------------
 
     def _map_parallel(
         self,
         fn: Callable[[Any, Any], Any],
         items: List[Any],
         shared: Any,
-        retry: RetryPolicy,
+        retry: Optional[RetryPolicy],
         faults: Optional[FaultInjector],
         checkpoint: Optional[Any],
         phase: str,
@@ -538,7 +501,7 @@ class ParallelExecutor:
         fn: Callable[[Any, Any], Any],
         items: List[Any],
         shared: Any,
-        retry: RetryPolicy,
+        retry: Optional[RetryPolicy],
         faults: Optional[FaultInjector],
         checkpoint: Optional[Any],
         phase: str,
@@ -549,6 +512,7 @@ class ParallelExecutor:
         as_completed,
         BrokenProcessPool,
     ) -> List[Any]:
+        budget = _budget(retry)
         pool_restarts = 0
         while pending:
             if pool_restarts > self.max_pool_restarts:
@@ -567,12 +531,10 @@ class ParallelExecutor:
                     )
                 pending = []
                 break
-            backoff = max(
-                (
-                    retry.delay_before(attempts[index])
-                    for index in pending
-                ),
-                default=0.0,
+            backoff = (
+                max(retry.delay_before(attempts[index]) for index in pending)
+                if retry is not None
+                else 0.0
             )
             if backoff > 0.0:
                 time.sleep(backoff)
@@ -595,7 +557,7 @@ class ParallelExecutor:
                     ctx = point_spans.submit(index)
                     futures[
                         pool.submit(
-                            _resilient_call,
+                            _pool_call,
                             fn, faults, index, attempts[index],
                             items[index], ctx,
                         )
@@ -608,54 +570,45 @@ class ParallelExecutor:
                     except BrokenProcessPool:
                         pool_broken = True
                         if (
-                            faults is not None
-                            and faults.plan(index, attempts[index]) == KILL
+                            faults is None
+                            or faults.plan(index, attempts[index]) != KILL
                         ):
-                            # The kill consumed this task's attempt; tasks
-                            # merely caught in the pool collapse retry for
-                            # free.
-                            point_spans.failed(
-                                index, ctx, submitted, attempts[index],
-                                tracing.STATUS_RETRY, "worker killed",
-                            )
-                            attempts[index] += 1
-                            if attempts[index] >= retry.max_attempts:
-                                raise RetryBudgetExceededError(
-                                    index,
-                                    retry.max_attempts,
-                                    BrokenProcessPool(
-                                        "worker killed repeatedly"
-                                    ),
-                                )
-                        still_pending.append(index)
-                        continue
+                            # Merely caught in a pool another task's kill
+                            # broke: the task retries for free.
+                            still_pending.append(index)
+                            continue
+                        # The kill consumed this task's attempt.
+                        failure: Exception = WorkerFaultError(
+                            f"injected {KILL} fault on task {index} "
+                            f"(attempt {attempts[index]})",
+                            index=index,
+                            attempt=attempts[index],
+                        )
                     except Exception as error:  # noqa: BLE001
-                        attempts[index] += 1
-                        exhausted = attempts[index] >= retry.max_attempts
-                        status = (
-                            tracing.STATUS_FAILED
-                            if exhausted
-                            else tracing.STATUS_RETRY
+                        failure = error
+                    else:
+                        results[index] = value
+                        point_spans.executed(
+                            index, ctx, submitted, meta, attempts[index]
                         )
-                        point_spans.failed(
-                            index, ctx, submitted, attempts[index] - 1,
-                            status, repr(error),
-                        )
-                        if exhausted:
-                            raise RetryBudgetExceededError(
-                                index, retry.max_attempts, error
+                        if checkpoint is not None:
+                            checkpoint.record(
+                                index, value, elapsed=meta["wall"]
                             )
-                        still_pending.append(index)
+                        point_spans.finish(index)
                         continue
-                    results[index] = value
-                    point_spans.executed(
-                        index, ctx, submitted, meta, attempts[index]
+                    attempts[index] += 1
+                    exhausted = attempts[index] >= budget
+                    point_spans.failed(
+                        index, ctx, submitted, attempts[index] - 1,
+                        tracing.STATUS_FAILED
+                        if exhausted
+                        else tracing.STATUS_RETRY,
+                        repr(failure),
                     )
-                    if checkpoint is not None:
-                        checkpoint.record(
-                            index, value, elapsed=meta["wall"]
-                        )
-                    point_spans.finish(index)
+                    if exhausted:
+                        raise _gave_up(retry, index, budget, failure)
+                    still_pending.append(index)
                 pending = still_pending
             finally:
                 pool.shutdown(wait=not pool_broken)

@@ -24,7 +24,7 @@ from ..errors import SimulationError
 from ..lts.lts import LTS
 from ..obs import metrics as obs_metrics
 from .engine import Simulator
-from .output import Estimate, summarize, summarize_paired
+from .output import Estimate, summarize
 from .random import make_generator
 
 
@@ -129,30 +129,3 @@ def batch_means(
         estimates, samples, autocorrelation, convergence
     )
 
-
-def paired_batch_delta(
-    first: BatchMeansResult,
-    second: BatchMeansResult,
-    confidence: float = 0.90,
-) -> Dict[str, Estimate]:
-    """Paired-delta intervals from two batch-means analyses.
-
-    Batch ``k`` of *first* is paired with batch ``k`` of *second*, and
-    the Student-t interval is computed on the per-batch differences —
-    the batch-means counterpart of the paired replication protocol in
-    :func:`repro.sim.output.summarize_paired`.  Meaningful when the two
-    trajectories were driven by common random numbers (shared event
-    streams, docs/SIMULATION.md); with independent trajectories it
-    degrades to an ordinary difference interval.  Both analyses must
-    cover the same measures with the same batch count.
-    """
-    if set(first.batch_means) != set(second.batch_means):
-        raise SimulationError(
-            "paired batch-means analyses must cover the same measures"
-        )
-    return {
-        name: summarize_paired(
-            first.batch_means[name], second.batch_means[name], confidence
-        )
-        for name in first.batch_means
-    }

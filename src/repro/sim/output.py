@@ -430,19 +430,15 @@ def replicate_until(
         lts, measures, clock_semantics, run_length, run_warmup, seed,
         start_state,
     )
-    resilience = {}
-    if retry is not None or faults is not None:
-        resilience = {
-            "retry": retry, "faults": faults,
-            "phase": "replicate",
-        }
-        # The resilient serial path routes through _replication_run in
-        # this very process: hand it the already-compiled simulator.
+    inline = executor.is_serial and retry is None and faults is None
+    if not inline:
+        # The serial executor routes through _replication_run in this
+        # very process: hand it the already-compiled simulator.
         _seed_worker_sim(shared, simulator)
     runs_done = 0
     stop = False
     while runs_done < max_runs and not stop:
-        if executor.is_serial and not resilience:
+        if inline:
             batch = [
                 simulator.run(
                     run_length,
@@ -461,8 +457,9 @@ def replicate_until(
                 _replication_run,
                 range(runs_done, runs_done + span),
                 shared=shared,
-                chunksize=1,
-                **resilience,
+                retry=retry,
+                faults=faults,
+                phase="replicate",
             )
         for measured in batch:
             # A run reaches this point exactly once: failed attempts are
@@ -498,10 +495,10 @@ def replicate(
 
     ``workers > 1`` distributes runs over a process pool.  Each run draws
     its stream from the master seed by index, so the estimates are
-    bit-identical to the serial execution.  *retry*/*faults*
-    engage the fault-tolerant executor path: failed runs are re-executed
-    on the same stream index (same value), so faults and retries cannot
-    change the estimates.
+    bit-identical to the serial execution.  *retry*/*faults* run the
+    replications through the executor even serially: failed runs are
+    re-executed on the same stream index (same value), so faults and
+    retries cannot change the estimates.
 
     *engine* accepts only ``None`` or ``"reference"``
     (:func:`resolve_engine`).
@@ -511,13 +508,7 @@ def replicate(
     resolve_engine(engine)
     samples: Dict[str, List[float]] = {m.name: [] for m in measures}
     executor = ParallelExecutor(workers)
-    resilience = {}
-    if retry is not None or faults is not None:
-        resilience = {
-            "retry": retry, "faults": faults,
-            "phase": "replicate",
-        }
-    if executor.is_serial and not resilience:
+    if executor.is_serial and retry is None and faults is None:
         simulator = Simulator(lts, measures, clock_semantics)
         for rng in spawn_generators(seed, runs):
             result = simulator.run(run_length, rng, warmup)
@@ -531,8 +522,9 @@ def replicate(
             _replication_run,
             range(runs),
             shared=shared,
-            chunksize=1,
-            **resilience,
+            retry=retry,
+            faults=faults,
+            phase="replicate",
         ):
             for name, value in measured.items():
                 samples[name].append(value)
@@ -618,12 +610,6 @@ def replicate_paired(
     if runs < 2:
         raise SimulationError("need at least two runs for an interval")
     executor = ParallelExecutor(workers)
-    resilience = {}
-    if retry is not None or faults is not None:
-        resilience = {
-            "retry": retry, "faults": faults,
-            "phase": "replicate-paired",
-        }
     shared = (
         lts_first, lts_second, measures, clock_semantics,
         run_length, warmup, seed, crn,
@@ -636,8 +622,9 @@ def replicate_paired(
         _paired_batch,
         chunks,
         shared=shared,
-        chunksize=1,
-        **resilience,
+        retry=retry,
+        faults=faults,
+        phase="replicate-paired",
     ):
         for measured_first, measured_second in batch:
             for name in names:

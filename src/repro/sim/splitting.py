@@ -602,12 +602,6 @@ def split_replicate(
         resolved = reward_importance(lts, target, levels)
 
     executor = ParallelExecutor(workers)
-    resilience = {}
-    if retry is not None or faults is not None:
-        resilience = {
-            "retry": retry, "faults": faults,
-            "phase": "split-replicate",
-        }
     shared = (
         lts, tuple(measures), clock_semantics, run_length, warmup,
         seed, levels, splits, segments,
@@ -627,8 +621,8 @@ def split_replicate(
         workers=workers,
     ) as split_span:
         for tree in executor.map(
-            _tree_task, range(runs), shared=shared, chunksize=1,
-            **resilience,
+            _tree_task, range(runs), shared=shared, retry=retry,
+            faults=faults, phase="split-replicate",
         ):
             for name in names:
                 samples[name].append(tree["measures"][name])

@@ -167,7 +167,7 @@ class TestMetricsOut:
             )
             == 3
         )
-        # --retry engages the resilient executor + span tracer
+        # every mapped point is a span, traced or not
         assert _value(snapshot, "repro_runtime_spans_total") >= 3
         assert _value(snapshot, "repro_executor_tasks_total") >= 3
 

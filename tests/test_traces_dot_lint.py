@@ -1,97 +1,7 @@
-"""Tests for trace semantics, DOT export and the ADL lint layer."""
+"""Tests for the ADL lint layer (static analysis of architectures)."""
 
-import pytest
-
-from repro.aemilia import generate_lts, parse_architecture
+from repro.aemilia import parse_architecture
 from repro.aemilia.static_analysis import Severity, analyze, report
-from repro.ctmc import build_ctmc
-from repro.lts import TAU, build_lts, check_weak_equivalence
-from repro.lts.dot import ctmc_to_dot, lts_to_dot
-from repro.lts.traces import (
-    completed_weak_traces,
-    trace_equivalent,
-    weak_traces,
-)
-
-
-class TestWeakTraces:
-    def test_simple_sequence(self):
-        lts = build_lts(3, [(0, "a", 1), (1, "b", 2)])
-        traces = weak_traces(lts, 2)
-        assert traces == {(), ("a",), ("a", "b")}
-
-    def test_tau_steps_are_free(self):
-        lts = build_lts(4, [(0, TAU, 1), (1, "a", 2), (2, TAU, 3)])
-        assert ("a",) in weak_traces(lts, 1)
-
-    def test_bound_respected(self):
-        lts = build_lts(1, [(0, "a", 0)])
-        traces = weak_traces(lts, 3)
-        assert max(len(t) for t in traces) == 3
-
-    def test_coffee_machines_trace_equivalent_not_bisimilar(
-        self, coffee_machines
-    ):
-        """The classic gap between trace and bisimulation semantics."""
-        deterministic, nondeterministic = coffee_machines
-        assert trace_equivalent(deterministic, nondeterministic, 6)
-        assert not check_weak_equivalence(
-            deterministic, nondeterministic
-        ).equivalent
-
-    def test_trace_difference_detected(self):
-        first = build_lts(2, [(0, "a", 1)])
-        second = build_lts(2, [(0, "b", 1)])
-        assert not trace_equivalent(first, second, 1)
-
-    def test_completed_traces_distinguish_deadlock(self):
-        live = build_lts(2, [(0, "a", 1), (1, "a", 1)])
-        dying = build_lts(2, [(0, "a", 1)])
-        assert completed_weak_traces(live, 4) == set()
-        assert ("a",) in completed_weak_traces(dying, 4)
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            weak_traces(build_lts(1, []), -1)
-
-
-class TestDotExport:
-    def test_lts_dot_structure(self, pingpong):
-        lts = generate_lts(pingpong)
-        dot = lts_to_dot(lts, name="pingpong")
-        assert dot.startswith('digraph "pingpong"')
-        assert "doublecircle" in dot  # initial state marked
-        assert "P.send_ping#Q.receive_ping" in dot
-        assert dot.rstrip().endswith("}")
-
-    def test_tau_edges_dashed(self):
-        lts = build_lts(2, [(0, TAU, 1)])
-        assert "style=dashed" in lts_to_dot(lts)
-
-    def test_deadlock_states_shaded(self):
-        lts = build_lts(2, [(0, "a", 1)])
-        assert "fillcolor" in lts_to_dot(lts)
-
-    def test_truncation_note(self):
-        lts = build_lts(5, [(0, "a", 1)])
-        dot = lts_to_dot(lts, max_states=2)
-        assert "more states not shown" in dot
-
-    def test_state_info_labels(self, pingpong):
-        lts = generate_lts(pingpong)
-        dot = lts_to_dot(lts, include_state_info=True)
-        assert "P:" in dot
-
-    def test_ctmc_dot(self, mm1k):
-        ctmc = build_ctmc(generate_lts(mm1k))
-        dot = ctmc_to_dot(ctmc, name="queue")
-        assert 'digraph "queue"' in dot
-        assert "->" in dot
-
-    def test_quotes_escaped(self):
-        lts = build_lts(1, [(0, 'x"y', 0)])
-        dot = lts_to_dot(lts)
-        assert '\\"' in dot
 
 
 class TestStaticAnalysis:
