@@ -43,6 +43,7 @@ value in microseconds.  Callers treat every :class:`ParametricError` as
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -339,13 +340,51 @@ def record_parametric_fallback(reason: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _EntryStore:
+    """The off-diagonal generator over the node ring, one row per entry.
+
+    Entry ``e`` is the node vector ``values[e]``.  ``out_edges[s]`` maps
+    each target of state ``s`` to its entry id in insertion order, and
+    ``in_edges[s]`` holds the states with an entry into ``s``.  Rows
+    ``used`` and beyond are unwritten capacity.
+    """
+
+    def __init__(self, size: int, node_count: int, capacity: int):
+        self.values = np.empty((capacity, node_count))
+        self.out_edges: List[Dict[int, int]] = [{} for _ in range(size)]
+        self.in_edges: List[set] = [set() for _ in range(size)]
+        self.used = 0
+
+    def add(self, source: int, target: int) -> int:
+        """A new entry ``source -> target``; its row is unwritten."""
+        entry = self.take()
+        self.out_edges[source][target] = entry
+        self.in_edges[target].add(source)
+        return entry
+
+    def take(self) -> int:
+        """A fresh entry id; :meth:`reserve` makes room for its row."""
+        self.used += 1
+        return self.used - 1
+
+    def reserve(self) -> np.ndarray:
+        """The values, grown (doubling) to hold every taken entry."""
+        capacity = self.values.shape[0]
+        if self.used > capacity:
+            grown = np.empty(
+                (max(self.used, 2 * capacity), self.values.shape[1])
+            )
+            grown[:capacity] = self.values
+            self.values = grown
+        return self.values
+
+
 @dataclass
 class _Capture:
-    """The chain over the node ring, ready for elimination."""
+    """The recurrent class's atoms and rewards over the node ring (its
+    generator is the :class:`_EntryStore` captured alongside)."""
 
     recurrent: List[int]                      # CTMC state ids, sorted
-    out_edges: Dict[int, Dict[int, np.ndarray]]   # position-indexed Q
-    in_edges: Dict[int, set]
     atom_values: np.ndarray                   # (atoms, nodes)
     #: per-measure constant reward per position: state rewards plus
     #: constant-rate transition rewards (self-loops included).
@@ -366,9 +405,10 @@ def _capture_chain(
     measures: Sequence[Measure],
     nodes: np.ndarray,
     options: ParametricOptions,
-) -> _Capture:
+) -> Tuple[_EntryStore, _Capture]:
     """Replay :func:`~repro.ctmc.build.build_ctmc`'s construction with
-    symbolic parametric rates.
+    symbolic parametric rates; returns the generator entries over the
+    node ring and the rest of the chain.
 
     Every CTMC-level transition contribution is split into a constant
     float part and a sum of ``coefficient * atom(p)`` parts.  Vanishing
@@ -384,9 +424,9 @@ def _capture_chain(
     plan = elimination_plan(lts)
 
     # The concrete CTMC (rates at the base point) supplies the recurrent
-    # class, which is parameter-independent.
-    ctmc = plan.instantiate(lts)
-    bsccs = ctmc.bottom_strongly_connected_components()
+    # class, which is parameter-independent; it is freed at once, so the
+    # capture's later allocations reuse its memory.
+    bsccs = plan.instantiate(lts).bottom_strongly_connected_components()
     if len(bsccs) != 1:
         raise ParametricError(
             f"chain has {len(bsccs)} bottom strongly connected "
@@ -425,10 +465,10 @@ def _capture_chain(
         atom_functions.append(rational)
         return atom_index[key]
 
+    #: position -> target -> [constant, {atom: coefficient}].
     out_edges: Dict[int, Dict[int, List]] = {
         i: {} for i in range(len(recurrent))
     }
-    in_edges: Dict[int, set] = {i: set() for i in range(len(recurrent))}
     #: measure -> position -> accumulated constant reward rate.
     const_trans: Dict[str, Dict[int, float]] = {
         m.name: {} for m in measures
@@ -438,6 +478,15 @@ def _capture_chain(
     }
     parametric_transitions = 0
     table = RewardTable(measures)
+    #: (index, name) of every measure with transition rewards.
+    rewarded = [
+        (j, m.name)
+        for j, m in enumerate(table.measures)
+        if m.has_trans_clauses()
+    ]
+    #: label counts, in order -> each rewarded measure's reward (the
+    #: resolved contributions share a few dozen distinct label counts).
+    rewards_of: Dict[tuple, Tuple[float, ...]] = {}
 
     def add_contribution(
         source_position: int,
@@ -448,23 +497,27 @@ def _capture_chain(
         counts: Mapping[str, float],
     ) -> None:
         """One CTMC transition contribution (already vanishing-resolved)."""
-        impulses = [
-            (count, table.impulses(label)) for label, count in counts.items()
-        ]
-        for j, m in enumerate(table.measures):
-            if not m.has_trans_clauses():
-                continue
-            reward = sum(count * row[j] for count, row in impulses)
+        labels = tuple(counts.items())
+        rewards = rewards_of.get(labels)
+        if rewards is None:
+            impulses = [
+                (count, table.impulses(label)) for label, count in labels
+            ]
+            rewards = rewards_of[labels] = tuple(
+                sum(count * row[j] for count, row in impulses)
+                for j, _ in rewarded
+            )
+        for (_, name), reward in zip(rewarded, rewards):
             if reward == 0.0:
                 continue
             if atom is None:
-                bucket = const_trans[m.name]
+                bucket = const_trans[name]
                 bucket[source_position] = (
                     bucket.get(source_position, 0.0) + constant * reward
                 )
             else:
                 key = (source_position, atom)
-                bucket = param_rewards[m.name]
+                bucket = param_rewards[name]
                 bucket[key] = (
                     bucket.get(key, 0.0) + coefficient * reward
                 )
@@ -475,7 +528,6 @@ def _capture_chain(
         if entry is None:
             entry = [0.0, {}]  # [constant, {atom: coefficient}]
             row[target_position] = entry
-            in_edges[target_position].add(source_position)
         if atom is None:
             entry[0] += constant
         else:
@@ -530,36 +582,41 @@ def _capture_chain(
             )
         atom_values[index] = rational.evaluate_nodes(nodes)
 
-    # Materialise the node-ring generator entries.
-    nnz = 0
-    vector_out: Dict[int, Dict[int, np.ndarray]] = {}
+    # Materialise the node-ring generator entries, each row in target
+    # order.  The capacity leaves room for the elimination's fill-in
+    # (the streaming chain's 3,362 entries peak at 11,843 rows).
+    nnz = sum(len(row) for row in out_edges.values())
+    entries = _EntryStore(len(recurrent), nodes.size, 4 * nnz)
+    constants = np.empty(nnz)
+    summed: List[Tuple[int, Dict[int, float]]] = []
     for source_position, row in out_edges.items():
-        vector_row: Dict[int, np.ndarray] = {}
         for target_position, (constant, atoms) in sorted(row.items()):
-            vector = np.full(nodes.size, constant)
-            for atom, coefficient in sorted(atoms.items()):
-                vector = vector + coefficient * atom_values[atom]
-            vector_row[target_position] = vector
-            nnz += 1
-        vector_out[source_position] = vector_row
+            entry = entries.add(source_position, target_position)
+            constants[entry] = constant
+            if atoms:
+                summed.append((entry, atoms))
+    values = entries.reserve()
+    values[:nnz] = constants[:, None]
+    for entry, atoms in summed:
+        for atom, coefficient in sorted(atoms.items()):
+            values[entry] += coefficient * atom_values[atom]
 
     # Constant reward per position: state rewards (enabled labels are
     # structural) plus the accumulated constant-rate transition rewards.
     const_rewards: Dict[str, np.ndarray] = {}
     for j, m in enumerate(table.measures):
         rewards = np.zeros(len(recurrent))
+        state_clauses = m.has_state_clauses()
         for position, ctmc_state in enumerate(recurrent):
             value = const_trans[m.name].get(position, 0.0)
-            if m.has_state_clauses():
+            if state_clauses:
                 enabled = plan.enabled[ctmc_state]
                 value += table.state_rewards(enabled)[j]
             rewards[position] = value
         const_rewards[m.name] = rewards
 
-    return _Capture(
+    return entries, _Capture(
         recurrent=recurrent,
-        out_edges=vector_out,
-        in_edges=in_edges,
         atom_values=atom_values,
         const_rewards=const_rewards,
         param_rewards={
@@ -580,32 +637,54 @@ def _capture_chain(
 # GTH elimination over the node ring.
 # ---------------------------------------------------------------------------
 
+#: Most (source, target) products one gather/scatter forms (a source
+#: with more targets goes alone): it bounds the temporaries of a large
+#: pivot to about that many node vectors each.
+_FILL_BLOCK_ROWS = 128
+
 
 def _eliminate(
-    capture: _Capture, options: ParametricOptions
+    entries: _EntryStore, options: ParametricOptions
 ) -> Tuple[np.ndarray, int]:
     """GTH state elimination; returns (x matrix, fill ops used).
 
     ``x[i]`` is the unnormalised steady-state weight vector of position
     ``i`` over the sample nodes.  Elimination order is Markowitz
     min-fill (in-degree x out-degree product, smallest index as the
-    deterministic tie-break); every update is the subtraction-free GTH
-    rule, so no cancellation can occur at any node.
+    deterministic tie-break), kept in a heap with lazy deletion; every
+    update is the subtraction-free GTH rule, so no cancellation can
+    occur at any node.
+
+    Each pivot ``k`` is a gather/scatter over *entries* (which it
+    consumes): the products ``q_ik / S_k * q_kj`` of its sources and
+    targets are formed at once, added onto the existing entries and
+    written into the new fill entries, at most
+    :data:`_FILL_BLOCK_ROWS` products at a time.  The walk over
+    (source, target) pairs only does the structural bookkeeping.  Every
+    element sees the same IEEE divide, multiply and add as a per-pair
+    update, so ``x`` is bit-identical to one
+    (``tests/test_parametric_elimination.py``).  The rows of a pivot's
+    out-entries are reused for fill; its in-entries stay in place for
+    the back-substitution.
     """
-    out_edges = capture.out_edges
-    in_edges = capture.in_edges
-    size = len(capture.recurrent)
-    node_count = capture.atom_values.shape[1] if size else 0
-    remaining = set(range(size))
-    eliminations: List[Tuple[int, np.ndarray, Dict[int, np.ndarray]]] = []
+    out_edges = entries.out_edges
+    in_edges = entries.in_edges
+    size = len(out_edges)
+    node_count = entries.values.shape[1]
+    keys = [len(in_edges[s]) * len(out_edges[s]) for s in range(size)]
+    heap = [(key, s) for s, key in enumerate(keys)]
+    heapq.heapify(heap)
+    free: List[int] = []
+    steps: List[Tuple[int, np.ndarray, List[int], List[int]]] = []
     ops = 0
-    while len(remaining) > 1:
-        k = min(
-            remaining,
-            key=lambda s: (len(in_edges[s]) * len(out_edges[s]), s),
-        )
-        outs = out_edges.pop(k)
-        sources = in_edges.pop(k)
+    while len(steps) < size - 1:
+        key, k = heapq.heappop(heap)
+        if keys[k] != key:
+            continue  # stale, or already eliminated (key -1)
+        keys[k] = -1
+        outs = out_edges[k]
+        sources = in_edges[k]
+        out_edges[k] = in_edges[k] = None
         outs.pop(k, None)
         sources.discard(k)
         if not outs:
@@ -614,41 +693,69 @@ def _eliminate(
                 "elimination (inconsistent chain)",
                 reason="structure",
             )
-        exit_total = np.add.reduce(list(outs.values()))
-        saved: Dict[int, np.ndarray] = {}
-        for i in sorted(sources):
-            q_ik = out_edges[i].pop(k)
-            saved[i] = q_ik
-            factor = q_ik / exit_total
-            row = out_edges[i]
-            for j, q_kj in outs.items():
-                if j == i:
-                    continue  # the diagonal stays implicit in GTH
-                ops += 1
-                existing = row.get(j)
-                if existing is None:
-                    row[j] = factor * q_kj
-                    in_edges[j].add(i)
-                else:
-                    row[j] = existing + factor * q_kj
-            if ops > options.max_fill_ops:
-                raise ParametricError(
-                    f"GTH fill-in exceeded the budget of "
-                    f"{options.max_fill_ops} update operations",
-                    reason="budget",
-                )
-        for j in outs:
+        targets = list(outs)
+        sources = sorted(sources)
+        in_ids = [out_edges[i].pop(k) for i in sources]
+        q_out = entries.values[list(outs.values())]
+        exit_total = np.add.reduce(q_out)
+        free.extend(outs.values())
+        width = len(targets)
+        block = max(1, _FILL_BLOCK_ROWS // width)
+        for start in range(0, len(sources), block):
+            values = entries.values
+            products = (
+                (values[in_ids[start:start + block]] / exit_total)[:, None]
+                * q_out
+            ).reshape(-1, node_count)
+            old_rows: List[int] = []
+            old_products: List[int] = []
+            new_rows: List[int] = []
+            new_products: List[int] = []
+            product = 0
+            for i in sources[start:start + block]:
+                row = out_edges[i]
+                for j in targets:
+                    if j == i:
+                        product += 1
+                        continue  # the diagonal stays implicit in GTH
+                    entry = row.get(j)
+                    if entry is None:
+                        entry = free.pop() if free else entries.take()
+                        row[j] = entry
+                        in_edges[j].add(i)
+                        new_rows.append(entry)
+                        new_products.append(product)
+                    else:
+                        old_rows.append(entry)
+                        old_products.append(product)
+                    product += 1
+                ops += width - (i in outs)
+                if ops > options.max_fill_ops:
+                    raise ParametricError(
+                        f"GTH fill-in exceeded the budget of "
+                        f"{options.max_fill_ops} update operations",
+                        reason="budget",
+                    )
+            values = entries.reserve()
+            values[old_rows] += products[old_products]
+            values[new_rows] = products[new_products]
+        for j in targets:
             in_edges[j].discard(k)
-        remaining.discard(k)
-        eliminations.append((k, exit_total, saved))
+        for s in (*sources, *targets):
+            key = len(in_edges[s]) * len(out_edges[s])
+            if keys[s] != key:
+                keys[s] = key
+                heapq.heappush(heap, (key, s))
+        steps.append((k, exit_total, sources, in_ids))
     x = np.zeros((size, node_count))
-    if remaining:
-        x[remaining.pop()] = 1.0
-    for k, exit_total, saved in reversed(eliminations):
-        acc = np.zeros(node_count)
-        for i, q_ik in saved.items():
-            acc += x[i] * q_ik
-        x[k] = acc / exit_total
+    if size:
+        x[keys.index(max(keys))] = 1.0  # the one state never eliminated
+    values = entries.values
+    for k, exit_total, sources, in_ids in reversed(steps):
+        # A running sum in source order, as a per-source loop adds.
+        if sources:
+            x[k] = np.add.accumulate(x[sources] * values[in_ids])[-1]
+        x[k] = x[k] / exit_total
     return x, ops
 
 
@@ -709,11 +816,12 @@ def build_parametric_solution(
             options.atom_degree_limit,
         )
         nodes = _chebyshev_nodes(low, high, options.nodes)
-        capture = _capture_chain(
+        entries, capture = _capture_chain(
             lts, skeleton.provenance, atom_builder, dependent,
             parameter, measures, nodes, options,
         )
-        x, fill_ops = _eliminate(capture, options)
+        x, fill_ops = _eliminate(entries, options)
+        del entries  # the store's rows are freed before the fits
         total = x.sum(axis=0)
         fits: Dict[str, BarycentricRational] = {}
         fit_errors: Dict[str, float] = {}

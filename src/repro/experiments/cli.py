@@ -61,7 +61,7 @@ from ..core.methodology import IncrementalMethodology
 from ..fleet import REPRESENTATIONS, FleetAssessment
 from ..core.reporting import format_table
 from ..ctmc.solvers import solver_choices
-from ..errors import CheckpointError
+from ..errors import CheckpointError, RuntimeExecutionError
 from ..obs import (
     CATALOG,
     configure_logging,
@@ -608,6 +608,9 @@ def run_sweep(argv: List[str]) -> int:
                     )
     except CheckpointError as error:
         _LOG.error("checkpoint rejected: %s", error)
+        return 1
+    except RuntimeExecutionError as error:
+        _LOG.error("sweep failed: %s", error)
         return 1
     payload = {
         "case": args.case,

@@ -26,6 +26,13 @@ branch weights linearly and credits impulses and sojourn rewards
 through per-firing helpers.  ``tests/test_sim_tables.py`` pins the
 single event loop over compiled per-state tables of
 :class:`~repro.sim.engine.Simulator` to it with ``==``.
+
+:func:`gth_eliminate_reference` is the historical parametric GTH
+elimination, verbatim: a linear Markowitz ``min`` over the remaining
+states at every pivot and one numpy update per (source, target) fill
+pair.  ``tests/test_parametric_elimination.py`` pins the heap-ordered,
+gather/scatter :func:`~repro.ctmc.parametric._eliminate` to it:
+``x`` byte-equal and the fill count ``==``.
 """
 
 import time
@@ -48,7 +55,13 @@ from repro.ctmc.chain import CTMC
 from repro.ctmc.measures import Measure, RewardTable
 from repro.ctmc.solvers import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from repro.distributions import Distribution, Exponential
-from repro.errors import MarkovianError, SimulationError, SolverError
+from repro.ctmc.parametric import ParametricOptions
+from repro.errors import (
+    MarkovianError,
+    ParametricError,
+    SimulationError,
+    SolverError,
+)
 from repro.lts.labels import local_label
 from repro.lts.lts import LTS, Transition
 from repro.obs import metrics as obs_metrics
@@ -567,3 +580,80 @@ class ReferenceSimulator:
             if pick <= acc:
                 return transition
         return transitions[-1]
+
+
+def gth_eliminate_reference(
+    capture, options: ParametricOptions
+) -> Tuple[np.ndarray, int]:
+    """GTH state elimination; returns (x matrix, fill ops used).
+
+    *capture* holds ``recurrent`` (its length is the state count),
+    ``out_edges`` (position -> {target: node vector}, in insertion
+    order), ``in_edges`` (position -> set of sources) and
+    ``atom_values`` (its second axis is the node count); the edge maps
+    are consumed.
+
+    ``x[i]`` is the unnormalised steady-state weight vector of position
+    ``i`` over the sample nodes.  Elimination order is Markowitz
+    min-fill (in-degree x out-degree product, smallest index as the
+    deterministic tie-break); every update is the subtraction-free GTH
+    rule, so no cancellation can occur at any node.
+    """
+    out_edges = capture.out_edges
+    in_edges = capture.in_edges
+    size = len(capture.recurrent)
+    node_count = capture.atom_values.shape[1] if size else 0
+    remaining = set(range(size))
+    eliminations: List[Tuple[int, np.ndarray, Dict[int, np.ndarray]]] = []
+    ops = 0
+    while len(remaining) > 1:
+        k = min(
+            remaining,
+            key=lambda s: (len(in_edges[s]) * len(out_edges[s]), s),
+        )
+        outs = out_edges.pop(k)
+        sources = in_edges.pop(k)
+        outs.pop(k, None)
+        sources.discard(k)
+        if not outs:
+            raise ParametricError(
+                "a recurrent state lost all outgoing rates during "
+                "elimination (inconsistent chain)",
+                reason="structure",
+            )
+        exit_total = np.add.reduce(list(outs.values()))
+        saved: Dict[int, np.ndarray] = {}
+        for i in sorted(sources):
+            q_ik = out_edges[i].pop(k)
+            saved[i] = q_ik
+            factor = q_ik / exit_total
+            row = out_edges[i]
+            for j, q_kj in outs.items():
+                if j == i:
+                    continue  # the diagonal stays implicit in GTH
+                ops += 1
+                existing = row.get(j)
+                if existing is None:
+                    row[j] = factor * q_kj
+                    in_edges[j].add(i)
+                else:
+                    row[j] = existing + factor * q_kj
+            if ops > options.max_fill_ops:
+                raise ParametricError(
+                    f"GTH fill-in exceeded the budget of "
+                    f"{options.max_fill_ops} update operations",
+                    reason="budget",
+                )
+        for j in outs:
+            in_edges[j].discard(k)
+        remaining.discard(k)
+        eliminations.append((k, exit_total, saved))
+    x = np.zeros((size, node_count))
+    if remaining:
+        x[remaining.pop()] = 1.0
+    for k, exit_total, saved in reversed(eliminations):
+        acc = np.zeros(node_count)
+        for i, q_ik in saved.items():
+            acc += x[i] * q_ik
+        x[k] = acc / exit_total
+    return x, ops

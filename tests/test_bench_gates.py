@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import bench_regression  # noqa: E402
-from gates import ALL, COMMITTED, RULES, check, resolve  # noqa: E402
+from gates import ALL, COMMITTED, RECHECK, RULES, check, resolve  # noqa: E402
 
 TABLES = {bench.OUTPUT_PATH.name: bench.GATES
           for bench in bench_regression.BENCHES}
@@ -110,3 +110,16 @@ def test_value_pushed_past_bound_fails(name):
 def test_every_rule_kind_is_used():
     used = {gate.rule for gates in TABLES.values() for gate in gates}
     assert used == set(RULES)
+
+
+def test_fill_count_pins_the_pivot_order():
+    """A changed Markowitz order changes the parametric fill count, and
+    the re-measure gates that count exactly."""
+    committed = _committed("BENCH_parametric.json")
+    [gate] = [g for g in TABLES["BENCH_parametric.json"]
+              if g.path == "fig4.fill_ops"]
+    assert gate.rule == "==" and gate.on & RECHECK
+    moved = copy.deepcopy(committed)
+    moved["fig4"]["fill_ops"] += 1
+    [verdict] = check([gate], moved, RECHECK, committed)
+    assert not verdict.passed

@@ -3,11 +3,16 @@
 Covers ``trace-summary`` and ``metrics`` end to end (exit codes, empty
 and malformed inputs) and the ``--metrics-out`` flag on ``run-sweep``:
 the exports must cover solver iterations, sim event throughput, cache
-events and retry/span counters for both case studies.
+events and retry/span counters for both case studies.  A ``run-sweep``
+whose task fails ends with one logged error and a nonzero exit.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +234,29 @@ class TestMetricsOut:
         assert "# TYPE repro_solver_solves_total counter" in text
         assert 'repro_solver_solves_total{method="direct"} 1' in text
         assert "repro_solver_seconds_bucket" in text
+
+
+class TestRunSweepTaskFailure:
+    def test_poisoned_task_is_one_error_line_not_a_traceback(
+        self, tmp_path
+    ):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        output = tmp_path / "sweep.json"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments", "run-sweep",
+                "--case", "rpc", "--phase", "markovian",
+                "--parameter", "shutdown_timeout", "--values", "1,5,11",
+                "--chaos", "seed=0,poison-indices=1",
+                "--output", str(output),
+            ],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr + done.stdout
+        assert "sweep failed: injected poison fault on task 1" in done.stderr
+        assert not output.exists()
