@@ -139,7 +139,8 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help=(
-            "record a hierarchical span trace to FILE (JSONL), plus "
+            "record a hierarchical span trace to FILE (JSONL, replacing "
+            "its contents), plus "
             "FILE.perfetto.json and FILE.otlp.json when the run "
             "finishes (docs/OBSERVABILITY.md)"
         ),
@@ -216,6 +217,9 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
             raise SystemExit(f"--workload: {error}") from None
     span_tracer = None
     if getattr(args, "trace_out", None):
+        # One run per trace file: the tracer appends each finished span,
+        # so an earlier run's spans must not stay in front of them.
+        open(args.trace_out, "w").close()
         span_tracer = tracing.Tracer(args.trace_out)
         tracing.set_tracer(span_tracer)
     ledger = getattr(args, "ledger", None)

@@ -20,7 +20,6 @@ from .output import (
     ReplicationResult,
     replicate,
     replicate_paired,
-    replicate_until,
     resolve_engine,
     summarize,
     summarize_paired,
@@ -31,7 +30,6 @@ from .random import (
     event_stream_key,
     generator_for_run,
     make_generator,
-    spawn_generators,
     splitting_event_generator,
 )
 from .splitting import (
@@ -73,7 +71,6 @@ __all__ = [
     "ReplicationResult",
     "replicate",
     "replicate_paired",
-    "replicate_until",
     "resolve_engine",
     "summarize",
     "summarize_paired",
@@ -82,7 +79,6 @@ __all__ = [
     "event_stream_key",
     "generator_for_run",
     "make_generator",
-    "spawn_generators",
     "splitting_event_generator",
     "RESAMPLE_STREAM",
     "ImportanceFunction",

@@ -8,9 +8,9 @@ Student-t intervals per measure.
 The replication protocol picks the random streams (docs/SIMULATION.md);
 every protocol runs the one GSMP engine, :class:`~repro.sim.engine.Simulator`:
 
-* :func:`replicate` and :func:`replicate_until` give each run its own
-  generator derived from ``(seed, run index)`` — the seed discipline
-  every committed independent-replication result was produced under;
+* :func:`replicate` gives each run its own generator derived from
+  ``(seed, run index)`` — the seed discipline every committed
+  independent-replication result was produced under;
 * :func:`replicate_paired` evaluates two model variants (the paper's
   DPM-on vs DPM-off comparisons) on per-event-type streams
   (:class:`~repro.sim.streams.EventStreamAllocator`).  With **common
@@ -18,6 +18,14 @@ every protocol runs the one GSMP engine, :class:`~repro.sim.engine.Simulator`:
   trajectories are positively correlated and the per-run
   *differences* — what Sect. 5's tables actually report — have far
   smaller variance than independent runs would give.
+
+Both protocols, and the splitting trees of :mod:`repro.sim.splitting`,
+run in one task shape: the run indices are cut into contiguous chunks,
+one per worker (:func:`_run_chunks`), and each executor task builds its
+simulator once and runs its chunk's indices in order.  So a
+replication map is one ``point`` span per chunk, and only the worker
+count sets the number of chunks: a retry policy, a fault injector or a
+tracer never does.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from ..runtime.executor import ParallelExecutor, RetryPolicy
 from ..runtime.faults import FaultInjector
 from .engine import Simulator
 from .estimators import log_scale_interval, wilson_interval
-from .random import generator_for_run, spawn_generators
+from .random import generator_for_run
 from .streams import EventStreamAllocator, independent_allocator
 
 
@@ -195,74 +203,23 @@ def summarize(
     return Estimate(mean, half_width, std_dev, runs, confidence)
 
 
-class _RunningStat:
-    """Welford running mean/variance — one instance per measure, updated
-    in place so the convergence loop never rebuilds estimator state."""
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def std_dev(self) -> float:
-        if self.count < 2:
-            return math.inf
-        return math.sqrt(self._m2 / (self.count - 1))
-
-
-#: Scale below which a mean is "about zero" and a *relative* half-width
-#: criterion stops being meaningful.
-_ZERO_SCALE = 1e-12
-
-# Per-process simulator reuse for parallel replications.  The shared
-# payload is pickled into each worker once; every task in the same batch
-# must then reuse the compiled simulator instead of rebuilding it per run.
-_WORKER_SIM: Optional[Tuple[Any, Simulator]] = None
-
-
-def _replication_run(shared: Any, run_index: int) -> Dict[str, float]:
-    """Run replication *run_index* of the batch described by *shared*.
-
-    Draws exactly the random stream the serial loop would assign to this
-    index, so a parallel batch is bit-identical to the serial one — and a
-    *retried* run is bit-identical to a first-try run, because the stream
-    is derived from ``(seed, run_index)`` alone, never from how many
-    attempts it took to get here.
-    """
-    global _WORKER_SIM
-    lts, measures, clock_semantics, run_length, warmup, seed, start = shared
-    if _WORKER_SIM is None or _WORKER_SIM[0] is not shared:
-        _WORKER_SIM = (shared, Simulator(lts, measures, clock_semantics))
-    simulator = _WORKER_SIM[1]
-    rng = generator_for_run(seed, run_index)
-    result = simulator.run(run_length, rng, warmup, start_state=start)
-    return result.measures
-
-
-def _seed_worker_sim(shared: Any, simulator: Simulator) -> None:
-    """Pre-populate this process's simulator memo (serial path reuse)."""
-    global _WORKER_SIM
-    _WORKER_SIM = (shared, simulator)
-
-
-# Per-process simulator pair reuse for paired replications.
-_WORKER_PAIR: Optional[Tuple[Any, Tuple[Simulator, Simulator]]] = None
+def _summaries(
+    samples: Dict[str, List[float]], confidence: float
+) -> Dict[str, Estimate]:
+    """Student-t summary of every measure's samples."""
+    return {
+        name: summarize(values, confidence)
+        for name, values in samples.items()
+    }
 
 
 def _run_chunks(runs: int, workers: int) -> List[Tuple[int, ...]]:
     """Contiguous run-index chunks, one per worker (last may be short).
 
-    Every stream is a pure function of ``(seed, run index, event
-    type)``, so the chunking never changes any run's numbers.
+    Every replication protocol maps one executor task over each chunk.
+    Every stream is a pure function of the seed and the run index (and
+    the event type or slot), so the chunking never changes any run's
+    numbers.
     """
     if workers <= 1 or runs <= 1:
         return [tuple(range(runs))]
@@ -273,7 +230,26 @@ def _run_chunks(runs: int, workers: int) -> List[Tuple[int, ...]]:
     ]
 
 
-def _paired_batch(
+def _replication_chunk(
+    shared: Any, chunk: Tuple[int, ...]
+) -> List[Dict[str, float]]:
+    """Run one chunk of independent replications on one simulator.
+
+    Run *k* draws ``generator_for_run(seed, k)`` and nothing else, so a
+    run's value depends neither on its chunk, nor on the worker that
+    runs it, nor on how many attempts the chunk took.
+    """
+    lts, measures, clock_semantics, run_length, warmup, seed = shared
+    simulator = Simulator(lts, measures, clock_semantics)
+    return [
+        simulator.run(
+            run_length, generator_for_run(seed, index), warmup
+        ).measures
+        for index in chunk
+    ]
+
+
+def _paired_chunk(
     shared: Any, chunk: Tuple[int, ...]
 ) -> List[Tuple[Dict[str, float], Dict[str, float]]]:
     """Run one chunk of paired replications (two model variants).
@@ -283,20 +259,12 @@ def _paired_batch(
     by run; otherwise the second variant gets decorrelated streams (the
     independent baseline the benchmarks compare against).
     """
-    global _WORKER_PAIR
     (
         lts_first, lts_second, measures, clock_semantics,
         run_length, warmup, seed, crn,
     ) = shared
-    if _WORKER_PAIR is None or _WORKER_PAIR[0] is not shared:
-        _WORKER_PAIR = (
-            shared,
-            (
-                Simulator(lts_first, measures, clock_semantics),
-                Simulator(lts_second, measures, clock_semantics),
-            ),
-        )
-    sim_first, sim_second = _WORKER_PAIR[1]
+    sim_first = Simulator(lts_first, measures, clock_semantics)
+    sim_second = Simulator(lts_second, measures, clock_semantics)
     alloc_first = EventStreamAllocator(seed, chunk)
     alloc_second = (
         EventStreamAllocator(seed, chunk)
@@ -316,167 +284,6 @@ def _paired_batch(
     ]
 
 
-def replicate_until(
-    lts: LTS,
-    measures: Sequence[Measure],
-    run_length: float,
-    relative_half_width: float = 0.05,
-    absolute_half_width: Optional[float] = None,
-    min_runs: int = 5,
-    max_runs: int = 200,
-    warmup: float = 0.0,
-    seed: int = 20040628,
-    confidence: float = 0.90,
-    clock_semantics: str = "enabling_memory",
-    workers: int = 1,
-    reuse_warmup_state: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultInjector] = None,
-) -> ReplicationResult:
-    """Sequential replication: run until every measure's confidence
-    interval is tight enough (half-width below ``relative_half_width`` of
-    the mean), or ``max_runs`` is exhausted.
-
-    Spends simulation effort where the variance is, instead of fixing the
-    replication count up front.  With *retry*/*faults* set, a run that
-    fails is re-executed (same stream index, hence the same value) before
-    anything is recorded: the Welford accumulators and the convergence
-    check only ever see each replication index **once**, so a retried run
-    can neither double-count nor shift the stopping point — the estimates
-    are identical to a fault-free execution.  Three more behaviours worth
-    knowing:
-
-    * A measure that is *exactly* constant across runs (zero sample
-      standard deviation — e.g. a probability that is identically 0)
-      counts as converged.  A measure that is merely *near* zero but
-      noisy does **not**: its relative criterion is undefined, so it
-      keeps the loop running rather than silently masking
-      non-convergence.  That policy makes a *relative* target
-      unreachable for a measure whose true value is ~0 (a rare-event
-      probability): the loop runs to ``max_runs`` every time.
-      ``absolute_half_width`` is the escape hatch — a measure whose
-      interval half-width is already below that absolute floor counts
-      as converged regardless of how small its mean is, which is the
-      right stopping rule for rare probabilities ("know it to within
-      1e-4" rather than "know it to within 5% of itself").
-    * With ``reuse_warmup_state`` (and ``warmup > 0``) the warm-up
-      transient is simulated once and every replication starts from the
-      resulting state instead of re-paying the warm-up per run.  The
-      warm-up trajectory uses stream index ``max_runs`` so it never
-      collides with a replication stream.
-    * ``workers > 1`` runs replications in worker-sized batches; the
-      sequential stopping rule is applied in run order and any runs past
-      the stopping point are discarded, so the estimates are identical
-      to a serial execution that stopped at the same run.
-    """
-    if not 0 < relative_half_width < 1:
-        raise SimulationError(
-            f"relative_half_width must be in (0, 1), "
-            f"got {relative_half_width}"
-        )
-    if absolute_half_width is not None and absolute_half_width <= 0:
-        raise SimulationError(
-            f"absolute_half_width must be positive, "
-            f"got {absolute_half_width}"
-        )
-    if min_runs < 2 or max_runs < min_runs:
-        raise SimulationError(
-            f"need 2 <= min_runs <= max_runs, got {min_runs}, {max_runs}"
-        )
-    simulator = Simulator(lts, measures, clock_semantics)
-    start_state: Optional[int] = None
-    run_warmup = warmup
-    if reuse_warmup_state and warmup > 0:
-        warm = simulator.run(warmup, generator_for_run(seed, max_runs), 0.0)
-        start_state = warm.final_state
-        run_warmup = 0.0
-
-    names = [m.name for m in measures]
-    samples: Dict[str, List[float]] = {name: [] for name in names}
-    running = {name: _RunningStat() for name in names}
-    criticals: Dict[int, float] = {}
-
-    def record(measured: Dict[str, float]) -> None:
-        for name in names:
-            value = measured[name]
-            samples[name].append(value)
-            running[name].add(value)
-
-    def precise_enough() -> bool:
-        for stat in running.values():
-            if stat.std_dev == 0.0:
-                continue  # exactly constant (e.g. identically zero)
-            critical = criticals.get(stat.count)
-            if critical is None:
-                critical = float(
-                    stats.t.ppf(0.5 + confidence / 2.0, stat.count - 1)
-                )
-                criticals[stat.count] = critical
-            half_width = critical * stat.std_dev / math.sqrt(stat.count)
-            if (
-                absolute_half_width is not None
-                and half_width <= absolute_half_width
-            ):
-                continue  # absolute floor reached: converged at any scale
-            scale = abs(stat.mean)
-            if scale < _ZERO_SCALE:
-                return False  # noisy around zero: never call it converged
-            if half_width > relative_half_width * scale:
-                return False
-        return True
-
-    executor = ParallelExecutor(workers)
-    shared = (
-        lts, measures, clock_semantics, run_length, run_warmup, seed,
-        start_state,
-    )
-    inline = executor.is_serial and retry is None and faults is None
-    if not inline:
-        # The serial executor routes through _replication_run in this
-        # very process: hand it the already-compiled simulator.
-        _seed_worker_sim(shared, simulator)
-    runs_done = 0
-    stop = False
-    while runs_done < max_runs and not stop:
-        if inline:
-            batch = [
-                simulator.run(
-                    run_length,
-                    generator_for_run(seed, runs_done),
-                    run_warmup,
-                    start_state=start_state,
-                ).measures
-            ]
-        else:
-            span = (
-                1
-                if executor.is_serial
-                else min(executor.workers, max_runs - runs_done)
-            )
-            batch = executor.map(
-                _replication_run,
-                range(runs_done, runs_done + span),
-                shared=shared,
-                retry=retry,
-                faults=faults,
-                phase="replicate",
-            )
-        for measured in batch:
-            # A run reaches this point exactly once: failed attempts are
-            # retried *before* the result is surfaced, so the Welford
-            # accumulators never see a replayed replication twice.
-            record(measured)
-            runs_done += 1
-            if runs_done >= min_runs and precise_enough():
-                stop = True
-                break  # runs past the stopping point are discarded
-    estimates = {
-        name: summarize(values, confidence)
-        for name, values in samples.items()
-    }
-    return ReplicationResult(estimates, samples)
-
-
 def replicate(
     lts: LTS,
     measures: Sequence[Measure],
@@ -493,12 +300,12 @@ def replicate(
 ) -> ReplicationResult:
     """Independent-replications estimation of all measures.
 
-    ``workers > 1`` distributes runs over a process pool.  Each run draws
-    its stream from the master seed by index, so the estimates are
-    bit-identical to the serial execution.  *retry*/*faults* run the
-    replications through the executor even serially: failed runs are
-    re-executed on the same stream index (same value), so faults and
-    retries cannot change the estimates.
+    The runs go to the executor in contiguous chunks of run indices,
+    one chunk per worker (:func:`_run_chunks`); ``workers > 1`` runs the
+    chunks on a process pool.  Each run draws its stream from the master
+    seed by index, so the estimates are bit-identical for any worker
+    count, and a chunk that *retry* re-executes after a fault recomputes
+    the same values.
 
     *engine* accepts only ``None`` or ``"reference"``
     (:func:`resolve_engine`).
@@ -506,33 +313,21 @@ def replicate(
     if runs < 2:
         raise SimulationError("need at least two runs for an interval")
     resolve_engine(engine)
-    samples: Dict[str, List[float]] = {m.name: [] for m in measures}
     executor = ParallelExecutor(workers)
-    if executor.is_serial and retry is None and faults is None:
-        simulator = Simulator(lts, measures, clock_semantics)
-        for rng in spawn_generators(seed, runs):
-            result = simulator.run(run_length, rng, warmup)
-            for name, value in result.measures.items():
-                samples[name].append(value)
-    else:
-        shared = (
-            lts, measures, clock_semantics, run_length, warmup, seed, None,
-        )
-        for measured in executor.map(
-            _replication_run,
-            range(runs),
-            shared=shared,
-            retry=retry,
-            faults=faults,
-            phase="replicate",
-        ):
+    shared = (lts, measures, clock_semantics, run_length, warmup, seed)
+    samples: Dict[str, List[float]] = {m.name: [] for m in measures}
+    for batch in executor.map(
+        _replication_chunk,
+        _run_chunks(runs, executor.workers),
+        shared=shared,
+        retry=retry,
+        faults=faults,
+        phase="replicate",
+    ):
+        for measured in batch:
             for name, value in measured.items():
                 samples[name].append(value)
-    estimates = {
-        name: summarize(values, confidence)
-        for name, values in samples.items()
-    }
-    return ReplicationResult(estimates, samples)
+    return ReplicationResult(_summaries(samples, confidence), samples)
 
 
 def summarize_paired(
@@ -617,10 +412,9 @@ def replicate_paired(
     names = [m.name for m in measures]
     first_samples: Dict[str, List[float]] = {name: [] for name in names}
     second_samples: Dict[str, List[float]] = {name: [] for name in names}
-    chunks = _run_chunks(runs, executor.workers)
     for batch in executor.map(
-        _paired_batch,
-        chunks,
+        _paired_chunk,
+        _run_chunks(runs, executor.workers),
         shared=shared,
         retry=retry,
         faults=faults,
@@ -631,18 +425,10 @@ def replicate_paired(
                 first_samples[name].append(measured_first[name])
                 second_samples[name].append(measured_second[name])
     first = ReplicationResult(
-        {
-            name: summarize(values, confidence)
-            for name, values in first_samples.items()
-        },
-        first_samples,
+        _summaries(first_samples, confidence), first_samples
     )
     second = ReplicationResult(
-        {
-            name: summarize(values, confidence)
-            for name, values in second_samples.items()
-        },
-        second_samples,
+        _summaries(second_samples, confidence), second_samples
     )
     delta_samples = {
         name: [
@@ -651,10 +437,7 @@ def replicate_paired(
         ]
         for name in names
     }
-    delta = {
-        name: summarize(values, confidence)
-        for name, values in delta_samples.items()
-    }
+    delta = _summaries(delta_samples, confidence)
     return PairedReplicationResult(
         first, second, delta, delta_samples, crn
     )

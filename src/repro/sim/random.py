@@ -25,24 +25,19 @@ Two stream disciplines coexist:
 from __future__ import annotations
 
 import hashlib
-from typing import List
 
 import numpy as np
 
 
-def spawn_generators(seed: int, count: int) -> List[np.random.Generator]:
-    """Derive *count* independent generators from one master seed."""
-    sequence = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.PCG64(s)) for s in sequence.spawn(count)]
-
-
 def generator_for_run(seed: int, index: int) -> np.random.Generator:
-    """The *index*-th stream of :func:`spawn_generators`, derived directly.
+    """The *index*-th child stream of the master *seed*, derived directly.
 
-    ``SeedSequence.spawn`` gives child *i* the spawn key ``(i,)``, so any
-    single stream can be reconstructed without materialising its siblings.
-    This is what lets parallel workers draw exactly the random numbers the
-    serial replication loop would have drawn for the same run index.
+    ``SeedSequence(seed).spawn(n)`` gives child *i* the spawn key
+    ``(i,)``; this builds that child alone, without materialising its
+    siblings.  So a run's stream depends on ``(seed, index)`` only, and
+    every chunk of replications, on any worker, draws exactly what one
+    serial loop over all spawned children would draw
+    (``tests/oracles.py:spawn_generators`` is that loop's stream list).
     """
     child = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(child))

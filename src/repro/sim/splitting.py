@@ -40,9 +40,9 @@ per-event-type streams:
 Determinism: every stream — event durations of any slot, and the
 per-tree resample coin — is a pure function of ``(seed, run index,
 slot key, name)``; slot keys are the spawning clone's ident, which is
-never reused within a tree, and each tree is one executor task, so
-results are bit-identical for any worker count and across checkpoint
-resume.
+never reused within a tree, and the trees run in contiguous chunks of
+run indices, one executor task per chunk, so results are bit-identical
+for any worker count and across checkpoint resume.
 
 Degenerate configuration: with ``splits=1`` no clone and no merge can
 ever happen, so the layer collapses to a *single* engine call per
@@ -77,7 +77,13 @@ from ..obs import tracing
 from ..runtime.executor import ParallelExecutor, RetryPolicy
 from ..runtime.faults import FaultInjector
 from .engine import Simulator, check_horizon
-from .output import Estimate, RareEstimate, summarize, summarize_rare
+from .output import (
+    Estimate,
+    RareEstimate,
+    _run_chunks,
+    _summaries,
+    summarize_rare,
+)
 from .random import splitting_event_generator
 from .streams import EventStreamAllocator
 
@@ -411,40 +417,39 @@ def _resample(
     return survivors, spawned, merged, next_ident
 
 
-# Per-process simulator reuse across the trees of one batch (the same
-# memo discipline as repro.sim.output's replication workers).
-_WORKER_SPLIT: Optional[Tuple[Any, Simulator]] = None
+def _tree_chunk(
+    shared: Any, chunk: Tuple[int, ...]
+) -> List[Dict[str, Any]]:
+    """Grow and estimate one chunk of splitting trees on one simulator.
 
-
-def _tree_task(shared: Any, run_index: int) -> Dict[str, Any]:
-    """Grow and estimate one splitting tree (one replication index).
-
-    Everything the tree draws is a pure function of ``(seed,
-    run_index, trajectory id, event name)``, so this task returns the
-    same bytes whichever worker runs it, however many times it is
-    retried, and whatever the batch composition is.
+    Each tree (one replication index) grows inside its own
+    ``splitting:tree`` span.  Everything a tree draws is a pure function
+    of ``(seed, run_index, trajectory id, event name)``, so this task
+    returns the same bytes whichever worker runs it, however many times
+    it is retried, and whatever the chunk composition is.
     """
-    with tracing.span("splitting:tree", index=run_index) as tree_span:
-        tree = _grow_tree(shared, run_index)
-        tree_span.set_attributes(
-            events=tree["events"],
-            clones=tree["clones"],
-            merges=tree["merges"],
-        )
-        return tree
+    lts, measures, clock_semantics = shared[:3]
+    simulator = Simulator(lts, measures, clock_semantics)
+    trees = []
+    for run_index in chunk:
+        with tracing.span("splitting:tree", index=run_index) as tree_span:
+            tree = _grow_tree(simulator, shared, run_index)
+            tree_span.set_attributes(
+                events=tree["events"],
+                clones=tree["clones"],
+                merges=tree["merges"],
+            )
+        trees.append(tree)
+    return trees
 
 
-def _grow_tree(shared: Any, run_index: int) -> Dict[str, Any]:
-    global _WORKER_SPLIT
+def _grow_tree(
+    simulator: Simulator, shared: Any, run_index: int
+) -> Dict[str, Any]:
     (
-        lts, measures, clock_semantics, run_length, warmup, seed,
+        _, measures, _, run_length, warmup, seed,
         levels, splits, segments, table, memoryless,
     ) = shared
-    if _WORKER_SPLIT is None or _WORKER_SPLIT[0] is not shared:
-        _WORKER_SPLIT = (
-            shared, Simulator(lts, measures, clock_semantics)
-        )
-    simulator = _WORKER_SPLIT[1]
     names = [m.name for m in measures]
 
     if splits <= 1:
@@ -561,9 +566,10 @@ def split_replicate(
     *importance* may be a prebuilt :class:`ImportanceFunction`, a
     ``state -> level`` callable, or ``None`` to derive levels from the
     reward support of the measure named *rare_measure* (default: the
-    first measure).  Trees are one executor task each and all streams
-    are pure functions of ``(seed, run index, slot key, event name)``,
-    so the estimates are bit-identical for any ``workers``.
+    first measure).  Trees run in contiguous chunks of run indices, one
+    executor task per chunk, and all streams are pure functions of
+    ``(seed, run index, slot key, event name)``, so the estimates are
+    bit-identical for any ``workers``.
     """
     if runs < 2:
         raise SimulationError("need at least two runs for an interval")
@@ -620,10 +626,16 @@ def split_replicate(
         segments=segments,
         workers=workers,
     ) as split_span:
-        for tree in executor.map(
-            _tree_task, range(runs), shared=shared, retry=retry,
-            faults=faults, phase="split-replicate",
-        ):
+        trees = [
+            tree
+            for batch in executor.map(
+                _tree_chunk, _run_chunks(runs, executor.workers),
+                shared=shared, retry=retry, faults=faults,
+                phase="split-replicate",
+            )
+            for tree in batch
+        ]
+        for tree in trees:
             for name in names:
                 samples[name].append(tree["measures"][name])
             for level in range(levels + 1):
@@ -635,10 +647,7 @@ def split_replicate(
         split_span.set_attributes(
             events=events, clones=clones, merges=merges, peak=peak,
         )
-    estimates = {
-        name: summarize(values, confidence)
-        for name, values in samples.items()
-    }
+    estimates = _summaries(samples, confidence)
     rare = {
         name: summarize_rare(values, confidence)
         for name, values in samples.items()

@@ -33,6 +33,12 @@ states at every pivot and one numpy update per (source, target) fill
 pair.  ``tests/test_parametric_elimination.py`` pins the heap-ordered,
 gather/scatter :func:`~repro.ctmc.parametric._eliminate` to it:
 ``x`` byte-equal and the fill count ``==``.
+
+:func:`replicate_reference` is the historical inline replication loop,
+verbatim: one :class:`~repro.sim.engine.Simulator` run over the streams
+:func:`spawn_generators` materialises for all runs at once.
+``tests/test_output.py`` pins the chunked executor tasks of
+:func:`~repro.sim.output.replicate` to it with ``==``.
 """
 
 import time
@@ -68,6 +74,7 @@ from repro.obs import metrics as obs_metrics
 from repro.sim.engine import (
     _MAX_IMMEDIATE_CHAIN,
     SimulationResult,
+    Simulator,
     horizon_due,
 )
 
@@ -657,3 +664,28 @@ def gth_eliminate_reference(
             acc += x[i] * q_ik
         x[k] = acc / exit_total
     return x, ops
+
+
+def spawn_generators(seed: int, count: int) -> List[np.random.Generator]:
+    """Derive *count* independent generators from one master seed."""
+    sequence = np.random.SeedSequence(seed)
+    return [np.random.Generator(np.random.PCG64(s)) for s in sequence.spawn(count)]
+
+
+def replicate_reference(
+    lts: LTS,
+    measures: Sequence[Measure],
+    run_length: float,
+    runs: int,
+    warmup: float = 0.0,
+    seed: int = 20040628,
+    clock_semantics: str = "enabling_memory",
+) -> Dict[str, List[float]]:
+    """Per-measure samples of *runs* independent replications."""
+    samples: Dict[str, List[float]] = {m.name: [] for m in measures}
+    simulator = Simulator(lts, measures, clock_semantics)
+    for rng in spawn_generators(seed, runs):
+        result = simulator.run(run_length, rng, warmup)
+        for name, value in result.measures.items():
+            samples[name].append(value)
+    return samples

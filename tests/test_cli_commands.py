@@ -80,6 +80,21 @@ class TestTraceSummary:
             handle.write("\n".join(lines) + "\n")
         assert main(["trace-summary", trace_file]) == 1
 
+    def test_second_run_replaces_the_trace_file(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        argv = [
+            "run-sweep", "--case", "rpc", "--phase", "markovian",
+            "--parameter", "shutdown_timeout", "--values", "1,5",
+            "--output", str(tmp_path / "out.json"),
+            "--trace-out", str(trace),
+        ]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        lines = trace.read_text().splitlines()
+        assert len({json.loads(line)["trace"] for line in lines}) == 1
+        assert main(["trace-summary", str(trace), "--check"]) == 0
+        assert "span tree OK" in capsys.readouterr().out
+
     def test_torn_final_line_tolerated(self, trace_file, capsys):
         with open(trace_file, "a") as handle:
             handle.write('{"phase": "solve", "ev')  # crash mid-write

@@ -1,15 +1,21 @@
 """Tests for replication output analysis and confidence intervals."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from repro.aemilia.rates import ExpRate
+from repro.aemilia.semantics import generate_lts
+from repro.casestudies import rpc, streaming
 from repro.ctmc import measure, state_clause, trans_clause
 from repro.errors import SimulationError
 from repro.lts import LTS
-from repro.sim import Estimate, replicate, summarize, spawn_generators
+from repro.sim import Estimate, generator_for_run, replicate, summarize
+from tests.oracles import replicate_reference
+
+CASES = {"rpc": rpc.family, "streaming": streaming.family}
 
 
 def simple_lts():
@@ -123,83 +129,45 @@ class TestReplicate:
 
 class TestSeedStreams:
     def test_spawned_generators_are_independent(self):
-        first, second = spawn_generators(123, 2)
-        a = first.random(5)
-        b = second.random(5)
+        a = generator_for_run(123, 0).random(5)
+        b = generator_for_run(123, 1).random(5)
         assert not np.allclose(a, b)
 
     def test_spawn_reproducible(self):
-        one = spawn_generators(321, 3)
-        two = spawn_generators(321, 3)
-        for g1, g2 in zip(one, two):
-            assert np.allclose(g1.random(4), g2.random(4))
+        for index in range(3):
+            assert np.allclose(
+                generator_for_run(321, index).random(4),
+                generator_for_run(321, index).random(4),
+            )
 
 
-class TestReplicateUntil:
-    def _measures(self):
-        return [measure("in0", state_clause("up", 1.0))]
+@lru_cache(maxsize=None)
+def _general(case):
+    family = CASES[case]()
+    return generate_lts(family.general_dpm, None, 200_000), family.measures
 
-    def test_stops_when_precise(self):
-        from repro.sim import replicate_until
 
-        result = replicate_until(
-            simple_lts(),
-            self._measures(),
-            run_length=2_000.0,
-            relative_half_width=0.10,
-            min_runs=3,
-            max_runs=100,
-            seed=11,
+class TestReplicateOracle:
+    """``replicate`` runs chunks of run indices through the executor;
+    its samples must equal the historical inline loop's, run for run."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "case,run_length,warmup",
+        [("rpc", 400.0, 40.0), ("streaming", 3_000.0, 250.0)],
+    )
+    def test_samples_equal_the_inline_loop(
+        self, case, run_length, warmup, workers
+    ):
+        lts, measures = _general(case)
+        expected = replicate_reference(
+            lts, measures, run_length, runs=5, warmup=warmup, seed=17
         )
-        runs = result["in0"].runs
-        assert 3 <= runs < 100
-        estimate = result["in0"]
-        assert estimate.half_width <= 0.10 * abs(estimate.mean)
-
-    def test_tighter_target_needs_more_runs(self):
-        from repro.sim import replicate_until
-
-        loose = replicate_until(
-            simple_lts(), self._measures(), run_length=200.0,
-            relative_half_width=0.20, seed=13,
+        result = replicate(
+            lts, measures, run_length, runs=5, warmup=warmup, seed=17,
+            workers=workers,
         )
-        tight = replicate_until(
-            simple_lts(), self._measures(), run_length=200.0,
-            relative_half_width=0.02, max_runs=200, seed=13,
-        )
-        assert tight["in0"].runs >= loose["in0"].runs
-
-    def test_max_runs_cap(self):
-        from repro.sim import replicate_until
-
-        result = replicate_until(
-            simple_lts(), self._measures(), run_length=20.0,
-            relative_half_width=0.0001, min_runs=2, max_runs=6, seed=17,
-        )
-        assert result["in0"].runs == 6
-
-    def test_zero_measures_do_not_block_convergence(self):
-        from repro.sim import replicate_until
-
-        measures = self._measures() + [
-            measure("never", trans_clause("ghost", 1.0))
-        ]
-        result = replicate_until(
-            simple_lts(), measures, run_length=2_000.0,
-            relative_half_width=0.10, min_runs=3, max_runs=50, seed=19,
-        )
-        assert result["never"].mean == 0.0
-        assert result["in0"].runs < 50
-
-    def test_parameter_validation(self):
-        from repro.sim import replicate_until
-
-        with pytest.raises(SimulationError):
-            replicate_until(simple_lts(), self._measures(), 100.0,
-                            relative_half_width=1.5)
-        with pytest.raises(SimulationError):
-            replicate_until(simple_lts(), self._measures(), 100.0,
-                            min_runs=1)
+        assert result.samples == expected
 
 
 class TestNearZeroIntervals:
@@ -276,65 +244,3 @@ class TestNearZeroIntervals:
 
         with pytest.raises(SimulationError):
             summarize_rare([0.1, -0.2])
-
-
-class TestReplicateUntilAbsoluteFloor:
-    """Regression tests for the absolute-floor stopping rule: a
-    near-zero measure can never satisfy a *relative* half-width target,
-    so without the floor the loop always burns max_runs."""
-
-    def _blip_lts(self):
-        # A rare "blip" transition: ~1.6 firings per 200-unit run, so
-        # its rate samples hover noisily just above zero — the regime
-        # where a relative half-width target is unreachable.
-        lts = simple_lts()
-        lts.add_transition(1, "blip", 0, ExpRate(0.02), "blip")
-        return lts
-
-    def _measures(self):
-        return [
-            measure("in0", state_clause("up", 1.0)),
-            measure("blip_rate", trans_clause("blip", 1.0)),
-        ]
-
-    def test_absolute_floor_unblocks_near_zero_measure(self):
-        from repro.sim import replicate_until
-
-        floored = replicate_until(
-            self._blip_lts(), self._measures(), run_length=200.0,
-            relative_half_width=0.05, absolute_half_width=5e-3,
-            min_runs=3, max_runs=40, seed=23,
-        )
-        assert floored["blip_rate"].runs < 40
-        # Without the floor the relative criterion (5% of a ~0.008
-        # mean) keeps the loop running to max_runs every time.
-        unfloored = replicate_until(
-            self._blip_lts(), self._measures(), run_length=200.0,
-            relative_half_width=0.05, min_runs=3, max_runs=40, seed=23,
-        )
-        assert unfloored["blip_rate"].runs == 40
-
-    def test_floor_does_not_loosen_the_healthy_measure(self):
-        from repro.sim import replicate_until
-
-        result = replicate_until(
-            self._blip_lts(), self._measures(), run_length=2_000.0,
-            relative_half_width=0.10, absolute_half_width=1e-6,
-            min_runs=3, max_runs=100, seed=11,
-        )
-        estimate = result["in0"]
-        assert estimate.half_width <= 0.10 * abs(estimate.mean)
-
-    def test_absolute_floor_validation(self):
-        from repro.sim import replicate_until
-
-        with pytest.raises(SimulationError):
-            replicate_until(
-                self._blip_lts(), self._measures(), 100.0,
-                absolute_half_width=0.0,
-            )
-        with pytest.raises(SimulationError):
-            replicate_until(
-                self._blip_lts(), self._measures(), 100.0,
-                absolute_half_width=-1e-6,
-            )

@@ -35,7 +35,7 @@ from repro.runtime import (
     sweep_fingerprint,
 )
 from repro.runtime.faults import DELAY, KILL, POISON, plan_preview
-from repro.sim.output import replicate, replicate_until
+from repro.sim.output import replicate
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.0)
 
@@ -405,56 +405,29 @@ class TestJournalIdentity:
 
 
 class TestWelfordRetryRegression:
-    """A retried replication must be recorded exactly once (satellite 4).
+    """A retried replication chunk must be recorded exactly once.
 
-    If a replayed run reached the Welford accumulators twice, the sample
-    list would grow, the running variance would shrink, and the adaptive
-    stopping rule would fire early — all silently.  Chaos runs must
-    instead be indistinguishable from clean ones.
+    If a replayed chunk reached the sample lists twice, they would grow
+    and the interval would shrink — silently.  Chaos runs must instead
+    be indistinguishable from clean ones.
     """
 
     def _streams_case(self, rpc_family):
         methodology = IncrementalMethodology(rpc_family)
         return methodology.build_lts("general", "dpm", None)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_replicate_until_estimates_unchanged_by_retries(
-        self, rpc_family, workers
-    ):
-        lts = self._streams_case(rpc_family)
-        measures = rpc_family.measures
-        kwargs = dict(
-            run_length=400.0, relative_half_width=0.5,
-            min_runs=4, max_runs=12, seed=99,
-        )
-        clean = replicate_until(lts, measures, workers=1, **kwargs)
-        before = tracing.totals()
-        # Fault indices address positions within each internal batch, so
-        # index 0 poisons (and retries) the first task of every batch.
-        chaotic = replicate_until(
-            lts, measures, workers=workers,
-            retry=FAST_RETRY,
-            faults=FaultInjector(seed=6, poison_indices=frozenset({0})),
-            **kwargs,
-        )
-        assert tracing.totals().since(before).count("retry") >= 1
-        for name, estimate in clean.estimates.items():
-            other = chaotic.estimates[name]
-            assert estimate.mean == other.mean
-            assert estimate.half_width == other.half_width
-            assert estimate.runs == other.runs
-            # Same number of samples: nothing was double-counted.
-            assert clean.samples[name] == chaotic.samples[name]
-
     def test_replicate_estimates_unchanged_by_retries(self, rpc_family):
         lts = self._streams_case(rpc_family)
         measures = rpc_family.measures
         clean = replicate(lts, measures, 400.0, runs=6, seed=99)
+        before = tracing.totals()
+        # One worker runs the six runs as one chunk: task index 0.
         chaotic = replicate(
             lts, measures, 400.0, runs=6, seed=99,
             retry=FAST_RETRY,
-            faults=FaultInjector(seed=8, poison_indices=frozenset({1, 4})),
+            faults=FaultInjector(seed=8, poison_indices=frozenset({0})),
         )
+        assert tracing.totals().since(before).count("retry") == 1
         for name in clean.estimates:
             assert clean.samples[name] == chaotic.samples[name]
             assert clean.estimates[name] == chaotic.estimates[name]

@@ -17,8 +17,9 @@ from repro.runtime import (
     generate_parametric,
     structural_params,
 )
-from repro.sim.output import replicate, replicate_until
-from repro.sim.random import generator_for_run, spawn_generators
+from repro.sim.output import replicate
+from repro.sim.random import generator_for_run
+from tests.oracles import spawn_generators
 
 CASES = {
     "rpc": (rpc.family, "shutdown_timeout", [0.5, 2.0, 11.0, 25.0]),
@@ -143,15 +144,6 @@ class TestParallelReplication:
         )
         assert serial.samples == parallel.samples
         assert serial.estimates == parallel.estimates
-
-    def test_replicate_until_bit_identical(self, rpc_general):
-        lts, measures = rpc_general
-        kwargs = dict(min_runs=3, max_runs=10, warmup=50.0, seed=3)
-        serial = replicate_until(lts, measures, 400.0, **kwargs)
-        parallel = replicate_until(
-            lts, measures, 400.0, workers=4, **kwargs
-        )
-        assert serial.samples == parallel.samples
 
     def test_runtime_stats_reported(self):
         methodology = IncrementalMethodology(rpc.family(), workers=4)

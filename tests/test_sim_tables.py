@@ -47,11 +47,10 @@ from repro.obs.tracing import Tracer
 from repro.sim import (
     EventStreamAllocator,
     Simulator,
-    spawn_generators,
     split_replicate,
 )
 from repro.workload import TraceReplay, apply_workload, parse_generator_spec
-from tests.oracles import ReferenceSimulator
+from tests.oracles import ReferenceSimulator, spawn_generators
 
 SEED = 20040628
 CASES = {"rpc": rpc.family, "streaming": streaming.family}
