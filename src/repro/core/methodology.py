@@ -107,14 +107,16 @@ def _solve_ctmc_point(
 
     One-point solves and the sweep points funnel through here, so the
     build-solve-evaluate contract (and any future interception, like the
-    parametric fast path's fallback) lives in exactly one place.
+    parametric fast path's fallback) lives in exactly one place.  Its
+    layers leave one span each: ``ctmc:build``, the solver's ``solve``
+    leaf and ``ctmc:measures``.
     """
-    ctmc = build_ctmc(lts)
+    with tracing.span("ctmc:build"):
+        ctmc = build_ctmc(lts)
     solution = steady_state_solution(ctmc, method=method)
-    return {
-        "measures": evaluate_measures(ctmc, solution.pi, measures),
-        "solver": solution.report.as_dict(),
-    }
+    with tracing.span("ctmc:measures"):
+        values = evaluate_measures(ctmc, solution.pi, measures)
+    return {"measures": values, "solver": solution.report.as_dict()}
 
 
 def _replicate_means(

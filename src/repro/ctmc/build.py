@@ -14,13 +14,17 @@ stochastic process algebra.
 
 The elimination depends only on the LTS structure and its immediate
 weights, never on exponential rates, so :func:`build_ctmc` runs it once
-per structure into an :class:`EliminationPlan` and per call only replays
-the CTMC construction with the call's rates.  A rate-only relabeling of a
+per structure into an :class:`EliminationPlan`, which also compiles the
+CTMC's entry pattern; per call it only gathers the call's rates, sums
+them into the entries and replays the label-count merges of the entries
+several contributions share.  A rate-only relabeling of a
 state-space skeleton reuses the skeleton's plan (:func:`elimination_plan`).
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -28,7 +32,7 @@ import numpy as np
 from ..aemilia.rates import ExpRate, GeneralRate, ImmediateRate, PassiveRate
 from ..errors import ImmediateCycleError, MarkovianError
 from ..lts.lts import LTS
-from .chain import CTMC
+from .chain import CTMC, ChainPattern, merge_counts
 
 #: resolve() result: list of (tangible LTS state, probability, expected
 #: label counts accumulated along the vanishing path).
@@ -174,10 +178,20 @@ class EliminationPlan:
     distribution, each tangible state's enabled labels, and for every
     outgoing transition of a tangible state its resolved
     ``(target index, probability, label counts)`` contributions.
-    :meth:`instantiate` then only multiplies in the point's rates.
+
+    It also compiles the CTMC's :class:`~repro.ctmc.chain.ChainPattern`
+    (entries in first-appearance order, their label keys, the enabled
+    labels) and, per contribution, the transition it reads, its
+    probability and its entry.  :meth:`instantiate` then only gathers
+    the point's rates and does arithmetic.
     """
 
     def __init__(self, lts: LTS):
+        self._eliminate(lts)
+        # After the elimination's working set (the resolver memo) is gone.
+        self._compile_pattern()
+
+    def _eliminate(self, lts: LTS) -> None:
         tangible, vanishing = classify_states(lts)
         if not tangible:
             raise MarkovianError(
@@ -242,22 +256,124 @@ class EliminationPlan:
         #: ``(target index, probability, label counts)`` it contributes.
         self.contributions = contributions
 
+    def _compile_pattern(self) -> None:
+        """Number the entries the way :meth:`CTMC.add_transition
+        <repro.ctmc.chain.CTMC.add_transition>` would create them."""
+        walked = 0  # tangible states' transitions seen, in walk order
+        reads = array("q")  # per contribution: its transition's position
+        probabilities = array("d")
+        entry_of = array("q")
+        counts_of: List[Dict[str, float]] = []
+        sources = array("q")
+        targets = array("q")
+        firsts = array("q")  # per entry: the contribution creating it
+        merged: Dict[int, List[int]] = {}  # entry -> its contributions
+        for source, row in enumerate(self.contributions):
+            entries: Dict[int, int] = {}  # target -> entry
+            for resolved in row:
+                for target, probability, counts in resolved:
+                    entry = entries.get(target)
+                    if entry is None:
+                        entry = entries[target] = len(sources)
+                        sources.append(source)
+                        targets.append(target)
+                        firsts.append(len(reads))
+                    else:
+                        merged.setdefault(entry, [firsts[entry]]).append(
+                            len(reads)
+                        )
+                    reads.append(walked)
+                    probabilities.append(probability)
+                    entry_of.append(entry)
+                    counts_of.append(counts)
+                walked += 1
+        shared: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        label_keys = []
+        values = array("d")
+        for entry, first in enumerate(firsts):
+            contributions = merged.get(entry)
+            if contributions is None:
+                keys = tuple(counts_of[first])
+                values.extend(counts_of[first].values())
+            else:
+                keys = tuple(dict.fromkeys(
+                    label for c in contributions for label in counts_of[c]
+                ))
+                values.extend([0.0] * len(keys))
+            label_keys.append(shared.setdefault(keys, keys))
+        self.pattern = ChainPattern(
+            len(self.tangible), sources, targets, label_keys, self.enabled
+        )
+        self._reads = np.array(reads, dtype=np.intp)
+        self._probabilities = np.array(probabilities, float)
+        self._entries = np.array(entry_of, dtype=np.intp)
+        self._firsts = np.array(firsts, dtype=np.intp)
+        self._base_counts = np.array(values, float)
+        #: The entries several contributions merge into, in entry order:
+        #: their contributions' (index, label counts), and the slots of
+        #: the flat count vector their merged counts fill.
+        merged_entries = sorted(merged)
+        self._merged = [
+            [(c, counts_of[c]) for c in merged[entry]]
+            for entry in merged_entries
+        ]
+        offsets = self.pattern.count_offsets
+        self._merged_slots = np.array(
+            [
+                slot
+                for entry in merged_entries
+                for slot in range(offsets[entry], offsets[entry + 1])
+            ],
+            dtype=np.intp,
+        )
+
     def instantiate(self, lts: LTS) -> CTMC:
         """The CTMC of *lts*, whose structure this plan was made from."""
-        ctmc = CTMC(len(self.tangible), self.initial_distribution.copy())
-        add = ctmc.add_transition
-        for source, state in enumerate(self.tangible):
-            ctmc.set_state_info(source, lts.state_info(state))
-            ctmc.set_enabled_labels(source, self.enabled[source])
-            for transition, resolved in zip(
-                lts.outgoing(state), self.contributions[source]
-            ):
-                rate = transition.rate
-                if not isinstance(rate, ExpRate):
-                    _check_timed(lts, state)  # raises the precise error
-                for target, probability, counts in resolved:
-                    add(source, target, rate.rate * probability, counts)
-        return ctmc
+        outgoing = lts.outgoing
+        rates = np.array([
+            t.rate.rate if isinstance(t.rate, ExpRate) else math.nan
+            for state in self.tangible
+            for t in outgoing(state)
+        ])
+        products = rates[self._reads] * self._probabilities
+        # add_transition checks the rate of the contribution that
+        # creates an entry, in contribution order; an untimed transition
+        # raises when the walk reaches it.
+        nonpositive = np.flatnonzero(products[self._firsts] <= 0)
+        untimed = np.flatnonzero(np.isnan(rates))
+        if nonpositive.size and (
+            not untimed.size
+            or self._reads[self._firsts[nonpositive[0]]] < untimed[0]
+        ):
+            raise MarkovianError(
+                f"CTMC transition rate must be positive, got "
+                f"{float(products[self._firsts[nonpositive[0]]])}"
+            )
+        if untimed.size:
+            for state in self.tangible:
+                _check_timed(lts, state)  # raises at the first untimed one
+        entry_rates = np.bincount(
+            self._entries, weights=products, minlength=len(self._firsts)
+        )
+        counts = self._base_counts.copy()
+        if self._merged:
+            replayed: List[float] = []
+            for contributions in self._merged:
+                first, entry_counts = contributions[0]
+                rate = float(products[first])
+                for c, added_counts in contributions[1:]:
+                    rate, entry_counts = merge_counts(
+                        rate, entry_counts, float(products[c]), added_counts
+                    )
+                replayed.extend(entry_counts.values())
+            counts[self._merged_slots] = replayed
+        return CTMC.from_pattern(
+            self.pattern,
+            entry_rates,
+            counts,
+            self.initial_distribution.copy(),
+            (lts, self.tangible),
+        )
 
 
 def elimination_plan(lts: LTS) -> EliminationPlan:

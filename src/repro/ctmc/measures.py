@@ -32,13 +32,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..errors import SpecificationError
 from ..lts.labels import matches
-from .chain import CTMC
+from .chain import CTMC, ChainPattern
 
 
 class RewardKind(enum.Enum):
@@ -166,18 +174,63 @@ class RewardTable:
         return cached
 
 
-def _state_matrix(ctmc: CTMC, table: RewardTable) -> np.ndarray:
-    """``(states, measures)`` reward rates of every state of *ctmc*."""
-    rows = [
-        table.state_rewards(ctmc.enabled_labels(state))
-        for state in range(ctmc.num_states)
-    ]
+def _state_matrix(
+    enabled: Sequence[FrozenSet[str]], table: RewardTable
+) -> np.ndarray:
+    """``(states, measures)`` reward rates of states enabling *enabled*."""
+    rows = [table.state_rewards(labels) for labels in enabled]
     return np.array(rows, float).reshape(len(rows), len(table.measures))
 
 
 def state_reward_vector(ctmc: CTMC, measure: Measure) -> np.ndarray:
     """Per-state instantaneous rewards of *measure* over *ctmc*."""
-    return _state_matrix(ctmc, RewardTable([measure])).ravel()
+    return _state_matrix(ctmc.pattern.enabled, RewardTable([measure])).ravel()
+
+
+class _PatternRewards(NamedTuple):
+    """What a measure set pays over one chain pattern."""
+
+    #: The measures with STATE_REWARD clauses, and one contiguous reward
+    #: row per measure (as a lone vector would be).
+    state_measures: Tuple[int, ...]
+    state_rows: np.ndarray
+    #: Per measure: (entry, count slot, impulse) of every transition
+    #: term with a nonzero impulse, in entry then label order.
+    terms: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _pattern_rewards(
+    pattern: ChainPattern, measures: Tuple[Measure, ...]
+) -> _PatternRewards:
+    cached = pattern.rewards.get(measures)
+    if cached is not None:
+        return cached
+    table = RewardTable(measures)
+    terms: List[Tuple[List[int], List[int], List[float]]] = [
+        ([], [], []) for _ in measures
+    ]
+    offsets = pattern.count_offsets.tolist()
+    for entry, labels in enumerate(pattern.label_keys):
+        for slot, label in enumerate(labels, offsets[entry]):
+            for j, reward in enumerate(table.impulses(label)):
+                if reward:
+                    entries, slots, impulses = terms[j]
+                    entries.append(entry)
+                    slots.append(slot)
+                    impulses.append(reward)
+    cached = pattern.rewards[measures] = _PatternRewards(
+        tuple(j for j, m in enumerate(measures) if m.has_state_clauses()),
+        _state_matrix(pattern.enabled, table).T.copy(),
+        tuple(
+            (
+                np.array(entries, dtype=np.intp),
+                np.array(slots, dtype=np.intp),
+                np.array(impulses, float),
+            )
+            for entries, slots, impulses in terms
+        ),
+    )
+    return cached
 
 
 def evaluate_measure(
@@ -190,33 +243,33 @@ def evaluate_measure(
 def evaluate_measures(
     ctmc: CTMC, pi: np.ndarray, measures: Iterable[Measure]
 ) -> Dict[str, float]:
-    """Steady-state values of several measures, in one transition pass.
+    """Steady-state values of several measures.
 
-    Each measure sums exactly as it would alone: its state part
-    ``pi @ rewards`` first, then the transitions in chain order,
-    skipping zero weights and zero impulses.
+    Each measure sums exactly as it would alone, in one sequential
+    chain: its state part ``pi @ rewards`` first, then the transition
+    terms ``pi(source) * rate * count * impulse`` in entry and label
+    order, skipping zero weights and zero impulses.  ``add.accumulate``
+    keeps that order; a pairwise ``sum`` or ``dot`` would not.
     """
     pi = np.asarray(pi, float)
     if pi.shape != (ctmc.num_states,):
         raise SpecificationError("pi has wrong length for this chain")
-    table = RewardTable(measures)
-    values = [0.0] * len(table.measures)
-    if any(m.has_state_clauses() for m in table.measures):
-        # One contiguous row per measure, as a lone vector would be.
-        rewards = _state_matrix(ctmc, table).T.copy()
-        for j, m in enumerate(table.measures):
-            if m.has_state_clauses():
-                values[j] += float(pi @ rewards[j])
-    if any(m.has_trans_clauses() for m in table.measures):
-        for transition in ctmc.transitions:
-            weight = pi[transition.source] * transition.rate
-            if weight == 0.0:
-                continue
-            for label, count in transition.label_counts.items():
-                for j, reward in enumerate(table.impulses(label)):
-                    if reward:
-                        values[j] += weight * count * reward
-    return {m.name: value for m, value in zip(table.measures, values)}
+    measures = tuple(measures)
+    rewards = _pattern_rewards(ctmc.pattern, measures)
+    values = [0.0] * len(measures)
+    for j in rewards.state_measures:
+        values[j] += float(pi @ rewards.state_rows[j])
+    weights = pi[ctmc.pattern.sources] * ctmc.rates
+    counts = ctmc.label_count_values
+    for j, (entries, slots, impulses) in enumerate(rewards.terms):
+        weight = weights[entries]
+        kept = weight != 0.0
+        if kept.any():
+            terms = weight[kept] * counts[slots[kept]] * impulses[kept]
+            values[j] = np.add.accumulate(
+                np.concatenate(([values[j]], terms))
+            )[-1]
+    return {m.name: value for m, value in zip(measures, values)}
 
 
 def measure(name: str, *clauses: RewardClause) -> Measure:

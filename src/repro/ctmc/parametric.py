@@ -423,10 +423,8 @@ def _capture_chain(
     }
     plan = elimination_plan(lts)
 
-    # The concrete CTMC (rates at the base point) supplies the recurrent
-    # class, which is parameter-independent; it is freed at once, so the
-    # capture's later allocations reuse its memory.
-    bsccs = plan.instantiate(lts).bottom_strongly_connected_components()
+    # The recurrent class is structural: the plan's pattern caches it.
+    bsccs = plan.pattern.bsccs
     if len(bsccs) != 1:
         raise ParametricError(
             f"chain has {len(bsccs)} bottom strongly connected "

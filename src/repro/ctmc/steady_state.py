@@ -7,7 +7,10 @@ docs/SOLVERS.md).  This module handles the chain structure: all
 solvers operate on the recurrent class of the chain, the
 steady-state distribution assigns probability zero to transient states,
 and chains with several bottom strongly connected components have no
-unique steady state and are rejected with a descriptive error.
+unique steady state and are rejected with a descriptive error.  The
+components and the recurrent submatrix's index arrays are cached on the
+chain's :class:`~repro.ctmc.chain.ChainPattern`, so the sweep points of
+one elimination plan find them once.
 
 :func:`steady_state_solution` returns the distribution (``.pi``) with
 the :class:`~repro.ctmc.solvers.SolverReport` — which backend solved the
@@ -53,9 +56,7 @@ def steady_state_solution(
     :func:`repro.ctmc.solvers.solve_steady_state` (no-ops for the
     single-state closed form).
     """
-    bsccs = ctmc.bottom_strongly_connected_components()
-    if len(bsccs) == 0:
-        raise SolverError("chain has no bottom strongly connected component")
+    bsccs = ctmc.pattern.bsccs
     if len(bsccs) > 1:
         sizes = ", ".join(str(len(b)) for b in bsccs)
         raise SolverError(
@@ -63,9 +64,9 @@ def steady_state_solution(
             f"(sizes {sizes}); the steady state depends on the initial "
             f"distribution and is not unique"
         )
-    recurrent = sorted(bsccs[0])
+    recurrent = ctmc.pattern.recurrent_class().states
+    pi = np.zeros(ctmc.num_states)
     if len(recurrent) == 1:
-        pi = np.zeros(ctmc.num_states)
         pi[recurrent[0]] = 1.0
         report = SolverReport(
             method="closed_form",
@@ -76,10 +77,8 @@ def steady_state_solution(
             mass_defect=0.0,
         )
         return SteadyStateSolution(pi, report)
-    index = {state: i for i, state in enumerate(recurrent)}
-    sub_q = _submatrix(ctmc, recurrent, index)
     solution = solve_steady_state(
-        sub_q,
+        recurrent_generator(ctmc),
         method=method,
         tolerance=tolerance,
         residual_tolerance=residual_tolerance,
@@ -87,26 +86,30 @@ def steady_state_solution(
         track_iterations=track_iterations,
         iteration_callback=iteration_callback,
     )
-    pi = np.zeros(ctmc.num_states)
-    for state, position in index.items():
-        pi[state] = solution.pi[position]
+    pi[recurrent] = solution.pi
     return SteadyStateSolution(pi, solution.report)
 
 
-def _submatrix(ctmc: CTMC, recurrent, index) -> sparse.csr_matrix:
-    size = len(recurrent)
-    rows, cols, data = [], [], []
-    diagonal = np.zeros(size)
-    for state in recurrent:
-        for transition in ctmc.outgoing(state):
-            if transition.target == state:
-                continue
-            rows.append(index[state])
-            cols.append(index[transition.target])
-            data.append(transition.rate)
-            diagonal[index[state]] -= transition.rate
-    for position in range(size):
-        rows.append(position)
-        cols.append(position)
-        data.append(diagonal[position])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
+def recurrent_generator(ctmc: CTMC) -> sparse.csr_matrix:
+    """The generator over the chain's (first) recurrent class, in its
+    sorted state order.
+
+    The index arrays are cached on the chain's pattern; the diagonal
+    sums each row's rates in entry order (``bincount`` adds
+    sequentially) and ``0.0 - sum`` never yields ``-0.0``.
+    """
+    recurrent = ctmc.pattern.recurrent_class()
+    size = len(recurrent.states)
+    rates = ctmc.rates[recurrent.entries]
+    diagonal = 0.0 - np.bincount(recurrent.rows, weights=rates, minlength=size)
+    positions = np.arange(size)
+    return sparse.csr_matrix(
+        (
+            np.concatenate((rates, diagonal)),
+            (
+                np.concatenate((recurrent.rows, positions)),
+                np.concatenate((recurrent.cols, positions)),
+            ),
+        ),
+        shape=(size, size),
+    )

@@ -51,7 +51,16 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+)
 
 from . import metrics as obs_metrics
 
@@ -273,15 +282,18 @@ def _closed(
     status: str,
     attrs: Dict[str, Any],
     worker: Optional[int] = None,
+    nested: bool = False,
 ) -> None:
     """The funnel every closed span passes: totals, then metrics.
 
-    Executor attempts (``execute``) and points answered from a journal
-    count as ``repro_runtime_*`` work spans labelled with the executor
-    phase; every non-executor span adds its seconds to
+    A *nested* span (one closed inside an open span of its own name)
+    counts in the totals without its seconds, which the enclosing span
+    already holds.  Executor attempts (``execute``) and points answered
+    from a journal count as ``repro_runtime_*`` work spans labelled with
+    the executor phase; every non-executor span adds its seconds to
     ``repro_phase_seconds_total`` under its own name.
     """
-    _TOTALS.add(name, seconds, status)
+    _TOTALS.add(name, 0.0 if nested else seconds, status)
     registry = obs_metrics.get_registry()
     if not registry.enabled:
         return
@@ -332,6 +344,11 @@ _ACTIVE: Optional[Tracer] = None
 #: possible.
 _CURRENT: contextvars.ContextVar[Optional[tuple]] = contextvars.ContextVar(
     "repro_current_span", default=None
+)
+
+#: Names of the spans open in this context (traced or not).
+_OPEN_NAMES: contextvars.ContextVar[FrozenSet[str]] = contextvars.ContextVar(
+    "repro_open_span_names", default=frozenset()
 )
 
 
@@ -392,8 +409,14 @@ def span(name: str, **attrs: Any) -> Iterator[Any]:
     tracing is off — callers never need to branch).  An exception
     escaping the block marks the span ``error`` with the exception type
     attached, then propagates.  Either way the closed span reaches the
-    process totals.
+    process totals — its seconds only when no span of the same name
+    encloses it in this context, so nested spans of one name (a sweep
+    point's replication chunks inside its ``point`` span) never count
+    their time twice.
     """
+    open_names = _OPEN_NAMES.get()
+    nested = name in open_names
+    names_token = None if nested else _OPEN_NAMES.set(open_names | {name})
     tracer = _ACTIVE
     if tracer is None:
         untraced = _UntracedSpan()
@@ -404,8 +427,11 @@ def span(name: str, **attrs: Any) -> Iterator[Any]:
             untraced.status = STATUS_ERROR
             raise
         finally:
+            if names_token is not None:
+                _OPEN_NAMES.reset(names_token)
             _closed(
-                name, time.perf_counter() - started, untraced.status, attrs
+                name, time.perf_counter() - started, untraced.status, attrs,
+                nested=nested,
             )
         return
     current = _CURRENT.get()
@@ -430,10 +456,14 @@ def span(name: str, **attrs: Any) -> Iterator[Any]:
         raise
     finally:
         _CURRENT.reset(token)
+        if names_token is not None:
+            _OPEN_NAMES.reset(names_token)
         elapsed = time.perf_counter() - started_perf
         opened.end = started_wall + elapsed
         tracer.finish(opened)
-        _closed(name, elapsed, opened.status, opened.attributes)
+        _closed(
+            name, elapsed, opened.status, opened.attributes, nested=nested
+        )
 
 
 def add_attributes(**attrs: Any) -> None:

@@ -39,11 +39,33 @@ verbatim: one :class:`~repro.sim.engine.Simulator` run over the streams
 :func:`spawn_generators` materialises for all runs at once.
 ``tests/test_output.py`` pins the chunked executor tasks of
 :func:`~repro.sim.output.replicate` to it with ``==``.
+
+:class:`ReferenceCTMC` is the historical object-store CTMC, verbatim:
+one :class:`ReferenceCTMCTransition` per entry, parallel transitions
+merged by a scan of the source's outgoing list, and a hand-written
+iterative Tarjan for the bottom strongly connected components.
+:func:`instantiate_reference` replays an elimination plan into it the
+historical way (one ``add_transition`` per contribution), and
+:func:`steady_state_reference` / :func:`evaluate_measures_reference`
+are the historical per-object solve and measure loops.
+``tests/test_ctmc_pattern.py`` pins the compiled-pattern CTMC of
+:mod:`repro.ctmc.chain` (rates, label counts, BSCCs, ``pi`` and every
+measure value) to them with ``==``.
 """
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 from scipy import sparse
@@ -56,10 +78,21 @@ from repro.aemilia.rates import (
     PassiveRate,
 )
 from repro.aemilia.semantics import StateSpaceGenerator, _GlobalMove
-from repro.ctmc.build import _check_timed, _VanishingResolver, classify_states
-from repro.ctmc.chain import CTMC
+from repro.ctmc.build import (
+    EliminationPlan,
+    _check_timed,
+    _VanishingResolver,
+    classify_states,
+)
 from repro.ctmc.measures import Measure, RewardTable
-from repro.ctmc.solvers import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
+from repro.ctmc.solvers import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_RESIDUAL_TOLERANCE,
+    DEFAULT_TOLERANCE,
+    SolverReport,
+    SteadyStateSolution,
+    solve_steady_state,
+)
 from repro.distributions import Distribution, Exponential
 from repro.ctmc.parametric import ParametricOptions
 from repro.errors import (
@@ -67,6 +100,7 @@ from repro.errors import (
     ParametricError,
     SimulationError,
     SolverError,
+    SpecificationError,
 )
 from repro.lts.labels import local_label
 from repro.lts.lts import LTS, Transition
@@ -79,7 +113,338 @@ from repro.sim.engine import (
 )
 
 
-def build_ctmc_reference(lts: LTS) -> CTMC:
+@dataclass
+class ReferenceCTMCTransition:
+    """One rate transition between tangible states."""
+
+    source: int
+    target: int
+    rate: float
+    label_counts: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.rate <= 0:
+            raise MarkovianError(
+                f"CTMC transition rate must be positive, got {self.rate}"
+            )
+
+
+class ReferenceCTMC:
+    """A finite CTMC with label bookkeeping for reward measures."""
+
+    def __init__(self, num_states: int, initial_distribution=None):
+        if num_states <= 0:
+            raise MarkovianError("a CTMC needs at least one state")
+        self.num_states = num_states
+        if initial_distribution is None:
+            initial_distribution = np.zeros(num_states)
+            initial_distribution[0] = 1.0
+        self.initial_distribution = np.asarray(initial_distribution, float)
+        if self.initial_distribution.shape != (num_states,):
+            raise MarkovianError("initial distribution has wrong length")
+        if not np.isclose(self.initial_distribution.sum(), 1.0):
+            raise MarkovianError("initial distribution must sum to one")
+        self.transitions: List[ReferenceCTMCTransition] = []
+        self._outgoing: Dict[int, List[ReferenceCTMCTransition]] = {}
+        self._enabled_labels: Dict[int, FrozenSet[str]] = {}
+        self._state_info: Dict[int, str] = {}
+
+    # -- construction -------------------------------------------------------
+
+    def add_transition(
+        self,
+        source: int,
+        target: int,
+        rate: float,
+        label_counts: Optional[Mapping[str, float]] = None,
+    ) -> None:
+        """Add (or merge into) a transition between tangible states.
+
+        Parallel transitions between the same pair of states are merged:
+        rates add, and label counts merge weighted by rate so that
+        ``rate * counts`` (the throughput contribution) is preserved.
+        """
+        for state in (source, target):
+            if not 0 <= state < self.num_states:
+                raise MarkovianError(f"state {state} out of range")
+        counts = dict(label_counts or {})
+        for existing in self._outgoing.get(source, ()):
+            if existing.target == target:
+                merged_rate = existing.rate + rate
+                merged_counts: Dict[str, float] = {}
+                for label, count in existing.label_counts.items():
+                    merged_counts[label] = count * existing.rate / merged_rate
+                for label, count in counts.items():
+                    merged_counts[label] = (
+                        merged_counts.get(label, 0.0)
+                        + count * rate / merged_rate
+                    )
+                existing.rate = merged_rate
+                existing.label_counts = merged_counts
+                return
+        transition = ReferenceCTMCTransition(source, target, rate, counts)
+        self.transitions.append(transition)
+        self._outgoing.setdefault(source, []).append(transition)
+
+    def set_enabled_labels(self, state: int, labels: FrozenSet[str]) -> None:
+        """Record which original labels are enabled in *state*."""
+        self._enabled_labels[state] = labels
+
+    def set_state_info(self, state: int, info: str) -> None:
+        """Attach a human-readable description to *state*."""
+        self._state_info[state] = info
+
+    # -- accessors -----------------------------------------------------------
+
+    def outgoing(self, state: int) -> List[ReferenceCTMCTransition]:
+        """Transitions leaving *state*."""
+        return self._outgoing.get(state, [])
+
+    def enabled_labels(self, state: int) -> FrozenSet[str]:
+        """Original labels enabled in *state*."""
+        return self._enabled_labels.get(state, frozenset())
+
+    def state_info(self, state: int) -> str:
+        """Human-readable description of *state*."""
+        return self._state_info.get(state, f"state {state}")
+
+    def exit_rate(self, state: int) -> float:
+        """Total rate leaving *state* (self-loops excluded)."""
+        return sum(
+            t.rate for t in self.outgoing(state) if t.target != state
+        )
+
+    def max_exit_rate(self) -> float:
+        """Largest exit rate over all states (uniformisation constant)."""
+        return max(
+            (self.exit_rate(state) for state in range(self.num_states)),
+            default=0.0,
+        )
+
+    # -- matrices -------------------------------------------------------------
+
+    def generator_matrix(self) -> sparse.csr_matrix:
+        """The infinitesimal generator ``Q`` (self-loops cancel out)."""
+        rows: List[int] = []
+        cols: List[int] = []
+        data: List[float] = []
+        diagonal = np.zeros(self.num_states)
+        for transition in self.transitions:
+            if transition.source == transition.target:
+                continue
+            rows.append(transition.source)
+            cols.append(transition.target)
+            data.append(transition.rate)
+            diagonal[transition.source] -= transition.rate
+        for state in range(self.num_states):
+            rows.append(state)
+            cols.append(state)
+            data.append(diagonal[state])
+        return sparse.csr_matrix(
+            (data, (rows, cols)), shape=(self.num_states, self.num_states)
+        )
+
+    # -- structure ---------------------------------------------------------------
+
+    def bottom_strongly_connected_components(self) -> List[Set[int]]:
+        """BSCCs of the transition graph (Tarjan, iterative)."""
+        successors: Dict[int, List[int]] = {
+            s: [t.target for t in self.outgoing(s) if t.target != s]
+            for s in range(self.num_states)
+        }
+        index_counter = [0]
+        stack: List[int] = []
+        lowlink: Dict[int, int] = {}
+        index: Dict[int, int] = {}
+        on_stack: Dict[int, bool] = {}
+        components: List[Set[int]] = []
+
+        for root in range(self.num_states):
+            if root in index:
+                continue
+            work = [(root, iter(successors[root]))]
+            index[root] = lowlink[root] = index_counter[0]
+            index_counter[0] += 1
+            stack.append(root)
+            on_stack[root] = True
+            while work:
+                node, successor_iter = work[-1]
+                advanced = False
+                for successor in successor_iter:
+                    if successor not in index:
+                        index[successor] = lowlink[successor] = index_counter[0]
+                        index_counter[0] += 1
+                        stack.append(successor)
+                        on_stack[successor] = True
+                        work.append((successor, iter(successors[successor])))
+                        advanced = True
+                        break
+                    if on_stack.get(successor):
+                        lowlink[node] = min(lowlink[node], index[successor])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component: Set[int] = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+        bottom: List[Set[int]] = []
+        for component in components:
+            is_bottom = all(
+                target in component
+                for state in component
+                for target in successors[state]
+            )
+            if is_bottom:
+                bottom.append(component)
+        return bottom
+
+
+def instantiate_reference(
+    plan: EliminationPlan, lts: LTS
+) -> ReferenceCTMC:
+    """The CTMC of *lts*, whose structure this plan was made from."""
+    ctmc = ReferenceCTMC(
+        len(plan.tangible), plan.initial_distribution.copy()
+    )
+    add = ctmc.add_transition
+    for source, state in enumerate(plan.tangible):
+        ctmc.set_state_info(source, lts.state_info(state))
+        ctmc.set_enabled_labels(source, plan.enabled[source])
+        for transition, resolved in zip(
+            lts.outgoing(state), plan.contributions[source]
+        ):
+            rate = transition.rate
+            if not isinstance(rate, ExpRate):
+                _check_timed(lts, state)  # raises the precise error
+            for target, probability, counts in resolved:
+                add(source, target, rate.rate * probability, counts)
+    return ctmc
+
+
+def steady_state_reference(
+    ctmc: ReferenceCTMC,
+    method: Optional[str] = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
+    track_iterations: bool = False,
+    iteration_callback=None,
+) -> SteadyStateSolution:
+    """Steady-state distribution of *ctmc* plus solver diagnostics."""
+    bsccs = ctmc.bottom_strongly_connected_components()
+    if len(bsccs) == 0:
+        raise SolverError("chain has no bottom strongly connected component")
+    if len(bsccs) > 1:
+        sizes = ", ".join(str(len(b)) for b in bsccs)
+        raise SolverError(
+            f"chain has {len(bsccs)} bottom strongly connected components "
+            f"(sizes {sizes}); the steady state depends on the initial "
+            f"distribution and is not unique"
+        )
+    recurrent = sorted(bsccs[0])
+    if len(recurrent) == 1:
+        pi = np.zeros(ctmc.num_states)
+        pi[recurrent[0]] = 1.0
+        report = SolverReport(
+            method="closed_form",
+            size=1,
+            nnz=0,
+            iterations=0,
+            residual=0.0,
+            mass_defect=0.0,
+        )
+        return SteadyStateSolution(pi, report)
+    index = {state: i for i, state in enumerate(recurrent)}
+    sub_q = submatrix_reference(ctmc, recurrent, index)
+    solution = solve_steady_state(
+        sub_q,
+        method=method,
+        tolerance=tolerance,
+        residual_tolerance=residual_tolerance,
+        max_iterations=max_iterations,
+        track_iterations=track_iterations,
+        iteration_callback=iteration_callback,
+    )
+    pi = np.zeros(ctmc.num_states)
+    for state, position in index.items():
+        pi[state] = solution.pi[position]
+    return SteadyStateSolution(pi, solution.report)
+
+
+def submatrix_reference(
+    ctmc: ReferenceCTMC, recurrent, index
+) -> sparse.csr_matrix:
+    size = len(recurrent)
+    rows, cols, data = [], [], []
+    diagonal = np.zeros(size)
+    for state in recurrent:
+        for transition in ctmc.outgoing(state):
+            if transition.target == state:
+                continue
+            rows.append(index[state])
+            cols.append(index[transition.target])
+            data.append(transition.rate)
+            diagonal[index[state]] -= transition.rate
+    for position in range(size):
+        rows.append(position)
+        cols.append(position)
+        data.append(diagonal[position])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
+
+
+def _state_matrix_reference(
+    ctmc: ReferenceCTMC, table: RewardTable
+) -> np.ndarray:
+    """``(states, measures)`` reward rates of every state of *ctmc*."""
+    rows = [
+        table.state_rewards(ctmc.enabled_labels(state))
+        for state in range(ctmc.num_states)
+    ]
+    return np.array(rows, float).reshape(len(rows), len(table.measures))
+
+
+def evaluate_measures_reference(
+    ctmc: ReferenceCTMC, pi: np.ndarray, measures: Iterable[Measure]
+) -> Dict[str, float]:
+    """Steady-state values of several measures, in one transition pass.
+
+    Each measure sums exactly as it would alone: its state part
+    ``pi @ rewards`` first, then the transitions in chain order,
+    skipping zero weights and zero impulses.
+    """
+    pi = np.asarray(pi, float)
+    if pi.shape != (ctmc.num_states,):
+        raise SpecificationError("pi has wrong length for this chain")
+    table = RewardTable(measures)
+    values = [0.0] * len(table.measures)
+    if any(m.has_state_clauses() for m in table.measures):
+        # One contiguous row per measure, as a lone vector would be.
+        rewards = _state_matrix_reference(ctmc, table).T.copy()
+        for j, m in enumerate(table.measures):
+            if m.has_state_clauses():
+                values[j] += float(pi @ rewards[j])
+    if any(m.has_trans_clauses() for m in table.measures):
+        for transition in ctmc.transitions:
+            weight = pi[transition.source] * transition.rate
+            if weight == 0.0:
+                continue
+            for label, count in transition.label_counts.items():
+                for j, reward in enumerate(table.impulses(label)):
+                    if reward:
+                        values[j] += weight * count * reward
+    return {m.name: value for m, value in zip(table.measures, values)}
+
+
+def build_ctmc_reference(lts: LTS) -> ReferenceCTMC:
     """Turn the rate-labelled LTS of a Markovian model into a CTMC."""
     tangible, vanishing = classify_states(lts)
     if not tangible:
@@ -103,7 +468,7 @@ def build_ctmc_reference(lts: LTS) -> CTMC:
     else:
         initial[tangible_index[lts.initial]] = 1.0
 
-    ctmc = CTMC(len(tangible), initial)
+    ctmc = ReferenceCTMC(len(tangible), initial)
     for state in tangible:
         source = tangible_index[state]
         ctmc.set_state_info(source, lts.state_info(state))

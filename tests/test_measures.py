@@ -139,9 +139,11 @@ def _oracle_measure(ctmc, pi, m):
     return value
 
 
-def _synthetic_case():
+def _synthetic_case(chain_class=CTMC):
     """Wildcards, sync participants, fractional counts, negative and
-    zero clauses, and states enabling two labels one clause matches."""
+    zero clauses, and states enabling two labels one clause matches.
+    *chain_class* builds the chain (the pattern tests pass the
+    historical object-store chain of ``tests.oracles``)."""
     pool = [
         {"M.tick#S.obs": 1.0},
         {"M.tock": 0.5, "C.send#S.recv": 1 / 3},
@@ -151,7 +153,7 @@ def _synthetic_case():
     ]
     rng = np.random.default_rng(3)
     n = 40
-    ctmc = CTMC(n)
+    ctmc = chain_class(n)
     for state in range(n):
         enabled = {"S.idle"} if state % 3 == 0 else set()
         for step in (1, 2, 7):

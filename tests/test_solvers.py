@@ -26,7 +26,7 @@ from repro.ctmc.solvers import (
     solver_choices,
 )
 from repro.ctmc.steady_state import (
-    _submatrix,
+    recurrent_generator,
     steady_state_solution,
 )
 from repro.errors import SolverError
@@ -64,11 +64,8 @@ def birth_death_generator(rates_up, rates_down) -> sparse.csr_matrix:
 
 def recurrent_submatrix(ctmc: CTMC) -> sparse.csr_matrix:
     """Generator restricted to the (unique) recurrent class."""
-    bsccs = ctmc.bottom_strongly_connected_components()
-    assert len(bsccs) == 1
-    recurrent = sorted(bsccs[0])
-    index = {state: i for i, state in enumerate(recurrent)}
-    return _submatrix(ctmc, recurrent, index)
+    assert len(ctmc.bottom_strongly_connected_components()) == 1
+    return recurrent_generator(ctmc)
 
 
 @pytest.fixture(scope="module")

@@ -12,9 +12,11 @@ the design invariant that tracing never perturbs numerics
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
+from repro.core.methodology import IncrementalMethodology
 from repro.experiments.cli import main
 from repro.obs import tracing
 from repro.obs.ledger import (
@@ -185,6 +187,48 @@ class TestSpanTotals:
             "inner": 1, "outer": 1,
         }
         assert spans.count("ok") == 2
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_nested_spans_of_one_name_count_their_seconds_once(self, traced):
+        """An inner span of an open span's name counts, but its seconds
+        are already inside the outer span's."""
+        previous = tracing.set_tracer(Tracer() if traced else None)
+        try:
+            before = tracing.totals()
+            started = time.perf_counter()
+            with tracing.span("outer"):
+                with tracing.span("inner"):
+                    with tracing.span("outer"):
+                        time.sleep(0.05)
+                with tracing.span("outer"):
+                    pass
+            with tracing.span("outer"):
+                pass
+            wall = time.perf_counter() - started
+            spans = tracing.totals().since(before)
+        finally:
+            tracing.set_tracer(previous)
+        timings = spans.timings()
+        assert timings["outer"]["count"] == 4
+        assert timings["inner"]["count"] == 1
+        # The two outermost spans are disjoint parts of the wall time.
+        assert timings["inner"]["seconds"] <= timings["outer"]["seconds"]
+        assert timings["outer"]["seconds"] <= wall
+
+    def test_a_general_sweep_point_holds_its_chunks_seconds(self, rpc_family):
+        """Each sweep point's replication chunk runs as a nested
+        ``point``/``execute`` pair: counted, its seconds not again."""
+        methodology = IncrementalMethodology(rpc_family, workers=1)
+        values = [1.0, 15.0]
+        methodology.sweep_general(
+            "shutdown_timeout", values, run_length=200.0, runs=2, seed=3,
+            workers=1,
+        )
+        timings = methodology.runtime_stats()["timings"]
+        phase = timings["sweep:general"]["seconds"]
+        for name in ("point", "execute"):
+            assert timings[name]["count"] == 2 * len(values)
+            assert timings[name]["seconds"] <= phase
 
     def test_untraced_resilient_pool_counts_points(self):
         before = tracing.totals()
