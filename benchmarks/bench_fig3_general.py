@@ -10,7 +10,7 @@ import pytest
 from conftest import run_once
 
 from repro.casestudies import rpc
-from repro.experiments import rpc_figures
+from repro.experiments.figures import RPC, sweep_figure
 
 TIMEOUTS = [1.0, 5.0, 9.0, 11.0, 12.5, 15.0, 25.0]
 
@@ -18,7 +18,9 @@ TIMEOUTS = [1.0, 5.0, 9.0, 11.0, 12.5, 15.0, 25.0]
 def test_fig3_general(benchmark, rpc_methodology):
     figure = run_once(
         benchmark,
-        lambda: rpc_figures.fig3_general(
+        lambda: sweep_figure(
+            RPC,
+            "general",
             TIMEOUTS,
             methodology=rpc_methodology,
             run_length=10_000.0,

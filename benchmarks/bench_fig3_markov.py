@@ -8,14 +8,14 @@ both regimes converge as the timeout grows.
 
 from conftest import run_once
 
-from repro.experiments import rpc_figures
+from repro.experiments.figures import RPC, sweep_figure
 
 
 def test_fig3_markov(benchmark, rpc_methodology):
     figure = run_once(
         benchmark,
-        lambda: rpc_figures.fig3_markov(
-            rpc_figures.QUICK_TIMEOUTS, methodology=rpc_methodology
+        lambda: sweep_figure(
+            RPC, "markovian", RPC.quick_grid, methodology=rpc_methodology
         ),
     )
     print()

@@ -8,7 +8,7 @@ NIC energy at moderate quality cost.
 
 from conftest import run_once
 
-from repro.experiments import streaming_figures
+from repro.experiments.figures import STREAMING, sweep_figure
 
 PERIODS = [10.0, 50.0, 100.0, 200.0, 400.0, 800.0]
 
@@ -16,8 +16,9 @@ PERIODS = [10.0, 50.0, 100.0, 200.0, 400.0, 800.0]
 def test_fig4_markov(benchmark, streaming_methodology):
     figure = run_once(
         benchmark,
-        lambda: streaming_figures.fig4_markov(
-            PERIODS, methodology=streaming_methodology
+        lambda: sweep_figure(
+            STREAMING, "markovian", PERIODS,
+            methodology=streaming_methodology,
         ),
     )
     print()

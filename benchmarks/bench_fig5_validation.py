@@ -9,13 +9,14 @@ swept shutdown timeout.
 
 from conftest import run_once
 
-from repro.experiments import rpc_figures
+from repro.experiments.figures import RPC, validation_figure
 
 
 def test_fig5_validation(benchmark, rpc_methodology):
     figure = run_once(
         benchmark,
-        lambda: rpc_figures.fig5_validation(
+        lambda: validation_figure(
+            RPC,
             [5.0, 15.0, 25.0],
             methodology=rpc_methodology,
             run_length=10_000.0,

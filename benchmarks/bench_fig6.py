@@ -9,7 +9,7 @@ energy; degradation appears at long awake periods.
 import pytest
 from conftest import run_once
 
-from repro.experiments import streaming_figures
+from repro.experiments.figures import STREAMING, sweep_figure
 
 PERIODS = [25.0, 100.0, 200.0, 400.0, 800.0]
 
@@ -17,7 +17,9 @@ PERIODS = [25.0, 100.0, 200.0, 400.0, 800.0]
 def test_fig6_general(benchmark, streaming_methodology):
     figure = run_once(
         benchmark,
-        lambda: streaming_figures.fig6_general(
+        lambda: sweep_figure(
+            STREAMING,
+            "general",
             PERIODS,
             methodology=streaming_methodology,
             run_length=30_000.0,

@@ -9,14 +9,16 @@ the Markovian curve has no dominated points.
 from conftest import run_once
 
 from repro.casestudies import rpc
-from repro.experiments import rpc_figures
+from repro.experiments.figures import RPC, sweep_figure, tradeoff_figure
 
 
 def test_fig7_tradeoff(benchmark, rpc_methodology):
-    markov = rpc_figures.fig3_markov(
-        rpc_figures.QUICK_TIMEOUTS, methodology=rpc_methodology
+    markov = sweep_figure(
+        RPC, "markovian", RPC.quick_grid, methodology=rpc_methodology
     )
-    general = rpc_figures.fig3_general(
+    general = sweep_figure(
+        RPC,
+        "general",
         [1.0, 3.0, 5.0, 8.0, 9.5, 10.5, 12.0, 15.0, 25.0],
         methodology=rpc_methodology,
         run_length=10_000.0,
@@ -25,7 +27,7 @@ def test_fig7_tradeoff(benchmark, rpc_methodology):
     )
     figure = run_once(
         benchmark,
-        lambda: rpc_figures.fig7_tradeoff(markov, general),
+        lambda: tradeoff_figure(RPC, markov, general),
     )
     print()
     print(figure.report())

@@ -9,16 +9,22 @@ transparent for small awake periods.
 
 from conftest import run_once
 
-from repro.experiments import streaming_figures
+from repro.experiments.figures import (
+    STREAMING,
+    sweep_figure,
+    tradeoff_figure,
+)
 
 PERIODS = [25.0, 50.0, 100.0, 200.0, 400.0, 800.0]
 
 
 def test_fig8_tradeoff(benchmark, streaming_methodology):
-    markov = streaming_figures.fig4_markov(
-        PERIODS, methodology=streaming_methodology
+    markov = sweep_figure(
+        STREAMING, "markovian", PERIODS, methodology=streaming_methodology
     )
-    general = streaming_figures.fig6_general(
+    general = sweep_figure(
+        STREAMING,
+        "general",
         PERIODS,
         methodology=streaming_methodology,
         run_length=30_000.0,
@@ -27,7 +33,7 @@ def test_fig8_tradeoff(benchmark, streaming_methodology):
     )
     figure = run_once(
         benchmark,
-        lambda: streaming_figures.fig8_tradeoff(markov, general),
+        lambda: tradeoff_figure(STREAMING, markov, general),
     )
     print()
     print(figure.report())

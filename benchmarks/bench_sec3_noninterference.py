@@ -5,13 +5,15 @@ rpc model, the positive verdict for the revised rpc model (Sect. 3.1), and
 the positive verdict for the streaming model (Sect. 3.2).
 """
 
+from functools import partial
+
 from conftest import run_once
 
-from repro.experiments import rpc_figures, streaming_figures
+from repro.experiments.figures import RPC, STREAMING, noninterference_figure
 
 
 def test_sec3_rpc(benchmark):
-    result = run_once(benchmark, rpc_figures.sec3_noninterference)
+    result = run_once(benchmark, partial(noninterference_figure, RPC))
     print()
     print(result.report())
     assert not result.simplified.holds
@@ -24,7 +26,7 @@ def test_sec3_rpc(benchmark):
 
 
 def test_sec3_streaming(benchmark):
-    result = run_once(benchmark, streaming_figures.sec3_noninterference)
+    result = run_once(benchmark, partial(noninterference_figure, STREAMING))
     print()
     print(result.report())
     assert result.result.holds

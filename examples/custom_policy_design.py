@@ -22,7 +22,6 @@ from repro.casestudies import rpc
 from repro.core import IncrementalMethodology, check_noninterference
 from repro.core.reporting import format_table
 from repro.core.tradeoff import TradeoffCurve
-from repro.experiments import rpc_figures
 
 
 def phase1_screening():

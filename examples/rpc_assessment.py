@@ -19,7 +19,13 @@ import sys
 
 from repro.casestudies import rpc
 from repro.core import IncrementalMethodology
-from repro.experiments import rpc_figures
+from repro.experiments.figures import (
+    RPC,
+    noninterference_figure,
+    sweep_figure,
+    tradeoff_figure,
+    validation_figure,
+)
 
 
 def main(full: bool = False):
@@ -28,22 +34,23 @@ def main(full: bool = False):
     print("#" * 72)
     print("# Phase 1 - functional transparency (Sect. 3.1)")
     print("#" * 72)
-    verdict = rpc_figures.sec3_noninterference()
+    verdict = noninterference_figure(RPC)
     print(verdict.report())
     print()
 
     print("#" * 72)
     print("# Phase 2 - Markovian comparison (Fig. 3 left)")
     print("#" * 72)
-    timeouts = None if full else rpc_figures.QUICK_TIMEOUTS
-    markov = rpc_figures.fig3_markov(timeouts, methodology=methodology)
+    timeouts = None if full else RPC.quick_grid
+    markov = sweep_figure(RPC, "markovian", timeouts, methodology=methodology)
     print(markov.report(charts=full))
     print()
 
     print("#" * 72)
     print("# Phase 3a - validation (Fig. 5)")
     print("#" * 72)
-    validation = rpc_figures.fig5_validation(
+    validation = validation_figure(
+        RPC,
         None if full else [5.0, 15.0],
         methodology=methodology,
         runs=30 if full else 8,
@@ -56,7 +63,9 @@ def main(full: bool = False):
     print("#" * 72)
     print("# Phase 3b - general model (Fig. 3 right)")
     print("#" * 72)
-    general = rpc_figures.fig3_general(
+    general = sweep_figure(
+        RPC,
+        "general",
         timeouts,
         methodology=methodology,
         runs=8 if full else 4,
@@ -69,7 +78,7 @@ def main(full: bool = False):
     print("#" * 72)
     print("# Trade-off (Fig. 7)")
     print("#" * 72)
-    tradeoff = rpc_figures.fig7_tradeoff(markov, general)
+    tradeoff = tradeoff_figure(RPC, markov, general)
     print(tradeoff.report())
     knee = tradeoff.general.knee_point()
     print()

@@ -18,7 +18,12 @@ import sys
 
 from repro.casestudies import streaming
 from repro.core import IncrementalMethodology
-from repro.experiments import streaming_figures
+from repro.experiments.figures import (
+    STREAMING,
+    noninterference_figure,
+    sweep_figure,
+    tradeoff_figure,
+)
 from repro.sim import EventTraceRecorder, make_generator
 
 
@@ -44,7 +49,7 @@ def aironet_comparison(methodology, sim_kwargs):
     print("CISCO Aironet 350 setting comparison (Sect. 5.3):")
     nodpm = methodology.simulate_general("nodpm", **sim_kwargs)
     nodpm_raw = {n: nodpm[n].mean for n in nodpm.estimates}
-    base = streaming_figures.derive_streaming(
+    base = STREAMING.derive(
         {k: [v] for k, v in nodpm_raw.items()}
     )
     print(
@@ -57,7 +62,7 @@ def aironet_comparison(methodology, sim_kwargs):
             "dpm", {"awake_period": period}, **sim_kwargs
         )
         raw = {n: rep[n].mean for n in rep.estimates}
-        derived = streaming_figures.derive_streaming(
+        derived = STREAMING.derive(
             {k: [v] for k, v in raw.items()}
         )
         saving = (
@@ -84,15 +89,17 @@ def main(full: bool = False):
     print("#" * 72)
     print("# Phase 1 - noninterference of the MAC-level DPM (Sect. 3.2)")
     print("#" * 72)
-    verdict = streaming_figures.sec3_noninterference()
+    verdict = noninterference_figure(STREAMING)
     print(verdict.report())
     print()
 
     print("#" * 72)
     print("# Phase 2 - Markovian model (Fig. 4)")
     print("#" * 72)
-    periods = None if full else streaming_figures.QUICK_AWAKE_PERIODS
-    markov = streaming_figures.fig4_markov(periods, methodology=methodology)
+    periods = None if full else STREAMING.quick_grid
+    markov = sweep_figure(
+        STREAMING, "markovian", periods, methodology=methodology
+    )
     print(markov.report(charts=full))
     print()
 
@@ -101,8 +108,8 @@ def main(full: bool = False):
     print("#" * 72)
     show_trace(methodology)
     aironet_comparison(methodology, sim_kwargs)
-    general = streaming_figures.fig6_general(
-        periods, methodology=methodology, **sim_kwargs
+    general = sweep_figure(
+        STREAMING, "general", periods, methodology=methodology, **sim_kwargs
     )
     print(general.report(charts=full))
     print()
@@ -110,7 +117,7 @@ def main(full: bool = False):
     print("#" * 72)
     print("# Trade-off (Fig. 8)")
     print("#" * 72)
-    tradeoff = streaming_figures.fig8_tradeoff(markov, general)
+    tradeoff = tradeoff_figure(STREAMING, markov, general)
     print(tradeoff.report())
 
 

@@ -27,7 +27,7 @@ Topology (Fig. 2.b of the paper)::
   periodically (``awake_period`` — the PSP listen interval).
 
 Base measures (ratios such as energy-per-frame, loss, miss and quality are
-derived by :mod:`repro.experiments.streaming_figures`):
+derived by ``repro.experiments.figures.STREAMING.derive``):
 
 * ``nic_power`` — average NIC power draw (W);
 * ``frames_received`` — NIC-to-buffer deliveries per ms;

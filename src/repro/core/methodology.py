@@ -198,8 +198,10 @@ def _lts_point(task: LtsTask, item: Tuple) -> Any:
 
     The item is ``(workload index, one point per source)`` — a bound
     constant environment for a skeleton, an override dict otherwise:
-    each source's LTS is relabeled or generated, rewritten with the
-    workload at the family's hook, and handed to the task's layer call.
+    each source's LTS is relabeled (under a ``relabel`` span when the
+    point's environment differs from the skeleton's) or generated,
+    rewritten with the workload at the family's hook, and handed to the
+    task's layer call.
     The result depends only on ``(task, item)``, which is what makes
     serial and parallel executions bit-identical.  A TraceReplay
     workload's replay cursors are keyed per generator (and dropped on
@@ -209,10 +211,13 @@ def _lts_point(task: LtsTask, item: Tuple) -> Any:
     workload = task.workloads[workload_index]
     ltss = []
     for (archi, skeleton), point in zip(task.sources, points):
-        if skeleton is not None:
-            lts = skeleton.relabel(point)
-        else:
+        if skeleton is None:
             lts = generate_lts(archi, point, task.max_states)
+        elif point == skeleton.const_env:
+            lts = skeleton.lts
+        else:
+            with tracing.span("relabel"):
+                lts = skeleton.relabel(point)
         if workload is not None:
             lts = apply_workload(lts, task.pattern, workload)
         ltss.append(lts)

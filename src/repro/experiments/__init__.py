@@ -1,13 +1,12 @@
 """Regeneration of every table and figure of the paper's evaluation."""
 
-from . import rpc_figures, streaming_figures
+from . import figures
 from .cli import main, run_experiment
 from .registry import Experiment, all_experiments
 from .results import FigureResult, constant_series, ratio_series
 
 __all__ = [
-    "rpc_figures",
-    "streaming_figures",
+    "figures",
     "main",
     "run_experiment",
     "Experiment",

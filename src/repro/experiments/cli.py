@@ -55,7 +55,6 @@ import sys
 import time
 from typing import List, Optional
 
-from ..casestudies import rpc, streaming
 from ..casestudies.fleet import DEFAULT_FLEET_SIZE, POLICIES
 from ..core.methodology import IncrementalMethodology
 from ..fleet import REPRESENTATIONS, FleetAssessment
@@ -92,10 +91,11 @@ from ..workload import (
 )
 from ..workload import read_trace as read_workload_trace
 from ..workload import write_trace as write_workload_trace
+from .figures import RPC, STREAMING
 from .registry import all_experiments
-from .results import RunOptions
+from .results import FigureResult, RunOptions
 
-_CASES = {"rpc": rpc.family, "streaming": streaming.family}
+_CASES = {case.name: case.family for case in (RPC, STREAMING)}
 
 _LOG = get_logger("cli")
 
@@ -503,12 +503,9 @@ def run_experiment(
         )
     options = RunOptions.resolve(options)
     result = experiments[identifier].run(quick, options)
-    if hasattr(result, "report"):
-        try:
-            return result.report(charts=charts)
-        except TypeError:
-            return result.report()
-    return str(result)
+    if isinstance(result, FigureResult):
+        return result.report(charts=charts)
+    return result.report()
 
 
 def run_sweep(argv: List[str]) -> int:

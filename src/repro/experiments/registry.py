@@ -2,17 +2,20 @@
 
 The ids follow DESIGN.md's per-experiment index.  Every entry returns an
 object with a ``report()`` method; ``quick`` selects a reduced sweep /
-simulation effort suitable for CI.
+simulation effort suitable for CI.  The paper-pipeline entries are the
+:class:`~repro.experiments.figures.Figure` records of the two case
+declarations, which carry their report text and both efforts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..casestudies import rpc, streaming
 from ..core.reporting import format_table
-from . import extensions, fleet_figures, rpc_figures, streaming_figures
+from . import extensions, figures, fleet_figures
+from .figures import RPC, STREAMING, Case
 from .results import RunOptions
 
 
@@ -70,111 +73,39 @@ class _ParamsTable:
         return "\n".join(lines)
 
 
+def _pipeline(case: Case, kind: str) -> Experiment:
+    """The registry entry of one pipeline artifact of *case*."""
+    figure = case.figures[kind]
+
+    def run(quick: bool, options: Optional[RunOptions] = None) -> object:
+        settings = dict(figure.quick) if quick else {}
+        if kind == "noninterference":
+            return figures.noninterference_figure(case)
+        if kind == "validation":
+            return figures.validation_figure(case, options=options, **settings)
+        if kind == "tradeoff":
+            return figures.tradeoff_figure(case, options=options, **settings)
+        return figures.sweep_figure(case, kind, options=options, **settings)
+
+    return Experiment(figure.id, figure.artifact, run)
+
+
 def _experiments() -> List[Experiment]:
     return [
-        Experiment(
-            "sec3-rpc",
-            "Sect. 3.1 noninterference check + distinguishing formula",
-            lambda quick, options=None: rpc_figures.sec3_noninterference(),
-        ),
-        Experiment(
-            "sec3-streaming",
-            "Sect. 3.2 noninterference check (streaming)",
-            lambda quick, options=None: streaming_figures.sec3_noninterference(),
-        ),
-        Experiment(
-            "fig3-markov",
-            "Fig. 3 left: rpc Markovian sweep",
-            lambda quick, options=None: rpc_figures.fig3_markov(
-                rpc_figures.QUICK_TIMEOUTS if quick else None,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "fig3-general",
-            "Fig. 3 right: rpc general-model sweep",
-            lambda quick, options=None: rpc_figures.fig3_general(
-                rpc_figures.QUICK_TIMEOUTS if quick else None,
-                runs=4 if quick else 8,
-                run_length=10_000.0 if quick else 20_000.0,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "fig4",
-            "Fig. 4: streaming Markovian sweep",
-            lambda quick, options=None: streaming_figures.fig4_markov(
-                streaming_figures.QUICK_AWAKE_PERIODS if quick else None,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "fig4-dense",
-            "Fig. 4 on a dense 1000-point grid (parametric fast path)",
-            lambda quick, options=None: streaming_figures.fig4_dense(
-                streaming_figures.QUICK_DENSE_POINTS
-                if quick
-                else streaming_figures.DENSE_POINTS,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "fig5",
-            "Fig. 5: validation of the rpc general model",
-            lambda quick, options=None: rpc_figures.fig5_validation(
-                [5.0, 15.0] if quick else None,
-                runs=8 if quick else 30,
-                run_length=10_000.0 if quick else 20_000.0,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "fig6",
-            "Fig. 6: streaming general-model sweep",
-            lambda quick, options=None: streaming_figures.fig6_general(
-                streaming_figures.QUICK_AWAKE_PERIODS if quick else None,
-                runs=3 if quick else 6,
-                run_length=30_000.0 if quick else 60_000.0,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "fig7",
-            "Fig. 7: rpc energy/waiting trade-off",
-            lambda quick, options=None: rpc_figures.fig7_tradeoff(
-                runs=4 if quick else 8,
-                run_length=10_000.0 if quick else 20_000.0,
-                options=options,
-            ),
+        *(
+            _pipeline(case, kind)
+            for case in (RPC, STREAMING)
+            for kind in case.figures
         ),
         Experiment(
             "fig7-workloads",
             "Fig. 7 extension: rpc trade-off under Poisson / MMPP / "
             "Pareto workloads",
-            lambda quick, options=None: rpc_figures.fig7_workloads(
-                rpc_figures.QUICK_TIMEOUTS if quick else None,
+            lambda quick, options=None: extensions.fig7_workloads(
+                RPC.quick_grid if quick else None,
                 runs=3 if quick else 8,
                 run_length=6_000.0 if quick else 20_000.0,
                 trace_events=1500 if quick else 4000,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "fig8",
-            "Fig. 8: streaming energy/miss trade-off",
-            lambda quick, options=None: streaming_figures.fig8_tradeoff(
-                runs=3 if quick else 6,
-                run_length=30_000.0 if quick else 60_000.0,
-                options=options,
-            ),
-        ),
-        Experiment(
-            "streaming-validation",
-            "Sect. 5.1 protocol applied to the streaming model",
-            lambda quick, options=None: streaming_figures.streaming_validation(
-                [50.0] if quick else None,
-                runs=6 if quick else 10,
-                run_length=20_000.0 if quick else 30_000.0,
                 options=options,
             ),
         ),

@@ -82,10 +82,9 @@ class RuntimeStats:
     """How an experiment executed: workers, cache effectiveness, phases.
 
     Snapshot of :meth:`IncrementalMethodology.runtime_stats` taken when
-    the figure finished; attached to result objects so reports (and the
-    runtime-scaling benchmark) can show where the time went.  Timings,
-    retry / checkpoint counters and the status counts all come from the
-    span totals of :mod:`repro.obs.tracing`.
+    the figure finished; attached to result objects so reports can show
+    where the time went.  Timings and the retry / checkpoint counters
+    come from the span totals of :mod:`repro.obs.tracing`.
     """
 
     workers: int = 1
@@ -95,22 +94,14 @@ class RuntimeStats:
     timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
     retries: int = 0
     checkpoint_hits: int = 0
-    trace: Optional[Dict[str, object]] = None
     #: Aggregated steady-state solver reports (backend counts, residual
     #: maxima) when the experiment had a Markovian phase.
     solver: Optional[Dict[str, object]] = None
-    #: Snapshot of the default metric registry taken when the figure
-    #: finished (:meth:`repro.obs.MetricRegistry.snapshot` shape).  Not
-    #: part of :meth:`as_dict` — exports go through ``--metrics-out``.
-    metrics: Optional[Dict[str, object]] = None
 
     @classmethod
     def from_methodology(cls, methodology) -> "RuntimeStats":
-        from ..obs import get_registry
-
         snapshot = methodology.runtime_stats()
         cache = snapshot["cache"]
-        registry = get_registry()
         return cls(
             workers=snapshot["workers"],
             cache_hits=cache["hits"],
@@ -119,28 +110,8 @@ class RuntimeStats:
             timings=snapshot["timings"],
             retries=snapshot["retries"],
             checkpoint_hits=snapshot["checkpoint_hits"],
-            trace=snapshot["trace"],
             solver=snapshot.get("solver"),
-            metrics=registry.snapshot() if registry.enabled else None,
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        result: Dict[str, object] = {
-            "workers": self.workers,
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "relabels": self.cache_relabels,
-            },
-            "timings": self.timings,
-            "retries": self.retries,
-            "checkpoint_hits": self.checkpoint_hits,
-        }
-        if self.trace is not None:
-            result["trace"] = self.trace
-        if self.solver is not None:
-            result["solver"] = self.solver
-        return result
 
     def describe(self) -> str:
         phases = ", ".join(

@@ -22,7 +22,6 @@ from .output import (
     replicate_paired,
     resolve_engine,
     summarize,
-    summarize_paired,
     summarize_rare,
 )
 from .random import (
@@ -73,7 +72,6 @@ __all__ = [
     "replicate_paired",
     "resolve_engine",
     "summarize",
-    "summarize_paired",
     "summarize_rare",
     "event_generator",
     "event_stream_key",

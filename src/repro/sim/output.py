@@ -330,27 +330,6 @@ def replicate(
     return ReplicationResult(_summaries(samples, confidence), samples)
 
 
-def summarize_paired(
-    first: Sequence[float],
-    second: Sequence[float],
-    confidence: float = 0.90,
-) -> Estimate:
-    """Student-t summary of the mean *difference* ``first - second``.
-
-    The paired-t construction: the interval is computed on the per-run
-    deltas, so whatever noise the two samples share (common random
-    numbers) cancels before the variance is estimated.  With independent
-    samples this degrades gracefully to an ordinary difference interval.
-    """
-    if len(first) != len(second):
-        raise SimulationError(
-            f"paired samples must align run by run "
-            f"({len(first)} vs {len(second)})"
-        )
-    deltas = [a - b for a, b in zip(first, second)]
-    return summarize(deltas, confidence)
-
-
 @dataclass
 class PairedReplicationResult:
     """Two variants' estimates plus paired-delta intervals.

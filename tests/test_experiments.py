@@ -3,13 +3,20 @@
 import pytest
 
 from repro.experiments import all_experiments, run_experiment
+from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
+from repro.experiments.registry import Experiment
 from repro.experiments.results import (
     FigureResult,
     constant_series,
     ratio_series,
 )
-from repro.experiments import rpc_figures, streaming_figures
+from repro.experiments.figures import (
+    RPC,
+    STREAMING,
+    noninterference_figure,
+    sweep_figure,
+)
 
 EXPECTED_IDS = {
     "sec3-rpc",
@@ -80,7 +87,7 @@ class TestResultsHelpers:
 
 class TestCheapExperiments:
     def test_sec3_rpc_report(self):
-        result = rpc_figures.sec3_noninterference()
+        result = noninterference_figure(RPC)
         assert not result.simplified.holds
         assert result.revised.holds
         text = result.report()
@@ -88,7 +95,7 @@ class TestCheapExperiments:
         assert "C.send_rpc_packet#RCS.get_packet" in text
 
     def test_fig3_markov_quick(self):
-        figure = rpc_figures.fig3_markov(timeouts=[1.0, 10.0])
+        figure = sweep_figure(RPC, "markovian", [1.0, 10.0])
         assert figure.parameter_values == [1.0, 10.0]
         assert len(figure.dpm_series["energy_per_request"]) == 2
         # NO-DPM baseline is constant across the sweep.
@@ -96,7 +103,7 @@ class TestCheapExperiments:
         assert nodpm[0] == nodpm[1]
 
     def test_fig4_quick(self):
-        figure = streaming_figures.fig4_markov(awake_periods=[50.0, 400.0])
+        figure = sweep_figure(STREAMING, "markovian", [50.0, 400.0])
         assert set(figure.dpm_series) == {
             "energy_per_frame", "loss", "miss", "quality",
         }
@@ -119,7 +126,7 @@ class TestDerivations:
             "frame_misses": [0.003],
             "frame_gets": [0.015],
         }
-        derived = streaming_figures.derive_streaming(series)
+        derived = STREAMING.derive(series)
         assert derived["energy_per_frame"][0] == pytest.approx(100.0)
         assert derived["loss"][0] == pytest.approx(0.1)
         assert derived["miss"][0] == pytest.approx(0.2)
@@ -141,6 +148,27 @@ class TestCli:
         assert main(["tab-params", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "tab-params done" in out
+
+    @pytest.mark.parametrize("figure", [True, False])
+    def test_type_error_inside_report_propagates(self, figure, monkeypatch):
+        calls = []
+
+        class Broken(FigureResult if figure else object):
+            def __init__(self):
+                pass
+
+            def report(self, charts=True):
+                calls.append(charts)
+                raise TypeError("broken report")
+
+        broken = Experiment("broken", "raising report", lambda q, o: Broken())
+        monkeypatch.setattr(
+            cli, "all_experiments", lambda: {"broken": broken}
+        )
+        with pytest.raises(TypeError, match="broken report"):
+            run_experiment("broken", quick=True, charts=False)
+        # Rendered once: no second attempt without the charts argument.
+        assert calls == ([False] if figure else [True])
 
     def test_run_figure_with_charts(self, capsys):
         assert main(["fig3-markov", "--quick"]) == 0

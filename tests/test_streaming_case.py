@@ -4,7 +4,7 @@ import pytest
 
 from repro.casestudies import streaming
 from repro.core import IncrementalMethodology
-from repro.experiments.streaming_figures import derive_streaming
+from repro.experiments.figures import STREAMING
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def methodology():
 
 def indices(results):
     series = {name: [value] for name, value in results.items()}
-    derived = derive_streaming(series)
+    derived = STREAMING.derive(series)
     return {name: values[0] for name, values in derived.items()}
 
 

@@ -24,7 +24,7 @@ from repro.aemilia.rates import GeneralRate
 from repro.core.methodology import IncrementalMethodology
 from repro.distributions import Exponential, Pareto
 from repro.errors import AnalysisError, CheckpointError
-from repro.experiments import rpc_figures
+from repro.experiments.extensions import fig7_workloads
 from repro.experiments.cli import main
 from repro.workload import (
     MMPPGenerator,
@@ -239,7 +239,7 @@ class TestFig7Workloads:
 
     def test_three_classes_each_with_a_front(self, tmp_path):
         journal = str(tmp_path / "grid.jsonl")
-        figure = rpc_figures.fig7_workloads(
+        figure = fig7_workloads(
             checkpoint=journal, **self.QUICK
         )
         assert sorted(figure.curves) == ["mmpp", "pareto", "poisson"]
@@ -250,7 +250,7 @@ class TestFig7Workloads:
         assert figure.workloads["mmpp"].startswith("replay:cycle:")
         assert figure.workloads["poisson"] == "exp(0.103093)"
         # Resume from the completed journal: same curves, all cached.
-        resumed = rpc_figures.fig7_workloads(
+        resumed = fig7_workloads(
             checkpoint=journal, **self.QUICK
         )
         for name in figure.curves:
@@ -260,7 +260,7 @@ class TestFig7Workloads:
         assert resumed.runtime.checkpoint_hits == 9
 
     def test_report_renders(self):
-        figure = rpc_figures.fig7_workloads(
+        figure = fig7_workloads(
             timeouts=[5.0], runs=2, run_length=400.0, warmup=0.0,
             trace_events=200,
         )
