@@ -247,12 +247,11 @@ class ParametricSolution:
     def evaluate(self, value: float) -> Dict[str, float]:
         """All measures at one parameter value (microseconds)."""
         self._check_domain(float(value))
-        started = time.perf_counter()
         out = {
             name: float(self.fits[name](float(value)))
             for name in self.measure_names
         }
-        _record_evaluation(1, time.perf_counter() - started)
+        _record_evaluation(1)
         return out
 
     def evaluate_many(
@@ -262,14 +261,11 @@ class ParametricSolution:
         points = np.asarray(list(values), float)
         for value in (points.min(), points.max()) if points.size else ():
             self._check_domain(float(value))
-        started = time.perf_counter()
         out = {
             name: np.asarray(self.fits[name](points), float)
             for name in self.measure_names
         }
-        _record_evaluation(
-            int(points.size), time.perf_counter() - started
-        )
+        _record_evaluation(int(points.size))
         return out
 
     def report_dict(self) -> Dict[str, object]:
@@ -308,21 +304,12 @@ def _record_elimination(status: str, seconds: float) -> None:
     obs_metrics.PARAMETRIC_ELIMINATIONS.on(registry).labels(
         status=status
     ).inc()
-    obs_metrics.PARAMETRIC_ELIMINATION_SECONDS.on(registry).observe(
-        seconds
-    )
 
 
-def _record_evaluation(points: int, seconds: float) -> None:
-    if points <= 0:
-        return
+def _record_evaluation(points: int) -> None:
     registry = obs_metrics.get_registry()
-    if not registry.enabled:
-        return
-    obs_metrics.PARAMETRIC_EVALUATIONS.on(registry).inc(points)
-    obs_metrics.PARAMETRIC_EVAL_SECONDS.on(registry).observe(
-        seconds / points
-    )
+    if points > 0 and registry.enabled:
+        obs_metrics.PARAMETRIC_EVALUATIONS.on(registry).inc(points)
 
 
 def record_parametric_fallback(reason: str) -> None:

@@ -51,16 +51,15 @@ residual above tolerance raises :class:`~repro.errors.SolverError` with
 the diagnostics attached instead of silently clipping the solution into
 shape.
 
-**Observability** (docs/OBSERVABILITY.md): every solve increments the
-``repro_solver_*`` metrics on the default registry (solves, cumulative
-iterations, residual and wall-clock histograms, fallbacks — all
-labelled by backend).  Per-iteration residual/relative-change *time
-series* are opt-in: pass ``track_iterations=True`` to get them attached
-to the :class:`SolverReport`, or ``iteration_callback=...`` (any
-``(iteration, residual, relative_change)`` callable, e.g.
-:class:`repro.obs.IterationSeries`) to watch convergence live.  Neither
-hook perturbs the numerics — observers only read values the iteration
-already produced.
+**Observability** (docs/OBSERVABILITY.md): every solve is one ``solve``
+span and increments the ``repro_solver_*`` metrics on the default
+registry (solves, cumulative iterations, the residual histogram,
+fallbacks — all labelled by backend).  Per-iteration
+residual/relative-change *time series* are opt-in: pass
+``iteration_callback=...`` (any ``(iteration, residual,
+relative_change)`` callable, e.g. :class:`repro.obs.IterationSeries`)
+to watch convergence live.  The hook never perturbs the numerics — it
+only reads values the iteration already produced.
 """
 
 from __future__ import annotations
@@ -124,23 +123,10 @@ class SolverReport:
     mass_defect: float
     #: Backends that failed before this one succeeded (``auto`` only).
     fallbacks: Tuple[str, ...] = ()
-    #: Per-iteration convergence series — ``(iteration, residual,
-    #: relative_change)`` triples, with ``None`` where a backend does
-    #: not expose the quantity (GMRES reports its preconditioned
-    #: residual norm and no relative change).  Empty unless the solve
-    #: was made with ``track_iterations=True``: the series costs one
-    #: tuple per iteration, so it stays opt-in while the aggregate
-    #: metrics stay always-on.
-    iteration_trace: Tuple[Tuple[int, float, Optional[float]], ...] = ()
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (sweep records, runtime stats).
-
-        The opt-in iteration trace is included only when present, so
-        journals and baselines written without tracking keep their
-        historical shape.
-        """
-        out: Dict[str, object] = {
+        """JSON-serialisable form (sweep records, runtime stats)."""
+        return {
             "method": self.method,
             "size": self.size,
             "nnz": self.nnz,
@@ -149,17 +135,6 @@ class SolverReport:
             "mass_defect": self.mass_defect,
             "fallbacks": list(self.fallbacks),
         }
-        if self.iteration_trace:
-            out["iteration_trace"] = [
-                {
-                    "iteration": iteration,
-                    "residual": residual,
-                    "relative_change": relative_change,
-                }
-                for iteration, residual, relative_change
-                in self.iteration_trace
-            ]
-        return out
 
 
 @dataclass(frozen=True)
@@ -174,13 +149,13 @@ class _Problem:
     """Shared per-solve view of the generator submatrix.
 
     Also the conduit of the opt-in per-iteration observation: the
-    driver attaches ``track``/``callback`` before invoking a backend,
-    and iterative backends report each iterate through
-    :meth:`observe_iteration` — the observation happens *after* the
-    iterate is computed, so it can never perturb the numerics.
+    driver attaches ``callback`` before invoking a backend, and
+    iterative backends report each iterate through it — the observation
+    happens *after* the iterate is computed, so it can never perturb
+    the numerics.
     """
 
-    def __init__(self, q):
+    def __init__(self, q, callback: Optional[Callable] = None):
         if sparse.issparse(q):
             self.matrix_free = False
             self.q = q.tocsr()
@@ -205,35 +180,14 @@ class _Problem:
         self.size = q.shape[0]
         #: Residuals are judged relative to the magnitude of Q.
         self.scale = max(1.0, float(np.abs(self.diagonal).max(initial=0.0)))
-        #: Opt-in iteration observation (docs/OBSERVABILITY.md).
-        self.track = False
-        self.callback: Optional[Callable] = None
-        self.iterations: List[Tuple[int, float, Optional[float]]] = []
+        #: Opt-in ``(iteration, residual, relative_change)`` observer
+        #: (docs/OBSERVABILITY.md); a backend that has no relative
+        #: change (GMRES) passes ``None`` for it.
+        self.callback = callback
 
     def residual(self, x: np.ndarray) -> float:
         """``||x Q||_inf`` for a (normalised) candidate distribution."""
         return float(np.abs(self.a @ x).max(initial=0.0))
-
-    def observe_iteration(
-        self,
-        iteration: int,
-        residual: float,
-        relative_change: Optional[float],
-    ) -> None:
-        """Record one iteration for the trace and/or live callback."""
-        if self.track:
-            self.iterations.append((iteration, residual, relative_change))
-        if self.callback is not None:
-            self.callback(iteration, residual, relative_change)
-
-    @property
-    def observed(self) -> bool:
-        """True when backends should bother reporting iterations."""
-        return self.track or self.callback is not None
-
-    def reset_observation(self) -> None:
-        """Drop recorded iterations (between ``auto`` fallback tries)."""
-        self.iterations = []
 
 
 def _relative_change(x: np.ndarray, old: np.ndarray) -> float:
@@ -501,10 +455,10 @@ def _solve_gmres(
     def count(pr_norm):
         nonlocal iterations
         iterations += 1
-        if problem.observed:
+        if problem.callback is not None:
             # GMRES exposes its preconditioned residual norm only; it
             # has no notion of a per-entry relative change.
-            problem.observe_iteration(iterations, float(pr_norm), None)
+            problem.callback(iterations, float(pr_norm), None)
 
     try:
         # Krylov depth 200: ILU-preconditioned (sparse) solves converge
@@ -626,8 +580,8 @@ def _solve_sor(
         x /= total
         residual = problem.residual(x)
         change = _relative_change(x, old)
-        if problem.observed:
-            problem.observe_iteration(iteration, residual, change)
+        if problem.callback is not None:
+            problem.callback(iteration, residual, change)
         if _converged(change, residual, problem, options):
             return x, iteration
     raise SolverError(
@@ -680,8 +634,8 @@ def _solve_power(
         updated /= total
         residual = problem.residual(updated)
         change = _relative_change(updated, x)
-        if problem.observed:
-            problem.observe_iteration(iteration, residual, change)
+        if problem.callback is not None:
+            problem.callback(iteration, residual, change)
         if _converged(change, residual, problem, options):
             return updated, iteration
         x = updated
@@ -772,7 +726,6 @@ def _finalize(
         residual=residual,
         mass_defect=negative_mass / magnitude,
         fallbacks=fallbacks,
-        iteration_trace=tuple(problem.iterations) if problem.track else (),
     )
     return SteadyStateSolution(pi, report)
 
@@ -806,9 +759,6 @@ def _record_solve_metrics(
     obs_metrics.SOLVER_RESIDUAL.on(registry).labels(**labels).observe(
         report.residual
     )
-    obs_metrics.SOLVER_SECONDS.on(registry).labels(**labels).observe(
-        elapsed
-    )
     for fallback in report.fallbacks:
         obs_metrics.SOLVER_FALLBACKS.on(registry).labels(
             method=fallback
@@ -821,7 +771,6 @@ def solve_steady_state(
     tolerance: float = DEFAULT_TOLERANCE,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    track_iterations: bool = False,
     iteration_callback: Optional[Callable] = None,
 ) -> SteadyStateSolution:
     """Solve ``pi Q = 0, sum(pi) = 1`` on an irreducible generator.
@@ -836,20 +785,19 @@ def solve_steady_state(
     sparsity and falls back along :data:`_FALLBACK_CHAIN` when the
     preferred backend fails (matrix-free operands skip the
     materializing ``direct``/``sor`` backends); a named method never
-    falls back.
+    falls back and its own :class:`~repro.errors.SolverError`
+    propagates.  ``parametric`` reaching a concrete chain solves along
+    the fallback chain with ``parametric`` recorded as failed.
 
-    With ``track_iterations=True`` the per-iteration convergence series
-    is attached to the report (``SolverReport.iteration_trace``);
     *iteration_callback* — any ``(iteration, residual,
-    relative_change)`` callable — is invoked live instead/as well.
-    Neither affects the computed distribution.
+    relative_change)`` callable — is invoked live for every iterate of
+    every backend tried; it does not affect the computed distribution.
     """
     name = resolve_method(method)
     options = SolverOptions(tolerance, residual_tolerance, max_iterations)
-    problem = _Problem(q)
-    problem.track = track_iterations
-    problem.callback = iteration_callback
+    problem = _Problem(q, iteration_callback)
     started = time.perf_counter()
+    failed: List[str] = []
     if name == "parametric":
         # A concrete per-chain solve was requested with the parametric
         # method: this chain has no prebuilt parametric solution (no
@@ -862,60 +810,33 @@ def solve_steady_state(
             obs_metrics.PARAMETRIC_FALLBACKS.on(registry).labels(
                 reason="concrete"
             ).inc()
-        failed = ["parametric"]
-        last_error: Optional[SolverError] = None
-        for candidate in _fallback_candidates(problem):
-            problem.reset_observation()
-            try:
-                raw, iterations = _REGISTRY[candidate](problem, options)
-                solution = _finalize(
-                    raw, iterations, candidate, problem, options,
-                    tuple(failed),
-                )
-                _record_solve_metrics(
-                    solution.report, time.perf_counter() - started
-                )
-                return solution
-            except SolverError as error:
-                failed.append(candidate)
-                last_error = error
-        raise SolverError(
-            f"every backend failed on this chain "
-            f"(tried {', '.join(failed)}); last error: {last_error}"
-        ) from last_error
-    if name != "auto":
-        raw, iterations = _REGISTRY[name](problem, options)
-        solution = _finalize(raw, iterations, name, problem, options, ())
-        _record_solve_metrics(
-            solution.report, time.perf_counter() - started
+        failed.append("parametric")
+        candidates: List[str] = list(_fallback_candidates(problem))
+    elif name == "auto":
+        preferred = select_method(
+            problem.size, problem.nnz, matrix_free=problem.matrix_free
         )
-        return solution
-    preferred = select_method(
-        problem.size, problem.nnz, matrix_free=problem.matrix_free
-    )
-    candidates = [preferred]
-    candidates.extend(
-        fallback
-        for fallback in _fallback_candidates(problem)
-        if fallback not in candidates
-    )
-    failed: list = []
+        candidates = [
+            preferred,
+            *(c for c in _fallback_candidates(problem) if c != preferred),
+        ]
+    else:
+        candidates = [name]
     last_error: Optional[SolverError] = None
     for candidate in candidates:
-        problem.reset_observation()
         try:
             raw, iterations = _REGISTRY[candidate](problem, options)
             solution = _finalize(
-                raw, iterations, candidate, problem, options,
-                tuple(failed),
+                raw, iterations, candidate, problem, options, tuple(failed)
             )
-            _record_solve_metrics(
-                solution.report, time.perf_counter() - started
-            )
-            return solution
         except SolverError as error:
+            if candidate == name:  # a named method never falls back
+                raise
             failed.append(candidate)
             last_error = error
+            continue
+        _record_solve_metrics(solution.report, time.perf_counter() - started)
+        return solution
     raise SolverError(
         f"every backend failed on this chain "
         f"(tried {', '.join(failed)}); last error: {last_error}"

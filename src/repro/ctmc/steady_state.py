@@ -43,7 +43,6 @@ def steady_state_solution(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
-    track_iterations: bool = False,
     iteration_callback=None,
 ) -> SteadyStateSolution:
     """Steady-state distribution of *ctmc* plus solver diagnostics.
@@ -51,9 +50,9 @@ def steady_state_solution(
     ``method=None`` resolves through ``$REPRO_SOLVER`` to ``auto``.  The
     returned distribution covers all states (transient states get
     probability zero); the report's residual is measured on the
-    recurrent class.  ``track_iterations`` / ``iteration_callback``
-    enable the opt-in per-iteration convergence observation of
-    :func:`repro.ctmc.solvers.solve_steady_state` (no-ops for the
+    recurrent class.  ``iteration_callback`` enables the opt-in
+    per-iteration convergence observation of
+    :func:`repro.ctmc.solvers.solve_steady_state` (a no-op for the
     single-state closed form).
     """
     bsccs = ctmc.pattern.bsccs
@@ -83,7 +82,6 @@ def steady_state_solution(
         tolerance=tolerance,
         residual_tolerance=residual_tolerance,
         max_iterations=max_iterations,
-        track_iterations=track_iterations,
         iteration_callback=iteration_callback,
     )
     pi[recurrent] = solution.pi

@@ -91,6 +91,7 @@ from ..workload import (
 )
 from ..workload import read_trace as read_workload_trace
 from ..workload import write_trace as write_workload_trace
+from .extensions import SurvivalResult
 from .figures import RPC, STREAMING
 from .registry import all_experiments
 from .results import FigureResult, RunOptions
@@ -452,13 +453,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="write the series as JSON to FILE instead of only stdout",
     )
     parser.add_argument(
-        "--method", default=None,
-        help=(
-            "steady-state solver for markovian sweeps (overrides "
-            "--solver; default: --solver, then $REPRO_SOLVER, then auto)"
-        ),
-    )
-    parser.add_argument(
         "--runs", type=int, default=10,
         help="replications per point (general phase)",
     )
@@ -503,7 +497,7 @@ def run_experiment(
         )
     options = RunOptions.resolve(options)
     result = experiments[identifier].run(quick, options)
-    if isinstance(result, FigureResult):
+    if isinstance(result, (FigureResult, SurvivalResult)):
         return result.report(charts=charts)
     return result.report()
 
@@ -567,7 +561,6 @@ def run_sweep(argv: List[str]) -> int:
                 series = methodology.sweep(
                     args.parameter,
                     values,
-                    method=args.method,
                     checkpoint=args.checkpoint,
                 )
             elif args.phase == "markovian":
@@ -575,7 +568,6 @@ def run_sweep(argv: List[str]) -> int:
                     args.parameter,
                     values,
                     variant=args.variant,
-                    method=args.method,
                     checkpoint=args.checkpoint,
                 )
             else:

@@ -96,7 +96,8 @@ class SurvivalResult:
     nodpm_survival: List[float]
     capacity: int
 
-    def report(self) -> str:
+    def report(self, charts: bool = True) -> str:
+        """The survival table, then (with *charts*) its ASCII chart."""
         rows = [
             [t, dpm, nodpm]
             for t, dpm, nodpm in zip(
@@ -109,6 +110,8 @@ class SurvivalResult:
             f"=== ext-survival: battery survival curves "
             f"(capacity {self.capacity} units, transient analysis) ===",
         )
+        if not charts:
+            return table
         chart = ascii_chart(
             self.times,
             {"DPM": self.dpm_survival, "NO-DPM": self.nodpm_survival},

@@ -284,20 +284,24 @@ def tradeoff_figure(
     markov: Optional[FigureResult] = None,
     general: Optional[FigureResult] = None,
     options: Optional[RunOptions] = None,
+    values: Optional[Sequence[float]] = None,
     **simulation,
 ) -> TradeoffFigure:
     """The trade-off curves of the Markovian and general sweeps.
 
-    A sweep not supplied is recomputed on the case's full grid, the
-    general one with *simulation* overriding its effort.
+    A sweep not supplied is recomputed on *values* (default: the case's
+    full grid), the general one with *simulation* overriding its effort.
     """
     if markov is None or general is None:
         methodology = _methodology(case, None, options)
         if markov is None:
-            markov = sweep_figure(case, "markovian", methodology=methodology)
+            markov = sweep_figure(
+                case, "markovian", values, methodology=methodology
+            )
         if general is None:
             general = sweep_figure(
-                case, "general", methodology=methodology, **simulation
+                case, "general", values, methodology=methodology,
+                **simulation,
             )
     performance, energy = case.tradeoff
     curves = [
@@ -427,7 +431,9 @@ RPC = Case(
                 "points (timeouts near the 11.3 ms idle period); the "
                 "Markovian curve does not"
             ),
-            quick={"runs": 4, "run_length": 10_000.0},
+            quick={
+                "values": RPC_QUICK_GRID, "runs": 4, "run_length": 10_000.0,
+            },
         ),
     },
 )
@@ -518,7 +524,10 @@ STREAMING = Case(
                 "general model offers sizeable energy savings at zero miss "
                 "cost (DPM completely transparent for small awake periods)"
             ),
-            quick={"runs": 3, "run_length": 30_000.0},
+            quick={
+                "values": STREAMING_QUICK_GRID, "runs": 3,
+                "run_length": 30_000.0,
+            },
         ),
     },
 )

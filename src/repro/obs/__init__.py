@@ -4,7 +4,8 @@ One subsystem, three concerns:
 
 * **Metrics** (:mod:`repro.obs.metrics`) — a lightweight, thread-safe
   registry of counters, gauges and histograms with fixed bucket schemas,
-  labelled by backend / phase / case study.  Instrumentation lives in
+  labelled by backend / case study / sweep kind, that counts domain
+  work (time is left to the spans below).  Instrumentation lives in
   the hot paths themselves (:mod:`repro.ctmc.solvers`,
   :mod:`repro.sim.engine`, :mod:`repro.runtime`,
   :mod:`repro.core.methodology`) and writes to the process-default

@@ -7,7 +7,14 @@ per-label-set children.  Everything is aggregate-only — a counter is one
 float, a histogram is a fixed bucket vector — so leaving metrics on
 costs nanoseconds per update and the registry can stay enabled for every
 run (time-series data, e.g. per-iteration solver residuals, is a
-separate opt-in: see :class:`~repro.ctmc.solvers.SolverReport`).
+separate opt-in: the ``iteration_callback`` of
+:func:`~repro.ctmc.solvers.solve_steady_state`).
+
+Metrics count domain work — solves, iterations, simulation runs and
+events, cache and checkpoint events.  They record no time and no
+executor bookkeeping: wall-clock seconds per layer, attempts, retries
+and checkpoint hits are spans (:mod:`repro.obs.tracing`), whose totals
+feed the ``runtime:`` line, the run ledger and the benchmarks.
 
 Three registry flavours:
 
@@ -20,10 +27,10 @@ Three registry flavours:
   the "metrics off" mode that `tests/test_obs.py` proves is
   result-identical to metrics on.
 
-Worker *processes* each have their own default registry; snapshots are
-mergeable (:meth:`MetricRegistry.merge_snapshot`) so a parent can fold a
-worker's counters in if it ships them back.  The serial execution paths
-(the CI default) see every update in one registry.
+Worker *processes* of the parallel executor run each task under a fresh
+registry and ship its snapshot back; the parent folds it in with
+:meth:`MetricRegistry.merge_snapshot`, so counters and histograms read
+the same at every worker count.
 
 The full metric catalog — every name, label schema and semantics the
 instrumentation emits — lives in :data:`CATALOG` and is documented in
@@ -473,6 +480,9 @@ class NullRegistry(MetricRegistry):
     def snapshot(self):  # noqa: D102
         return {}
 
+    def merge_snapshot(self, snapshot):  # noqa: D102
+        pass
+
 
 # ---------------------------------------------------------------------------
 # Process-default registry.
@@ -548,11 +558,6 @@ SOLVER_RESIDUAL = MetricSpec(
     "Final residual ||pi Q||_inf per solve, by backend.", ("method",),
     RESIDUAL_BUCKETS,
 )
-SOLVER_SECONDS = MetricSpec(
-    "repro_solver_seconds", "histogram",
-    "Wall-clock seconds per steady-state solve, by backend.", ("method",),
-    TIME_BUCKETS,
-)
 SIM_RUNS = MetricSpec(
     "repro_sim_runs_total", "counter",
     "Simulation trajectories completed.",
@@ -569,14 +574,6 @@ SIM_CLOCK_CARRIES = MetricSpec(
     "repro_sim_clock_carries_total", "counter",
     "Residual event clocks carried into resumed runs (batch means).",
 )
-SIM_RUN_SECONDS = MetricSpec(
-    "repro_sim_run_seconds", "histogram",
-    "Wall-clock seconds per simulation run.", (), TIME_BUCKETS,
-)
-SIM_EVENT_RATE = MetricSpec(
-    "repro_sim_event_rate", "gauge",
-    "Events per wall-clock second of the most recent simulation run.",
-)
 SIM_BATCHES = MetricSpec(
     "repro_sim_batches_total", "counter",
     "Batch-means batches completed.",
@@ -585,25 +582,6 @@ SIM_BATCH_LAG1 = MetricSpec(
     "repro_sim_batch_lag1", "gauge",
     "Lag-1 autocorrelation of the latest batch-means run, by measure.",
     ("measure",),
-)
-RUNTIME_SPANS = MetricSpec(
-    "repro_runtime_spans_total", "counter",
-    "Executor attempts and checkpoint-answered points, by phase and status.",
-    ("phase", "status"),
-)
-RUNTIME_SPAN_SECONDS = MetricSpec(
-    "repro_runtime_span_seconds_total", "counter",
-    "Cumulative wall-clock seconds of executor attempts, by phase.",
-    ("phase",),
-)
-RUNTIME_WORKER_TASKS = MetricSpec(
-    "repro_runtime_worker_tasks_total", "counter",
-    "Executor attempts, by worker process id.", ("worker",),
-)
-EXECUTOR_TASKS = MetricSpec(
-    "repro_executor_tasks_total", "counter",
-    "Tasks mapped by the parallel executor, by execution mode.",
-    ("mode",),
 )
 CACHE_EVENTS = MetricSpec(
     "repro_cache_events_total", "counter",
@@ -618,11 +596,6 @@ SWEEP_POINTS = MetricSpec(
     "repro_sweep_points_total", "counter",
     "Sweep points computed, by case study and phase kind.",
     ("case", "kind"),
-)
-PHASE_SECONDS = MetricSpec(
-    "repro_phase_seconds_total", "counter",
-    "Cumulative wall-clock seconds per span name (non-executor spans).",
-    ("phase",),
 )
 WORKLOAD_TRACES = MetricSpec(
     "repro_workload_traces_total", "counter",
@@ -662,29 +635,14 @@ SPLITTING_EVENTS = MetricSpec(
     "Events fired across all trajectories of splitting trees.",
 )
 
-#: Bucket schema for parametric per-point evaluations (microseconds).
-PARAMETRIC_EVAL_BUCKETS: Tuple[float, ...] = (
-    1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2,
-)
-
 PARAMETRIC_ELIMINATIONS = MetricSpec(
     "repro_parametric_eliminations_total", "counter",
     "Parametric state eliminations attempted, by outcome status.",
     ("status",),
 )
-PARAMETRIC_ELIMINATION_SECONDS = MetricSpec(
-    "repro_parametric_elimination_seconds", "histogram",
-    "Wall-clock seconds per parametric elimination (build + fit).",
-    (), TIME_BUCKETS,
-)
 PARAMETRIC_EVALUATIONS = MetricSpec(
     "repro_parametric_evaluations_total", "counter",
     "Sweep points evaluated through a parametric solution.",
-)
-PARAMETRIC_EVAL_SECONDS = MetricSpec(
-    "repro_parametric_eval_seconds", "histogram",
-    "Wall-clock seconds per parametric point evaluation.",
-    (), PARAMETRIC_EVAL_BUCKETS,
 )
 PARAMETRIC_FALLBACKS = MetricSpec(
     "repro_parametric_fallbacks_total", "counter",
@@ -722,23 +680,15 @@ CATALOG: Tuple[MetricSpec, ...] = (
     SOLVER_ITERATIONS,
     SOLVER_FALLBACKS,
     SOLVER_RESIDUAL,
-    SOLVER_SECONDS,
     SIM_RUNS,
     SIM_EVENTS,
     SIM_DEADLOCKS,
     SIM_CLOCK_CARRIES,
-    SIM_RUN_SECONDS,
-    SIM_EVENT_RATE,
     SIM_BATCHES,
     SIM_BATCH_LAG1,
-    RUNTIME_SPANS,
-    RUNTIME_SPAN_SECONDS,
-    RUNTIME_WORKER_TASKS,
-    EXECUTOR_TASKS,
     CACHE_EVENTS,
     CHECKPOINT_EVENTS,
     SWEEP_POINTS,
-    PHASE_SECONDS,
     WORKLOAD_TRACES,
     WORKLOAD_EVENTS_REPLAYED,
     WORKLOAD_FIT_ITERATIONS,
@@ -748,9 +698,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
     SPLITTING_MERGES,
     SPLITTING_EVENTS,
     PARAMETRIC_ELIMINATIONS,
-    PARAMETRIC_ELIMINATION_SECONDS,
     PARAMETRIC_EVALUATIONS,
-    PARAMETRIC_EVAL_SECONDS,
     PARAMETRIC_FALLBACKS,
     FLEET_DEVICES,
     FLEET_PRODUCT_STATES,

@@ -5,10 +5,7 @@
 ``(iteration, residual, relative_change)`` can be handed to the
 iterative steady-state solvers (``solve_steady_state(...,
 iteration_callback=...)``) to watch convergence live;
-``IterationSeries`` just records the triples.  The solvers also accept
-``track_iterations=True`` to get the same series attached to the
-returned :class:`~repro.ctmc.solvers.SolverReport` without writing a
-callback.
+``IterationSeries`` just records the triples.
 
 The hook never touches the computation it observes — values are read
 after they are produced, so results are bit-identical with it on or off

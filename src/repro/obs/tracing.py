@@ -17,9 +17,11 @@ Design rules (all pinned by ``tests/test_tracing.py``):
 * **Always-on totals** — every span closed in this process, traced or
   not, adds its duration to a per-name aggregate and its status to a
   per-status count (:func:`totals`).  Sweep runtime stats, the run
-  ledger's phase timings and the ``repro_phase_seconds_total`` /
-  ``repro_runtime_*`` metrics all come from that one funnel; with no
-  tracer installed a span costs two clock reads and a dict update.
+  ledger's phase timings, ``trace-summary`` and the benchmark records
+  all read time from that one record; the metric registry
+  (:mod:`repro.obs.metrics`) counts domain work only and never sees a
+  span.  With no tracer installed a span costs two clock reads and a
+  dict update.
 * **Crash safety** — every finished span is appended to the JSONL
   sink with a single ``os.write`` on an ``O_APPEND`` descriptor;
   concurrent processes can never interleave partial lines, and a
@@ -62,8 +64,6 @@ from typing import (
     Optional,
 )
 
-from . import metrics as obs_metrics
-
 #: Span statuses with a fixed meaning across the runtime.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -71,10 +71,6 @@ STATUS_RETRY = "retry"          # attempt failed, another one is coming
 STATUS_FAILED = "failed"        # attempt failed and the budget is gone
 STATUS_CHECKPOINT_HIT = "checkpoint_hit"
 STATUS_DEGRADED = "degraded"    # process pool abandoned for serial
-
-#: The executor's work spans; they feed the ``repro_runtime_*`` metrics
-#: instead of ``repro_phase_seconds_total``.
-_EXECUTOR_SPANS = frozenset({"point", "execute", "queue-wait"})
 
 RECORD_KIND = "span"
 
@@ -276,45 +272,6 @@ def totals() -> SpanTotals:
     return _TOTALS.copy()
 
 
-def _closed(
-    name: str,
-    seconds: float,
-    status: str,
-    attrs: Dict[str, Any],
-    worker: Optional[int] = None,
-    nested: bool = False,
-) -> None:
-    """The funnel every closed span passes: totals, then metrics.
-
-    A *nested* span (one closed inside an open span of its own name)
-    counts in the totals without its seconds, which the enclosing span
-    already holds.  Executor attempts (``execute``) and points answered
-    from a journal count as ``repro_runtime_*`` work spans labelled with
-    the executor phase; every non-executor span adds its seconds to
-    ``repro_phase_seconds_total`` under its own name.
-    """
-    _TOTALS.add(name, 0.0 if nested else seconds, status)
-    registry = obs_metrics.get_registry()
-    if not registry.enabled:
-        return
-    if name not in _EXECUTOR_SPANS:
-        obs_metrics.PHASE_SECONDS.on(registry).labels(phase=name).inc(seconds)
-        return
-    if name != "execute" and status != STATUS_CHECKPOINT_HIT:
-        return
-    phase = str(attrs.get("phase", name))
-    obs_metrics.RUNTIME_SPANS.on(registry).labels(
-        phase=phase, status=status
-    ).inc()
-    if seconds:
-        obs_metrics.RUNTIME_SPAN_SECONDS.on(registry).labels(
-            phase=phase
-        ).inc(seconds)
-    obs_metrics.RUNTIME_WORKER_TASKS.on(registry).labels(
-        worker=str(worker or os.getpid())
-    ).inc()
-
-
 class _UntracedSpan:
     """What :func:`span` yields when tracing is off.
 
@@ -429,9 +386,10 @@ def span(name: str, **attrs: Any) -> Iterator[Any]:
         finally:
             if names_token is not None:
                 _OPEN_NAMES.reset(names_token)
-            _closed(
-                name, time.perf_counter() - started, untraced.status, attrs,
-                nested=nested,
+            _TOTALS.add(
+                name,
+                0.0 if nested else time.perf_counter() - started,
+                untraced.status,
             )
         return
     current = _CURRENT.get()
@@ -461,9 +419,7 @@ def span(name: str, **attrs: Any) -> Iterator[Any]:
         elapsed = time.perf_counter() - started_perf
         opened.end = started_wall + elapsed
         tracer.finish(opened)
-        _closed(
-            name, elapsed, opened.status, opened.attributes, nested=nested
-        )
+        _TOTALS.add(name, 0.0 if nested else elapsed, opened.status)
 
 
 def add_attributes(**attrs: Any) -> None:
@@ -484,8 +440,8 @@ def record_span(name: str, elapsed: float, status: str = STATUS_OK, **attrs: Any
     """Manufacture a finished child span ending now and lasting *elapsed*.
 
     The instrumentation primitive for code that already measured its own
-    duration (solver reports, fast-engine batches): one call at the
-    existing metrics funnel; only the totals when tracing is off.
+    duration (solver reports, fast-engine batches): one call where the
+    work is recorded; only the totals when tracing is off.
     """
     current = _CURRENT.get()
     ended = time.time()
@@ -511,7 +467,7 @@ def add_span(
 ) -> None:
     """Count an already-finished span in the totals and, when tracing,
     emit it through :meth:`Tracer.add_span` (same keyword arguments)."""
-    _closed(name, end - start, status, attrs, worker)
+    _TOTALS.add(name, end - start, status)
     tracer = _ACTIVE
     if tracer is not None:
         tracer.add_span(

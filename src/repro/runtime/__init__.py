@@ -25,17 +25,17 @@ Plus a fault-tolerance layer (see docs/RELIABILITY.md):
 
 Timing and tracing are not a runtime layer: every phase, sweep point
 and attempt is a :mod:`repro.obs.tracing` span, whose always-on
-per-process totals give the per-phase timings, the retry and
-checkpoint-hit counters of ``runtime_stats()`` and the
-``repro_phase_seconds_total`` / ``repro_runtime_*`` metrics, with or
-without a ``--trace-out`` file.
+per-process totals give the per-phase timings and the retry and
+checkpoint-hit counters of ``runtime_stats()``, with or without a
+``--trace-out`` file.
 
-Every layer mirrors its counters onto the unified metric registry of
-:mod:`repro.obs` (``repro_runtime_*``, ``repro_executor_*``,
-``repro_cache_*``, ``repro_checkpoint_*``, ``repro_phase_*`` — see
-docs/OBSERVABILITY.md), so a ``--metrics-out`` export captures worker
-utilization, retry counts, cache hit ratios and checkpoint resume stats
-without any extra wiring.
+The cache and the checkpoint journal count their events on the unified
+metric registry of :mod:`repro.obs` (``repro_cache_*``,
+``repro_checkpoint_*`` — see docs/OBSERVABILITY.md), and the executor
+merges the metrics its pool workers counted into the parent's
+registry, so a ``--metrics-out`` export captures cache hit ratios,
+checkpoint resume stats and the work done in workers without any extra
+wiring.
 """
 
 from .checkpoint import SweepCheckpoint, sweep_fingerprint

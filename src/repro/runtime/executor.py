@@ -25,6 +25,9 @@ with the conventions the experiment stack needs:
   sweep resumes bit-identically), and every point and attempt is a
   :mod:`repro.obs.tracing` span, so retries, checkpoint hits and
   degradations reach the span totals with or without a trace file.
+  What a pool worker counts on the metric registry is merged into the
+  parent's, so counters and histograms read the same at every worker
+  count.
 
 Worker functions must be module-level callables of the form
 ``fn(shared, item)`` so they can be pickled by reference.  Tasks must be
@@ -45,14 +48,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from .faults import KILL, FaultInjector
 
-
-def _count_tasks(mode: str, count: int) -> None:
-    """Bump ``repro_executor_tasks_total`` for one dispatched batch."""
-    registry = obs_metrics.get_registry()
-    if registry.enabled and count:
-        obs_metrics.EXECUTOR_TASKS.on(registry).labels(mode=mode).inc(
-            count
-        )
 
 #: Upper bound on auto-detected workers (sweeps rarely scale past this).
 _MAX_AUTO_WORKERS = 8
@@ -81,19 +76,28 @@ def _pool_call(
     worker never writes to the parent's trace sink — and the collected
     span records travel back in ``meta["spans"]`` for the parent to
     attach under the execute span it pre-allocated at submit time.
+    Likewise, unless the inherited metric registry is disabled, the task
+    counts into a fresh registry whose snapshot travels back in
+    ``meta["metrics"]`` for the parent to merge.
     """
     started = time.time()
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
     if faults is not None:
         faults.apply(index, attempt, in_worker=True)
-    spans: List[Dict[str, Any]] = []
-    if ctx is not None:
-        collector = tracing.Tracer(trace_id=ctx.trace_id)
-        with tracing.use_tracer(collector, context=ctx):
-            value = fn(_SHARED, item)
-        spans = collector.records()
-    else:
+    metrics = (
+        obs_metrics.MetricRegistry()
+        if obs_metrics.get_registry().enabled
+        else None
+    )
+    collector = (
+        tracing.Tracer(trace_id=ctx.trace_id) if ctx is not None else None
+    )
+    with contextlib.ExitStack() as scope:
+        if metrics is not None:
+            scope.enter_context(obs_metrics.use_registry(metrics))
+        if collector is not None:
+            scope.enter_context(tracing.use_tracer(collector, context=ctx))
         value = fn(_SHARED, item)
     wall = time.perf_counter() - wall_started
     meta = {
@@ -102,7 +106,8 @@ def _pool_call(
         "cpu": time.process_time() - cpu_started,
         "started": started,
         "ended": started + wall,
-        "spans": spans,
+        "spans": collector.records() if collector is not None else [],
+        "metrics": metrics.snapshot() if metrics is not None else {},
     }
     return value, meta
 
@@ -370,11 +375,9 @@ class ParallelExecutor:
         if not items:
             return []
         if self.is_serial or len(items) == 1:
-            _count_tasks("serial", len(items))
             return self._map_serial(
                 fn, items, shared, retry, faults, checkpoint, phase
             )
-        _count_tasks("pool", len(items))
         return self._map_parallel(
             fn, items, shared, retry, faults, checkpoint, phase
         )
@@ -588,6 +591,9 @@ class ParallelExecutor:
                         failure = error
                     else:
                         results[index] = value
+                        obs_metrics.get_registry().merge_snapshot(
+                            meta["metrics"]
+                        )
                         point_spans.executed(
                             index, ctx, submitted, meta, attempts[index]
                         )

@@ -346,35 +346,28 @@ class StructuralStateSpaceCache:
         archi: ArchiType,
         env: Mapping[str, Value],
         max_states: int,
-        apply_preemption: bool,
     ) -> tuple:
         structural = self.structural_params(archi)
         signature = tuple(
             (name, env[name]) for name in sorted(structural)
         )
-        return (
-            self.fingerprint(archi),
-            max_states,
-            apply_preemption,
-            signature,
-        )
+        return (self.fingerprint(archi), max_states, signature)
 
     def skeleton(
         self,
         archi: ArchiType,
         const_overrides: Optional[Mapping[str, Value]] = None,
         max_states: int = 200_000,
-        apply_preemption: bool = True,
     ) -> ParametricLTS:
         """Get (or generate and cache) the skeleton for this structure."""
         env = archi.bind_constants(const_overrides)
-        key = self._key(archi, env, max_states, apply_preemption)
+        key = self._key(archi, env, max_states)
         skeleton = self._skeletons.get(key) if self.enabled else None
         if skeleton is None:
             self.stats.miss()
             with tracing.span("statespace"):
                 skeleton = generate_parametric(
-                    archi, const_overrides, max_states, apply_preemption
+                    archi, const_overrides, max_states
                 )
             if self.enabled:
                 self._skeletons[key] = skeleton
@@ -387,13 +380,10 @@ class StructuralStateSpaceCache:
         archi: ArchiType,
         const_overrides: Optional[Mapping[str, Value]] = None,
         max_states: int = 200_000,
-        apply_preemption: bool = True,
     ) -> LTS:
         """Concrete state space under *const_overrides*, cache-aware."""
         env = archi.bind_constants(const_overrides)
-        skeleton = self.skeleton(
-            archi, const_overrides, max_states, apply_preemption
-        )
+        skeleton = self.skeleton(archi, const_overrides, max_states)
         if env == skeleton.const_env:
             return skeleton.lts
         self.stats.relabel()
@@ -408,7 +398,6 @@ class StructuralStateSpaceCache:
         domain: Tuple[float, float],
         const_overrides: Optional[Mapping[str, Value]] = None,
         max_states: int = 200_000,
-        apply_preemption: bool = True,
     ):
         """Get (or build and cache) the rational-function solution of a
         rate-only sweep over *parameter* on *domain*.
@@ -424,11 +413,9 @@ class StructuralStateSpaceCache:
         from ..ctmc.parametric import build_parametric_solution
 
         env = archi.bind_constants(const_overrides)
-        skeleton = self.skeleton(
-            archi, const_overrides, max_states, apply_preemption
-        )
+        skeleton = self.skeleton(archi, const_overrides, max_states)
         key = (
-            self._key(archi, env, max_states, apply_preemption),
+            self._key(archi, env, max_states),
             parameter,
             tuple(str(m) for m in measures),
             (float(domain[0]), float(domain[1])),

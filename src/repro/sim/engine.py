@@ -501,9 +501,6 @@ class Simulator:
             obs_metrics.SIM_CLOCK_CARRIES.on(registry).inc(
                 len(start_clocks)
             )
-        obs_metrics.SIM_RUN_SECONDS.on(registry).observe(elapsed)
-        if elapsed > 0.0:
-            obs_metrics.SIM_EVENT_RATE.on(registry).set(fired / elapsed)
 
 
 def _credit(

@@ -336,7 +336,6 @@ def steady_state_reference(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
-    track_iterations: bool = False,
     iteration_callback=None,
 ) -> SteadyStateSolution:
     """Steady-state distribution of *ctmc* plus solver diagnostics."""
@@ -371,7 +370,6 @@ def steady_state_reference(
         tolerance=tolerance,
         residual_tolerance=residual_tolerance,
         max_iterations=max_iterations,
-        track_iterations=track_iterations,
         iteration_callback=iteration_callback,
     )
     pi = np.zeros(ctmc.num_states)
@@ -898,9 +896,6 @@ class ReferenceSimulator:
             obs_metrics.SIM_CLOCK_CARRIES.on(registry).inc(
                 len(start_clocks)
             )
-        obs_metrics.SIM_RUN_SECONDS.on(registry).observe(elapsed)
-        if elapsed > 0.0:
-            obs_metrics.SIM_EVENT_RATE.on(registry).set(fired / elapsed)
 
     def _collect_impulses(self, impulses: List[float], label: str) -> None:
         """Credit the impulses of one firing of a *label* transition."""

@@ -117,7 +117,7 @@ class TestMetricsCommand:
         registry.counter(
             "repro_cache_events_total", "Cache.", ("kind",)
         ).labels(kind="hit").inc(3)
-        registry.histogram("repro_solver_seconds", "S.", ()).observe(0.1)
+        registry.histogram("repro_solver_residual", "R.", ()).observe(1e-15)
         export.write_text(json.dumps(registry.snapshot()))
         assert main(["metrics", str(export)]) == 0
         out = capsys.readouterr().out
@@ -187,9 +187,8 @@ class TestMetricsOut:
             )
             == 3
         )
-        # every mapped point is a span, traced or not
-        assert _value(snapshot, "repro_runtime_spans_total") >= 3
-        assert _value(snapshot, "repro_executor_tasks_total") >= 3
+        # one residual observation per solve (histogram count)
+        assert _value(snapshot, "repro_solver_residual") == 3
 
     def test_rpc_general_export_covers_simulation(self, tmp_path):
         snapshot = self._run_sweep(
@@ -202,7 +201,7 @@ class TestMetricsOut:
         )
         assert _value(snapshot, "repro_sim_runs_total") == 2
         assert _value(snapshot, "repro_sim_events_total") > 0
-        assert _value(snapshot, "repro_sim_run_seconds") == 2  # histogram
+        assert _value(snapshot, "repro_cache_events_total", kind="miss") == 1
         assert (
             _value(
                 snapshot, "repro_sweep_points_total",
@@ -229,7 +228,7 @@ class TestMetricsOut:
             )
             == 2
         )
-        assert _value(snapshot, "repro_runtime_spans_total") >= 2
+        assert _value(snapshot, "repro_solver_residual") == 2
 
     def test_prometheus_export_parses(self, tmp_path):
         prefix = str(tmp_path / "metrics")
@@ -248,7 +247,7 @@ class TestMetricsOut:
             text = handle.read()
         assert "# TYPE repro_solver_solves_total counter" in text
         assert 'repro_solver_solves_total{method="direct"} 1' in text
-        assert "repro_solver_seconds_bucket" in text
+        assert "repro_solver_residual_bucket" in text
 
 
 class TestRunSweepTaskFailure:

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import all_experiments, run_experiment
 from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
+from repro.experiments.extensions import SurvivalResult
 from repro.experiments.registry import Experiment
 from repro.experiments.results import (
     FigureResult,
@@ -169,6 +170,17 @@ class TestCli:
             run_experiment("broken", quick=True, charts=False)
         # Rendered once: no second attempt without the charts argument.
         assert calls == ([False] if figure else [True])
+
+    @pytest.mark.parametrize("charts", [True, False])
+    def test_survival_chart_follows_charts_flag(self, charts, monkeypatch):
+        result = SurvivalResult([50.0, 100.0], [0.9, 0.5], [0.8, 0.2], 12)
+        survival = Experiment("ext-survival", "survival", lambda q, o: result)
+        monkeypatch.setattr(
+            cli, "all_experiments", lambda: {"ext-survival": survival}
+        )
+        text = run_experiment("ext-survival", quick=True, charts=charts)
+        assert "P(alive) NO-DPM" in text
+        assert ("battery survival probability" in text) == charts
 
     def test_run_figure_with_charts(self, capsys):
         assert main(["fig3-markov", "--quick"]) == 0

@@ -47,6 +47,7 @@ from repro.obs.metrics import (
     SWEEP_POINTS,
     MetricError,
 )
+from repro.runtime.executor import ParallelExecutor
 from repro.sim import Simulator, make_generator
 from repro.sim.batch_means import batch_means
 
@@ -58,23 +59,15 @@ EXPECTED_CATALOG = {
     "repro_solver_iterations_total": ("counter", ("method",)),
     "repro_solver_fallbacks_total": ("counter", ("method",)),
     "repro_solver_residual": ("histogram", ("method",)),
-    "repro_solver_seconds": ("histogram", ("method",)),
     "repro_sim_runs_total": ("counter", ()),
     "repro_sim_events_total": ("counter", ()),
     "repro_sim_deadlocks_total": ("counter", ()),
     "repro_sim_clock_carries_total": ("counter", ()),
-    "repro_sim_run_seconds": ("histogram", ()),
-    "repro_sim_event_rate": ("gauge", ()),
     "repro_sim_batches_total": ("counter", ()),
     "repro_sim_batch_lag1": ("gauge", ("measure",)),
-    "repro_runtime_spans_total": ("counter", ("phase", "status")),
-    "repro_runtime_span_seconds_total": ("counter", ("phase",)),
-    "repro_runtime_worker_tasks_total": ("counter", ("worker",)),
-    "repro_executor_tasks_total": ("counter", ("mode",)),
     "repro_cache_events_total": ("counter", ("kind",)),
     "repro_checkpoint_events_total": ("counter", ("kind",)),
     "repro_sweep_points_total": ("counter", ("case", "kind")),
-    "repro_phase_seconds_total": ("counter", ("phase",)),
     "repro_workload_traces_total": ("counter", ("source",)),
     "repro_workload_events_replayed_total": ("counter", ("mode",)),
     "repro_workload_fit_iterations_total": ("counter", ("family",)),
@@ -84,9 +77,7 @@ EXPECTED_CATALOG = {
     "repro_splitting_merges_total": ("counter", ()),
     "repro_splitting_events_total": ("counter", ()),
     "repro_parametric_eliminations_total": ("counter", ("status",)),
-    "repro_parametric_elimination_seconds": ("histogram", ()),
     "repro_parametric_evaluations_total": ("counter", ()),
-    "repro_parametric_eval_seconds": ("histogram", ()),
     "repro_parametric_fallbacks_total": ("counter", ("reason",)),
     "repro_fleet_devices": ("gauge", ()),
     "repro_fleet_product_states": ("gauge", ()),
@@ -375,9 +366,11 @@ class TestExporters:
             "repro_cache_events_total", "Cache events.", ("kind",)
         ).labels(kind="hit").inc(4)
         registry.histogram(
-            "repro_solver_seconds", "Seconds.", ("method",), (0.1, 1.0)
+            "repro_solver_residual", "Residual.", ("method",), (0.1, 1.0)
         ).labels(method="sor").observe(0.5)
-        registry.gauge("repro_sim_event_rate", "Rate.").set(123.5)
+        registry.gauge(
+            "repro_workload_ks_statistic", "KS.", ("family",)
+        ).labels(family="exp").set(123.5)
         return registry
 
     def test_prometheus_text_format(self):
@@ -385,15 +378,15 @@ class TestExporters:
         assert "# HELP repro_cache_events_total Cache events." in text
         assert "# TYPE repro_cache_events_total counter" in text
         assert 'repro_cache_events_total{kind="hit"} 4' in text
-        assert "# TYPE repro_solver_seconds histogram" in text
-        assert 'repro_solver_seconds_bucket{le="0.1",method="sor"} 0' in text
-        assert 'repro_solver_seconds_bucket{le="1.0",method="sor"} 1' in text
+        assert "# TYPE repro_solver_residual histogram" in text
+        assert 'repro_solver_residual_bucket{le="0.1",method="sor"} 0' in text
+        assert 'repro_solver_residual_bucket{le="1.0",method="sor"} 1' in text
         assert (
-            'repro_solver_seconds_bucket{le="+Inf",method="sor"} 1' in text
+            'repro_solver_residual_bucket{le="+Inf",method="sor"} 1' in text
         )
-        assert 'repro_solver_seconds_sum{method="sor"} 0.5' in text
-        assert 'repro_solver_seconds_count{method="sor"} 1' in text
-        assert "repro_sim_event_rate 123.5" in text
+        assert 'repro_solver_residual_sum{method="sor"} 0.5' in text
+        assert 'repro_solver_residual_count{method="sor"} 1' in text
+        assert 'repro_workload_ks_statistic{family="exp"} 123.5' in text
 
     def test_json_roundtrip(self):
         registry = self._populated()
@@ -461,24 +454,30 @@ class TestExporters:
 class TestSolverInstrumentation:
     Q = birth_death([2.0, 1.0, 0.5], [3.0, 2.0, 1.0])
 
-    def test_track_iterations_attaches_trace(self):
+    def test_iteration_series_records_sor_trace(self):
+        series = IterationSeries()
         solution = solve_steady_state(
-            self.Q, method="sor", track_iterations=True
+            self.Q, method="sor", iteration_callback=series
         )
-        trace = solution.report.iteration_trace
-        assert len(trace) == solution.report.iterations
-        iterations = [entry[0] for entry in trace]
-        assert iterations == sorted(iterations)
-        final_iteration, final_residual, final_change = trace[-1]
-        assert final_residual == pytest.approx(
+        assert len(series) == solution.report.iterations
+        iterations = [entry["iteration"] for entry in series.entries]
+        assert iterations == list(range(1, len(series) + 1))
+        final = series.entries[-1]
+        assert final["residual"] == pytest.approx(
             solution.report.residual, rel=1e-6
         )
-        assert final_change is not None
+        assert final["relative_change"] is not None
 
-    def test_trace_absent_by_default(self):
-        solution = solve_steady_state(self.Q, method="sor")
-        assert solution.report.iteration_trace == ()
-        assert "iteration_trace" not in solution.report.as_dict()
+    def test_report_dict_carries_no_series(self):
+        series = IterationSeries()
+        solution = solve_steady_state(
+            self.Q, method="sor", iteration_callback=series
+        )
+        assert len(series) > 0
+        assert set(solution.report.as_dict()) == {
+            "method", "size", "nnz", "iterations", "residual",
+            "mass_defect", "fallbacks",
+        }
 
     def test_iteration_callback_sees_every_iteration(self):
         series = IterationSeries()
@@ -507,7 +506,7 @@ class TestSolverInstrumentation:
         with use_registry(MetricRegistry()):
             on = solve_steady_state(self.Q, method="sor")
             tracked = solve_steady_state(
-                self.Q, method="sor", track_iterations=True
+                self.Q, method="sor", iteration_callback=IterationSeries()
             )
         assert np.array_equal(off.pi, on.pi)
         assert np.array_equal(off.pi, tracked.pi)
@@ -521,6 +520,7 @@ class TestSweepInstrumentation:
         with use_registry(MetricRegistry()) as registry:
             methodology = IncrementalMethodology(rpc_family)
             methodology.sweep_markovian("shutdown_timeout", self.VALUES)
+            timings = methodology.runtime_stats()["timings"]
             assert registry.value(
                 SWEEP_POINTS.name, {"case": "rpc", "kind": "markovian"}
             ) == float(len(self.VALUES))
@@ -531,14 +531,7 @@ class TestSweepInstrumentation:
             assert registry.value(
                 SOLVER_SOLVES.name, {"method": "direct"}
             ) == float(len(self.VALUES))
-            phase_metrics = registry.snapshot()[
-                "repro_phase_seconds_total"
-            ]
-            phases = {
-                entry["labels"]["phase"]
-                for entry in phase_metrics["series"]
-            }
-            assert "statespace" in phases
+            assert timings["statespace"]["count"] == 1
 
     def test_sweep_results_bit_identical_metrics_on_vs_off(
         self, rpc_family
@@ -553,9 +546,49 @@ class TestSweepInstrumentation:
             )
         assert on == off
 
+    @pytest.mark.parametrize("phase", ["markovian", "general"])
+    def test_counters_equal_at_one_and_two_workers(self, rpc_family, phase):
+        """Pool workers ship their metrics home: every counter and
+        histogram series reads the same at one and two workers (gauges
+        merge by max and are left out)."""
+
+        def counted(workers):
+            with use_registry(MetricRegistry()) as registry:
+                methodology = IncrementalMethodology(
+                    rpc_family, workers=workers
+                )
+                if phase == "markovian":
+                    methodology.sweep_markovian(
+                        "shutdown_timeout", self.VALUES
+                    )
+                else:
+                    methodology.sweep_general(
+                        "shutdown_timeout", self.VALUES,
+                        run_length=300.0, runs=4, seed=3,
+                    )
+                snapshot = registry.snapshot()
+            series = {}
+            for name, family in snapshot.items():
+                if family["type"] == "gauge":
+                    continue
+                for entry in family["series"]:
+                    if "sum" in entry:  # summed in arrival order
+                        entry["sum"] = pytest.approx(entry["sum"])
+                series[name] = family["series"]
+            return series
+
+        serial = counted(1)
+        assert serial["repro_sweep_points_total"]
+        if phase == "markovian":
+            assert "repro_solver_residual" in serial
+        else:
+            assert "repro_sim_runs_total" in serial
+        assert counted(2) == serial
+
 
 class TestSimInstrumentation:
     def test_run_metrics_recorded(self):
+        before = tracing.totals()
         with use_registry(MetricRegistry()) as registry:
             result = Simulator(two_state_lts(), MEASURES).run(
                 500.0, make_generator(3)
@@ -564,8 +597,9 @@ class TestSimInstrumentation:
             assert registry.value(SIM_EVENTS.name) == float(
                 result.events_fired
             )
-            rate = registry.value("repro_sim_event_rate")
-            assert rate > 0
+        # the run's wall-clock time is its ``engine:run`` span
+        runs = tracing.totals().since(before).timings()["engine:run"]
+        assert runs["count"] == 1
 
     def test_batch_means_metrics_and_convergence(self):
         with use_registry(MetricRegistry()) as registry:
@@ -597,31 +631,31 @@ class TestSimInstrumentation:
         assert on.convergence == off.convergence
 
 
+def _double(shared, item):
+    return 2 * item
+
+
 class TestRuntimeTrace:
-    def test_span_metrics_mirrored(self):
+    def test_spans_leave_metrics_untouched(self):
+        """Spans time and count executor work; the metric registry only
+        counts domain work, so closing spans through every entry point
+        registers no family."""
+        before = tracing.totals()
         with use_registry(MetricRegistry()) as registry:
-            tracing.record_span("execute", 0.5, phase="solve", worker=7)
-            tracing.record_span(
-                "execute", 0.5, status="retry", phase="solve", worker=7
+            with tracing.span("statespace"):
+                pass
+            tracing.record_span("execute", 0.5, phase="solve")
+            tracing.add_span(
+                "execute", None, 0.0, 0.25, status="retry", phase="solve",
             )
-            tracing.record_span("statespace", 0.25)
-            assert registry.value(
-                "repro_runtime_spans_total",
-                {"phase": "solve", "status": "ok"},
-            ) == 1
-            assert registry.value(
-                "repro_runtime_spans_total",
-                {"phase": "solve", "status": "retry"},
-            ) == 1
-            assert registry.value(
-                "repro_runtime_span_seconds_total", {"phase": "solve"}
-            ) == pytest.approx(1.0)
-            assert registry.value(
-                "repro_runtime_worker_tasks_total", {"worker": "7"}
-            ) == 2
-            assert registry.value(
-                "repro_phase_seconds_total", {"phase": "statespace"}
-            ) == pytest.approx(0.25)
+            assert ParallelExecutor(workers=1).map(
+                _double, [1, 2, 3], phase="solve"
+            ) == [2, 4, 6]
+            assert registry.snapshot() == {}
+        timings = tracing.totals().since(before).timings()
+        assert timings["statespace"]["count"] == 1
+        assert timings["execute"]["count"] == 5
+        assert timings["point"]["count"] == 3
 
 
 class TestLogging:
