@@ -4,10 +4,13 @@ Benchmarks (a) exhaustive state-space generation of the streaming
 Markovian model, (b) CTMC construction with vanishing-state elimination,
 (c) the tau-SCC condensation that makes the weak-bisimulation check of
 Sect. 3 tractable (212 s -> ~1 s on the streaming functional model when it
-was introduced), and (d) the guard-evaluation memo used during
-generation.
+was introduced), (d) the guard-evaluation memo used during generation,
+and (e) the three layers of the streaming Markovian skeleton's compile:
+generation, elimination plan and one ``awake_period`` relabel (their
+sizes are gated, their seconds printed).
 """
 
+import statistics
 import time
 
 import pytest
@@ -16,8 +19,10 @@ from repro.aemilia import generate_lts
 from repro.aemilia.expressions import EvaluationCache, GUARD_CACHE, binop, lit, var
 from repro.casestudies.streaming import functional, markovian
 from repro.ctmc import build_ctmc
+from repro.ctmc.build import EliminationPlan, classify_states, elimination_plan
 from repro.lts import hide, matches_any
 from repro.lts.weak import WeakStructure, tau_condensation
+from repro.runtime import generate_parametric
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +113,10 @@ def test_guard_memoization_microbenchmark(benchmark):
             for env in envs:
                 cache.evaluate(guard, env)
 
+    # Timed here: with --benchmark-disable the fixture keeps no stats.
+    started = time.perf_counter()
     benchmark.pedantic(memoized, rounds=1, iterations=1)
-    memo_seconds = benchmark.stats.stats.total
+    memo_seconds = time.perf_counter() - started
 
     assert [cache.evaluate(guard, env) for env in envs] == expected
     assert cache.misses == len(envs)
@@ -131,4 +138,53 @@ def test_guard_memo_used_by_generation(streaming_archi):
     print(
         f"\n  generation guard lookups: {total}, "
         f"hit rate {GUARD_CACHE.hits / total:.1%}"
+    )
+
+
+def _seconds(fn, repeats):
+    """(median seconds of *repeats* calls, the last call's value)."""
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        value = fn()
+        times.append(time.perf_counter() - started)
+    return statistics.median(times), value
+
+
+def test_skeleton_compile_layers(streaming_archi):
+    """The per-skeleton work of a Markovian ``awake_period`` sweep.
+
+    The sizes are exact: the skeleton, its tangible/vanishing split, and
+    the 506 positions whose rate reads ``awake_period`` (the only ones a
+    relabel evaluates).  A relabel shares every column but the rates, and
+    the skeleton's elimination plan.  The seconds are printed only.
+    """
+    generate_s, skeleton = _seconds(
+        lambda: generate_parametric(streaming_archi), 3
+    )
+    lts = skeleton.lts
+    assert (lts.num_states, lts.num_transitions) == (10_571, 18_513)
+    tangible, vanishing = classify_states(lts)
+    assert (len(tangible), len(vanishing)) == (1_782, 8_789)
+    plan_s, plan = _seconds(lambda: EliminationPlan(lts), 3)
+    assert plan.tangible == tangible
+
+    env = streaming_archi.bind_constants({"awake_period": 28.185})
+    relabel_s, relabeled = _seconds(lambda: skeleton.relabel(env), 9)
+    positions = skeleton.readers(frozenset({"awake_period"})).positions
+    assert len(positions) == 506
+    differs = [
+        p for p, (old, new) in enumerate(
+            zip(lts.columns.rates, relabeled.columns.rates)
+        )
+        if old is not new
+    ]
+    assert differs == list(positions)
+    assert relabeled.columns.sources is lts.columns.sources
+    assert elimination_plan(relabeled) is elimination_plan(lts)
+    print(
+        f"\n  streaming skeleton compile: generate {generate_s:.3f} s, "
+        f"elimination plan {plan_s:.3f} s, relabel "
+        f"{relabel_s * 1e3:.2f} ms ({len(positions)} of "
+        f"{lts.num_transitions} positions re-rated)"
     )

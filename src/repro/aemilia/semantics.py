@@ -23,13 +23,19 @@ The generator classifies each local move once per local state, not once
 per global state: a move table per (instance, local state) holds the
 ready-made global moves, and the synchronisation branches of an attached
 output are memoised per tuple of its partners' local states.
+
+Generation appends each transition to the LTS's columns and stores each
+state as its tuple of local states; descriptions are rendered on read,
+from one ``Inst:summary`` string per local state
+(:class:`~repro.lts.lts.StateDescriptions`).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import (
@@ -39,7 +45,7 @@ from ..errors import (
     UnguardedRecursionError,
 )
 from ..lts.labels import local_label, sync_label
-from ..lts.lts import LTS
+from ..lts.lts import LTS, LTSColumns, StateDescriptions
 from .architecture import ArchiType, Attachment
 from .ast import (
     ActionPrefix,
@@ -295,6 +301,11 @@ class _InstanceSemantics:
             return
         raise SemanticsError(f"unknown behaviour node {term!r}")
 
+    @property
+    def num_states(self) -> int:
+        """Number of local states interned so far."""
+        return len(self._states)
+
     def state_summary(self, state: int) -> str:
         """Compact human-readable description of a local state."""
         term, env_tuple = self._states[state]
@@ -331,6 +342,14 @@ class _GlobalMove:
     weight: float
     targets: Tuple[Tuple[int, int], ...]  # (instance index, new local state)
     provenance: Optional[RateProvenance] = None
+    #: Whether the rate is immediate, tested once per move by
+    #: :meth:`StateSpaceGenerator._filter_preemption`.
+    immediate: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "immediate", isinstance(self.rate, ImmediateRate)
+        )
 
 
 class _SyncEntry:
@@ -399,11 +418,10 @@ class StateSpaceGenerator:
             ).append(attachment)
             self._attached_inputs.add((dst, attachment.to_interaction))
         #: Per instance, the move table of each local state met so far
-        #: (:meth:`_move_table`), and its rendered ``Inst:summary``.
+        #: (:meth:`_move_table`).
         self._move_tables: List[Dict[int, list]] = [
             {} for _ in self._instances
         ]
-        self._rendered: List[Dict[int, str]] = [{} for _ in self._instances]
 
     # -- move computation --------------------------------------------------
 
@@ -606,9 +624,7 @@ class StateSpaceGenerator:
     @staticmethod
     def _filter_preemption(moves: List[_GlobalMove]) -> List[_GlobalMove]:
         """Immediate actions preempt timed/passive ones; keep max priority."""
-        immediates = [
-            m for m in moves if isinstance(m.rate, ImmediateRate)
-        ]
+        immediates = [m for m in moves if m.immediate]
         if not immediates:
             return moves
         top = max(m.rate.priority for m in immediates)
@@ -617,11 +633,22 @@ class StateSpaceGenerator:
     # -- main entry ---------------------------------------------------------
 
     def generate(self) -> LTS:
-        """Generate the reachable state space as an LTS."""
+        """Generate the reachable state space as an LTS.
+
+        The transitions are appended to the LTS's columns; each state is
+        stored as its tuple of local states, and its description is
+        rendered only when read (:class:`~repro.lts.lts.StateDescriptions`).
+        """
         initial = tuple(s.initial_state for s in self._instances)
-        lts = LTS(0)
-        index: Dict[Tuple[int, ...], int] = {initial: lts.add_state()}
-        lts.set_state_info(0, self._describe(initial))
+        index: Dict[Tuple[int, ...], int] = {initial: 0}
+        states = array("q", initial)
+        columns = LTSColumns(
+            array("q"), array("q"), array("q"), [], [], array("d"), []
+        )
+        (sources, label_ids, targets, rates, events, weights,
+         labels) = columns
+        label_index: Dict[str, int] = {}
+        provenance = self.provenance if self.record_provenance else None
         frontier = [initial]
         while frontier:
             state = frontier.pop()
@@ -641,32 +668,36 @@ class StateSpaceGenerator:
                             f"state space of {self.archi.name!r} exceeds "
                             f"{self.max_states} states"
                         )
-                    target = lts.add_state()
-                    index[successor_tuple] = target
-                    lts.set_state_info(
-                        target, self._describe(successor_tuple)
-                    )
+                    target = index[successor_tuple] = len(index)
+                    states.extend(successor_tuple)
                     frontier.append(successor_tuple)
-                lts.add_transition(
-                    source, move.label, target, move.rate, move.event,
-                    move.weight,
-                )
-                if self.record_provenance:
-                    self.provenance.append(move.provenance)
-        return lts
+                label_id = label_index.get(move.label)
+                if label_id is None:
+                    label_id = label_index[move.label] = len(labels)
+                    labels.append(move.label)
+                sources.append(source)
+                label_ids.append(label_id)
+                targets.append(target)
+                rates.append(move.rate)
+                events.append(move.event)
+                weights.append(move.weight)
+                if provenance is not None:
+                    provenance.append(move.provenance)
+        return LTS.from_columns(
+            0, len(index), columns, self._descriptions(states)
+        )
 
-    def _describe(self, state: Tuple[int, ...]) -> str:
-        parts = []
-        for rendered, semantics, local_state in zip(
-            self._rendered, self._instances, state
-        ):
-            text = rendered.get(local_state)
-            if text is None:
-                text = rendered[local_state] = (
-                    f"{semantics.name}:{semantics.state_summary(local_state)}"
-                )
-            parts.append(text)
-        return " | ".join(parts)
+    def _descriptions(self, states: array) -> StateDescriptions:
+        """The descriptions of the generated *states*: every local state
+        met is rendered once, as ``Inst:summary``."""
+        rendered = [
+            [
+                f"{semantics.name}:{semantics.state_summary(local)}"
+                for local in range(semantics.num_states)
+            ]
+            for semantics in self._instances
+        ]
+        return StateDescriptions(rendered, states)
 
 
 def generate_lts(

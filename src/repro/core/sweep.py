@@ -166,8 +166,9 @@ class SweepDriver:
     def runtime_stats(self) -> Dict[str, object]:
         """Workers, per-span wall-clock, counters and solver summary.
 
-        ``timings`` maps every span name closed in this process since
-        the driver was created to its seconds and count; ``retries`` and
+        ``timings`` maps every span name closed in this process or its
+        pool workers since the driver was created to its seconds and
+        count; ``retries`` and
         ``checkpoint_hits`` count the executor's ``retry`` attempts and
         journal-answered points, and ``trace`` holds every status count.
         """

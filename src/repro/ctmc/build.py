@@ -23,23 +23,36 @@ state-space skeleton reuses the skeleton's plan (:func:`elimination_plan`).
 
 from __future__ import annotations
 
-import math
 from array import array
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..aemilia.rates import ExpRate, GeneralRate, ImmediateRate, PassiveRate
 from ..errors import ImmediateCycleError, MarkovianError
-from ..lts.lts import LTS
+from ..lts.lts import EXP, GENERAL, IMMEDIATE, LTS, PASSIVE
 from .chain import CTMC, ChainPattern, merge_counts
 
-#: resolve() result: list of (tangible LTS state, probability, expected
-#: label counts accumulated along the vanishing path).
-_Resolution = List[Tuple[int, float, Dict[str, float]]]
 #: One tangible state's plan row: per outgoing transition, the
 #: (tangible target index, probability, label counts) it contributes.
 _Row = Tuple[Tuple[Tuple[int, float, Dict[str, float]], ...], ...]
+
+
+def _vanishing_states(lts: LTS) -> np.ndarray:
+    """Per state, whether it is vanishing (its transitions are
+    immediate); raises at the first state mixing immediate and timed
+    transitions."""
+    sources = lts.arrays()[0]
+    offsets = lts.rows()[1]
+    immediate = np.bincount(
+        sources[lts.rate_kinds() == IMMEDIATE], minlength=lts.num_states
+    )
+    mixed = np.flatnonzero((immediate > 0) & (immediate != np.diff(offsets)))
+    if mixed.size:
+        raise MarkovianError(
+            f"state {lts.state_info(int(mixed[0]))} mixes immediate and "
+            f"timed transitions; regenerate with preemption enabled"
+        )
+    return immediate > 0
 
 
 def classify_states(lts: LTS) -> Tuple[List[int], List[int]]:
@@ -50,121 +63,158 @@ def classify_states(lts: LTS) -> Tuple[List[int], List[int]]:
     preemption rule filters them; they are rejected here for LTSs built by
     other means.
     """
-    tangible: List[int] = []
-    vanishing: List[int] = []
-    for state in lts.states():
-        transitions = lts.outgoing(state)
-        immediate = [
-            t for t in transitions if isinstance(t.rate, ImmediateRate)
-        ]
-        if immediate:
-            if len(immediate) != len(transitions):
-                raise MarkovianError(
-                    f"state {lts.state_info(state)} mixes immediate and "
-                    f"timed transitions; regenerate with preemption enabled"
-                )
-            vanishing.append(state)
-        else:
-            tangible.append(state)
-    return tangible, vanishing
+    vanishing = _vanishing_states(lts)
+    return (
+        np.flatnonzero(~vanishing).tolist(),
+        np.flatnonzero(vanishing).tolist(),
+    )
 
 
-def _check_timed(lts: LTS, state: int) -> None:
-    for transition in lts.outgoing(state):
-        if isinstance(transition.rate, ExpRate):
-            continue
-        if isinstance(transition.rate, PassiveRate):
-            raise MarkovianError(
-                f"passive transition {transition.label!r} survives in state "
-                f"{lts.state_info(state)}: the Markovian model must close "
-                f"all passive actions (attach them or give them a rate)"
-            )
-        if isinstance(transition.rate, GeneralRate):
-            raise MarkovianError(
-                f"generally distributed transition {transition.label!r} in "
-                f"state {lts.state_info(state)}: solve general models with "
-                f"the simulator, or replace the distribution by exp()"
-            )
+def _check_timed(lts: LTS, vanishing: np.ndarray) -> None:
+    """Raise at the first transition of a tangible state (in state, then
+    row order) whose rate is not exponential."""
+    order = lts.rows()[0]
+    untimed = (lts.rate_kinds() != EXP) & ~vanishing[lts.arrays()[0]]
+    if not untimed.any():
+        return
+    position = int(order[np.flatnonzero(untimed[order])[0]])
+    columns = lts.columns
+    label = columns.labels[columns.label_ids[position]]
+    state = lts.state_info(columns.sources[position])
+    kind = lts.rate_kinds()[position]
+    if kind == PASSIVE:
         raise MarkovianError(
-            f"transition {transition.label!r} in state "
-            f"{lts.state_info(state)} has no rate; not a Markovian model"
+            f"passive transition {label!r} survives in state "
+            f"{state}: the Markovian model must close "
+            f"all passive actions (attach them or give them a rate)"
         )
+    if kind == GENERAL:
+        raise MarkovianError(
+            f"generally distributed transition {label!r} in "
+            f"state {state}: solve general models with "
+            f"the simulator, or replace the distribution by exp()"
+        )
+    raise MarkovianError(
+        f"transition {label!r} in state "
+        f"{state} has no rate; not a Markovian model"
+    )
 
 
 class _VanishingResolver:
-    """Memoised elimination of vanishing states with cycle detection."""
+    """Memoised elimination of vanishing states with cycle detection.
 
-    def __init__(self, lts: LTS, is_vanishing: Dict[int, bool]):
+    Reads the LTS's columns: an iterative post-order over the vanishing
+    states resolves each once, into ``(tangible target, probability,
+    expected label counts)`` with the counts keyed by label id.  Targets
+    accumulate in first-reached order and each target's counts in
+    first-appearance order, the order the label counts feed transition
+    rewards in.
+    """
+
+    def __init__(self, lts: LTS, vanishing: np.ndarray):
         self.lts = lts
-        self.is_vanishing = is_vanishing
-        self._memo: Dict[int, _Resolution] = {}
-        self._on_path: set = set()
+        columns = lts.columns
+        self.vanishing = vanishing.tolist()
+        self.targets = columns.targets.tolist()
+        self.label_ids = columns.label_ids.tolist()
+        self.rates = columns.rates
+        self.order, self.offsets = lts.row_lists()
+        self._memo: List[Optional[list]] = [None] * lts.num_states
 
-    def resolve(self, state: int) -> _Resolution:
+    def resolve(self, state: int) -> list:
         """Distribution over tangible states reached from vanishing *state*."""
-        cached = self._memo.get(state)
-        if cached is not None:
-            return cached
-        if state in self._on_path:
-            raise ImmediateCycleError(
-                f"cycle of immediate transitions through state "
-                f"{self.lts.state_info(state)}"
-            )
-        self._on_path.add(state)
-        try:
-            transitions = self.lts.outgoing(state)
-            total_weight = sum(t.rate.weight for t in transitions)
-            aggregated: Dict[int, Tuple[float, Dict[str, float]]] = {}
-            for transition in transitions:
-                probability = transition.rate.weight / total_weight
-                if not self.is_vanishing[transition.target]:
-                    self._accumulate(
-                        aggregated,
-                        transition.target,
-                        probability,
-                        {transition.label: probability},
-                    )
-                    continue
-                for target, sub_probability, sub_counts in self.resolve(
-                    transition.target
-                ):
-                    counts = {
-                        label: probability * count
-                        for label, count in sub_counts.items()
-                    }
-                    counts[transition.label] = (
-                        counts.get(transition.label, 0.0)
-                        + probability * sub_probability
-                    )
-                    self._accumulate(
-                        aggregated,
-                        target,
-                        probability * sub_probability,
-                        counts,
-                    )
-            resolution = [
-                (target, probability, counts)
-                for target, (probability, counts) in aggregated.items()
-            ]
-        finally:
-            self._on_path.discard(state)
-        self._memo[state] = resolution
-        return resolution
+        memo = self._memo
+        if memo[state] is not None:
+            return memo[state]
+        order, offsets = self.order, self.offsets
+        targets, vanishing = self.targets, self.vanishing
+        path = [state]
+        cursors = [offsets[state]]
+        on_path = {state}
+        while path:
+            current = path[-1]
+            cursor, end = cursors[-1], offsets[current + 1]
+            while cursor < end:
+                target = targets[order[cursor]]
+                cursor += 1
+                if vanishing[target] and memo[target] is None:
+                    if target in on_path:
+                        raise ImmediateCycleError(
+                            f"cycle of immediate transitions through state "
+                            f"{self.lts.state_info(target)}"
+                        )
+                    break
+            else:
+                memo[current] = self._combine(current)
+                path.pop()
+                cursors.pop()
+                on_path.discard(current)
+                continue
+            cursors[-1] = cursor
+            path.append(target)
+            cursors.append(offsets[target])
+            on_path.add(target)
+        return memo[state]
 
-    @staticmethod
-    def _accumulate(
-        aggregated: Dict[int, Tuple[float, Dict[str, float]]],
-        target: int,
-        probability: float,
-        counts: Dict[str, float],
-    ) -> None:
-        previous_probability, previous_counts = aggregated.get(
-            target, (0.0, {})
-        )
-        merged = dict(previous_counts)
-        for label, count in counts.items():
-            merged[label] = merged.get(label, 0.0) + count
-        aggregated[target] = (previous_probability + probability, merged)
+    def _combine(self, state: int) -> list:
+        """*state*'s resolution, from its successors' (all resolved)."""
+        row = self.order[self.offsets[state]:self.offsets[state + 1]]
+        weights = [self.rates[p].weight for p in row]
+        targets, label_ids = self.targets, self.label_ids
+        vanishing, memo = self.vanishing, self._memo
+        if len(row) == 1 and weights[0] / weights[0] == 1.0:
+            # One branch, taken with probability 1.0: ``1.0 * x`` is
+            # ``x``, so the general loop below would copy its successor's
+            # resolution and add one crossing of its label.
+            label, target = label_ids[row[0]], targets[row[0]]
+            if not vanishing[target]:
+                return [(target, 1.0, {label: 1.0})]
+            resolution = []
+            for reached, probability, sub_counts in memo[target]:
+                counts = dict(sub_counts)
+                counts[label] = counts.get(label, 0.0) + probability
+                resolution.append((reached, probability, counts))
+            return resolution
+        total_weight = sum(weights)
+        # target -> [probability, counts]; every dict here is owned, so
+        # adding in place is adding into a copy.  Probabilities are
+        # positive, so ``0.0 + x`` (a first contribution) is ``x``.
+        aggregated: Dict[int, list] = {}
+        for position, weight in zip(row, weights):
+            probability = weight / total_weight
+            label = label_ids[position]
+            target = targets[position]
+            if not vanishing[target]:
+                entry = aggregated.get(target)
+                if entry is None:
+                    aggregated[target] = [probability, {label: probability}]
+                else:
+                    entry[0] += probability
+                    merged = entry[1]
+                    merged[label] = merged.get(label, 0.0) + probability
+                continue
+            for reached, sub_probability, sub_counts in memo[target]:
+                counts = {
+                    key: probability * count
+                    for key, count in sub_counts.items()
+                }
+                counts[label] = (
+                    counts.get(label, 0.0) + probability * sub_probability
+                )
+                entry = aggregated.get(reached)
+                if entry is None:
+                    aggregated[reached] = [
+                        probability * sub_probability, counts
+                    ]
+                    continue
+                entry[0] += probability * sub_probability
+                merged = entry[1]
+                for key, count in counts.items():
+                    merged[key] = merged.get(key, 0.0) + count
+        return [
+            (target, probability, counts)
+            for target, (probability, counts) in aggregated.items()
+        ]
 
 
 class EliminationPlan:
@@ -192,18 +242,21 @@ class EliminationPlan:
         self._compile_pattern()
 
     def _eliminate(self, lts: LTS) -> None:
-        tangible, vanishing = classify_states(lts)
+        vanishing = _vanishing_states(lts)
+        tangible = np.flatnonzero(~vanishing).tolist()
         if not tangible:
             raise MarkovianError(
                 "the model has no tangible state: every state is vanishing"
             )
-        is_vanishing = {state: False for state in lts.states()}
-        for state in vanishing:
-            is_vanishing[state] = True
-        for state in tangible:
-            _check_timed(lts, state)
-        tangible_index = {state: i for i, state in enumerate(tangible)}
-        resolver = _VanishingResolver(lts, is_vanishing)
+        _check_timed(lts, vanishing)
+        tangible_index = np.full(lts.num_states, -1, np.intp)
+        tangible_index[tangible] = np.arange(len(tangible))
+        tangible_index = tangible_index.tolist()
+        resolver = _VanishingResolver(lts, vanishing)
+        is_vanishing = resolver.vanishing
+        labels = lts.columns.labels
+        label_ids, targets = resolver.label_ids, resolver.targets
+        order, offsets = resolver.order, resolver.offsets
 
         # Initial distribution: a vanishing initial state spreads over the
         # tangible states it resolves to.
@@ -216,34 +269,30 @@ class EliminationPlan:
 
         enabled: List[frozenset] = []
         contributions: List[_Row] = []
+        walk: List[int] = []
         for state in tangible:
-            outgoing = lts.outgoing(state)
-            enabled.append(frozenset(t.label for t in outgoing))
+            row_positions = order[offsets[state]:offsets[state + 1]]
+            walk.extend(row_positions)
+            row_labels = [labels[label_ids[p]] for p in row_positions]
+            enabled.append(frozenset(row_labels))
             row = []
-            for transition in outgoing:
-                if not is_vanishing[transition.target]:
+            for position, label in zip(row_positions, row_labels):
+                target = targets[position]
+                if not is_vanishing[target]:
                     # rate * 1.0 is the rate exactly.
                     row.append((
-                        (
-                            tangible_index[transition.target],
-                            1.0,
-                            {transition.label: 1.0},
-                        ),
+                        (tangible_index[target], 1.0, {label: 1.0}),
                     ))
                     continue
                 resolved = []
-                for target, probability, counts in resolver.resolve(
-                    transition.target
-                ):
+                for reached, probability, counts in resolver.resolve(target):
                     merged = {
-                        label: count / probability
-                        for label, count in counts.items()
+                        labels[key]: count / probability
+                        for key, count in counts.items()
                     }
-                    merged[transition.label] = merged.get(
-                        transition.label, 0.0
-                    ) + 1.0
+                    merged[label] = merged.get(label, 0.0) + 1.0
                     resolved.append(
-                        (tangible_index[target], probability, merged)
+                        (tangible_index[reached], probability, merged)
                     )
                 row.append(tuple(resolved))
             contributions.append(tuple(row))
@@ -255,6 +304,10 @@ class EliminationPlan:
         #: Per tangible state, per outgoing transition (in order): the
         #: ``(target index, probability, label counts)`` it contributes.
         self.contributions = contributions
+        #: The LTS positions of the tangible states' transitions, in
+        #: walk order (tangible state, then row order).
+        self.walk = np.array(walk, dtype=np.intp)
+        self._vanishing = vanishing
 
     def _compile_pattern(self) -> None:
         """Number the entries the way :meth:`CTMC.add_transition
@@ -329,12 +382,7 @@ class EliminationPlan:
 
     def instantiate(self, lts: LTS) -> CTMC:
         """The CTMC of *lts*, whose structure this plan was made from."""
-        outgoing = lts.outgoing
-        rates = np.array([
-            t.rate.rate if isinstance(t.rate, ExpRate) else math.nan
-            for state in self.tangible
-            for t in outgoing(state)
-        ])
+        rates = lts.exp_rates()[self.walk]
         products = rates[self._reads] * self._probabilities
         # add_transition checks the rate of the contribution that
         # creates an entry, in contribution order; an untimed transition
@@ -350,8 +398,7 @@ class EliminationPlan:
                 f"{float(products[self._firsts[nonpositive[0]]])}"
             )
         if untimed.size:
-            for state in self.tangible:
-                _check_timed(lts, state)  # raises at the first untimed one
+            _check_timed(lts, self._vanishing)  # raises at the first one
         entry_rates = np.bincount(
             self._entries, weights=products, minlength=len(self._firsts)
         )

@@ -404,11 +404,9 @@ def _capture_chain(
     structural, so the resolution is parameter-independent).
     """
     watched = dependent | {parameter}
-    provenance_of = {
-        id(transition): prov
-        for transition, prov in zip(lts.transitions, provenance)
-    }
     plan = elimination_plan(lts)
+    order, offsets = lts.row_lists()
+    rates = lts.columns.rates
 
     # The recurrent class is structural: the plan's pattern caches it.
     bsccs = plan.pattern.bsccs
@@ -519,11 +517,12 @@ def _capture_chain(
             entry[1][atom] = entry[1].get(atom, 0.0) + coefficient
 
     for source_position, ctmc_state in enumerate(recurrent):
-        for transition, resolved in zip(
-            lts.outgoing(plan.tangible[ctmc_state]),
+        state = plan.tangible[ctmc_state]
+        for position, resolved in zip(
+            order[offsets[state]:offsets[state + 1]],
             plan.contributions[ctmc_state],
         ):
-            prov = provenance_of[id(transition)]
+            prov = provenance[position]
             parametric = (
                 prov is not None
                 and not watched.isdisjoint(prov.free_consts)
@@ -538,7 +537,7 @@ def _capture_chain(
             else:
                 atom = None
                 multiplier = 0.0
-                constant = transition.rate.rate
+                constant = rates[position].rate
             for target, probability, counts in resolved:
                 add_contribution(
                     source_position,

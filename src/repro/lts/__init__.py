@@ -9,7 +9,7 @@ from .bisimulation import (
 from .distinguish import distinguishing_formula, verify_distinguishing
 from .hml import And, DiamondWeak, Formula, Not, Top, conjunction
 from .labels import TAU, local_label, matches, matches_any, sync_label
-from .lts import LTS, Transition, build_lts
+from .lts import LTS, LTSColumns, Transition, build_lts
 from .ops import disjoint_union, hide, relabel, restrict
 from .reachability import reachable_states, restrict_to_reachable
 from .weak import (
@@ -39,6 +39,7 @@ __all__ = [
     "matches_any",
     "sync_label",
     "LTS",
+    "LTSColumns",
     "Transition",
     "build_lts",
     "disjoint_union",

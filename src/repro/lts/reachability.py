@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Dict, List, Set
 
-from .lts import LTS
+from .lts import LTS, DescribedBy
 
 
 def reachable_states(lts: LTS, start: int = None) -> Set[int]:
@@ -27,33 +28,26 @@ def restrict_to_reachable(lts: LTS) -> LTS:
     """Return a copy containing only states reachable from the initial one.
 
     States are renumbered in BFS discovery order, keeping diagnostics
-    stable.
+    stable; the copy's descriptions read *lts*'s on demand.
     """
-    order: List[int] = []
-    index: Dict[int, int] = {}
-    frontier = deque([lts.initial])
-    index[lts.initial] = 0
-    order.append(lts.initial)
-    while frontier:
-        state = frontier.popleft()
-        for transition in lts.outgoing(state):
-            if transition.target not in index:
-                index[transition.target] = len(order)
-                order.append(transition.target)
-                frontier.append(transition.target)
-    result = LTS(0)
-    for old in order:
-        new = result.add_state()
-        result.set_state_info(new, lts.state_info(old))
-    for old in order:
-        for transition in lts.outgoing(old):
-            if transition.target in index:
-                result.add_transition(
-                    index[old],
-                    transition.label,
-                    index[transition.target],
-                    transition.rate,
-                    transition.event,
-                    transition.weight,
-                )
-    return result
+    rows, offsets = lts.row_lists()
+    targets = lts.columns.targets
+    order: List[int] = [lts.initial]
+    index: Dict[int, int] = {lts.initial: 0}
+    positions: List[int] = []
+    for state in order:  # grows while it is walked: a BFS
+        row = rows[offsets[state]:offsets[state + 1]]
+        positions.extend(row)
+        for position in row:
+            target = targets[position]
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+    taken = lts.columns.take(positions)
+    columns = taken._replace(
+        sources=array("q", [index[s] for s in taken.sources]),
+        targets=array("q", [index[t] for t in taken.targets]),
+    )
+    return LTS.from_columns(
+        0, len(order), columns, DescribedBy([(0, "", lts, order)])
+    )

@@ -89,11 +89,14 @@ def tau_condensation(lts: LTS) -> Tuple[LTS, List[int]]:
     for the hidden views used by noninterference analysis — dramatically
     smaller.  Returns the quotient and the original→quotient state map.
     """
+    columns = lts.columns
+    edges = list(zip(columns.sources, columns.label_ids, columns.targets))
+    labels = columns.labels
     # Tarjan over tau-edges only (iterative).
     successors: List[List[int]] = [[] for _ in lts.states()]
-    for transition in lts.transitions:
-        if transition.label == TAU and transition.source != transition.target:
-            successors[transition.source].append(transition.target)
+    for source, label, target in edges:
+        if labels[label] == TAU and source != target:
+            successors[source].append(target)
     index_counter = [0]
     stack: List[int] = []
     lowlink: Dict[int, int] = {}
@@ -148,16 +151,15 @@ def tau_condensation(lts: LTS) -> Tuple[LTS, List[int]]:
     for state in lts.states():
         quotient.set_state_info(scc_of[state], lts.state_info(state))
     seen: Set[Tuple[int, str, int]] = set()
-    for transition in lts.transitions:
-        source = scc_of[transition.source]
-        target = scc_of[transition.target]
-        if transition.label == TAU and source == target:
+    for source, label, target in edges:
+        source, label, target = scc_of[source], labels[label], scc_of[target]
+        if label == TAU and source == target:
             continue  # internal to the collapsed class
-        key = (source, transition.label, target)
+        key = (source, label, target)
         if key in seen:
             continue
         seen.add(key)
-        quotient.add_transition(source, transition.label, target)
+        quotient.add_transition(source, label, target)
     return quotient, scc_of
 
 

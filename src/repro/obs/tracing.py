@@ -251,6 +251,17 @@ class SpanTotals:
                 delta.statuses[status] = count
         return delta
 
+    def merge(self, other: "SpanTotals") -> None:
+        """Add *other*'s counts and seconds (e.g. a worker's) to these."""
+        for name, (count, seconds) in other.names.items():
+            stats = self.names.get(name)
+            if stats is None:
+                stats = self.names[name] = [0, 0.0]
+            stats[0] += count
+            stats[1] += seconds
+        for status, count in other.statuses.items():
+            self.statuses[status] = self.statuses.get(status, 0) + count
+
     def count(self, status: str) -> int:
         return self.statuses.get(status, 0)
 
@@ -262,7 +273,8 @@ class SpanTotals:
         }
 
 
-#: Every span closed in this process (workers keep their own).
+#: Every span closed in this process, plus those its pool workers
+#: closed (see :func:`merge_totals`).
 _TOTALS = SpanTotals()
 
 
@@ -270,6 +282,12 @@ def totals() -> SpanTotals:
     """Snapshot of this process's span totals; diff two with
     :meth:`SpanTotals.since`."""
     return _TOTALS.copy()
+
+
+def merge_totals(worker: SpanTotals) -> None:
+    """Count the spans another process closed (see
+    :meth:`SpanTotals.since`) as closed in this one."""
+    _TOTALS.merge(worker)
 
 
 class _UntracedSpan:

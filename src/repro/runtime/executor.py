@@ -78,8 +78,10 @@ def _pool_call(
     attach under the execute span it pre-allocated at submit time.
     Likewise, unless the inherited metric registry is disabled, the task
     counts into a fresh registry whose snapshot travels back in
-    ``meta["metrics"]`` for the parent to merge.
+    ``meta["metrics"]`` for the parent to merge, and the span totals the
+    task added travel back in ``meta["totals"]``.
     """
+    totals_before = tracing.totals()
     started = time.time()
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
@@ -108,6 +110,7 @@ def _pool_call(
         "ended": started + wall,
         "spans": collector.records() if collector is not None else [],
         "metrics": metrics.snapshot() if metrics is not None else {},
+        "totals": tracing.totals().since(totals_before),
     }
     return value, meta
 
@@ -594,6 +597,7 @@ class ParallelExecutor:
                         obs_metrics.get_registry().merge_snapshot(
                             meta["metrics"]
                         )
+                        tracing.merge_totals(meta["totals"])
                         point_spans.executed(
                             index, ctx, submitted, meta, attempts[index]
                         )

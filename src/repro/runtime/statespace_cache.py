@@ -21,14 +21,18 @@ description (rate *expressions* included, their numeric values excluded)
 plus the values of the structural parameters.  A cache hit replays the
 recorded rate provenance under the new constant environment
 (:class:`~repro.aemilia.semantics.RateProvenance`), which is bit-identical
-to a fresh generation.
+to a fresh generation.  The replay is by affected positions: once per
+skeleton and set of changed constants :meth:`ParametricLTS.readers` finds
+the transitions whose rate reads them, and each point evaluates only
+those into a copy of the skeleton's rate column; every other column is
+shared (:meth:`~repro.lts.lts.LTS.rerated`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..aemilia.architecture import ArchiType
 from ..aemilia.ast import (
@@ -54,7 +58,7 @@ from ..aemilia.semantics import (
     apply_branch_fraction,
 )
 from ..errors import SemanticsError
-from ..lts.lts import LTS, Transition
+from ..lts.lts import LTS
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 
@@ -140,6 +144,17 @@ def structural_params(archi: ArchiType) -> frozenset:
 # Parametric skeletons.
 # ---------------------------------------------------------------------------
 
+class RateReaders(NamedTuple):
+    """The transitions of a skeleton whose rate reads some constant of
+    one changed set, grouped by the ``(spec, local env)`` they evaluate:
+    per group, its provenance and ``(position, fraction)`` pairs."""
+
+    positions: Tuple[int, ...]
+    groups: Tuple[Tuple[RateProvenance, Tuple[Tuple[int, object], ...]], ...]
+    #: Whether every one of their skeleton rates is exponential.
+    exponential: bool
+
+
 @dataclass
 class ParametricLTS:
     """A generated state space plus per-transition rate provenance.
@@ -155,22 +170,51 @@ class ParametricLTS:
     provenance: List[Optional[RateProvenance]]
     const_env: Dict[str, Value]
     structural: frozenset
+    #: Per set of changed constants, the transitions reading them.
+    _readers: Dict[frozenset, RateReaders] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def readers(self, changed: frozenset) -> RateReaders:
+        """The positions whose provenance reads a constant of *changed*
+        (computed once per skeleton and set of constants)."""
+        readers = self._readers.get(changed)
+        if readers is None:
+            groups: Dict[tuple, tuple] = {}
+            positions = []
+            for position, prov in enumerate(self.provenance):
+                if prov is None or changed.isdisjoint(prov.free_consts):
+                    continue
+                positions.append(position)
+                key = (id(prov.spec), prov.env)
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = (prov, [])
+                group[1].append((position, prov.fraction))
+            rates = self.lts.columns.rates
+            readers = self._readers[changed] = RateReaders(
+                tuple(positions),
+                tuple((prov, tuple(pairs)) for prov, pairs in groups.values()),
+                all(isinstance(rates[p], ExpRate) for p in positions),
+            )
+        return readers
 
     def relabel(self, const_env: Mapping[str, Value]) -> LTS:
         """State space under *const_env*, bit-identical to regeneration.
 
-        Only the transitions whose rate reads a changed constant are
-        rebuilt; every other :class:`~repro.lts.lts.Transition` object is
-        shared with the skeleton.  When every rebuilt rate is exponential
-        before and after, the result keeps the skeleton's structure key,
-        so it shares the skeleton's CTMC elimination plan
-        (:func:`repro.ctmc.build.elimination_plan`).
+        Only the positions whose rate reads a changed constant
+        (:meth:`readers`) are evaluated, each distinct ``(spec, local
+        env)`` once; the result shares every column of the skeleton but
+        a copied rate column (:meth:`~repro.lts.lts.LTS.rerated`).  When
+        every replaced rate is exponential before and after, it keeps the
+        skeleton's structure key, so it shares the skeleton's CTMC
+        elimination plan (:func:`repro.ctmc.build.elimination_plan`).
         """
-        changed = {
+        changed = frozenset(
             name
             for name in set(self.const_env) | set(const_env)
             if self.const_env.get(name) != const_env.get(name)
-        }
+        )
         if not changed:
             return self.lts
         if not changed.isdisjoint(self.structural):
@@ -179,39 +223,18 @@ class ParametricLTS:
                 f"{', '.join(sorted(changed & self.structural))} changed; "
                 f"the state space must be regenerated"
             )
-        # Many transitions share one (spec, local env): evaluate each
-        # distinct pair once per relabel.
-        memo: Dict[tuple, object] = {}
-        replacements: Dict[int, Transition] = {}
-        rates_only = True
-        for index, (transition, prov) in enumerate(
-            zip(self.lts.transitions, self.provenance)
-        ):
-            if prov is None or changed.isdisjoint(prov.free_consts):
-                continue
-            key = (id(prov.spec), prov.env)
-            base = memo.get(key)
-            if base is None:
-                env = dict(const_env)
-                env.update(prov.env)
-                base = prov.spec.evaluate(env)
-                memo[key] = base
-            rate = apply_branch_fraction(base, prov.fraction)
-            rates_only = (
-                rates_only
-                and isinstance(transition.rate, ExpRate)
-                and isinstance(rate, ExpRate)
-            )
-            replacements[index] = Transition(
-                transition.source,
-                transition.label,
-                transition.target,
-                rate,
-                transition.event,
-                transition.weight,
-            )
-        return self.lts.replacing(
-            replacements, keep_structure_key=rates_only
+        readers = self.readers(changed)
+        rates = list(self.lts.columns.rates)
+        rates_only = readers.exponential
+        for prov, pairs in readers.groups:
+            env = dict(const_env)
+            env.update(prov.env)
+            base = prov.spec.evaluate(env)
+            rates_only = rates_only and isinstance(base, ExpRate)
+            for position, fraction in pairs:
+                rates[position] = apply_branch_fraction(base, fraction)
+        return self.lts.rerated(
+            readers.positions, rates, keep_structure_key=rates_only
         )
 
 

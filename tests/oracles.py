@@ -12,13 +12,32 @@ states on every call.  ``tests/test_ctmc_plan.py`` pins the cached
 :class:`~repro.ctmc.build.EliminationPlan` path of
 :func:`~repro.ctmc.build.build_ctmc` to it with ``==``.
 
+:func:`build_ctmc_reference` runs on the historical object-walking
+:func:`classify_states_reference`, :func:`check_timed_reference` and
+recursive :class:`ReferenceVanishingResolver`, verbatim, so it also pins
+the column-reading classification and iterative resolver of
+:mod:`repro.ctmc.build`.
+
 :class:`ReferenceStateSpaceGenerator` is the historical per-global-state
-move classification, verbatim: for every reachable state it re-derives
-each local move's direction and attachments, builds fresh global moves
-and re-renders every instance's description.
-``tests/test_generation_tables.py`` pins the per-local-state move tables
-of :class:`~repro.aemilia.semantics.StateSpaceGenerator` to it with
-``==``.
+move classification and generation loop, verbatim: for every reachable
+state it re-derives each local move's direction and attachments, builds
+fresh global moves, tests preemption with ``isinstance`` per move and
+renders every state's description eagerly into a :class:`ReferenceLTS`.
+``tests/test_generation_tables.py`` pins the per-local-state move tables,
+column appends and on-read descriptions of
+:class:`~repro.aemilia.semantics.StateSpaceGenerator` to it with ``==``.
+
+:class:`ReferenceLTS` is the historical object-store LTS, verbatim (one
+:class:`~repro.lts.lts.Transition` per transition, outgoing lists,
+``replacing``); :func:`relabel_reference` is the historical relabel that
+walks every transition of it.  :func:`hide_reference`,
+:func:`restrict_reference`, :func:`relabel_labels_reference`,
+:func:`disjoint_union_reference` and
+:func:`restrict_to_reachable_reference` are the historical
+per-transition operators.  ``tests/test_lts.py`` and
+``tests/test_ctmc_plan.py`` pin the columnar :class:`~repro.lts.lts.LTS`,
+its operators and :meth:`~repro.runtime.statespace_cache.ParametricLTS.relabel`
+to them with ``==``.
 
 :class:`ReferenceSimulator` is the historical reference simulation
 engine, verbatim: it compiles each state into transition lists, scans
@@ -54,6 +73,7 @@ measure value) to them with ``==``.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -77,13 +97,12 @@ from repro.aemilia.rates import (
     ImmediateRate,
     PassiveRate,
 )
-from repro.aemilia.semantics import StateSpaceGenerator, _GlobalMove
-from repro.ctmc.build import (
-    EliminationPlan,
-    _check_timed,
-    _VanishingResolver,
-    classify_states,
+from repro.aemilia.semantics import (
+    StateSpaceGenerator,
+    _GlobalMove,
+    apply_branch_fraction,
 )
+from repro.ctmc.build import EliminationPlan
 from repro.ctmc.measures import Measure, RewardTable
 from repro.ctmc.solvers import (
     DEFAULT_MAX_ITERATIONS,
@@ -96,13 +115,17 @@ from repro.ctmc.solvers import (
 from repro.distributions import Distribution, Exponential
 from repro.ctmc.parametric import ParametricOptions
 from repro.errors import (
+    AnalysisError,
+    ImmediateCycleError,
     MarkovianError,
     ParametricError,
     SimulationError,
+    SemanticsError,
     SolverError,
     SpecificationError,
+    StateSpaceLimitError,
 )
-from repro.lts.labels import local_label
+from repro.lts.labels import TAU, local_label, matches_any
 from repro.lts.lts import LTS, Transition
 from repro.obs import metrics as obs_metrics
 from repro.sim.engine import (
@@ -324,7 +347,7 @@ def instantiate_reference(
         ):
             rate = transition.rate
             if not isinstance(rate, ExpRate):
-                _check_timed(lts, state)  # raises the precise error
+                check_timed_reference(lts, state)  # raises the precise error
             for target, probability, counts in resolved:
                 add(source, target, rate.rate * probability, counts)
     return ctmc
@@ -442,9 +465,128 @@ def evaluate_measures_reference(
     return {m.name: value for m, value in zip(table.measures, values)}
 
 
+def classify_states_reference(lts) -> Tuple[List[int], List[int]]:
+    """Split states into (tangible, vanishing) lists."""
+    tangible: List[int] = []
+    vanishing: List[int] = []
+    for state in lts.states():
+        transitions = lts.outgoing(state)
+        immediate = [
+            t for t in transitions if isinstance(t.rate, ImmediateRate)
+        ]
+        if immediate:
+            if len(immediate) != len(transitions):
+                raise MarkovianError(
+                    f"state {lts.state_info(state)} mixes immediate and "
+                    f"timed transitions; regenerate with preemption enabled"
+                )
+            vanishing.append(state)
+        else:
+            tangible.append(state)
+    return tangible, vanishing
+
+
+def check_timed_reference(lts, state: int) -> None:
+    for transition in lts.outgoing(state):
+        if isinstance(transition.rate, ExpRate):
+            continue
+        if isinstance(transition.rate, PassiveRate):
+            raise MarkovianError(
+                f"passive transition {transition.label!r} survives in state "
+                f"{lts.state_info(state)}: the Markovian model must close "
+                f"all passive actions (attach them or give them a rate)"
+            )
+        if isinstance(transition.rate, GeneralRate):
+            raise MarkovianError(
+                f"generally distributed transition {transition.label!r} in "
+                f"state {lts.state_info(state)}: solve general models with "
+                f"the simulator, or replace the distribution by exp()"
+            )
+        raise MarkovianError(
+            f"transition {transition.label!r} in state "
+            f"{lts.state_info(state)} has no rate; not a Markovian model"
+        )
+
+
+class ReferenceVanishingResolver:
+    """Memoised elimination of vanishing states with cycle detection."""
+
+    def __init__(self, lts, is_vanishing: Dict[int, bool]):
+        self.lts = lts
+        self.is_vanishing = is_vanishing
+        self._memo: Dict[int, list] = {}
+        self._on_path: set = set()
+
+    def resolve(self, state: int) -> list:
+        """Distribution over tangible states reached from vanishing *state*."""
+        cached = self._memo.get(state)
+        if cached is not None:
+            return cached
+        if state in self._on_path:
+            raise ImmediateCycleError(
+                f"cycle of immediate transitions through state "
+                f"{self.lts.state_info(state)}"
+            )
+        self._on_path.add(state)
+        try:
+            transitions = self.lts.outgoing(state)
+            total_weight = sum(t.rate.weight for t in transitions)
+            aggregated: Dict[int, Tuple[float, Dict[str, float]]] = {}
+            for transition in transitions:
+                probability = transition.rate.weight / total_weight
+                if not self.is_vanishing[transition.target]:
+                    self._accumulate(
+                        aggregated,
+                        transition.target,
+                        probability,
+                        {transition.label: probability},
+                    )
+                    continue
+                for target, sub_probability, sub_counts in self.resolve(
+                    transition.target
+                ):
+                    counts = {
+                        label: probability * count
+                        for label, count in sub_counts.items()
+                    }
+                    counts[transition.label] = (
+                        counts.get(transition.label, 0.0)
+                        + probability * sub_probability
+                    )
+                    self._accumulate(
+                        aggregated,
+                        target,
+                        probability * sub_probability,
+                        counts,
+                    )
+            resolution = [
+                (target, probability, counts)
+                for target, (probability, counts) in aggregated.items()
+            ]
+        finally:
+            self._on_path.discard(state)
+        self._memo[state] = resolution
+        return resolution
+
+    @staticmethod
+    def _accumulate(
+        aggregated: Dict[int, Tuple[float, Dict[str, float]]],
+        target: int,
+        probability: float,
+        counts: Dict[str, float],
+    ) -> None:
+        previous_probability, previous_counts = aggregated.get(
+            target, (0.0, {})
+        )
+        merged = dict(previous_counts)
+        for label, count in counts.items():
+            merged[label] = merged.get(label, 0.0) + count
+        aggregated[target] = (previous_probability + probability, merged)
+
+
 def build_ctmc_reference(lts: LTS) -> ReferenceCTMC:
     """Turn the rate-labelled LTS of a Markovian model into a CTMC."""
-    tangible, vanishing = classify_states(lts)
+    tangible, vanishing = classify_states_reference(lts)
     if not tangible:
         raise MarkovianError(
             "the model has no tangible state: every state is vanishing"
@@ -453,9 +595,9 @@ def build_ctmc_reference(lts: LTS) -> ReferenceCTMC:
     for state in vanishing:
         is_vanishing[state] = True
     for state in tangible:
-        _check_timed(lts, state)
+        check_timed_reference(lts, state)
     tangible_index = {state: i for i, state in enumerate(tangible)}
-    resolver = _VanishingResolver(lts, is_vanishing)
+    resolver = ReferenceVanishingResolver(lts, is_vanishing)
 
     # Initial distribution: a vanishing initial state spreads over the
     # tangible states it resolves to.
@@ -608,6 +750,56 @@ class ReferenceStateSpaceGenerator(StateSpaceGenerator):
                 f"{semantics.name}:{semantics.state_summary(local_state)}"
             )
         return " | ".join(parts)
+
+    @staticmethod
+    def _filter_preemption(moves: List[_GlobalMove]) -> List[_GlobalMove]:
+        """Immediate actions preempt timed/passive ones; keep max priority."""
+        immediates = [
+            m for m in moves if isinstance(m.rate, ImmediateRate)
+        ]
+        if not immediates:
+            return moves
+        top = max(m.rate.priority for m in immediates)
+        return [m for m in immediates if m.rate.priority == top]
+
+    def generate(self) -> "ReferenceLTS":
+        """Generate the reachable state space as an LTS."""
+        initial = tuple(s.initial_state for s in self._instances)
+        lts = ReferenceLTS(0)
+        index: Dict[Tuple[int, ...], int] = {initial: lts.add_state()}
+        lts.set_state_info(0, self._describe(initial))
+        frontier = [initial]
+        while frontier:
+            state = frontier.pop()
+            source = index[state]
+            moves = self._global_moves(state)
+            if self.apply_preemption:
+                moves = self._filter_preemption(moves)
+            for move in moves:
+                successor = list(state)
+                for instance_index, local_state in move.targets:
+                    successor[instance_index] = local_state
+                successor_tuple = tuple(successor)
+                target = index.get(successor_tuple)
+                if target is None:
+                    if len(index) >= self.max_states:
+                        raise StateSpaceLimitError(
+                            f"state space of {self.archi.name!r} exceeds "
+                            f"{self.max_states} states"
+                        )
+                    target = lts.add_state()
+                    index[successor_tuple] = target
+                    lts.set_state_info(
+                        target, self._describe(successor_tuple)
+                    )
+                    frontier.append(successor_tuple)
+                lts.add_transition(
+                    source, move.label, target, move.rate, move.event,
+                    move.weight,
+                )
+                if self.record_provenance:
+                    self.provenance.append(move.provenance)
+        return lts
 
 
 @dataclass
@@ -1049,3 +1241,286 @@ def replicate_reference(
         for name, value in result.measures.items():
             samples[name].append(value)
     return samples
+
+
+class ReferenceLTS:
+    """The historical object-store LTS, verbatim: one
+    :class:`~repro.lts.lts.Transition` per transition, a transition list
+    and an outgoing list per state, eager state descriptions, and
+    :meth:`replacing` with copy-on-write rows."""
+
+    #: True while some outgoing lists are shared with another LTS (see
+    #: :meth:`replacing`); the first :meth:`add_transition` copies them.
+    _rows_shared = False
+
+    def __init__(self, initial: int = 0):
+        self._num_states = 0
+        self.initial = initial
+        self.transitions: List[Transition] = []
+        self._outgoing: Dict[int, List[Transition]] = {}
+        self._state_info: Dict[int, str] = {}
+
+    def add_state(self, info: Optional[str] = None) -> int:
+        index = self._num_states
+        self._num_states += 1
+        if info is not None:
+            self._state_info[index] = info
+        return index
+
+    def add_transition(
+        self,
+        source: int,
+        label: str,
+        target: int,
+        rate=None,
+        event: Optional[str] = None,
+        weight: float = 1.0,
+    ) -> Transition:
+        for state in (source, target):
+            if not 0 <= state < self._num_states:
+                raise AnalysisError(
+                    f"transition endpoint {state} is not a state "
+                    f"(have {self._num_states})"
+                )
+        if self._rows_shared:
+            self._outgoing = {s: list(ts) for s, ts in self._outgoing.items()}
+            self._rows_shared = False
+        transition = Transition(source, label, target, rate, event, weight)
+        self.transitions.append(transition)
+        self._outgoing.setdefault(source, []).append(transition)
+        return transition
+
+    @property
+    def num_states(self) -> int:
+        return self._num_states
+
+    @property
+    def num_transitions(self) -> int:
+        return len(self.transitions)
+
+    def states(self) -> range:
+        return range(self._num_states)
+
+    def outgoing(self, state: int) -> Sequence[Transition]:
+        return self._outgoing.get(state, ())
+
+    def state_info(self, state: int) -> str:
+        return self._state_info.get(state, f"state {state}")
+
+    def set_state_info(self, state: int, info: str) -> None:
+        self._state_info[state] = info
+
+    def labels(self) -> Set[str]:
+        return {t.label for t in self.transitions}
+
+    def visible_labels(self) -> Set[str]:
+        return self.labels() - {TAU}
+
+    def successors(self, state: int, label: str) -> List[int]:
+        return [t.target for t in self.outgoing(state) if t.label == label]
+
+    def deadlock_states(self) -> List[int]:
+        return [s for s in self.states() if not self.outgoing(s)]
+
+    def replacing(
+        self, replacements: Mapping[int, Transition]
+    ) -> "ReferenceLTS":
+        """Copy with ``transitions[i]`` swapped for ``replacements[i]``."""
+        clone = ReferenceLTS(self.initial)
+        clone._num_states = self._num_states
+        clone.transitions = list(self.transitions)
+        clone._state_info = dict(self._state_info)
+        clone._outgoing = dict(self._outgoing)
+        clone._rows_shared = self._rows_shared = True
+        copied = set()
+        for index, new in replacements.items():
+            old = clone.transitions[index]
+            if new.source != old.source:
+                raise AnalysisError(
+                    f"replacement {new} leaves another state than {old}"
+                )
+            clone.transitions[index] = new
+            row = clone._outgoing[old.source]
+            if old.source not in copied:
+                row = clone._outgoing[old.source] = list(row)
+                copied.add(old.source)
+            row[next(i for i, t in enumerate(row) if t is old)] = new
+        return clone
+
+
+def as_reference_lts(lts) -> ReferenceLTS:
+    """*lts* rebuilt transition by transition in a :class:`ReferenceLTS`."""
+    reference = ReferenceLTS(lts.initial)
+    for state in lts.states():
+        reference.add_state(lts.state_info(state))
+    for t in lts.transitions:
+        reference.add_transition(
+            t.source, t.label, t.target, t.rate, t.event, t.weight
+        )
+    return reference
+
+
+def relabel_reference(skeleton, const_env: Mapping[str, object]):
+    """The historical :meth:`ParametricLTS.relabel
+    <repro.runtime.statespace_cache.ParametricLTS.relabel>`, verbatim
+    but for the structure key: it walks every transition and swaps in a
+    new :class:`Transition` wherever the provenance reads a changed
+    constant, on a :class:`ReferenceLTS` copy of the skeleton."""
+    base = as_reference_lts(skeleton.lts)
+    changed = {
+        name
+        for name in set(skeleton.const_env) | set(const_env)
+        if skeleton.const_env.get(name) != const_env.get(name)
+    }
+    if not changed:
+        return base
+    if not changed.isdisjoint(skeleton.structural):
+        raise SemanticsError(
+            f"cannot relabel: structural constant(s) "
+            f"{', '.join(sorted(changed & skeleton.structural))} changed; "
+            f"the state space must be regenerated"
+        )
+    memo: Dict[tuple, object] = {}
+    replacements: Dict[int, Transition] = {}
+    for index, (transition, prov) in enumerate(
+        zip(base.transitions, skeleton.provenance)
+    ):
+        if prov is None or changed.isdisjoint(prov.free_consts):
+            continue
+        key = (id(prov.spec), prov.env)
+        rate = memo.get(key)
+        if rate is None:
+            env = dict(const_env)
+            env.update(prov.env)
+            rate = prov.spec.evaluate(env)
+            memo[key] = rate
+        replacements[index] = Transition(
+            transition.source,
+            transition.label,
+            transition.target,
+            apply_branch_fraction(rate, prov.fraction),
+            transition.event,
+            transition.weight,
+        )
+    return base.replacing(replacements)
+
+
+def _selector_reference(selector):
+    if callable(selector):
+        return selector
+    patterns = list(selector)
+    return lambda label: matches_any(patterns, label)
+
+
+def hide_reference(lts, selector) -> LTS:
+    """The historical per-transition :func:`repro.lts.ops.hide`."""
+    predicate = _selector_reference(selector)
+    result = LTS(lts.initial)
+    for state in lts.states():
+        result.add_state()
+        result.set_state_info(state, lts.state_info(state))
+    for transition in lts.transitions:
+        label = TAU if predicate(transition.label) else transition.label
+        result.add_transition(
+            transition.source, label, transition.target, transition.rate,
+            transition.event, transition.weight,
+        )
+    return result
+
+
+def restrict_reference(lts, selector, prune: bool = True) -> LTS:
+    """The historical per-transition :func:`repro.lts.ops.restrict`."""
+    predicate = _selector_reference(selector)
+    result = LTS(lts.initial)
+    for state in lts.states():
+        result.add_state()
+        result.set_state_info(state, lts.state_info(state))
+    for transition in lts.transitions:
+        if not predicate(transition.label):
+            result.add_transition(
+                transition.source,
+                transition.label,
+                transition.target,
+                transition.rate,
+                transition.event,
+                transition.weight,
+            )
+    return restrict_to_reachable_reference(result) if prune else result
+
+
+def restrict_to_reachable_reference(lts) -> LTS:
+    """The historical per-transition
+    :func:`repro.lts.reachability.restrict_to_reachable`."""
+    order: List[int] = []
+    index: Dict[int, int] = {}
+    frontier = deque([lts.initial])
+    index[lts.initial] = 0
+    order.append(lts.initial)
+    while frontier:
+        state = frontier.popleft()
+        for transition in lts.outgoing(state):
+            if transition.target not in index:
+                index[transition.target] = len(order)
+                order.append(transition.target)
+                frontier.append(transition.target)
+    result = LTS(0)
+    for old in order:
+        new = result.add_state()
+        result.set_state_info(new, lts.state_info(old))
+    for old in order:
+        for transition in lts.outgoing(old):
+            if transition.target in index:
+                result.add_transition(
+                    index[old],
+                    transition.label,
+                    index[transition.target],
+                    transition.rate,
+                    transition.event,
+                    transition.weight,
+                )
+    return result
+
+
+def relabel_labels_reference(lts, mapping) -> LTS:
+    """The historical per-transition :func:`repro.lts.ops.relabel`."""
+    result = LTS(lts.initial)
+    for state in lts.states():
+        result.add_state()
+        result.set_state_info(state, lts.state_info(state))
+    for transition in lts.transitions:
+        result.add_transition(
+            transition.source,
+            mapping(transition.label),
+            transition.target,
+            transition.rate,
+            transition.event,
+            transition.weight,
+        )
+    return result
+
+
+def disjoint_union_reference(first, second):
+    """The historical per-transition :func:`repro.lts.ops.disjoint_union`."""
+    union = LTS(first.initial)
+    for state in first.states():
+        union.add_state()
+        union.set_state_info(state, "A:" + first.state_info(state))
+    offset = first.num_states
+    for state in second.states():
+        union.add_state()
+        union.set_state_info(offset + state, "B:" + second.state_info(state))
+    for transition in first.transitions:
+        union.add_transition(
+            transition.source, transition.label, transition.target,
+            transition.rate, transition.event, transition.weight,
+        )
+    for transition in second.transitions:
+        union.add_transition(
+            transition.source + offset,
+            transition.label,
+            transition.target + offset,
+            transition.rate,
+            transition.event,
+            transition.weight,
+        )
+    return union, first.initial, second.initial + offset

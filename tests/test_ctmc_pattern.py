@@ -16,7 +16,6 @@ synthetic measure chain of ``tests/test_measures.py`` and a hypothesis
 corpus of hand-built chains, errors included.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -216,14 +215,12 @@ def test_rate_and_timing_errors_match_the_object_store(fire_rate, untimed):
     plan = elimination_plan(skeleton.lts)
     lts = skeleton.relabel(archi.bind_constants({"fire_rate": fire_rate}))
     if untimed is not None:
-        index, old = next(
-            (i, t) for i, t in enumerate(lts.transitions)
-            if t.label == untimed
+        index = next(
+            i for i, t in enumerate(lts.transitions) if t.label == untimed
         )
-        lts = lts.replacing(
-            {index: dataclasses.replace(old, rate=PassiveRate())},
-            keep_structure_key=True,
-        )
+        rates = list(lts.columns.rates)
+        rates[index] = PassiveRate()
+        lts = lts.rerated([index], rates, keep_structure_key=True)
     got = build_outcome(build_ctmc, lts)
     assert got == build_outcome(
         lambda lts: instantiate_reference(plan, lts), lts

@@ -25,9 +25,9 @@ from repro.aemilia.semantics import RateProvenance, generate_lts
 from repro.casestudies.rpc import battery
 from repro.ctmc.build import build_ctmc, elimination_plan
 from repro.errors import MarkovianError, SemanticsError
-from repro.lts import LTS
+from repro.lts import LTS, LTSColumns
 from repro.runtime import ParametricLTS, generate_parametric
-from tests.oracles import build_ctmc_reference
+from tests.oracles import build_ctmc_reference, relabel_reference
 
 TINY_SPEC = """
 ARCHI_TYPE Tiny(const real fire_rate := 1.0)
@@ -185,7 +185,11 @@ def test_random_lts_plan_matches_reference(
         build_ctmc_reference, skeleton.lts
     )
     for k in ks:
-        relabeled = skeleton.relabel({"k": k, "w": 1.0})
+        env = {"k": k, "w": 1.0}
+        relabeled = skeleton.relabel(env)
+        assert lts_bits(relabeled) == lts_bits(
+            relabel_reference(skeleton, env)
+        )
         assert outcome(build_ctmc, relabeled) == outcome(
             build_ctmc_reference, relabeled
         )
@@ -205,6 +209,9 @@ def test_relabeled_immediate_weights_get_a_fresh_plan(
     skeleton = _skeleton(drawn, vanishing, flipped, initial)
     outcome(build_ctmc, skeleton.lts)  # compile the skeleton's plan
     relabeled = skeleton.relabel({"k": 2.0, "w": w})
+    assert lts_bits(relabeled) == lts_bits(
+        relabel_reference(skeleton, {"k": 2.0, "w": w})
+    )
     assert outcome(build_ctmc, relabeled) == outcome(
         build_ctmc_reference, relabeled
     )
@@ -245,29 +252,62 @@ def test_relabel_replacing_an_immediate_weight_builds_a_fresh_plan():
     )
 
 
+def lts_bits(lts):
+    """Everything an LTS shows, in a form ``==`` compares exactly."""
+    return (
+        lts.initial,
+        lts.num_states,
+        lts.transitions,
+        [list(lts.outgoing(s)) for s in lts.states()],
+        [lts.state_info(s) for s in lts.states()],
+    )
+
+
 def test_relabel_reuses_unchanged_transitions(streaming_family):
-    """Only transitions whose rate reads the swept constant are rebuilt;
-    the relabeled LTS as a whole still equals a fresh generation."""
+    """Only the positions whose rate reads the swept constant get a new
+    rate: every other column is the skeleton's, and so are the views of
+    the other positions.  The relabeled LTS as a whole still equals a
+    fresh generation and the historical relabel."""
     archi = streaming_family.markovian_dpm
     skeleton = generate_parametric(archi)
     overrides = {"awake_period": 28.185}
-    relabeled = skeleton.relabel(archi.bind_constants(overrides))
-    fresh = generate_lts(archi, overrides)
+    env = archi.bind_constants(overrides)
+    relabeled = skeleton.relabel(env)
     readers = [
-        prov is not None and "awake_period" in prov.free_consts
-        for prov in skeleton.provenance
+        position
+        for position, prov in enumerate(skeleton.provenance)
+        if prov is not None and "awake_period" in prov.free_consts
     ]
-    assert 0 < sum(readers) < len(readers)
-    for old, new, reads in zip(
-        skeleton.lts.transitions, relabeled.transitions, readers
+    assert 0 < len(readers) < skeleton.lts.num_transitions
+    old, new = skeleton.lts.columns, relabeled.columns
+    for name in LTSColumns._fields:
+        assert (getattr(new, name) is getattr(old, name)) is (
+            name != "rates"
+        )
+    assert [
+        p for p, (a, b) in enumerate(zip(old.rates, new.rates)) if a is not b
+    ] == readers
+    reread = set(readers)
+    for p, (a, b) in enumerate(
+        zip(skeleton.lts.transitions, relabeled.transitions)
     ):
-        assert (old is new) is not reads
-    assert relabeled.transitions == fresh.transitions
-    assert relabeled.num_states == fresh.num_states
-    assert relabeled.initial == fresh.initial
-    for state in fresh.states():
-        assert list(relabeled.outgoing(state)) == list(fresh.outgoing(state))
-        assert relabeled.state_info(state) == fresh.state_info(state)
+        assert (a is b) is (p not in reread)
+    assert lts_bits(relabeled) == lts_bits(generate_lts(archi, overrides))
+    assert lts_bits(relabeled) == lts_bits(relabel_reference(skeleton, env))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_relabel_matches_the_historical_relabel(
+    case, rpc_family, streaming_family, mm1k
+):
+    archi = _archi(case, rpc_family, streaming_family, mm1k)
+    parameter, values = CASES[case]
+    skeleton = generate_parametric(archi)
+    for value in values:
+        env = archi.bind_constants({parameter: value})
+        assert lts_bits(skeleton.relabel(env)) == lts_bits(
+            relabel_reference(skeleton, env)
+        )
 
 
 def test_a_grown_lts_gets_a_fresh_plan():

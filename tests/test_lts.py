@@ -1,11 +1,14 @@
 """Tests for the LTS structure, label matching, operators, reachability."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.aemilia.rates import ExpRate
+from repro.aemilia.rates import ExpRate, ImmediateRate
 from repro.errors import AnalysisError
 from repro.lts import (
     LTS,
+    LTSColumns,
     Transition,
     TAU,
     build_lts,
@@ -19,6 +22,14 @@ from repro.lts import (
     restrict,
     restrict_to_reachable,
     sync_label,
+)
+from tests.oracles import (
+    ReferenceLTS,
+    disjoint_union_reference,
+    hide_reference,
+    relabel_labels_reference,
+    restrict_reference,
+    restrict_to_reachable_reference,
 )
 
 
@@ -89,32 +100,42 @@ class TestLTSStructure:
         assert lts.num_states == 2
         assert clone.num_states == 3
 
-    def test_replacing_keeps_order_and_shares_the_rest(self):
+    def test_rerated_keeps_order_and_shares_the_rest(self):
         lts = build_lts(2, [(0, "a", 1), (0, "b", 1), (1, "c", 0)])
+        before = lts.transitions
+        rates = list(lts.columns.rates)
+        rates[1] = ExpRate(2.0)
+        clone = lts.rerated([1], rates)
         new = Transition(0, "b", 1, ExpRate(2.0))
-        clone = lts.replacing({1: new})
-        assert clone.transitions == [lts.transitions[0], new,
-                                     lts.transitions[2]]
-        assert list(clone.outgoing(0)) == [lts.transitions[0], new]
+        assert clone.transitions == [before[0], new, before[2]]
+        assert list(clone.outgoing(0)) == [before[0], new]
+        # Every column but the rates is shared, and so are the views of
+        # the positions and rows without a new rate.
+        for name in LTSColumns._fields:
+            shared = getattr(clone.columns, name) is getattr(lts.columns, name)
+            assert shared is (name != "rates")
+        assert clone.columns.rates is rates
+        assert clone.transitions[0] is lts.transitions[0]
+        assert clone.transitions[2] is lts.transitions[2]
         assert clone.outgoing(1) is lts.outgoing(1)
         assert lts.transitions[1].rate is None
-        with pytest.raises(AnalysisError, match="another state"):
-            lts.replacing({2: new})
 
-    def test_replacing_copies_shared_rows_on_write(self):
+    def test_rerated_copies_shared_columns_on_write(self):
         lts = build_lts(2, [(0, "a", 1), (1, "c", 0)])
-        clone = lts.replacing({})
+        clone = lts.rerated([], list(lts.columns.rates))
         clone.add_transition(1, "d", 1)
         lts.add_transition(1, "e", 0)
         assert [t.label for t in clone.outgoing(1)] == ["c", "d"]
         assert [t.label for t in lts.outgoing(1)] == ["c", "e"]
+        assert lts.columns.sources is not clone.columns.sources
 
     def test_structure_key(self):
         lts = build_lts(2, [(0, "a", 1)])
         key = lts.structure_key()
         assert lts.structure_key() is key
-        assert lts.replacing({}).structure_key() is not key
-        kept = lts.replacing({}, keep_structure_key=True)
+        rates = list(lts.columns.rates)
+        assert lts.rerated([], rates).structure_key() is not key
+        kept = lts.rerated([], rates, keep_structure_key=True)
         assert kept.structure_key() is key
         kept.add_transition(1, "b", 0)
         assert kept.structure_key() is not key
@@ -190,3 +211,108 @@ class TestReachability:
         assert trimmed.num_states == 2
         assert {t.label for t in trimmed.transitions} == {"a", "b"}
         assert trimmed.initial == 0
+
+
+# ---------------------------------------------------------------------------
+# The columnar LTS and its operators against the historical object store.
+# ---------------------------------------------------------------------------
+
+_LABELS = ["a", "b", "X.c", "X.c#Y.d", "Y.d", TAU]
+_RATES = [None, ExpRate(1.0), ExpRate(2.5), ImmediateRate(1, 2.0)]
+_edges = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from(_LABELS),
+        st.integers(0, 5),
+        st.sampled_from(_RATES),
+        st.sampled_from([None, "E"]),
+        st.sampled_from([1.0, 0.25]),
+    ),
+    max_size=24,
+)
+
+
+def _build(cls, edges, initial, described, read_at):
+    """Six states (the *described* ones with a description) and *edges*;
+    rows are read once part-way, so the LTS grows after a read."""
+    lts = cls(initial)
+    for state in range(6):
+        lts.add_state(f"s{state}" if state in described else None)
+    for index, edge in enumerate(edges):
+        if index == read_at:
+            lts.outgoing(edge[0])
+        lts.add_transition(*edge)
+    return lts
+
+
+def _bits(lts):
+    states = range(-1, lts.num_states + 1)
+    return {
+        "initial": lts.initial,
+        "states": lts.num_states,
+        "transitions": lts.transitions,
+        "count": lts.num_transitions,
+        "outgoing": [list(lts.outgoing(s)) for s in states],
+        "state_info": [lts.state_info(s) for s in states],
+        "labels": lts.labels(),
+        "visible": lts.visible_labels(),
+        "successors": [lts.successors(s, "a") for s in states],
+        "deadlocks": lts.deadlock_states(),
+    }
+
+
+_lts_args = (
+    _edges,
+    st.integers(0, 5),
+    st.sets(st.integers(0, 5)),
+    st.integers(0, 24),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_lts_args)
+def test_columns_match_the_object_store(edges, initial, described, read_at):
+    lts = _build(LTS, edges, initial, described, read_at)
+    reference = _build(ReferenceLTS, edges, initial, described, read_at)
+    assert _bits(lts) == _bits(reference)
+    assert lts.has_deadlock() == bool(reference.deadlock_states())
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_lts_args, _edges, st.booleans())
+def test_operators_match_the_per_transition_ones(
+    edges, initial, described, read_at, other_edges, prune
+):
+    lts = _build(LTS, edges, initial, described, read_at)
+    other = _build(LTS, other_edges, 0, {1, 2}, -1)
+    selector = ["X.c", "b"]
+    cases = [
+        (hide(lts, selector), hide_reference(lts, selector)),
+        (
+            hide(lts, lambda label: label.startswith("Y")),
+            hide_reference(lts, lambda label: label.startswith("Y")),
+        ),
+        (
+            restrict(lts, selector, prune=prune),
+            restrict_reference(lts, selector, prune=prune),
+        ),
+        (
+            relabel(lts, str.upper),
+            relabel_labels_reference(lts, str.upper),
+        ),
+        (
+            restrict_to_reachable(lts),
+            restrict_to_reachable_reference(lts),
+        ),
+    ]
+    union, *initials = disjoint_union(lts, other)
+    expected, *expected_initials = disjoint_union_reference(lts, other)
+    assert initials == expected_initials
+    cases.append((union, expected))
+    # Operators over operator results: descriptions chain on read.
+    cases.append((
+        hide(restrict(union, ["a"]), [TAU, "Y.d"]),
+        hide_reference(restrict_reference(expected, ["a"]), [TAU, "Y.d"]),
+    ))
+    for got, want in cases:
+        assert _bits(got) == _bits(want)

@@ -152,3 +152,35 @@ class TestParallelReplication:
         assert stats["workers"] == 4
         assert stats["cache"]["misses"] == 1
         assert set(stats["timings"]) >= {"statespace", "sweep:markovian"}
+
+
+@pytest.mark.parametrize("phase", ["markovian", "general"])
+def test_worker_spans_reach_the_parent_totals(phase, rpc_family):
+    """Every span a worker closes is counted in the parent's
+    ``runtime_stats()["timings"]``: the counts per name at
+    ``workers=2`` are those of ``workers=1``, plus one pool-only
+    ``queue-wait`` span per submitted point."""
+    values = [0.5, 2.0, 11.0]
+    counts = {}
+    for workers in (1, 2):
+        methodology = IncrementalMethodology(
+            rpc_family,
+            workers=workers,
+            statespace_cache=StructuralStateSpaceCache(),
+        )
+        if phase == "markovian":
+            methodology.sweep_markovian(
+                "shutdown_timeout", values, "dpm", workers=workers
+            )
+        else:
+            methodology.sweep_general(
+                "shutdown_timeout", values, "dpm", run_length=50.0,
+                runs=2, warmup=5.0, seed=3, workers=workers,
+            )
+        timings = methodology.runtime_stats()["timings"]
+        counts[workers] = {
+            name: timing["count"] for name, timing in timings.items()
+        }
+    assert counts[2].pop("queue-wait") == len(values)
+    assert counts[2] == counts[1]
+    assert counts[1]["relabel"] == len(values)
