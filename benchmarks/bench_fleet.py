@@ -20,13 +20,12 @@ script (``python benchmarks/bench_fleet.py``).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from gates import ALL, AS_COMMITTED, RECHECK, Field, Gate, failures
+from gates import ALL, AS_COMMITTED, RECHECK, Field, Gate, record
 from repro.casestudies.fleet import build_model
 from repro.ctmc.steady_state import steady_state_solution
 from repro.fleet import build_flat_topology, evaluate_flat, solve_fleet
@@ -180,17 +179,9 @@ def recheck() -> dict:
     }
 
 
-def write_report(report: dict) -> Path:
-    OUTPUT_PATH.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    return OUTPUT_PATH
-
-
 def test_bench_fleet():
     report = collect()
-    write_report(report)
-    failed = failures(GATES, report)
+    failed = record(GATES, report, OUTPUT_PATH)
     assert not failed, "\n".join(failed)
     scale = report["scale"]
     print(
@@ -212,9 +203,7 @@ def test_bench_fleet():
             f"  agreement N={entry['fleet_size']}: lumped "
             f"{entry['lumped_vs_flat']:.2e}{product} vs flat oracle"
         )
-    print(f"  report written to {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":
     test_bench_fleet()
-    print(f"wrote {OUTPUT_PATH}")

@@ -23,7 +23,6 @@ refresh the baseline, or through the regression gate
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import time
@@ -31,7 +30,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from gates import ALL, AS_COMMITTED, COMMITTED, RECHECK, Gate, failures
+from gates import ALL, AS_COMMITTED, COMMITTED, RECHECK, Gate, record
 from repro.casestudies import rpc
 from repro.core.methodology import IncrementalMethodology
 from repro.obs import tracing
@@ -184,16 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{sweep['spans']['total']} spans, "
         f"bit_identical={sweep['bit_identical']}"
     )
-    failed = failures(GATES, report)
-    for failure in failed:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failed:
-        return 1
-    Path(args.out).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"baseline written to {args.out}")
-    return 0
+    return 1 if record(GATES, report, Path(args.out)) else 0
 
 
 if __name__ == "__main__":

@@ -17,11 +17,10 @@ plain script (``python benchmarks/bench_parametric.py``).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from gates import ALL, AS_COMMITTED, RECHECK, Field, Gate, failures
+from gates import ALL, AS_COMMITTED, RECHECK, Field, Gate, record
 from repro.casestudies import rpc, streaming
 from repro.core.methodology import IncrementalMethodology
 
@@ -203,17 +202,9 @@ def recheck() -> dict:
     }
 
 
-def write_report(report: dict) -> Path:
-    OUTPUT_PATH.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    return OUTPUT_PATH
-
-
 def test_bench_parametric():
     report = collect()
-    write_report(report)
-    failed = failures(GATES, report)
+    failed = record(GATES, report, OUTPUT_PATH)
     assert not failed, "\n".join(failed)
     fig4 = report["fig4"]
     dense = report["dense_fig3"]
@@ -229,9 +220,7 @@ def test_bench_parametric():
         f"{dense['dense_seconds']}s vs {dense['coarse_points']} points "
         f"in {dense['coarse_seconds']}s"
     )
-    print(f"  report written to {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":
     test_bench_parametric()
-    print(f"wrote {OUTPUT_PATH}")

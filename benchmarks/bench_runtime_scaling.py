@@ -18,12 +18,12 @@ or as a plain script (``python benchmarks/bench_runtime_scaling.py``).
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 import time
 from pathlib import Path
 
-from gates import AS_COMMITTED, RECHECK, Field, Gate, failures
+from gates import AS_COMMITTED, RECHECK, Field, Gate, record
 from repro.casestudies import rpc, streaming
 from repro.core.methodology import IncrementalMethodology
 from repro.runtime import StructuralStateSpaceCache, resolve_workers
@@ -183,15 +183,9 @@ def recheck() -> dict:
     }
 
 
-def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def test_runtime_scaling(benchmark):
     report = benchmark.pedantic(collect, rounds=1, iterations=1)
-    write_report(report)
-    failed = failures(GATES, report)
+    failed = record(GATES, report, OUTPUT_PATH)
     assert not failed, "\n".join(failed)
     fig3 = report["sweeps"]["fig3-markov"]
     fig4 = report["sweeps"]["fig4-markov"]
@@ -204,9 +198,7 @@ def test_runtime_scaling(benchmark):
         f"  fig4-markov: cache speedup {fig4['cache_speedup']}x over "
         f"{fig4['points']} points"
     )
-    print(f"  report written to {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":
-    destination = write_report(collect())
-    print(f"wrote {destination}")
+    sys.exit(1 if record(GATES, collect(), OUTPUT_PATH) else 0)

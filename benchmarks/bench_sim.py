@@ -16,10 +16,10 @@ is gated by ``bench_regression.py``.  See docs/SIMULATION.md.
 
 from __future__ import annotations
 
-import json
+import sys
 from pathlib import Path
 
-from gates import RECHECK, Gate, failures
+from gates import RECHECK, Gate, record
 from repro.aemilia.semantics import generate_lts
 from repro.casestudies import rpc
 from repro.sim import replicate_paired
@@ -113,24 +113,16 @@ def recheck() -> dict:
     return {"crn": _crn_case(RECHECK_CRN_RUNS, RECHECK_RUN_LENGTH)}
 
 
-def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def test_sim_benchmarks(benchmark):
     report = benchmark.pedantic(collect, rounds=1, iterations=1)
-    write_report(report)
-    failed = failures(GATES, report)
+    failed = record(GATES, report, OUTPUT_PATH)
     assert not failed, "\n".join(failed)
     crn = report["crn"]
     print(
         f"\n  crn: delta intervals {crn['min_narrowing']}x narrower "
         f"(worst measure) under common random numbers"
     )
-    print(f"  report written to {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":
-    destination = write_report(collect())
-    print(f"wrote {destination}")
+    sys.exit(1 if record(GATES, collect(), OUTPUT_PATH) else 0)

@@ -12,7 +12,6 @@ as a plain script (``python benchmarks/bench_solvers.py``).
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from gates import AS_COMMITTED, RECHECK, Gate, failures
+from gates import AS_COMMITTED, RECHECK, Gate, record
 from repro.casestudies import rpc, streaming
 from repro.core.methodology import IncrementalMethodology
 from repro.ctmc import build_ctmc
@@ -194,15 +193,9 @@ def collect() -> dict:
     }
 
 
-def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def test_solver_backends(benchmark):
     report = benchmark.pedantic(collect, rounds=1, iterations=1)
-    write_report(report)
-    failed = failures(GATES, report)
+    failed = record(GATES, report, OUTPUT_PATH)
     assert not failed, "\n".join(failed)
     vectorization = report["gauss_seidel_vectorization"]
     for name, case in report["cases"].items():
@@ -217,9 +210,7 @@ def test_solver_backends(benchmark):
         f"{vectorization['speedup']}x per sweep on "
         f"{vectorization['states']} states"
     )
-    print(f"  report written to {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":
-    destination = write_report(collect())
-    print(f"wrote {destination}")
+    sys.exit(1 if record(GATES, collect(), OUTPUT_PATH) else 0)

@@ -29,7 +29,6 @@ plain script (``python benchmarks/bench_splitting.py [--smoke]``);
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from gates import ALL, RECHECK, Gate, failures
+from gates import ALL, RECHECK, Gate, failures, record
 from repro.aemilia.rates import GeneralRate
 from repro.ctmc import measure, trans_clause
 from repro.distributions import Exponential
@@ -221,23 +220,9 @@ def recheck() -> dict:
     return collect(smoke=True, workers=1)
 
 
-def write_report(report: dict) -> Path:
-    OUTPUT_PATH.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    return OUTPUT_PATH
-
-
-def _failures(report: dict, smoke: bool) -> List[str]:
-    """Fresh-run gates; a smoke run has only the smoke rows to meet."""
-    gates = [g for g in GATES if g.path.startswith("smoke.") or not smoke]
-    return failures(gates, report)
-
-
 def test_bench_splitting():
     report = collect()
-    write_report(report)
-    failed = _failures(report, smoke=False)
+    failed = record(GATES, report, OUTPUT_PATH)
     assert not failed, "\n".join(failed)
     rare = report["rare"]
     print(
@@ -248,7 +233,6 @@ def test_bench_splitting():
         f"{rare['efficiency']}x; naive at "
         f"equal budget saw {rare['naive_observed_events']} events"
     )
-    print(f"  report written to {OUTPUT_PATH}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -266,7 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     report = collect(smoke=args.smoke, workers=args.workers)
-    failed = _failures(report, smoke=args.smoke)
     for name in ("smoke", "rare"):
         if name not in report:
             continue
@@ -279,13 +262,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"efficiency {entry['efficiency']}x, "
             f"{entry['seconds']}s"
         )
-    if not args.smoke:
-        write_report(report)
-        print(f"wrote {OUTPUT_PATH}")
-    if failed:
-        print("FAILURES:\n" + "\n".join(failed))
-        return 1
-    return 0
+    if args.smoke:
+        # A smoke run has only the smoke rows to meet, and records
+        # nothing.
+        failed = failures(
+            [g for g in GATES if g.path.startswith("smoke.")], report
+        )
+        for failure in failed:
+            print(f"FAIL: {failure}", file=sys.stderr)
+    else:
+        failed = record(GATES, report, OUTPUT_PATH)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -19,12 +19,12 @@ as a plain script (``python benchmarks/bench_workloads.py``).
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 import time
 from pathlib import Path
 
-from gates import Gate, failures
+from gates import Gate, record
 from repro.distributions import Exponential, Pareto
 from repro.sim.random import make_generator
 from repro.workload import MMPPGenerator, TraceReplay, fit_trace
@@ -122,15 +122,9 @@ def collect() -> dict:
     return {"replay": _replay_case(), "fit": _fit_case()}
 
 
-def write_report(report: dict, path: Path = OUTPUT_PATH) -> Path:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def test_workload_benchmarks(benchmark):
     report = benchmark.pedantic(collect, rounds=1, iterations=1)
-    write_report(report)
-    failed = failures(GATES, report)
+    failed = record(GATES, report, OUTPUT_PATH)
     assert not failed, "\n".join(failed)
     replay = report["replay"]
     fit = report["fit"]
@@ -143,9 +137,7 @@ def test_workload_benchmarks(benchmark):
         f"{fit['points'][-1]['seconds']}s "
         f"(scaling exponent {fit['scaling_exponent']})"
     )
-    print(f"  report written to {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":
-    destination = write_report(collect())
-    print(f"wrote {destination}")
+    sys.exit(1 if record(GATES, collect(), OUTPUT_PATH) else 0)

@@ -18,15 +18,19 @@ the numbers they check.  A row names one number of the bench's
   through the bench's ``recheck()``, or any union of them.
 
 :func:`check` serves each bench's own test and ``main`` (the fresh
-run) and ``bench_regression.py`` (the committed file and the
-re-measure).  Wall-clock numbers carry no rows: they are report-only.
+run, through :func:`record`) and ``bench_regression.py`` (the committed
+file and the re-measure).  Wall-clock numbers carry no rows: they are
+report-only.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import operator
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -191,3 +195,19 @@ def failures(
         for verdict in check(gates, report, side, committed)
         if not verdict.passed
     ]
+
+
+def record(gates: Sequence[Gate], report: Any, path: Path) -> List[str]:
+    """Check *report*'s fresh rows, then write it to *path* only if they
+    all pass.
+
+    Returns the failure messages (also printed to stderr); on a failure
+    the file at *path* — the committed baseline — is left untouched.
+    """
+    failed = failures(gates, report)
+    for failure in failed:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if not failed:
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+    return failed

@@ -35,8 +35,8 @@ class Distribution:
     def sample_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw *size* durations in one vectorized call.
 
-        Used by the event-stream allocator (:mod:`repro.sim.streams`) to
-        refill per-event-type buffers: one numpy call amortises the
+        Used by :class:`repro.sim.streams.RunStreams` to refill one
+        run's per-event-type buffers: one numpy call amortises the
         per-draw overhead across a whole block.  The base implementation
         falls back to repeated scalar :meth:`sample` calls — exactly the
         stream a sequential consumer would see — so stateful

@@ -39,13 +39,7 @@ from .splitting import (
     split_replicate,
     tabulate_importance,
 )
-from .streams import (
-    EventStreamAllocator,
-    RunStreams,
-    independent_allocator,
-    normalize_stream_index,
-    paired_allocators,
-)
+from .streams import RunStreams
 from .trace import EventTraceRecorder, TraceEntry
 
 __all__ = [
@@ -84,11 +78,7 @@ __all__ = [
     "reward_importance",
     "split_replicate",
     "tabulate_importance",
-    "EventStreamAllocator",
     "RunStreams",
-    "independent_allocator",
-    "normalize_stream_index",
-    "paired_allocators",
     "EventTraceRecorder",
     "TraceEntry",
 ]

@@ -56,6 +56,7 @@ from ..lts.lts import LTS, Transition
 from ..distributions import Distribution, Exponential
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
+from .streams import GeneratorSampler
 
 #: Abort a run after this many consecutive zero-time firings.
 _MAX_IMMEDIATE_CHAIN = 100_000
@@ -319,12 +320,11 @@ class Simulator:
     def run(
         self,
         run_length: float,
-        rng: Optional[np.random.Generator],
+        rng,
         warmup: float = 0.0,
         start_state: Optional[int] = None,
         observer=None,
         start_clocks: Optional[Dict[str, float]] = None,
-        streams=None,
     ) -> SimulationResult:
         """Simulate one trajectory and estimate the measures.
 
@@ -336,11 +336,13 @@ class Simulator:
         a previous run's ``final_clocks``: events still enabled keep
         their residual clocks instead of being resampled.
 
-        ``streams`` (a :class:`repro.sim.streams.RunStreams`) switches
-        randomness from the single shared ``rng`` to per-event-type
-        substreams — the common-random-numbers discipline of the paired
-        replications and the splitting trees (docs/SIMULATION.md); with
-        ``streams`` set, ``rng`` may be ``None``.
+        ``rng`` is the run's one source of randomness: a sampler with
+        ``duration(name, distribution)`` and ``branch()`` methods — a
+        :class:`~repro.sim.streams.RunStreams` gives per-event-type
+        substreams, the common-random-numbers discipline of the paired
+        replications and the splitting trees (docs/SIMULATION.md) — or
+        a :class:`numpy.random.Generator`, which is wrapped in a
+        :class:`~repro.sim.streams.GeneratorSampler`.
 
         One loop over the compiled per-state tables: sojourn crediting,
         weighted branch choice and impulse collection are inlined.
@@ -353,8 +355,6 @@ class Simulator:
                 f"start_state {start_state} is not a state of the model "
                 f"(states 0..{self.lts.num_states - 1})"
             )
-        if rng is None and streams is None:
-            raise SimulationError("run() needs an rng or a streams sampler")
         started = time.perf_counter()
         time_weighted = [0.0] * len(self.measures)
         impulses = [0.0] * len(self.measures)
@@ -369,11 +369,10 @@ class Simulator:
         restart = self.clock_semantics == "restart"
         tables = self._tables
         compile_state = self._compile
-        if streams is not None:
-            duration = streams.duration
-            branch_uniform = streams.branch
-        else:
-            uniform = rng.uniform
+        if isinstance(rng, np.random.Generator):
+            rng = GeneratorSampler(rng)
+        duration = rng.duration
+        branch_uniform = rng.branch
         while now < end:
             try:
                 table = tables[state]
@@ -408,10 +407,8 @@ class Simulator:
                 if len(clocks) != len(events):
                     for name, event in events.items():
                         if name not in clocks:
-                            clocks[name] = (
-                                duration(name, event.distribution)
-                                if streams is not None
-                                else event.distribution.sample(rng)
+                            clocks[name] = duration(
+                                name, event.distribution
                             )
                 # Exact clock ties (deterministic timers) break by event
                 # name, lexicographically.
@@ -446,12 +443,7 @@ class Simulator:
             if choice.count == 1:
                 k = 0
             else:
-                pick = (
-                    branch_uniform() * choice.total
-                    if streams is not None
-                    else uniform(0.0, choice.total)
-                )
-                k = bisect_left(choice.cum, pick)
+                k = bisect_left(choice.cum, branch_uniform() * choice.total)
                 if k == choice.count:
                     k -= 1
             collected = choice.impulses[k]

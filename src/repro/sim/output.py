@@ -12,8 +12,8 @@ every protocol runs the one GSMP engine, :class:`~repro.sim.engine.Simulator`:
   ``(seed, run index)`` — the seed discipline every committed
   independent-replication result was produced under;
 * :func:`replicate_paired` evaluates two model variants (the paper's
-  DPM-on vs DPM-off comparisons) on per-event-type streams
-  (:class:`~repro.sim.streams.EventStreamAllocator`).  With **common
+  DPM-on vs DPM-off comparisons) on per-event-type streams, one
+  :class:`~repro.sim.streams.RunStreams` per run and variant.  With **common
   random numbers** both variants draw identical streams, so the two
   trajectories are positively correlated and the per-run
   *differences* — what Sect. 5's tables actually report — have far
@@ -45,7 +45,7 @@ from ..runtime.faults import FaultInjector
 from .engine import Simulator
 from .estimators import log_scale_interval, wilson_interval
 from .random import generator_for_run
-from .streams import EventStreamAllocator, independent_allocator
+from .streams import RunStreams
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -254,10 +254,12 @@ def _paired_chunk(
 ) -> List[Tuple[Dict[str, float], Dict[str, float]]]:
     """Run one chunk of paired replications (two model variants).
 
-    With ``crn`` the two variants draw from allocators with *identical*
-    stream parameters, so shared event types see the same durations run
-    by run; otherwise the second variant gets decorrelated streams (the
-    independent baseline the benchmarks compare against).
+    Run *k* of each variant draws from its own ``RunStreams(seed, k)``.
+    With ``crn`` both variants use the same seed, so shared event types
+    see the same durations run by run; otherwise the second variant's
+    seed is offset by ``0x5EEDC0DE``, which decorrelates its streams
+    from the first's (the independent baseline the benchmarks compare
+    against).
     """
     (
         lts_first, lts_second, measures, clock_semantics,
@@ -265,22 +267,17 @@ def _paired_chunk(
     ) = shared
     sim_first = Simulator(lts_first, measures, clock_semantics)
     sim_second = Simulator(lts_second, measures, clock_semantics)
-    alloc_first = EventStreamAllocator(seed, chunk)
-    alloc_second = (
-        EventStreamAllocator(seed, chunk)
-        if crn
-        else independent_allocator(seed, chunk)
-    )
+    seed_second = seed if crn else seed ^ 0x5EEDC0DE
     return [
         (
             sim_first.run(
-                run_length, None, warmup, streams=alloc_first.run_view(row)
+                run_length, RunStreams(seed, index), warmup
             ).measures,
             sim_second.run(
-                run_length, None, warmup, streams=alloc_second.run_view(row)
+                run_length, RunStreams(seed_second, index), warmup
             ).measures,
         )
-        for row in range(len(chunk))
+        for index in chunk
     ]
 
 

@@ -105,17 +105,19 @@ def splitting_event_generator(
 
     Rare-event splitting (:mod:`repro.sim.splitting`) runs each
     replication as a tree of weighted trajectories; every trajectory
-    occupies an allocator slot, and a clone spawned at a level
-    checkpoint takes a slot keyed by its globally unique ident so it
-    draws *fresh* randomness from the checkpoint on (a vacated slot key
-    is never reissued, so no stream is ever replayed).  Streams are
-    derived from ``(seed, run_index, slot key, name digest)`` under a
-    dedicated namespace — a pure function of the coordinates, so
-    splitting results are deterministic and worker-count invariant
-    exactly like plain replications.  The degenerate 1-split
-    configuration bypasses this namespace entirely and runs on the
-    plain :func:`event_generator` streams of its replication index,
-    which makes it bit-identical to naive replication.
+    draws from one slot, a :class:`~repro.sim.streams.RunStreams` with
+    index ``(run_index, slot)``.  A clone spawned at a level checkpoint
+    continues a slot that a merge vacated or opens a new one keyed by
+    its globally unique ident, so it draws *fresh* randomness from the
+    checkpoint on (a slot key is never reissued, so no stream is ever
+    replayed).  Streams are derived from ``(seed, run_index, slot key,
+    name digest)`` under a dedicated namespace — a pure function of the
+    coordinates, so splitting results are deterministic and
+    worker-count invariant exactly like plain replications.  The
+    degenerate 1-split configuration bypasses this namespace entirely
+    and runs on the plain :func:`event_generator` streams of its
+    replication index, which makes it bit-identical to naive
+    replication.
     """
     child = np.random.SeedSequence(
         seed,

@@ -21,8 +21,8 @@ per-event-type streams:
   fewer than ``splits`` trajectories splits its heaviest member (the
   clone inherits the checkpoint minus the *memoryless* exponential
   residuals — those are redrawn so siblings decorrelate immediately —
-  and occupies a fresh allocator slot whose substreams are keyed by the
-  clone's globally unique ident under the namespaced
+  and draws from a stream slot — a vacated one, or a new one keyed by
+  the clone's globally unique ident under the namespaced
   :func:`repro.sim.random.splitting_event_generator`), and any bin
   holding more than ``splits`` merges its two lightest members with a
   weight-proportional coin.  Splitting halves weights, merging sums
@@ -36,6 +36,10 @@ per-event-type streams:
   conditional probabilities ``P(level >= l | level >= l-1)`` — their
   product is the rare-set probability, with variance propagated on the
   log scale by :func:`repro.sim.output.summarize_rare`.
+
+Each slot is one :class:`~repro.sim.streams.RunStreams`; a tree keeps
+its slots in a list, appends one for a new key and cuts the list back
+to the live population after every resample.
 
 Determinism: every stream — event durations of any slot, and the
 per-tree resample coin — is a pure function of ``(seed, run index,
@@ -85,7 +89,7 @@ from .output import (
     summarize_rare,
 )
 from .random import splitting_event_generator
-from .streams import EventStreamAllocator
+from .streams import RunStreams
 
 __all__ = [
     "ImportanceFunction",
@@ -270,9 +274,9 @@ class SplittingResult:
 class _Trajectory:
     """One live trajectory of a splitting tree.
 
-    ``row`` is the trajectory's row in the tree's shared
-    :class:`EventStreamAllocator` — the per-row cursors give every
-    trajectory continuous substreams across segments.
+    ``row`` indexes the tree's slot list: the trajectory draws from
+    ``slots[row]``, a :class:`RunStreams` whose buffers carry over
+    from segment to segment, so its substreams are continuous.
     """
 
     __slots__ = ("ident", "weight", "state", "clocks", "row")
@@ -298,15 +302,18 @@ def _memoryless_events(lts: LTS) -> frozenset:
     Gaussian service times) are genuinely part of the GSMP state and
     are always inherited verbatim.
     """
-    names = set()
-    for transition in lts.transitions:
-        rate = transition.rate
-        if isinstance(rate, ExpRate) or (
+    columns = lts.columns
+    return frozenset(
+        event or columns.labels[label_id]
+        for rate, event, label_id in zip(
+            columns.rates, columns.events, columns.label_ids
+        )
+        if isinstance(rate, ExpRate)
+        or (
             isinstance(rate, GeneralRate)
             and isinstance(rate.distribution, Exponential)
-        ):
-            names.add(transition.event or transition.label)
-    return frozenset(names)
+        )
+    )
 
 
 def _resample(
@@ -315,8 +322,9 @@ def _resample(
     splits: int,
     coin: np.random.Generator,
     next_ident: int,
+    seed: int,
     run_index: int,
-    allocator: EventStreamAllocator,
+    slots: List[RunStreams],
     memoryless: frozenset,
 ) -> Tuple[List[_Trajectory], int, int, int]:
     """Fixed-effort resampling at one segment boundary.
@@ -336,16 +344,16 @@ def _resample(
        checkpoint (state + residual clocks, with memoryless residuals
        redrawn — see :func:`_memoryless_events`).
 
-    Clones draw from *slot* streams: allocator rows are a pool of
-    independent substreams keyed ``(run, slot)``, and a clone simply
-    occupies a free slot (or grows the pool), continuing that slot's
+    Clones draw from *slot* streams: *slots* is a pool of independent
+    :class:`RunStreams` keyed ``(run, slot)``, and a clone simply
+    occupies a free slot (or appends one), continuing that slot's
     stream where its previous occupant left off.  A continuation of an
     i.i.d. stream is fresh randomness never observed before, so the
     clone's future is independent of everything else in the tree —
     statistically identical to a per-clone stream, but without paying
     a generator construction and a block refill for every short-lived
     clone.  Compaction keeps live slots exactly ``0..n-1``, so the
-    allocator never holds more rows than the live population.
+    pool never holds more slots than the live population.
 
     All ordering is by weight then trajectory id, so the resample — and
     therefore the whole tree — is deterministic.
@@ -386,7 +394,8 @@ def _resample(
                 # for the tree's whole life, so a slot position freed by
                 # truncation can never resurrect an earlier slot's
                 # stream (which would replay observed randomness).
-                row = allocator.add_row((run_index, next_ident))
+                row = len(slots)
+                slots.append(RunStreams(seed, (run_index, next_ident)))
             clone = _Trajectory(
                 next_ident,
                 parent.weight,
@@ -413,7 +422,7 @@ def _resample(
     )
     for hole, trajectory in zip(holes, movers):
         trajectory.row = hole
-    allocator.truncate_rows(n)
+    del slots[n:]
     return survivors, spawned, merged, next_ident
 
 
@@ -457,10 +466,7 @@ def _grow_tree(
         # so skip the segment machinery entirely — one engine call,
         # naive replication on this run's streams.
         result = simulator.run(
-            run_length,
-            None,
-            warmup,
-            streams=EventStreamAllocator(seed, [run_index]).run_view(0),
+            run_length, RunStreams(seed, run_index), warmup
         )
         top = table[result.final_state]
         occupancy = [
@@ -479,7 +485,7 @@ def _grow_tree(
     coin = splitting_event_generator(
         seed, run_index, 0, RESAMPLE_STREAM
     )
-    allocator = EventStreamAllocator(seed, [(run_index, 0)])
+    slots = [RunStreams(seed, (run_index, 0))]
     trajectories = [_Trajectory(0, 1.0, None, None, 0)]
     next_ident = 1
     totals = {name: 0.0 for name in names}
@@ -488,17 +494,16 @@ def _grow_tree(
     peak = 1
     for segment in range(segments):
         segment_warmup = warmup if segment == 0 else 0.0
-        # Rows and live trajectories are one-to-one (_resample compacts
-        # after every boundary); row order fixes the accumulation order.
+        # Slots and live trajectories are one-to-one (_resample compacts
+        # after every boundary); slot order fixes the accumulation order.
         ordered = sorted(trajectories, key=lambda t: t.row)
         results = [
             simulator.run(
                 segment_length,
-                None,
+                slots[t.row],
                 segment_warmup,
                 start_state=t.state,
                 start_clocks=t.clocks,
-                streams=allocator.run_view(t.row),
             )
             for t in ordered
         ]
@@ -516,7 +521,7 @@ def _grow_tree(
         if segment < segments - 1:
             trajectories, spawned, removed, next_ident = _resample(
                 trajectories, table, splits, coin, next_ident,
-                run_index, allocator, memoryless,
+                seed, run_index, slots, memoryless,
             )
             clones += spawned
             merges += removed

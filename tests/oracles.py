@@ -70,12 +70,24 @@ are the historical per-object solve and measure loops.
 ``tests/test_ctmc_pattern.py`` pins the compiled-pattern CTMC of
 :mod:`repro.ctmc.chain` (rates, label counts, BSCCs, ``pi`` and every
 measure value) to them with ``==``.
+
+:class:`EventStreamAllocator` is the historical multi-row stream store,
+verbatim but for the ``rebind_row`` no protocol called: 2-D block pools
+with per-row cursors, rows added and truncated as a splitting tree
+grows, and one :class:`AllocatorRunView` per row as the engine's
+sampler.  :func:`paired_chunk_reference` and :func:`grow_tree_reference`
+are the paired-replication chunk and the splitting-tree growth that ran
+on it.  ``tests/test_streams.py`` pins
+:class:`~repro.sim.streams.RunStreams`, the paired chunks of
+:func:`~repro.sim.output.replicate_paired` and the slot lists of
+:mod:`repro.sim.splitting` to them with ``==``.
 """
 
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -134,6 +146,9 @@ from repro.sim.engine import (
     Simulator,
     horizon_due,
 )
+from repro.sim.random import event_generator, splitting_event_generator
+from repro.sim.splitting import RESAMPLE_STREAM
+from repro.sim.streams import BRANCH_STREAM
 
 
 @dataclass
@@ -1524,3 +1539,490 @@ def disjoint_union_reference(first, second):
             transition.weight,
         )
     return union, first.initial, second.initial + offset
+
+
+# -- the multi-row stream allocator and the protocols that ran on it ---------
+
+#: Durations pre-drawn per (run, event type, distribution) buffer row.
+#: Block size never changes the numbers drawn (a stream is the
+#: concatenation of its blocks) — only the refill amortisation.
+DEFAULT_BLOCK = 256
+
+
+def normalize_stream_index(index):
+    """Canonical form of one allocator row index.
+
+    Plain replications use an ``int`` run index; splitting trajectories
+    (:mod:`repro.sim.splitting`) use a ``(run, trajectory)`` pair that
+    selects the namespaced substreams of
+    :func:`repro.sim.random.splitting_event_generator`.  Both forms are
+    pure stream coordinates: the same index draws the same numbers in
+    every process and for any batch composition.
+    """
+    if isinstance(index, tuple):
+        run, trajectory = index
+        return (int(run), int(trajectory))
+    return int(index)
+
+
+class _Pool:
+    """Buffered samples for one (event type, distribution) pair.
+
+    ``buf[row]`` holds the next pre-drawn durations of run *row*;
+    ``cur[row]`` is the consumption cursor (``block`` means exhausted —
+    rows start exhausted so the first draw triggers a lazily seeded
+    refill).
+    """
+
+    __slots__ = ("buf", "cur")
+
+    def __init__(self, runs: int, block: int):
+        self.buf = np.empty((runs, block), float)
+        self.cur = np.full(runs, block, np.int64)
+
+
+class EventStreamAllocator:
+    """Per-(run, event-type) buffered substreams for a set of runs.
+
+    *run_indices* are the absolute replication indices the rows map to:
+    row ``i`` of every pool draws from streams derived from
+    ``(seed, run_indices[i], name)``.  A parallel worker holding rows
+    ``[8..15]`` therefore produces exactly the numbers the serial
+    execution would for those runs.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        run_indices: Sequence[int],
+        block: int = DEFAULT_BLOCK,
+    ):
+        self.seed = int(seed)
+        self.run_indices = [
+            normalize_stream_index(i) for i in run_indices
+        ]
+        self.block = int(block)
+        if self.block < 1:
+            raise ValueError(f"block must be >= 1, got {block}")
+        self._gens: Dict[Tuple[int, str], np.random.Generator] = {}
+        self._pools: Dict[Tuple[str, Distribution], _Pool] = {}
+        self._branch: Optional[_Pool] = None
+
+    @property
+    def runs(self) -> int:
+        """Number of rows (runs) this allocator serves."""
+        return len(self.run_indices)
+
+    # -- stream plumbing ---------------------------------------------------
+
+    def _generator(self, row: int, name: str) -> np.random.Generator:
+        """The (lazily created) generator behind one (row, name) stream."""
+        key = (row, name)
+        gen = self._gens.get(key)
+        if gen is None:
+            index = self.run_indices[row]
+            if isinstance(index, tuple):
+                run, trajectory = index
+                gen = splitting_event_generator(
+                    self.seed, run, trajectory, name
+                )
+            else:
+                gen = event_generator(self.seed, index, name)
+            self._gens[key] = gen
+        return gen
+
+    def _refill(
+        self, pool: _Pool, row: int, name: str, distribution: Distribution
+    ) -> None:
+        pool.buf[row] = distribution.sample_block(
+            self._generator(row, name), self.block
+        )
+        pool.cur[row] = 0
+
+    def _pool(self, name: str, distribution: Distribution) -> _Pool:
+        key = (name, distribution)
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = _Pool(self.runs, self.block)
+            self._pools[key] = pool
+        return pool
+
+    # -- durations ---------------------------------------------------------
+
+    def take_one(
+        self, row: int, name: str, distribution: Distribution
+    ) -> float:
+        """The next duration of event type *name* in row *row*."""
+        pool = self._pool(name, distribution)
+        cur = pool.cur[row]
+        if cur >= self.block:
+            self._refill(pool, row, name, distribution)
+            cur = 0
+        value = pool.buf[row, cur]
+        pool.cur[row] = cur + 1
+        return float(value)
+
+    # -- branch picks ------------------------------------------------------
+
+    def _branch_pool(self) -> _Pool:
+        if self._branch is None:
+            self._branch = _Pool(self.runs, self.block)
+        return self._branch
+
+    def _refill_branch(self, pool: _Pool, row: int) -> None:
+        pool.buf[row] = self._generator(row, BRANCH_STREAM).random(
+            self.block
+        )
+        pool.cur[row] = 0
+
+    def branch_one(self, row: int) -> float:
+        """The next branch-pick uniform in ``[0, 1)`` of row *row*."""
+        pool = self._branch_pool()
+        cur = pool.cur[row]
+        if cur >= self.block:
+            self._refill_branch(pool, row)
+            cur = 0
+        value = pool.buf[row, cur]
+        pool.cur[row] = cur + 1
+        return float(value)
+
+    # -- dynamic rows (splitting trees) ------------------------------------
+
+    def add_row(self, index) -> int:
+        """Append a row for *index*; returns the new row id.
+
+        Grows every existing pool by one (exhausted) row, so the first
+        draw lazily refills from the new index's generators.  Used by
+        :mod:`repro.sim.splitting` when a resampling step clones a
+        trajectory: the clone gets a fresh ``(run, trajectory)`` stream
+        coordinate without touching any other row's cursor.
+        """
+        row = len(self.run_indices)
+        self.run_indices.append(normalize_stream_index(index))
+        for pool in self._pools.values():
+            self._ensure_row(pool, row)
+        if self._branch is not None:
+            self._ensure_row(self._branch, row)
+        for key in [k for k in self._gens if k[0] == row]:
+            del self._gens[key]
+        return row
+
+    def truncate_rows(self, rows: int) -> None:
+        """Drop every row at index >= *rows* (after compaction).
+
+        Only the logical row count shrinks — pool buffers keep their
+        capacity, and a recycled physical row is reset by
+        :meth:`add_row` before its next draw.
+        """
+        if rows >= len(self.run_indices):
+            return
+        del self.run_indices[rows:]
+        for key in [k for k in self._gens if k[0] >= rows]:
+            del self._gens[key]
+
+    def _ensure_row(self, pool: _Pool, row: int) -> None:
+        """Make *row* usable in *pool*: grow capacity (amortised
+        doubling), and mark the row exhausted so its first draw refills
+        from the current index's generator."""
+        have = pool.buf.shape[0]
+        if row >= have:
+            capacity = max(row + 1, 2 * have)
+            buf = np.empty((capacity, self.block), float)
+            buf[:have] = pool.buf
+            cur = np.full(capacity, self.block, np.int64)
+            cur[:have] = pool.cur
+            pool.buf, pool.cur = buf, cur
+        pool.cur[row] = self.block
+
+    # -- per-run facade ----------------------------------------------------
+
+    def run_view(self, row: int) -> "AllocatorRunView":
+        """The sampler ``Simulator.run`` takes for one row."""
+        return AllocatorRunView(self, row)
+
+
+class AllocatorRunView:
+    """One run's view of an allocator: the engine's sampler (the
+    historical ``RunStreams(allocator, row)``).
+
+    The trajectory depends only on the allocator parameters and the
+    row's stream index.
+    """
+
+    __slots__ = ("allocator", "row")
+
+    def __init__(self, allocator: EventStreamAllocator, row: int):
+        self.allocator = allocator
+        self.row = row
+
+    def duration(self, name: str, distribution: Distribution) -> float:
+        """Next duration of event type *name* in this run."""
+        return self.allocator.take_one(self.row, name, distribution)
+
+    def branch(self) -> float:
+        """Next branch-pick uniform in ``[0, 1)`` for this run."""
+        return self.allocator.branch_one(self.row)
+
+
+def independent_allocator(
+    seed: int, run_indices: Sequence[int], block: int = DEFAULT_BLOCK
+) -> EventStreamAllocator:
+    """An allocator decorrelated from ``seed`` (independent baseline).
+
+    Used by benchmarks and tests that compare paired against independent
+    runs at the same event budget: the offset keeps every stream disjoint
+    from the CRN-paired ones with the original seed.
+    """
+    return EventStreamAllocator(seed ^ 0x5EEDC0DE, run_indices, block)
+
+
+def paired_chunk_reference(
+    shared: Any, chunk: Tuple[int, ...]
+) -> List[Tuple[Dict[str, float], Dict[str, float]]]:
+    """Run one chunk of paired replications (two model variants).
+
+    With ``crn`` the two variants draw from allocators with *identical*
+    stream parameters, so shared event types see the same durations run
+    by run; otherwise the second variant gets decorrelated streams (the
+    independent baseline the benchmarks compare against).
+    """
+    (
+        lts_first, lts_second, measures, clock_semantics,
+        run_length, warmup, seed, crn,
+    ) = shared
+    sim_first = Simulator(lts_first, measures, clock_semantics)
+    sim_second = Simulator(lts_second, measures, clock_semantics)
+    alloc_first = EventStreamAllocator(seed, chunk)
+    alloc_second = (
+        EventStreamAllocator(seed, chunk)
+        if crn
+        else independent_allocator(seed, chunk)
+    )
+    return [
+        (
+            sim_first.run(
+                run_length, alloc_first.run_view(row), warmup
+            ).measures,
+            sim_second.run(
+                run_length, alloc_second.run_view(row), warmup
+            ).measures,
+        )
+        for row in range(len(chunk))
+    ]
+
+
+class _ReferenceTrajectory:
+    """One live trajectory of a splitting tree.
+
+    ``row`` is the trajectory's row in the tree's shared
+    :class:`EventStreamAllocator` — the per-row cursors give every
+    trajectory continuous substreams across segments.
+    """
+
+    __slots__ = ("ident", "weight", "state", "clocks", "row")
+
+    def __init__(self, ident, weight, state, clocks, row):
+        self.ident = ident
+        self.weight = weight
+        self.state = state
+        self.clocks = clocks
+        self.row = row
+
+
+def _resample_reference(
+    trajectories: List[_ReferenceTrajectory],
+    table: Sequence[int],
+    splits: int,
+    coin: np.random.Generator,
+    next_ident: int,
+    run_index: int,
+    allocator: EventStreamAllocator,
+    memoryless: frozenset,
+) -> Tuple[List[_ReferenceTrajectory], int, int, int]:
+    """Fixed-effort resampling at one segment boundary.
+
+    Bins trajectories by current level, then runs two deterministic
+    passes:
+
+    1. **Merge** every bin down to its cap — ``splits`` for rare bins,
+       1 for the base bin (the event budget belongs to excursions, not
+       to redundant copies of the typical behaviour a naive estimator
+       already covers cheaply).  A merge is weight-conserving roulette
+       between the two lightest members: the survivor is chosen with
+       probability proportional to weight and takes the summed weight,
+       so every weighted estimate stays unbiased.
+    2. **Split** every non-empty rare bin up to ``splits`` members: the
+       heaviest member halves its weight into a clone that inherits the
+       checkpoint (state + residual clocks, with memoryless residuals
+       redrawn — see :func:`repro.sim.splitting._memoryless_events`).
+
+    Clones draw from *slot* streams: allocator rows are a pool of
+    independent substreams keyed ``(run, slot)``, and a clone simply
+    occupies a free slot (or grows the pool), continuing that slot's
+    stream where its previous occupant left off.  A continuation of an
+    i.i.d. stream is fresh randomness never observed before, so the
+    clone's future is independent of everything else in the tree —
+    statistically identical to a per-clone stream, but without paying
+    a generator construction and a block refill for every short-lived
+    clone.  Compaction keeps live slots exactly ``0..n-1``, so the
+    allocator never holds more rows than the live population.
+
+    All ordering is by weight then trajectory id, so the resample — and
+    therefore the whole tree — is deterministic.
+    """
+    bins: Dict[int, List[_ReferenceTrajectory]] = {}
+    for trajectory in trajectories:
+        bins.setdefault(table[trajectory.state], []).append(trajectory)
+    free_rows: List[int] = []
+    spawned = merged = 0
+    for level in sorted(bins):
+        group = bins[level]
+        cap = 1 if level == 0 else splits
+        while len(group) > cap:
+            group.sort(key=lambda t: (t.weight, t.ident))
+            light, other = group[0], group[1]
+            total = light.weight + other.weight
+            pick = float(coin.random())
+            keep = light if pick * total < light.weight else other
+            lost = other if keep is light else light
+            keep.weight = total
+            free_rows.append(lost.row)
+            group = [keep] + group[2:]
+            merged += 1
+        bins[level] = group
+    free_rows.sort()
+    for level in sorted(bins):
+        if level == 0:
+            continue
+        group = bins[level]
+        while 0 < len(group) < splits:
+            group.sort(key=lambda t: (-t.weight, t.ident))
+            parent = group[0]
+            parent.weight /= 2.0
+            if free_rows:
+                row = free_rows.pop(0)
+            else:
+                # New slot keys are the spawning clone's ident — unique
+                # for the tree's whole life, so a slot position freed by
+                # truncation can never resurrect an earlier slot's
+                # stream (which would replay observed randomness).
+                row = allocator.add_row((run_index, next_ident))
+            clone = _ReferenceTrajectory(
+                next_ident,
+                parent.weight,
+                parent.state,
+                {
+                    name: value
+                    for name, value in parent.clocks.items()
+                    if name not in memoryless
+                },
+                row,
+            )
+            next_ident += 1
+            group.append(clone)
+            spawned += 1
+    survivors = [t for level in sorted(bins) for t in bins[level]]
+    survivors.sort(key=lambda t: t.ident)
+    # Compact slots to 0..n-1: a survivor on a high slot adopts a free
+    # low slot (continuing that slot's stream — same independence
+    # argument as clone placement), and the tail is dropped.
+    n = len(survivors)
+    holes = sorted(row for row in free_rows if row < n)
+    movers = sorted(
+        (t for t in survivors if t.row >= n), key=lambda t: t.row
+    )
+    for hole, trajectory in zip(holes, movers):
+        trajectory.row = hole
+    allocator.truncate_rows(n)
+    return survivors, spawned, merged, next_ident
+
+
+def grow_tree_reference(
+    simulator: Simulator, shared: Any, run_index: int
+) -> Dict[str, Any]:
+    (
+        _, measures, _, run_length, warmup, seed,
+        levels, splits, segments, table, memoryless,
+    ) = shared
+    names = [m.name for m in measures]
+
+    if splits <= 1:
+        # Degenerate configuration: no clone or merge can ever happen,
+        # so skip the segment machinery entirely — one engine call,
+        # naive replication on this run's streams.
+        result = simulator.run(
+            run_length,
+            EventStreamAllocator(seed, [run_index]).run_view(0),
+            warmup,
+        )
+        top = table[result.final_state]
+        occupancy = [
+            1.0 if level <= top else 0.0 for level in range(levels + 1)
+        ]
+        return {
+            "measures": dict(result.measures),
+            "occupancy": occupancy,
+            "events": result.events_fired,
+            "clones": 0,
+            "merges": 0,
+            "peak": 1,
+        }
+
+    segment_length = run_length / segments
+    coin = splitting_event_generator(
+        seed, run_index, 0, RESAMPLE_STREAM
+    )
+    allocator = EventStreamAllocator(seed, [(run_index, 0)])
+    trajectories = [_ReferenceTrajectory(0, 1.0, None, None, 0)]
+    next_ident = 1
+    totals = {name: 0.0 for name in names}
+    occupancy = [0.0] * (levels + 1)
+    events = clones = merges = 0
+    peak = 1
+    for segment in range(segments):
+        segment_warmup = warmup if segment == 0 else 0.0
+        # Rows and live trajectories are one-to-one (_resample compacts
+        # after every boundary); row order fixes the accumulation order.
+        ordered = sorted(trajectories, key=lambda t: t.row)
+        results = [
+            simulator.run(
+                segment_length,
+                allocator.run_view(t.row),
+                segment_warmup,
+                start_state=t.state,
+                start_clocks=t.clocks,
+            )
+            for t in ordered
+        ]
+        for trajectory, result in zip(ordered, results):
+            trajectory.state = result.final_state
+            trajectory.clocks = result.final_clocks
+            events += result.events_fired
+            for name in names:
+                totals[name] += (
+                    trajectory.weight * result.measures[name]
+                )
+            top = table[trajectory.state]
+            for level in range(top + 1):
+                occupancy[level] += trajectory.weight / segments
+        if segment < segments - 1:
+            trajectories, spawned, removed, next_ident = _resample_reference(
+                trajectories, table, splits, coin, next_ident,
+                run_index, allocator, memoryless,
+            )
+            clones += spawned
+            merges += removed
+            peak = max(peak, len(trajectories))
+    return {
+        # Each segment contributes 1/segments of the measured horizon,
+        # so the per-tree estimate is the segment-mean of the weighted
+        # time averages.
+        "measures": {
+            name: totals[name] / segments for name in names
+        },
+        "occupancy": occupancy,
+        "events": events,
+        "clones": clones,
+        "merges": merges,
+        "peak": peak,
+    }

@@ -18,7 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import bench_regression  # noqa: E402
-from gates import ALL, COMMITTED, RECHECK, RULES, check, resolve  # noqa: E402
+from gates import (  # noqa: E402
+    ALL,
+    COMMITTED,
+    RECHECK,
+    RULES,
+    Gate,
+    check,
+    record,
+    resolve,
+)
 
 TABLES = {bench.OUTPUT_PATH.name: bench.GATES
           for bench in bench_regression.BENCHES}
@@ -123,3 +132,14 @@ def test_fill_count_pins_the_pivot_order():
     moved["fig4"]["fill_ops"] += 1
     [verdict] = check([gate], moved, RECHECK, committed)
     assert not verdict.passed
+
+
+def test_record_writes_only_a_passing_report(tmp_path):
+    """A fresh run that fails a row leaves the baseline file as it was."""
+    gates = [Gate("x", ">=", 1)]
+    path = tmp_path / "BENCH_x.json"
+    path.write_text("committed\n")
+    assert record(gates, {"x": 0}, path) == ["x = 0 fails >= 1"]
+    assert path.read_text() == "committed\n"
+    assert record(gates, {"x": 2}, path) == []
+    assert json.loads(path.read_text()) == {"x": 2}

@@ -3,7 +3,7 @@
 CRN pairs (:func:`~repro.sim.output.replicate_paired`) and splitting
 trees (:func:`~repro.sim.splitting.split_replicate`) run
 :class:`~repro.sim.engine.Simulator` on per-event-type streams
-(:meth:`~repro.sim.streams.EventStreamAllocator.run_view`).  The values
+(one :class:`~repro.sim.streams.RunStreams` per run).  The values
 in ``sim_pins.json`` were recorded while these protocols still ran on
 the vectorized kernel, whose trajectories were bit-identical to the
 reference engine's on shared streams; every test here compares with
@@ -44,10 +44,8 @@ from repro.distributions import Normal
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 from repro.sim import (
-    EventStreamAllocator,
+    RunStreams,
     Simulator,
-    independent_allocator,
-    paired_allocators,
     replicate,
     replicate_paired,
     split_replicate,
@@ -72,7 +70,7 @@ def _rpc_model(variant, shutdown_timeout=None):
 
 
 def _trajectory(simulator, run_length, warmup, streams):
-    result = simulator.run(run_length, None, warmup, streams=streams)
+    result = simulator.run(run_length, streams, warmup)
     return {
         "measures": result.measures,
         "events_fired": result.events_fired,
@@ -89,7 +87,7 @@ def _tree_roots(lts, measures, run_length, warmup, seed, runs):
     return [
         _trajectory(
             simulator, run_length, warmup,
-            EventStreamAllocator(seed, [index]).run_view(0),
+            RunStreams(seed, index),
         )
         for index in range(runs)
     ]
@@ -173,20 +171,16 @@ def _paired(crn, workers=1):
         lts_dpm, lts_nodpm, measures, run_length, runs=runs,
         warmup=warmup, seed=SEED, crn=crn, workers=workers,
     )
-    first_streams = EventStreamAllocator(SEED, range(runs))
-    second_streams = (
-        EventStreamAllocator(SEED, range(runs))
-        if crn
-        else independent_allocator(SEED, range(runs))
-    )
+    # The independent baseline offsets the second variant's seed.
+    second_seed = SEED if crn else SEED ^ 0x5EEDC0DE
     runs_of = {}
-    for key, lts, streams in (
-        ("first", lts_dpm, first_streams),
-        ("second", lts_nodpm, second_streams),
+    for key, lts, seed in (
+        ("first", lts_dpm, SEED),
+        ("second", lts_nodpm, second_seed),
     ):
         simulator = Simulator(lts, measures)
         runs_of[key] = [
-            _trajectory(simulator, run_length, warmup, streams.run_view(row))
+            _trajectory(simulator, run_length, warmup, RunStreams(seed, row))
             for row in range(runs)
         ]
     return {
@@ -267,12 +261,14 @@ def test_streams_and_per_run_generators_agree_statistically(case):
 
 class TestCommonRandomNumbers:
     def test_paired_allocators_share_streams(self):
-        first, second = paired_allocators(SEED, range(3))
+        """The two variants of run *i* hold separate ``RunStreams``
+        (each consumes at its own pace) over identical substreams."""
         dist = Normal(1.0, 0.2)
-        for row in range(3):
+        for run in range(3):
+            first, second = RunStreams(SEED, run), RunStreams(SEED, run)
             assert [
-                first.take_one(row, "E.event", dist) for _ in range(5)
-            ] == [second.take_one(row, "E.event", dist) for _ in range(5)]
+                first.duration("E.event", dist) for _ in range(5)
+            ] == [second.duration("E.event", dist) for _ in range(5)]
 
     def test_crn_narrows_delta_intervals(self):
         """CRN pairing beats independent pairing at equal event budget.

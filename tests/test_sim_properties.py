@@ -1,6 +1,6 @@
 """Property-based tests of the simulation engine (hypothesis).
 
-Three laws the engine on per-event-type streams and the stream allocator
+Three laws the engine on per-event-type streams and the run streams
 must obey on *randomly generated* models and parameters, not just the
 case studies:
 
@@ -12,7 +12,7 @@ case studies:
   changes keeps counting down (a deterministic timer fires at its
   scheduled absolute time no matter how many other events interleave);
   ``restart`` semantics resamples and fires late.
-* **Stream identity.**  Allocator draws depend only on
+* **Stream identity.**  Stream draws depend only on
   ``(seed, run index, event-type name)`` — never on the order in which
   event types are first touched, or on which other event types exist.
 
@@ -37,7 +37,7 @@ from repro.distributions import (
 )
 from repro.lts import LTS
 from repro.sim import (
-    EventStreamAllocator,
+    RunStreams,
     Simulator,
     event_generator,
     event_stream_key,
@@ -49,16 +49,15 @@ MEASURES = [
 ]
 
 
-def _streamed(simulator, run_length, allocator, resume=None):
-    """One run on row 0 of *allocator*, continuing *resume* if given."""
+def _streamed(simulator, run_length, streams, resume=None):
+    """One run on *streams*, continuing *resume* if given."""
     if resume is None:
-        return simulator.run(run_length, None, streams=allocator.run_view(0))
+        return simulator.run(run_length, streams)
     return simulator.run(
         run_length,
-        None,
+        streams,
         start_state=resume.final_state,
         start_clocks=resume.final_clocks,
-        streams=allocator.run_view(0),
     )
 
 
@@ -102,10 +101,10 @@ class TestClockCarry:
         horizon = 40.0
         boundary = split * horizon
         simulator = Simulator(model, MEASURES)
-        full = _streamed(simulator, horizon, EventStreamAllocator(seed, [0]))
-        alloc = EventStreamAllocator(seed, [0])
-        head = _streamed(simulator, boundary, alloc)
-        tail = _streamed(simulator, horizon - boundary, alloc, head)
+        full = _streamed(simulator, horizon, RunStreams(seed, 0))
+        streams = RunStreams(seed, 0)
+        head = _streamed(simulator, boundary, streams)
+        tail = _streamed(simulator, horizon - boundary, streams, head)
         assert head.events_fired + tail.events_fired == full.events_fired
         assert tail.final_state == full.final_state
         assert set(tail.final_clocks) == set(full.final_clocks)
@@ -135,10 +134,10 @@ class TestClockCarry:
                 label,
             )
         simulator = Simulator(lts, MEASURES)
-        full = _streamed(simulator, 40.0, EventStreamAllocator(0, [0]))
-        alloc = EventStreamAllocator(0, [0])
-        head = _streamed(simulator, 20.0, alloc)
-        tail = _streamed(simulator, 20.0, alloc, head)
+        full = _streamed(simulator, 40.0, RunStreams(0, 0))
+        streams = RunStreams(0, 0)
+        head = _streamed(simulator, 20.0, streams)
+        tail = _streamed(simulator, 20.0, streams, head)
         assert head.events_fired + tail.events_fired == full.events_fired
         assert tail.final_state == full.final_state
 
@@ -182,9 +181,8 @@ class TestEnablingMemory:
 
         Simulator(model, TIMER_MEASURES).run(
             timeout * 3,
-            None,
+            RunStreams(seed, 0),
             observer=observer,
-            streams=EventStreamAllocator(seed, [0]).run_view(0),
         )
         assert firings, "det timer never fired within 3 timeouts"
         assert firings[0] == pytest.approx(timeout, rel=1e-12)
@@ -196,9 +194,8 @@ class TestEnablingMemory:
 
         Simulator(model, TIMER_MEASURES, "restart").run(
             timeout * 3,
-            None,
+            RunStreams(seed, 0),
             observer=restart_observer,
-            streams=EventStreamAllocator(seed, [0]).run_view(0),
         )
         hops_before = [
             when for when, label in restarted if label == "hop"
@@ -227,14 +224,14 @@ class TestStreamIdentity:
     def test_draws_independent_of_touch_order(self, seed, run, names):
         """Touching event types in any order yields identical streams."""
         dist = Exponential(1.0)
-        forward = EventStreamAllocator(seed, [run])
-        backward = EventStreamAllocator(seed, [run])
+        forward = RunStreams(seed, run)
+        backward = RunStreams(seed, run)
         first = {
-            name: [forward.take_one(0, name, dist) for _ in range(3)]
+            name: [forward.duration(name, dist) for _ in range(3)]
             for name in names
         }
         second = {
-            name: [backward.take_one(0, name, dist) for _ in range(3)]
+            name: [backward.duration(name, dist) for _ in range(3)]
             for name in reversed(names)
         }
         assert first == second
@@ -244,11 +241,11 @@ class TestStreamIdentity:
     def test_streams_unaffected_by_other_event_types(self, seed, run):
         """Adding an event type to a model reshuffles nobody else."""
         dist = Uniform(0.0, 1.0)
-        small = EventStreamAllocator(seed, [run])
-        large = EventStreamAllocator(seed, [run])
-        large.take_one(0, "Z.newcomer", dist)
-        assert [small.take_one(0, "S.serve", dist) for _ in range(4)] == [
-            large.take_one(0, "S.serve", dist) for _ in range(4)
+        small = RunStreams(seed, run)
+        large = RunStreams(seed, run)
+        large.duration("Z.newcomer", dist)
+        assert [small.duration("S.serve", dist) for _ in range(4)] == [
+            large.duration("S.serve", dist) for _ in range(4)
         ]
 
 

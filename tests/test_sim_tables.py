@@ -45,7 +45,7 @@ from repro.lts import LTS
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 from repro.sim import (
-    EventStreamAllocator,
+    RunStreams,
     Simulator,
     split_replicate,
 )
@@ -132,21 +132,16 @@ def test_case_studies_match_oracle(case, variant, semantics):
 @pytest.mark.parametrize("variant", ["dpm", "replay"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_shared_streams_match_oracle(case, variant):
-    """CRN streams: each run draws from its own allocator row."""
+    """CRN streams: each run draws from its own ``RunStreams``."""
     lts = _model(case, variant)
     new, old = _both(lts, _family(case).measures)
     run_length, warmup = HORIZON[case]
-    new_streams = EventStreamAllocator(SEED, range(3))
-    old_streams = EventStreamAllocator(SEED, range(3))
-    for row in range(3):
+    for run in range(3):
         _assert_same(
-            _run(
-                new, run_length, None, warmup,
-                streams=new_streams.run_view(row),
-            ),
+            _run(new, run_length, RunStreams(SEED, run), warmup),
             _run(
                 old, run_length, None, warmup,
-                streams=old_streams.run_view(row),
+                streams=RunStreams(SEED, run),
             ),
         )
 
@@ -231,16 +226,14 @@ def test_immediate_and_event_branch_weights_match_oracle(seed):
         _run(new, 300.0, np.random.default_rng(seed), 7.3),
         _run(old, 300.0, np.random.default_rng(seed), 7.3),
     )
-    allocator_new = EventStreamAllocator(seed, [0])
-    allocator_old = EventStreamAllocator(seed, [0])
     _assert_same(
-        _run(new, 300.0, None, 7.3, streams=allocator_new.run_view(0)),
-        _run(old, 300.0, None, 7.3, streams=allocator_old.run_view(0)),
+        _run(new, 300.0, RunStreams(seed, 0), 7.3),
+        _run(old, 300.0, None, 7.3, streams=RunStreams(seed, 0)),
     )
 
 
 class _ScriptedStreams:
-    """A ``streams`` stand-in: every duration is its distribution's mean
+    """A sampler stand-in: every duration is its distribution's mean
     and the branch uniforms cycle through *uniforms*."""
 
     def __init__(self, uniforms):
@@ -260,7 +253,7 @@ def test_branch_picks_on_prefix_sum_boundaries_match_oracle():
     1/2 and 2/3 of 6); the timed split 0.25/0.75 at pick 0.25."""
     uniforms = [0.5, 0.25, 2 / 3, 0.0, 1.0, 1.5, 0.25, 0.9]
     new, old = _both(_branching_lts(), BRANCH_MEASURES)
-    new_out = _run(new, 60.0, None, streams=_ScriptedStreams(uniforms))
+    new_out = _run(new, 60.0, _ScriptedStreams(uniforms))
     old_out = _run(old, 60.0, None, streams=_ScriptedStreams(uniforms))
     _assert_same(new_out, old_out)
     labels = {label for _, label, _ in new_out[1]}
@@ -411,13 +404,9 @@ def test_hypothesis_draws_match_oracle(
     lts = _model("rpc", "dpm")
     new, old = _both(lts, _family("rpc").measures)
     if shared_streams:
-        new_out = _run(
-            new, run_length, None, warmup,
-            streams=EventStreamAllocator(seed, [0]).run_view(0),
-        )
+        new_out = _run(new, run_length, RunStreams(seed, 0), warmup)
         old_out = _run(
-            old, run_length, None, warmup,
-            streams=EventStreamAllocator(seed, [0]).run_view(0),
+            old, run_length, None, warmup, streams=RunStreams(seed, 0)
         )
     else:
         new_out = _run(new, run_length, np.random.default_rng(seed), warmup)

@@ -3,9 +3,9 @@
 Covers the layer's contracts: the degenerate configuration collapses
 bit-identically to naive replication on the per-event-type streams,
 results are worker-count invariant, the estimator's interval covers the
-analytic CTMC probability, weight is conserved, and the allocator's
-dynamic-row machinery (slot streams) never replays a stream.  The
-literal values are pinned in ``tests/test_sim_pins.py``.
+analytic CTMC probability, weight is conserved, and a tree's slot
+streams never replay a stream.  The literal values are pinned in
+``tests/test_sim_pins.py``.
 """
 
 import json
@@ -23,14 +23,15 @@ from repro.errors import SimulationError
 from repro.lts import LTS
 from repro.obs import MetricRegistry, render_prometheus, use_registry
 from repro.sim import (
-    EventStreamAllocator,
     ImportanceFunction,
+    RunStreams,
     Simulator,
     reward_importance,
     split_replicate,
     splitting_event_generator,
     tabulate_importance,
 )
+from repro.sim.streams import _BLOCK as BLOCK
 
 #: Literal protocol values (``tests/test_sim_pins.py``).
 PINS = json.loads(Path(__file__).with_name("sim_pins.json").read_text())
@@ -164,10 +165,7 @@ class TestDegenerateCollapse:
         else:
             simulator = Simulator(lts, abort_measures())
             runs = [
-                simulator.run(
-                    400.0, None, 20.0,
-                    streams=EventStreamAllocator(97, [run]).run_view(0),
-                )
+                simulator.run(400.0, RunStreams(97, run), 20.0)
                 for run in range(6)
             ]
             naive = {
@@ -302,65 +300,58 @@ class TestInvariantProperties:
 
 
 class TestAllocatorDynamicRows:
-    """Slot-stream invariants the splitting layer depends on."""
+    """Slot-stream invariants the splitting layer depends on: a tree's
+    slots are a list of :class:`RunStreams`, appended for a new key and
+    cut back after compaction."""
 
-    def _drain(self, allocator, row, name, count):
-        view = allocator.run_view(row)
+    def _drain(self, streams, name, count):
         dist = Exponential(1.0)
-        return [view.duration(name, dist) for _ in range(count)]
+        return [streams.duration(name, dist) for _ in range(count)]
 
     def test_streams_cross_block_boundaries_byte_identically(self):
-        # Satellite: a stream drained one draw at a time across
-        # several block refills must match a second allocator drained
-        # in one sweep — the cursor/refill logic cannot skew bytes.
-        one = EventStreamAllocator(5, [(2, 7)])
-        two = EventStreamAllocator(5, [(2, 7)])
-        block = one.block
-        count = 2 * block + block // 2 + 3
-        first = self._drain(one, 0, "C.expire_timeout", count)
+        # A stream drained one draw at a time across several block
+        # refills, interleaved with another event type's draws, must
+        # match a second one drained in one sweep — the buffer refill
+        # logic cannot skew bytes.
+        one = RunStreams(5, (2, 7))
+        two = RunStreams(5, (2, 7))
+        count = 2 * BLOCK + BLOCK // 2 + 3
+        first = self._drain(one, "C.expire_timeout", count)
         interleaved = []
-        other_view = two.run_view(0)
         dist = Exponential(1.0)
         for index in range(count):
-            interleaved.append(
-                two.run_view(0).duration("C.expire_timeout", dist)
-            )
+            interleaved.append(two.duration("C.expire_timeout", dist))
             if index % 3 == 0:
-                other_view.duration("C.receive_result", dist)
+                two.duration("C.receive_result", dist)
         assert first == interleaved
 
     def test_restart_at_exact_block_boundary_neither_skips_nor_redraws(self):
-        # Satellite bugfix pin: a trajectory restarted when the stream
-        # cursor sits exactly at the block edge (cursor == block, the
+        # A trajectory restarted when its buffer is exactly used up (the
         # refill trigger) must continue with the sample an
         # uninterrupted run would have drawn next.
-        paused = EventStreamAllocator(5, [(2, 7)])
-        whole = EventStreamAllocator(5, [(2, 7)])
-        block = paused.block
-        prefix = self._drain(paused, 0, "C.abort", block)
-        sweep = self._drain(whole, 0, "C.abort", block + 5)
-        assert prefix == sweep[:block]
-        # ...checkpoint/restart happens here, cursor == block...
-        continuation = self._drain(paused, 0, "C.abort", 5)
-        assert continuation == sweep[block:]
+        paused = RunStreams(5, (2, 7))
+        whole = RunStreams(5, (2, 7))
+        prefix = self._drain(paused, "C.abort", BLOCK)
+        sweep = self._drain(whole, "C.abort", BLOCK + 5)
+        assert prefix == sweep[:BLOCK]
+        # ...checkpoint/restart happens here, buffer exhausted...
+        continuation = self._drain(paused, "C.abort", 5)
+        assert continuation == sweep[BLOCK:]
 
     def test_engine_segmented_restart_matches_uninterrupted_run(self):
         # Engine-level byte identity: running one trajectory in two
         # segments — restarting from (final_state, final_clocks) on
-        # the same allocator — reproduces the uninterrupted run.
+        # the same streams — reproduces the uninterrupted run.
         lts = cascade_lts(3)
         simulator = Simulator(lts, abort_measures())
-        whole = simulator.run(
-            100.0, None, streams=EventStreamAllocator(9, [0]).run_view(0)
-        )
-        allocator = EventStreamAllocator(9, [0])
-        first = simulator.run(50.0, None, streams=allocator.run_view(0))
+        whole = simulator.run(100.0, RunStreams(9, 0))
+        streams = RunStreams(9, 0)
+        first = simulator.run(50.0, streams)
         second = simulator.run(
             50.0,
-            None,
+            streams,
             start_state=first.final_state,
             start_clocks=first.final_clocks,
-            streams=allocator.run_view(0),
         )
         assert second.final_state == whole.final_state
         assert (
@@ -377,49 +368,41 @@ class TestAllocatorDynamicRows:
 
     def test_slot_key_defines_the_stream(self):
         # The same (run, slot) key yields the same stream wherever the
-        # row physically lives.
-        tall = EventStreamAllocator(5, [(1, 0), (1, 5), (1, 9)])
-        short = EventStreamAllocator(5, [(1, 9)])
-        assert self._drain(tall, 2, "C.abort", 10) == self._drain(
-            short, 0, "C.abort", 10
+        # slot sits in the list and whatever its neighbours drew.
+        tall = [RunStreams(5, (1, key)) for key in (0, 5, 9)]
+        self._drain(tall[0], "C.abort", 3)
+        self._drain(tall[1], "C.abort", 3)
+        short = [RunStreams(5, (1, 9))]
+        assert self._drain(tall[2], "C.abort", 10) == self._drain(
+            short[0], "C.abort", 10
         )
 
     def test_add_row_opens_a_fresh_slot_stream(self):
-        allocator = EventStreamAllocator(5, [(1, 0)])
-        self._drain(allocator, 0, "C.abort", 7)
-        row = allocator.add_row((1, 3))
-        fresh = EventStreamAllocator(5, [(1, 3)])
-        assert self._drain(allocator, row, "C.abort", 10) == self._drain(
-            fresh, 0, "C.abort", 10
+        slots = [RunStreams(5, (1, 0))]
+        self._drain(slots[0], "C.abort", 7)
+        slots.append(RunStreams(5, (1, 3)))
+        fresh = RunStreams(5, (1, 3))
+        assert self._drain(slots[1], "C.abort", 10) == self._drain(
+            fresh, "C.abort", 10
         )
 
     def test_truncate_then_new_key_never_replays(self):
-        allocator = EventStreamAllocator(5, [(1, 0)])
-        first_row = allocator.add_row((1, 1))
-        burned = self._drain(allocator, first_row, "C.abort", 5)
-        allocator.truncate_rows(1)
-        second_row = allocator.add_row((1, 2))
-        assert second_row == first_row  # physical row reused...
-        fresh = self._drain(allocator, second_row, "C.abort", 5)
+        slots = [RunStreams(5, (1, 0))]
+        slots.append(RunStreams(5, (1, 1)))
+        burned = self._drain(slots[1], "C.abort", 5)
+        del slots[1:]
+        slots.append(RunStreams(5, (1, 2)))
+        assert len(slots) == 2  # slot position reused...
+        fresh = self._drain(slots[1], "C.abort", 5)
         assert fresh != burned  # ...but the stream is new
-        # And the surviving row's stream is untouched by the churn.
-        quiet = EventStreamAllocator(5, [(1, 0)])
-        assert self._drain(allocator, 0, "C.abort", 8) == self._drain(
-            quiet, 0, "C.abort", 8
-        )
-
-    def test_rebind_row_restarts_the_stream_under_the_new_key(self):
-        allocator = EventStreamAllocator(5, [(1, 0), (1, 1)])
-        self._drain(allocator, 1, "C.abort", 5)
-        allocator.rebind_row(1, (1, 8))
-        fresh = EventStreamAllocator(5, [(1, 8)])
-        assert self._drain(allocator, 1, "C.abort", 6) == self._drain(
-            fresh, 0, "C.abort", 6
+        # And the surviving slot's stream is untouched by the churn.
+        quiet = RunStreams(5, (1, 0))
+        assert self._drain(slots[0], "C.abort", 8) == self._drain(
+            quiet, "C.abort", 8
         )
 
     def test_composite_keys_dispatch_to_splitting_namespace(self):
-        allocator = EventStreamAllocator(5, [(4, 2)])
-        drawn = self._drain(allocator, 0, "C.abort", 4)
+        drawn = self._drain(RunStreams(5, (4, 2)), "C.abort", 4)
         generator = splitting_event_generator(5, 4, 2, "C.abort")
         expected = [
             Exponential(1.0).sample(generator) for _ in range(4)
