@@ -13,6 +13,7 @@ sizes are gated, their seconds printed).
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from repro.aemilia import generate_lts
@@ -154,10 +155,11 @@ def _seconds(fn, repeats):
 def test_skeleton_compile_layers(streaming_archi):
     """The per-skeleton work of a Markovian ``awake_period`` sweep.
 
-    The sizes are exact: the skeleton, its tangible/vanishing split, and
-    the 506 positions whose rate reads ``awake_period`` (the only ones a
-    relabel evaluates).  A relabel shares every column but the rates, and
-    the skeleton's elimination plan.  The seconds are printed only.
+    The sizes are exact: the skeleton, its tangible/vanishing split, the
+    elimination plan's flat arrays, and the 506 positions whose rate
+    reads ``awake_period`` (the only ones a relabel evaluates).  A
+    relabel shares every column but the rates, and the skeleton's
+    elimination plan.  The seconds are printed only.
     """
     generate_s, skeleton = _seconds(
         lambda: generate_parametric(streaming_archi), 3
@@ -168,6 +170,16 @@ def test_skeleton_compile_layers(streaming_archi):
     assert (len(tangible), len(vanishing)) == (1_782, 8_789)
     plan_s, plan = _seconds(lambda: EliminationPlan(lts), 3)
     assert plan.tangible == tangible
+    # The plan's flat arrays: the tangible states' transitions (the
+    # walk), the paths they resolve to (the contributions), the entries
+    # those merge into, and the distinct label-count maps the
+    # contributions share.
+    into_tangible = ~np.isin(lts.arrays()[2][plan.walk], vanishing)
+    assert (plan.walk.size, into_tangible.sum()) == (7_876, 3_993)
+    assert plan.walk.size - into_tangible.sum() == 3_883
+    assert plan.reads.size == 8_822
+    assert (plan.pattern.sources.size, len(plan._merged)) == (8_587, 228)
+    assert len(plan.count_maps) == 31
 
     env = streaming_archi.bind_constants({"awake_period": 28.185})
     relabel_s, relabeled = _seconds(lambda: skeleton.relabel(env), 9)

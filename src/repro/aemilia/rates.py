@@ -63,9 +63,10 @@ class PassiveRate(Rate):
     is_active = False
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not (self.weight > 0) or not math.isfinite(self.weight):
             raise SpecificationError(
-                f"passive weight must be positive, got {self.weight}"
+                f"passive weight must be positive and finite, got "
+                f"{self.weight}"
             )
         if self.priority < 0:
             raise SpecificationError(
@@ -106,9 +107,10 @@ class ImmediateRate(Rate):
             raise SpecificationError(
                 f"immediate priority must be >= 1, got {self.priority}"
             )
-        if self.weight <= 0:
+        if not (self.weight > 0) or not math.isfinite(self.weight):
             raise SpecificationError(
-                f"immediate weight must be positive, got {self.weight}"
+                f"immediate weight must be positive and finite, got "
+                f"{self.weight}"
             )
 
     def __str__(self) -> str:

@@ -405,7 +405,6 @@ def _capture_chain(
     """
     watched = dependent | {parameter}
     plan = elimination_plan(lts)
-    order, offsets = lts.row_lists()
     rates = lts.columns.rates
 
     # The recurrent class is structural: the plan's pattern caches it.
@@ -467,9 +466,9 @@ def _capture_chain(
         for j, m in enumerate(table.measures)
         if m.has_trans_clauses()
     ]
-    #: label counts, in order -> each rewarded measure's reward (the
+    #: label-count map id -> each rewarded measure's reward (the
     #: resolved contributions share a few dozen distinct label counts).
-    rewards_of: Dict[tuple, Tuple[float, ...]] = {}
+    rewards_of: Dict[int, Tuple[float, ...]] = {}
 
     def add_contribution(
         source_position: int,
@@ -477,16 +476,17 @@ def _capture_chain(
         constant: float,
         atom: Optional[int],
         coefficient: float,
-        counts: Mapping[str, float],
+        count_id: int,
     ) -> None:
-        """One CTMC transition contribution (already vanishing-resolved)."""
-        labels = tuple(counts.items())
-        rewards = rewards_of.get(labels)
+        """One CTMC transition contribution (already vanishing-resolved)
+        with the plan's label counts ``count_id``."""
+        rewards = rewards_of.get(count_id)
         if rewards is None:
             impulses = [
-                (count, table.impulses(label)) for label, count in labels
+                (count, table.impulses(label))
+                for label, count in plan.count_maps[count_id].items()
             ]
-            rewards = rewards_of[labels] = tuple(
+            rewards = rewards_of[count_id] = tuple(
                 sum(count * row[j] for count, row in impulses)
                 for j, _ in rewarded
             )
@@ -516,12 +516,24 @@ def _capture_chain(
         else:
             entry[1][atom] = entry[1].get(atom, 0.0) + coefficient
 
-    for source_position, ctmc_state in enumerate(recurrent):
-        state = plan.tangible[ctmc_state]
-        for position, resolved in zip(
-            order[offsets[state]:offsets[state + 1]],
-            plan.contributions[ctmc_state],
-        ):
+    # The plan's contributions out of the recurrent class, in order;
+    # each transition's contributions are adjacent.
+    sources = plan.pattern.sources[plan.entries]
+    in_class = np.zeros(plan.pattern.num_states, bool)
+    in_class[recurrent] = True
+    chosen = np.flatnonzero(in_class[sources])
+    walk = plan.walk.tolist()
+    read = -1
+    for walked, source, target, probability, count_id in zip(
+        plan.reads[chosen].tolist(),
+        sources[chosen].tolist(),
+        plan.targets[chosen].tolist(),
+        plan.probabilities[chosen].tolist(),
+        plan.count_ids[chosen].tolist(),
+    ):
+        if walked != read:
+            read = walked
+            position = walk[walked]
             prov = provenance[position]
             parametric = (
                 prov is not None
@@ -538,15 +550,14 @@ def _capture_chain(
                 atom = None
                 multiplier = 0.0
                 constant = rates[position].rate
-            for target, probability, counts in resolved:
-                add_contribution(
-                    source_position,
-                    position_of[target],
-                    constant * probability,
-                    atom,
-                    multiplier * probability,
-                    counts,
-                )
+        add_contribution(
+            position_of[source],
+            position_of[target],
+            constant * probability,
+            atom,
+            multiplier * probability,
+            count_id,
+        )
 
     # Evaluate the atoms on the node grid and validate they stay
     # positive, finite rates over the whole sweep domain (a pole or

@@ -10,6 +10,12 @@ enabled labels and the state descriptions.  The cases are both case
 studies (DPM and NO-DPM), the battery extension and a fuzz corpus of
 specimen models and random rate-labelled LTSs, each at its skeleton and
 at three relabeled points.
+
+The plan itself (its flat contribution arrays, the interned label-count
+maps, the entry numbering and the compiled pattern) is pinned with
+``==`` to the historical plan (:class:`tests.oracles.ReferenceEliminationPlan`:
+a depth-first resolver per call, a tuple of contributions per tangible
+state and a second walk compiling the pattern), errors included.
 """
 
 import pickle
@@ -23,11 +29,21 @@ from repro.aemilia.expressions import BinaryOp, Literal, Variable
 from repro.aemilia.rates import ExpSpec, ImmediateSpec
 from repro.aemilia.semantics import RateProvenance, generate_lts
 from repro.casestudies.rpc import battery
-from repro.ctmc.build import build_ctmc, elimination_plan
-from repro.errors import MarkovianError, SemanticsError
+from repro.ctmc.build import EliminationPlan, build_ctmc, elimination_plan
+from repro.aemilia.rates import ImmediateRate, PassiveRate
+from repro.errors import (
+    ImmediateCycleError,
+    MarkovianError,
+    SemanticsError,
+    SpecificationError,
+)
 from repro.lts import LTS, LTSColumns
 from repro.runtime import ParametricLTS, generate_parametric
-from tests.oracles import build_ctmc_reference, relabel_reference
+from tests.oracles import (
+    ReferenceEliminationPlan,
+    build_ctmc_reference,
+    relabel_reference,
+)
 
 TINY_SPEC = """
 ARCHI_TYPE Tiny(const real fire_rate := 1.0)
@@ -332,3 +348,268 @@ def test_plans_are_not_pickled(mm1k):
     assert elimination_plan(shipped.lts) is not plan
     relabeled = shipped.relabel(mm1k.bind_constants({"service_rate": 3.0}))
     assert elimination_plan(relabeled) is elimination_plan(shipped.lts)
+
+
+# ---------------------------------------------------------------------------
+# The plan's arrays against the historical plan.
+# ---------------------------------------------------------------------------
+
+
+def plan_bits(plan):
+    """Everything a plan holds, in a form ``==`` compares exactly: the
+    flat contributions as ``(walk index, target, probability, label
+    counts in order)``, the entry numbering and merge replay, and every
+    field of the compiled pattern."""
+    pattern = plan.pattern
+    return (
+        plan.tangible,
+        plan.initial_distribution.tobytes(),
+        plan.enabled,
+        plan.walk.tobytes(),
+        [
+            (read, target, probability, tuple(plan.count_maps[i].items()))
+            for read, target, probability, i in zip(
+                plan.reads.tolist(), plan.targets.tolist(),
+                plan.probabilities.tolist(), plan.count_ids.tolist(),
+            )
+        ],
+        plan.reads.tobytes(),
+        plan.probabilities.tobytes(),
+        plan.entries.tobytes(),
+        plan._firsts.tobytes(),
+        plan._base_counts.tobytes(),
+        [
+            [(c, tuple(counts.items())) for c, counts in contributions]
+            for contributions in plan._merged
+        ],
+        plan._merged_slots.tobytes(),
+        pattern.num_states,
+        pattern.sources.tobytes(),
+        pattern.targets.tobytes(),
+        pattern.label_keys,
+        pattern.count_offsets.tobytes(),
+        pattern.enabled,
+        pattern.order.tobytes(),
+        pattern.row_offsets.tobytes(),
+    )
+
+
+def reference_plan_bits(plan):
+    """:func:`plan_bits` of the historical plan, whose contributions are
+    a tuple per tangible state of a tuple per transition."""
+    walked = 0
+    contributions = []
+    for row in plan.contributions:
+        for resolved in row:
+            contributions.extend(
+                (walked, target, probability, tuple(counts.items()))
+                for target, probability, counts in resolved
+            )
+            walked += 1
+    pattern = plan.pattern
+    return (
+        plan.tangible,
+        plan.initial_distribution.tobytes(),
+        plan.enabled,
+        plan.walk.tobytes(),
+        contributions,
+        plan._reads.tobytes(),
+        plan._probabilities.tobytes(),
+        plan._entries.tobytes(),
+        plan._firsts.tobytes(),
+        plan._base_counts.tobytes(),
+        [
+            [(c, tuple(counts.items())) for c, counts in contributions]
+            for contributions in plan._merged
+        ],
+        plan._merged_slots.tobytes(),
+        pattern.num_states,
+        pattern.sources.tobytes(),
+        pattern.targets.tobytes(),
+        pattern.label_keys,
+        pattern.count_offsets.tobytes(),
+        pattern.enabled,
+        pattern.order.tobytes(),
+        pattern.row_offsets.tobytes(),
+    )
+
+
+def plan_outcome(lts):
+    """(new plan's bits or error, historical plan's bits or error)."""
+    outcomes = []
+    for make, bits in (
+        (EliminationPlan, plan_bits),
+        (ReferenceEliminationPlan, reference_plan_bits),
+    ):
+        try:
+            outcomes.append(bits(make(lts)))
+        except MarkovianError as error:
+            outcomes.append((type(error), str(error)))
+    return outcomes
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_plan_arrays_match_the_reference_plan(
+    case, rpc_family, streaming_family, mm1k
+):
+    lts = generate_parametric(
+        _archi(case, rpc_family, streaming_family, mm1k)
+    ).lts
+    new, reference = plan_outcome(lts)
+    assert new == reference
+    plan = elimination_plan(lts)
+    # Each distinct label-count map is stored once.
+    assert len({tuple(m.items()) for m in plan.count_maps}) == len(
+        plan.count_maps
+    )
+    assert sorted(set(plan.count_ids.tolist())) == list(
+        range(len(plan.count_maps))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transitions, _vanishing, _flipped, st.integers(0, 5))
+def test_random_plan_arrays_match_the_reference_plan(
+    drawn, vanishing, flipped, initial
+):
+    """Cycles (reachable or not), a vanishing initial state, several
+    bottom components, mixed states and no tangible state: the same
+    arrays or the same error."""
+    new, reference = plan_outcome(
+        _skeleton(drawn, vanishing, flipped, initial).lts
+    )
+    assert new == reference
+
+
+def _immediate_lts(transitions, initial=0):
+    """An LTS from ``(source, target, label, rate)`` rows, rates given as
+    ``("exp", r)`` or ``("inf", w)``."""
+    skeleton = _skeleton([], set(), set(), initial)
+    lts = skeleton.lts
+    for source, target, label, (kind, value) in transitions:
+        spec = ExpSpec(Literal(value)) if kind == "exp" else ImmediateSpec(
+            Literal(1), Literal(value)
+        )
+        lts.add_transition(source, label, target, spec.evaluate({}), label)
+    return lts
+
+
+def test_a_vanishing_initial_state_and_two_bottom_components():
+    """State 0 is vanishing and splits over two absorbing tangible
+    cycles {1, 2} and {3, 4}, one reached through a second vanishing
+    state."""
+    lts = _immediate_lts([
+        (0, 1, "left", ("inf", 1.0)),
+        (0, 5, "right", ("inf", 3.0)),
+        (5, 3, "down", ("inf", 1.0)),
+        (1, 2, "a", ("exp", 1.0)),
+        (2, 1, "b", ("exp", 2.0)),
+        (3, 4, "c", ("exp", 1.0)),
+        (4, 5, "d", ("exp", 4.0)),
+    ])
+    new, reference = plan_outcome(lts)
+    assert new == reference
+    assert elimination_plan(lts).initial_distribution.tolist() == [
+        0.25, 0.0, 0.75, 0.0
+    ]
+    assert len(build_ctmc(lts).pattern.bsccs) == 2
+
+
+def test_an_immediate_cycle_names_the_state_the_depth_first_walk_meets():
+    """Two tangible transitions enter the vanishing cycle 2 -> 3 -> 4 -> 2
+    at different states; the error names the state the historical walk
+    from the first of them closes the cycle on."""
+    lts = _immediate_lts([
+        (0, 3, "into", ("exp", 1.0)),
+        (0, 2, "other", ("exp", 1.0)),
+        (1, 0, "back", ("exp", 1.0)),
+        (2, 3, "x", ("inf", 1.0)),
+        (3, 4, "y", ("inf", 1.0)),
+        (4, 2, "z", ("inf", 1.0)),
+        (4, 1, "out", ("inf", 1.0)),
+    ])
+    new, reference = plan_outcome(lts)
+    assert new == reference
+    assert new[0] is ImmediateCycleError
+    assert "state 3" in new[1]
+
+
+def test_an_unreachable_immediate_cycle_is_not_an_error():
+    lts = _immediate_lts([
+        (0, 1, "go", ("exp", 1.0)),
+        (1, 0, "back", ("exp", 2.0)),
+        (2, 3, "x", ("inf", 1.0)),
+        (3, 2, "y", ("inf", 1.0)),
+    ])
+    new, reference = plan_outcome(lts)
+    assert new == reference
+    assert isinstance(new, tuple) and len(new) > 2
+
+
+# ---------------------------------------------------------------------------
+# Immediate weights that cannot make a distribution.
+# ---------------------------------------------------------------------------
+
+WEIGHTS_SPEC = """
+ARCHI_TYPE Weights(const real rare_weight := 1.0,
+                   const real common_weight := 1.0)
+ARCHI_ELEM_TYPES
+ELEM_TYPE T_Type(void)
+  BEHAVIOR
+    Main(void; void) = <fire, exp(1.0)> . Branch();
+    Branch(void; void) = choice {
+      <rare, inf(1, rare_weight)> . Main(),
+      <common, inf(1, common_weight)> . Rest()
+    };
+    Rest(void; void) = <back, exp(1.0)> . Main()
+  INPUT_INTERACTIONS void
+  OUTPUT_INTERACTIONS void
+ARCHI_TOPOLOGY
+  ARCHI_ELEM_INSTANCES
+    X : T_Type()
+END
+"""
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+def test_non_finite_weights_are_rejected_at_construction(weight):
+    with pytest.raises(SpecificationError, match="positive and finite"):
+        ImmediateRate(1, weight)
+    with pytest.raises(SpecificationError, match="positive and finite"):
+        PassiveRate(0, weight)
+    with pytest.raises(SpecificationError, match="positive and finite"):
+        generate_lts(
+            parse_architecture(WEIGHTS_SPEC), {"rare_weight": weight}
+        )
+
+
+def test_a_branch_probability_that_underflows_names_its_state_and_label():
+    """``1e-300 / (1e-300 + 1e300)`` is 0.0.  The historical elimination
+    divided by it (``ZeroDivisionError``); the plan rejects the model."""
+    lts = generate_lts(
+        parse_architecture(WEIGHTS_SPEC),
+        {"rare_weight": 1e-300, "common_weight": 1e300},
+    )
+    with pytest.raises(ZeroDivisionError):
+        ReferenceEliminationPlan(lts)
+    with pytest.raises(MarkovianError) as raised:
+        build_ctmc(lts)
+    message = str(raised.value)
+    assert "'X.rare'" in message and "probability 0.0" in message
+    assert lts.state_info(lts.transitions[1].source) in message
+
+
+def test_a_path_probability_that_underflows_names_its_states():
+    """Each branch probability is 1e-200, but the path through both is
+    1e-400, which underflows to 0.0."""
+    lts = _immediate_lts([
+        (0, 1, "fire", ("exp", 1.0)),
+        (1, 2, "rare", ("inf", 1e-200)),
+        (1, 0, "common", ("inf", 1.0)),
+        (2, 3, "rarer", ("inf", 1e-200)),
+        (2, 0, "usual", ("inf", 1.0)),
+        (3, 0, "back", ("exp", 1.0)),
+    ])
+    with pytest.raises(MarkovianError, match="probability 0.0") as raised:
+        build_ctmc(lts)
+    assert "state 1" in str(raised.value) and "state 3" in str(raised.value)

@@ -159,7 +159,10 @@ def test_worker_spans_reach_the_parent_totals(phase, rpc_family):
     """Every span a worker closes is counted in the parent's
     ``runtime_stats()["timings"]``: the counts per name at
     ``workers=2`` are those of ``workers=1``, plus one pool-only
-    ``queue-wait`` span per submitted point."""
+    ``queue-wait`` span per submitted point.  The elimination plan is
+    compiled once per process that builds a chain (plans are never
+    pickled), so ``ctmc:plan`` counts the worker processes that ran a
+    Markovian point."""
     values = [0.5, 2.0, 11.0]
     counts = {}
     for workers in (1, 2):
@@ -182,5 +185,9 @@ def test_worker_spans_reach_the_parent_totals(phase, rpc_family):
             name: timing["count"] for name, timing in timings.items()
         }
     assert counts[2].pop("queue-wait") == len(values)
+    if phase == "markovian":
+        assert counts[1]["ctmc:plan"] == 1
+        assert 1 <= counts[2].pop("ctmc:plan") <= 2
+        counts[1].pop("ctmc:plan")
     assert counts[2] == counts[1]
     assert counts[1]["relabel"] == len(values)
