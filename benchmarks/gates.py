@@ -201,10 +201,26 @@ def record(gates: Sequence[Gate], report: Any, path: Path) -> List[str]:
     """Check *report*'s fresh rows, then write it to *path* only if they
     all pass.
 
+    The written report becomes the committed file, so it must also pass
+    the committed-side rows whose bound is a constant (such as a
+    contract ``overhead_ratio <= 1.05``): a run that fails one would
+    leave a file the committed gate then fails.  Rows bound to the
+    committed file itself (:data:`AS_COMMITTED`, ``band``) or to a
+    :class:`Field` say nothing before the file is written.
+
     Returns the failure messages (also printed to stderr); on a failure
     the file at *path* — the committed baseline — is left untouched.
     """
-    failed = failures(gates, report)
+    constant = [
+        gate
+        for gate in gates
+        if gate.on & COMMITTED
+        and not gate.on & FRESH
+        and gate.rule != "band"
+        and gate.bound != AS_COMMITTED
+        and not isinstance(gate.bound, Field)
+    ]
+    failed = failures(gates, report) + failures(constant, report, COMMITTED)
     for failure in failed:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failed:

@@ -206,31 +206,56 @@ def _pattern_rewards(
     if cached is not None:
         return cached
     table = RewardTable(measures)
-    terms: List[Tuple[List[int], List[int], List[float]]] = [
-        ([], [], []) for _ in measures
-    ]
-    offsets = pattern.count_offsets.tolist()
-    for entry, labels in enumerate(pattern.label_keys):
-        for slot, label in enumerate(labels, offsets[entry]):
-            for j, reward in enumerate(table.impulses(label)):
-                if reward:
-                    entries, slots, impulses = terms[j]
-                    entries.append(entry)
-                    slots.append(slot)
-                    impulses.append(reward)
     cached = pattern.rewards[measures] = _PatternRewards(
         tuple(j for j, m in enumerate(measures) if m.has_state_clauses()),
         _state_matrix(pattern.enabled, table).T.copy(),
-        tuple(
-            (
-                np.array(entries, dtype=np.intp),
-                np.array(slots, dtype=np.intp),
-                np.array(impulses, float),
-            )
-            for entries, slots, impulses in terms
-        ),
+        _transition_terms(pattern, table),
     )
     return cached
+
+
+def _transition_terms(
+    pattern: ChainPattern, table: RewardTable
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per measure, every entry's nonzero-impulse ``(entry, count slot,
+    impulse)`` terms, in entry then label order.
+
+    The entries share few distinct label-key tuples, so each tuple's
+    per-measure ``(slot offset, impulse)`` pairs are computed once and
+    numpy repeats them over the entries carrying it.
+    """
+    groups: Dict[Tuple[str, ...], int] = {}
+    group_of = np.array(
+        [groups.setdefault(keys, len(groups)) for keys in pattern.label_keys],
+        np.intp,
+    )
+    pairs: List[List[List[Tuple[int, float]]]] = [
+        [[] for _ in table.measures] for _ in groups
+    ]
+    for keys, group in groups.items():
+        for offset, label in enumerate(keys):
+            for j, reward in enumerate(table.impulses(label)):
+                if reward:
+                    pairs[group][j].append((offset, reward))
+    starts = pattern.count_offsets[:-1]
+    terms = []
+    for j in range(len(table.measures)):
+        flat = [pair for per_measure in pairs for pair in per_measure[j]]
+        sizes = np.array([len(p[j]) for p in pairs], np.intp)
+        counts = sizes[group_of]
+        entries = np.repeat(np.arange(len(group_of), dtype=np.intp), counts)
+        # Position of each term in its group's pair list, then in flat.
+        within = np.arange(len(entries), dtype=np.intp) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        firsts = (np.cumsum(sizes) - sizes)[group_of]
+        index = np.repeat(firsts, counts) + within
+        offsets = np.array([offset for offset, _ in flat], np.intp)
+        impulses = np.array([reward for _, reward in flat], float)
+        terms.append(
+            (entries, starts[entries] + offsets[index], impulses[index])
+        )
+    return tuple(terms)
 
 
 def evaluate_measure(

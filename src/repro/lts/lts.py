@@ -244,6 +244,7 @@ class LTS:
         self._row_views: Dict[int, Tuple[Transition, ...]] = {}
         self._kinds: Optional[np.ndarray] = None
         self._exp_rates: Optional[np.ndarray] = None
+        self._memo: Dict[object, object] = {}
 
     def _write(self) -> None:
         """Make the columns this LTS's own before a change, and forget
@@ -428,6 +429,26 @@ class LTS:
         column[positions] = [value(rates[p]) for p in positions]
         return column
 
+    def rerated_from(self) -> Optional[Tuple["LTS", frozenset]]:
+        """``(base, rows)`` while this LTS shares the columns of the LTS
+        it was re-rated from (see :meth:`rerated`): *rows* are the states
+        whose outgoing row holds a re-rated position, every other row is
+        the base's.  ``None`` otherwise (never re-rated, changed since,
+        or unpickled: the base is not pickled)."""
+        if not self._shares_base():
+            return None
+        return self._base, self._rerated_rows
+
+    def memo(self) -> Dict[object, object]:
+        """Data another layer derives from this LTS as it is now, keyed
+        by its owner (e.g. the simulator's compiled state tables).
+
+        Forgotten when the LTS changes; never pickled, and not shared
+        with a copy.
+        """
+        self._derived = True
+        return self._memo
+
     def _shares_base(self) -> bool:
         """Whether the base (see :meth:`rerated`) still holds the columns
         this LTS shares with it."""
@@ -546,10 +567,10 @@ class LTS:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        # Views, indexes and the base are rebuilt on demand; the key's
-        # derived data is per process.
+        # Views, indexes, memos and the base are rebuilt on demand; the
+        # key's derived data is per process.
         for name in ("_arrays", "_rows", "_row_lists", "_kinds",
-                     "_exp_rates", "_structure", "_base"):
+                     "_exp_rates", "_structure", "_base", "_memo"):
             state.pop(name, None)
         state["_row_views"] = {}
         return state
@@ -558,6 +579,7 @@ class LTS:
         self.__dict__.update(state)
         self._arrays = self._rows = self._row_lists = None
         self._kinds = self._exp_rates = self._structure = None
+        self._memo = {}
 
     def __str__(self) -> str:
         return (

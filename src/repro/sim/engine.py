@@ -22,9 +22,13 @@ generally distributed rates.  Semantics:
   segments, so without this rule a timer landing exactly on the horizon
   (a deterministic cycle) fires in one segmentation and not in another.
 
-Each state is compiled once, on its first visit, into a table: per event
-its distribution, branch targets, prefix-summed branch weights and each
-branch label's nonzero impulses, plus the state's nonzero reward rates.
+Each state is compiled once per skeleton, on its first visit by any
+simulator over it, into a table: per event its distribution, branch
+targets, prefix-summed branch weights and each branch label's nonzero
+impulses, plus the state's nonzero reward rates.  The tables are read
+from the LTS columns and kept in one store per LTS and measure set; the
+points of a rate sweep re-rated from one skeleton share its store for
+every row they do not re-rate, and compile the others per point.
 :meth:`Simulator.run` is one loop over those tables (docs/SIMULATION.md).
 
 The enabling-memory rule is what gives deterministic timeouts their correct
@@ -52,7 +56,7 @@ from ..aemilia.rates import (
 )
 from ..ctmc.measures import Measure, RewardTable
 from ..errors import SimulationError
-from ..lts.lts import LTS, Transition
+from ..lts.lts import LTS
 from ..distributions import Distribution, Exponential
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
@@ -161,8 +165,217 @@ class SimulationResult:
     final_clocks: Dict[str, float] = field(default_factory=dict)
 
 
+class _TableStore:
+    """The compiled state tables of one LTS and measure set, filled on
+    first request and shared by every :class:`Simulator` over that LTS
+    (:func:`_table_store`).
+
+    A store over an LTS that shares a base's columns
+    (:meth:`~repro.lts.lts.LTS.rerated_from`) compiles only the rows
+    holding a re-rated position; every other row's table comes from the
+    base's store, so it is compiled once per skeleton however many
+    points re-rate it.  Tables are compiled from the LTS columns; the
+    root store computes, once per label id, the label's nonzero
+    ``(measure, impulse)`` pairs and whether some ``TRANS_REWARD``
+    clause observes it, and counts the tables compiled (``compiled``).
+    """
+
+    __slots__ = (
+        "columns", "order", "offsets", "base", "rerated_rows",
+        "tables", "compiled", "rewards", "impulses", "observes",
+    )
+
+    def __init__(
+        self,
+        lts: LTS,
+        measures: Tuple[Measure, ...],
+        base: Optional["_TableStore"] = None,
+        rerated_rows: frozenset = frozenset(),
+    ):
+        # The columns, not the LTS: the store lives in the LTS's memo.
+        self.columns = lts.columns
+        self.order, self.offsets = lts.row_lists()
+        self.base = base
+        self.rerated_rows = rerated_rows
+        self.tables: Dict[int, _StateTable] = {}
+        if base is not None:
+            self.rewards = base.rewards
+            self.impulses = base.impulses
+            self.observes = base.observes
+            return
+        self.compiled = 0
+        self.rewards = RewardTable(measures)
+        labels = self.columns.labels
+        self.impulses: List[_Pairs] = [
+            _nonzero(self.rewards.impulses(label)) for label in labels
+        ]
+        self.observes: List[bool] = [
+            self.rewards.observes(label) for label in labels
+        ]
+
+    @property
+    def root(self) -> "_TableStore":
+        """The store of the skeleton, which counts every compile.
+
+        Computed, not kept: a root store naming itself would be a
+        reference cycle, and its tables would outlive the sweep until
+        the next full collection."""
+        return self if self.base is None else self.base.root
+
+    def table(self, state: int, simulated: LTS) -> _StateTable:
+        """The table of *state*, compiled on its first request
+        (*simulated*, the LTS being run, names the state in an error)."""
+        base = self.base
+        if base is None or state in self.rerated_rows:
+            table = self._compile(state, simulated)
+            self.root.compiled += 1
+        else:
+            table = base.tables.get(state)
+            if table is None:
+                table = base.table(state, simulated)
+        self.tables[state] = table
+        return table
+
+    def _choice(
+        self,
+        distribution: Optional[Distribution],
+        positions: List[int],
+        weights: List[float],
+        total: float,
+    ) -> _Choice:
+        cum: List[float] = []
+        acc = 0.0
+        for weight in weights:
+            acc += weight
+            cum.append(acc)
+        columns = self.columns
+        targets = columns.targets
+        label_ids = tuple([columns.label_ids[p] for p in positions])
+        impulses = self.impulses
+        return _Choice(
+            distribution,
+            len(cum),
+            total,
+            tuple(cum),
+            tuple([targets[p] for p in positions]),
+            label_ids,
+            tuple([impulses[i] for i in label_ids]),
+        )
+
+    def _compile(self, state: int, simulated: LTS) -> _StateTable:
+        columns = self.columns
+        labels, label_ids, rates = (
+            columns.labels, columns.label_ids, columns.rates
+        )
+        positions = self.order[self.offsets[state]:self.offsets[state + 1]]
+        rewards = self.rewards.state_rewards(
+            frozenset([labels[label_ids[p]] for p in positions])
+        )
+        immediate = [p for p in positions if type(rates[p]) is ImmediateRate]
+        if immediate:
+            if len(immediate) != len(positions):
+                raise SimulationError(
+                    f"state {simulated.state_info(state)} mixes immediate "
+                    f"and timed transitions"
+                )
+            weights = [rates[p].weight for p in immediate]
+            choice = self._choice(None, immediate, weights, sum(weights))
+            return _StateTable(choice, {}, rewards)
+        events = columns.events
+        grouped: Dict[str, Tuple[Distribution, List[int]]] = {}
+        for p in positions:
+            kind = type(rates[p])
+            if kind is PassiveRate:
+                raise SimulationError(
+                    f"passive transition {labels[label_ids[p]]!r} in state "
+                    f"{simulated.state_info(state)}: the timed model must "
+                    f"close every passive action"
+                )
+            if kind is ExpRate:
+                distribution: Distribution = Exponential(rates[p].rate)
+            elif kind is GeneralRate:
+                distribution = rates[p].distribution
+            else:
+                raise SimulationError(
+                    f"transition {labels[label_ids[p]]!r} has no usable "
+                    f"rate ({rates[p]!r})"
+                )
+            event_name = events[p] or labels[label_ids[p]]
+            if kind is ExpRate:
+                # The generator pre-splits exponential activities across
+                # probabilistic branches (exact for CTMCs).  A race of the
+                # split exponentials is statistically identical to the
+                # original activity (memorylessness), so each branch can
+                # be its own event; clock persistence is immaterial for
+                # exponentials.
+                event_name = f"{event_name}::exp{len(grouped)}"
+            event = grouped.get(event_name)
+            if event is None:
+                grouped[event_name] = (distribution, [p])
+            else:
+                if event[0] != distribution:
+                    raise SimulationError(
+                        f"event {event_name!r} in state "
+                        f"{simulated.state_info(state)} has branches with "
+                        f"different distributions ({event[0]} vs "
+                        f"{distribution})"
+                    )
+                event[1].append(p)
+        # Self-loops that no TRANS_REWARD clause counts never change the
+        # state: skip scheduling them entirely (pure speed-up).
+        # STATE_REWARD clauses look at *enabled* labels, which needs no
+        # firing.
+        targets, weights_column = columns.targets, columns.weights
+        observes = self.observes
+        scheduled = {}
+        for name, (distribution, branches) in grouped.items():
+            if all(
+                targets[p] == state and not observes[label_ids[p]]
+                for p in branches
+            ):
+                continue
+            weights = [weights_column[p] for p in branches]
+            total = weights[0]
+            for weight in weights[1:]:
+                total += weight
+            scheduled[name] = self._choice(
+                distribution, branches, weights, total
+            )
+        return _StateTable(None, scheduled, rewards)
+
+
+def _table_store(lts: LTS, measures: Tuple[Measure, ...]) -> _TableStore:
+    """The one table store of *lts* and *measures* (kept in the LTS's
+    :meth:`~repro.lts.lts.LTS.memo`, so forgotten when the LTS changes).
+
+    An LTS re-rated from a base gets a store over the base's store.
+    Keying on the LTS object, not on its structure key, matters: the
+    points of a rate sweep share their skeleton's key while their
+    exponential distributions differ.
+    """
+    memo = lts.memo()
+    key = (_TableStore, measures)
+    store = memo.get(key)
+    if store is None:
+        rerated = lts.rerated_from()
+        if rerated is None:
+            store = _TableStore(lts, measures)
+        else:
+            base, rows = rerated
+            store = _TableStore(
+                lts, measures, _table_store(base, measures), rows
+            )
+        memo[key] = store
+    return store
+
+
 class Simulator:
-    """Reusable simulator for one model (LTS) and measure set."""
+    """Reusable simulator for one model (LTS) and measure set.
+
+    Its per-state tables live in a store shared by every simulator over
+    the same LTS and measure set, and (for the rows not re-rated) over
+    every LTS re-rated from the same skeleton (:class:`_TableStore`).
+    """
 
     def __init__(
         self,
@@ -178,141 +391,25 @@ class Simulator:
         self.lts = lts
         self.measures = list(measures)
         self.clock_semantics = clock_semantics
+        self._bind()
+
+    def _bind(self) -> None:
+        """Take the table store of the LTS as it is now."""
+        self._memo = self.lts.memo()
+        self._store = _table_store(self.lts, tuple(self.measures))
         #: Shared by every run.
-        self.rewards = RewardTable(self.measures)
-        #: Every label a compiled branch fires, indexed by its label id.
-        self.labels: List[str] = []
-        #: ``label -> (label id, nonzero (measure, impulse) pairs)``.
-        self._label_entries: Dict[str, Tuple[int, _Pairs]] = {}
-        self._tables: Dict[int, _StateTable] = {}
+        self.rewards = self._store.rewards
+        #: The LTS label table; compiled branches carry its label ids.
+        self.labels: List[str] = self.lts.columns.labels
 
     # -- table compilation ---------------------------------------------------
 
-    def _label_entry(self, label: str) -> Tuple[int, _Pairs]:
-        """*label*'s id and nonzero ``(measure, impulse)`` pairs."""
-        entry = self._label_entries.get(label)
-        if entry is None:
-            entry = self._label_entries[label] = (
-                len(self.labels),
-                _nonzero(self.rewards.impulses(label)),
-            )
-            self.labels.append(label)
-        return entry
-
-    def _choice(
-        self,
-        distribution: Optional[Distribution],
-        transitions: List[Transition],
-        weights: List[float],
-        total: float,
-    ) -> _Choice:
-        cum: List[float] = []
-        targets: List[int] = []
-        label_ids: List[int] = []
-        impulses: List[_Pairs] = []
-        acc = 0.0
-        for transition, weight in zip(transitions, weights):
-            acc += weight
-            cum.append(acc)
-            targets.append(transition.target)
-            label_id, pairs = self._label_entry(transition.label)
-            label_ids.append(label_id)
-            impulses.append(pairs)
-        return _Choice(
-            distribution,
-            len(cum),
-            total,
-            tuple(cum),
-            tuple(targets),
-            tuple(label_ids),
-            tuple(impulses),
-        )
-
     def _compile(self, state: int) -> _StateTable:
-        """The table of *state*, compiled on its first visit."""
-        table = self._tables.get(state)
-        if table is not None:
-            return table
-        transitions = self.lts.outgoing(state)
-        rewards = self.rewards.state_rewards(
-            frozenset(t.label for t in transitions)
-        )
-        immediate = [
-            t for t in transitions if isinstance(t.rate, ImmediateRate)
-        ]
-        if immediate:
-            if len(immediate) != len(transitions):
-                raise SimulationError(
-                    f"state {self.lts.state_info(state)} mixes immediate "
-                    f"and timed transitions"
-                )
-            choice = self._choice(
-                None,
-                immediate,
-                [t.rate.weight for t in immediate],
-                sum(t.rate.weight for t in immediate),
-            )
-            table = self._tables[state] = _StateTable(choice, {}, rewards)
-            return table
-        grouped: Dict[str, Tuple[Distribution, List[Transition]]] = {}
-        for transition in transitions:
-            rate = transition.rate
-            if isinstance(rate, PassiveRate):
-                raise SimulationError(
-                    f"passive transition {transition.label!r} in state "
-                    f"{self.lts.state_info(state)}: the timed model must "
-                    f"close every passive action"
-                )
-            if isinstance(rate, ExpRate):
-                distribution: Distribution = Exponential(rate.rate)
-            elif isinstance(rate, GeneralRate):
-                distribution = rate.distribution
-            else:
-                raise SimulationError(
-                    f"transition {transition.label!r} has no usable rate "
-                    f"({rate!r})"
-                )
-            event_name = transition.event or transition.label
-            if isinstance(rate, ExpRate):
-                # The generator pre-splits exponential activities across
-                # probabilistic branches (exact for CTMCs).  A race of the
-                # split exponentials is statistically identical to the
-                # original activity (memorylessness), so each branch can
-                # be its own event; clock persistence is immaterial for
-                # exponentials.
-                event_name = f"{event_name}::exp{len(grouped)}"
-            event = grouped.get(event_name)
-            if event is None:
-                grouped[event_name] = (distribution, [transition])
-            else:
-                if event[0] != distribution:
-                    raise SimulationError(
-                        f"event {event_name!r} in state "
-                        f"{self.lts.state_info(state)} has branches with "
-                        f"different distributions ({event[0]} vs "
-                        f"{distribution})"
-                    )
-                event[1].append(transition)
-        # Self-loops that no TRANS_REWARD clause counts never change the
-        # state: skip scheduling them entirely (pure speed-up).
-        # STATE_REWARD clauses look at *enabled* labels, which needs no
-        # firing.
-        events = {}
-        for name, (distribution, branches) in grouped.items():
-            if all(
-                branch.source == branch.target
-                and not self.rewards.observes(branch.label)
-                for branch in branches
-            ):
-                continue
-            weights = [branch.weight for branch in branches]
-            total = weights[0]
-            for weight in weights[1:]:
-                total += weight
-            events[name] = self._choice(
-                distribution, branches, weights, total
-            )
-        table = self._tables[state] = _StateTable(None, events, rewards)
+        """The table of *state*, compiled on its first visit by any
+        simulator sharing the store."""
+        table = self._store.tables.get(state)
+        if table is None:
+            table = self._store.table(state, self.lts)
         return table
 
     # -- running -------------------------------------------------------------
@@ -355,7 +452,12 @@ class Simulator:
                 f"start_state {start_state} is not a state of the model "
                 f"(states 0..{self.lts.num_states - 1})"
             )
+        if self.lts.memo() is not self._memo:
+            # The LTS changed since this simulator took its store.
+            self._bind()
         started = time.perf_counter()
+        store = self._store
+        compiled_before = store.root.compiled
         time_weighted = [0.0] * len(self.measures)
         impulses = [0.0] * len(self.measures)
         state = self.lts.initial if start_state is None else start_state
@@ -367,7 +469,7 @@ class Simulator:
         immediate_chain = 0
         deadlocked = False
         restart = self.clock_semantics == "restart"
-        tables = self._tables
+        tables = store.tables
         compile_state = self._compile
         if isinstance(rng, np.random.Generator):
             rng = GeneratorSampler(rng)
@@ -459,7 +561,11 @@ class Simulator:
             for j, measure in enumerate(self.measures)
         }
         self._record_run_metrics(
-            fired, deadlocked, start_clocks, time.perf_counter() - started
+            fired,
+            deadlocked,
+            start_clocks,
+            time.perf_counter() - started,
+            store.root.compiled - compiled_before,
         )
         return SimulationResult(
             values, run_length, fired, state, deadlocked, dict(clocks)
@@ -471,16 +577,23 @@ class Simulator:
         deadlocked: bool,
         start_clocks: Optional[Dict[str, float]],
         elapsed: float,
+        compiled: int,
     ) -> None:
         """Always-on aggregate metrics (and a trace span) for one
-        completed run.
+        completed run; the span's ``compiled`` counts the state tables
+        the run compiled (0 when every state it visited was in the
+        store).
 
         A handful of counter bumps after the trajectory is done — the
         event loop itself is untouched, and the RNG stream never sees
         the instrumentation (docs/OBSERVABILITY.md).
         """
         tracing.record_span(
-            "engine:run", elapsed, events=fired, deadlocked=deadlocked
+            "engine:run",
+            elapsed,
+            events=fired,
+            deadlocked=deadlocked,
+            compiled=compiled,
         )
         registry = obs_metrics.get_registry()
         if not registry.enabled:

@@ -56,6 +56,13 @@ through per-firing helpers.  ``tests/test_sim_tables.py`` pins the
 single event loop over compiled per-state tables of
 :class:`~repro.sim.engine.Simulator` to it with ``==``.
 
+:class:`TransitionTableSimulator` is the historical table-compiling
+engine, verbatim: every simulator compiles each state it visits from
+that state's :class:`~repro.lts.lts.Transition` views and numbers the
+labels it fires in its own table.  ``tests/test_sim_skeleton_tables.py``
+pins the per-skeleton tables :class:`~repro.sim.engine.Simulator`
+compiles from the LTS columns to it with ``==``.
+
 :func:`gth_eliminate_reference` is the historical parametric GTH
 elimination, verbatim: a linear Markowitz ``min`` over the remaining
 states at every pivot and one numpy update per (source, target) fill
@@ -79,7 +86,9 @@ historical way (one ``add_transition`` per contribution), and
 are the historical per-object solve and measure loops.
 ``tests/test_ctmc_pattern.py`` pins the compiled-pattern CTMC of
 :mod:`repro.ctmc.chain` (rates, label counts, BSCCs, ``pi`` and every
-measure value) to them with ``==``.
+measure value) to them with ``==``, and the transition terms the
+measures read from a pattern to :func:`pattern_terms_reference`, the
+historical per-entry, per-label loop.
 
 :class:`EventStreamAllocator` is the historical multi-row stream store,
 verbatim but for the ``rebind_row`` no protocol called: 2-D block pools
@@ -95,6 +104,7 @@ on it.  ``tests/test_streams.py`` pins
 
 import time
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -152,15 +162,22 @@ from repro.errors import (
 from repro.lts.labels import TAU, local_label, matches_any
 from repro.lts.lts import LTS, Transition
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracing
 from repro.sim.engine import (
     _MAX_IMMEDIATE_CHAIN,
     SimulationResult,
     Simulator,
+    _Choice,
+    _credit,
+    _nonzero,
+    _Pairs,
+    _StateTable,
+    check_horizon,
     horizon_due,
 )
 from repro.sim.random import event_generator, splitting_event_generator
 from repro.sim.splitting import RESAMPLE_STREAM
-from repro.sim.streams import BRANCH_STREAM
+from repro.sim.streams import BRANCH_STREAM, GeneratorSampler
 
 
 @dataclass
@@ -476,6 +493,34 @@ def _state_matrix_reference(
         for state in range(ctmc.num_states)
     ]
     return np.array(rows, float).reshape(len(rows), len(table.measures))
+
+
+def pattern_terms_reference(
+    pattern: ChainPattern, measures: Sequence[Measure]
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The historical transition terms of ``_pattern_rewards``: one
+    :meth:`RewardTable.impulses` call per label of every entry."""
+    table = RewardTable(measures)
+    terms: List[Tuple[List[int], List[int], List[float]]] = [
+        ([], [], []) for _ in measures
+    ]
+    offsets = pattern.count_offsets.tolist()
+    for entry, labels in enumerate(pattern.label_keys):
+        for slot, label in enumerate(labels, offsets[entry]):
+            for j, reward in enumerate(table.impulses(label)):
+                if reward:
+                    entries, slots, impulses = terms[j]
+                    entries.append(entry)
+                    slots.append(slot)
+                    impulses.append(reward)
+    return tuple(
+        (
+            np.array(entries, dtype=np.intp),
+            np.array(slots, dtype=np.intp),
+            np.array(impulses, float),
+        )
+        for entries, slots, impulses in terms
+    )
 
 
 def evaluate_measures_reference(
@@ -1518,6 +1563,341 @@ class ReferenceSimulator:
             if pick <= acc:
                 return transition
         return transitions[-1]
+
+
+class TransitionTableSimulator:
+    """The engine that compiled each visited state from its
+    :class:`~repro.lts.lts.Transition` views, once per simulator."""
+
+    def __init__(
+        self,
+        lts: LTS,
+        measures: Sequence[Measure],
+        clock_semantics: str = "enabling_memory",
+    ):
+        if clock_semantics not in ("enabling_memory", "restart"):
+            raise SimulationError(
+                f"unknown clock semantics {clock_semantics!r} "
+                f"(use enabling_memory or restart)"
+            )
+        self.lts = lts
+        self.measures = list(measures)
+        self.clock_semantics = clock_semantics
+        #: Shared by every run.
+        self.rewards = RewardTable(self.measures)
+        #: Every label a compiled branch fires, indexed by its label id.
+        self.labels: List[str] = []
+        #: ``label -> (label id, nonzero (measure, impulse) pairs)``.
+        self._label_entries: Dict[str, Tuple[int, _Pairs]] = {}
+        self._tables: Dict[int, _StateTable] = {}
+
+    # -- table compilation ---------------------------------------------------
+
+    def _label_entry(self, label: str) -> Tuple[int, _Pairs]:
+        """*label*'s id and nonzero ``(measure, impulse)`` pairs."""
+        entry = self._label_entries.get(label)
+        if entry is None:
+            entry = self._label_entries[label] = (
+                len(self.labels),
+                _nonzero(self.rewards.impulses(label)),
+            )
+            self.labels.append(label)
+        return entry
+
+    def _choice(
+        self,
+        distribution: Optional[Distribution],
+        transitions: List[Transition],
+        weights: List[float],
+        total: float,
+    ) -> _Choice:
+        cum: List[float] = []
+        targets: List[int] = []
+        label_ids: List[int] = []
+        impulses: List[_Pairs] = []
+        acc = 0.0
+        for transition, weight in zip(transitions, weights):
+            acc += weight
+            cum.append(acc)
+            targets.append(transition.target)
+            label_id, pairs = self._label_entry(transition.label)
+            label_ids.append(label_id)
+            impulses.append(pairs)
+        return _Choice(
+            distribution,
+            len(cum),
+            total,
+            tuple(cum),
+            tuple(targets),
+            tuple(label_ids),
+            tuple(impulses),
+        )
+
+    def _compile(self, state: int) -> _StateTable:
+        """The table of *state*, compiled on its first visit."""
+        table = self._tables.get(state)
+        if table is not None:
+            return table
+        transitions = self.lts.outgoing(state)
+        rewards = self.rewards.state_rewards(
+            frozenset(t.label for t in transitions)
+        )
+        immediate = [
+            t for t in transitions if isinstance(t.rate, ImmediateRate)
+        ]
+        if immediate:
+            if len(immediate) != len(transitions):
+                raise SimulationError(
+                    f"state {self.lts.state_info(state)} mixes immediate "
+                    f"and timed transitions"
+                )
+            choice = self._choice(
+                None,
+                immediate,
+                [t.rate.weight for t in immediate],
+                sum(t.rate.weight for t in immediate),
+            )
+            table = self._tables[state] = _StateTable(choice, {}, rewards)
+            return table
+        grouped: Dict[str, Tuple[Distribution, List[Transition]]] = {}
+        for transition in transitions:
+            rate = transition.rate
+            if isinstance(rate, PassiveRate):
+                raise SimulationError(
+                    f"passive transition {transition.label!r} in state "
+                    f"{self.lts.state_info(state)}: the timed model must "
+                    f"close every passive action"
+                )
+            if isinstance(rate, ExpRate):
+                distribution: Distribution = Exponential(rate.rate)
+            elif isinstance(rate, GeneralRate):
+                distribution = rate.distribution
+            else:
+                raise SimulationError(
+                    f"transition {transition.label!r} has no usable rate "
+                    f"({rate!r})"
+                )
+            event_name = transition.event or transition.label
+            if isinstance(rate, ExpRate):
+                # The generator pre-splits exponential activities across
+                # probabilistic branches (exact for CTMCs).  A race of the
+                # split exponentials is statistically identical to the
+                # original activity (memorylessness), so each branch can
+                # be its own event; clock persistence is immaterial for
+                # exponentials.
+                event_name = f"{event_name}::exp{len(grouped)}"
+            event = grouped.get(event_name)
+            if event is None:
+                grouped[event_name] = (distribution, [transition])
+            else:
+                if event[0] != distribution:
+                    raise SimulationError(
+                        f"event {event_name!r} in state "
+                        f"{self.lts.state_info(state)} has branches with "
+                        f"different distributions ({event[0]} vs "
+                        f"{distribution})"
+                    )
+                event[1].append(transition)
+        # Self-loops that no TRANS_REWARD clause counts never change the
+        # state: skip scheduling them entirely (pure speed-up).
+        # STATE_REWARD clauses look at *enabled* labels, which needs no
+        # firing.
+        events = {}
+        for name, (distribution, branches) in grouped.items():
+            if all(
+                branch.source == branch.target
+                and not self.rewards.observes(branch.label)
+                for branch in branches
+            ):
+                continue
+            weights = [branch.weight for branch in branches]
+            total = weights[0]
+            for weight in weights[1:]:
+                total += weight
+            events[name] = self._choice(
+                distribution, branches, weights, total
+            )
+        table = self._tables[state] = _StateTable(None, events, rewards)
+        return table
+
+    # -- running -------------------------------------------------------------
+
+    def run(
+        self,
+        run_length: float,
+        rng,
+        warmup: float = 0.0,
+        start_state: Optional[int] = None,
+        observer=None,
+        start_clocks: Optional[Dict[str, float]] = None,
+    ) -> SimulationResult:
+        """Simulate one trajectory and estimate the measures.
+
+        ``run_length`` is the *measured* horizon: the trajectory lasts
+        ``warmup + run_length`` model time units and statistics collected
+        during the warm-up are discarded.  An optional *observer* callable
+        receives ``(time, label, target_state)`` at every firing.
+        ``start_clocks`` (with ``start_state``) resumes a trajectory from
+        a previous run's ``final_clocks``: events still enabled keep
+        their residual clocks instead of being resampled.
+
+        ``rng`` is the run's one source of randomness: a sampler with
+        ``duration(name, distribution)`` and ``branch()`` methods — a
+        :class:`~repro.sim.streams.RunStreams` gives per-event-type
+        substreams, the common-random-numbers discipline of the paired
+        replications and the splitting trees (docs/SIMULATION.md) — or
+        a :class:`numpy.random.Generator`, which is wrapped in a
+        :class:`~repro.sim.streams.GeneratorSampler`.
+
+        One loop over the compiled per-state tables: sojourn crediting,
+        weighted branch choice and impulse collection are inlined.
+        """
+        check_horizon(run_length, warmup)
+        if start_state is not None and not (
+            0 <= start_state < self.lts.num_states
+        ):
+            raise SimulationError(
+                f"start_state {start_state} is not a state of the model "
+                f"(states 0..{self.lts.num_states - 1})"
+            )
+        started = time.perf_counter()
+        time_weighted = [0.0] * len(self.measures)
+        impulses = [0.0] * len(self.measures)
+        state = self.lts.initial if start_state is None else start_state
+        now = 0.0
+        end = warmup + run_length
+        due = horizon_due(end)
+        clocks: Dict[str, float] = dict(start_clocks or {})
+        fired = 0
+        immediate_chain = 0
+        deadlocked = False
+        restart = self.clock_semantics == "restart"
+        tables = self._tables
+        compile_state = self._compile
+        if isinstance(rng, np.random.Generator):
+            rng = GeneratorSampler(rng)
+        duration = rng.duration
+        branch_uniform = rng.branch
+        while now < end:
+            try:
+                table = tables[state]
+            except KeyError:
+                table = compile_state(state)
+            choice = table.immediate
+            if choice is not None:
+                immediate_chain += 1
+                if immediate_chain > _MAX_IMMEDIATE_CHAIN:
+                    raise SimulationError(
+                        f"more than {_MAX_IMMEDIATE_CHAIN} consecutive "
+                        f"immediate firings: timeless divergence near "
+                        f"{self.lts.state_info(state)}"
+                    )
+            else:
+                immediate_chain = 0
+                events = table.events
+                if not events:
+                    deadlocked = True
+                    _credit(time_weighted, table.rates, now, end - now, warmup)
+                    now = end
+                    break
+                if restart:
+                    clocks = {}
+                elif not clocks.keys() <= table.names:
+                    # Keep clocks of still-enabled events only.
+                    clocks = {
+                        name: remaining
+                        for name, remaining in clocks.items()
+                        if name in events
+                    }
+                if len(clocks) != len(events):
+                    for name, event in events.items():
+                        if name not in clocks:
+                            clocks[name] = duration(
+                                name, event.distribution
+                            )
+                # Exact clock ties (deterministic timers) break by event
+                # name, lexicographically.
+                elapsed, winner = min(zip(clocks.values(), clocks))
+                if now + elapsed >= due:
+                    # Horizon reached before the next firing: let the
+                    # remaining clocks run down to the horizon so a
+                    # resumed run carries the correct residuals (never
+                    # negative: an event tied with the horizon fires
+                    # first thing on resume).
+                    remaining = end - now
+                    _credit(time_weighted, table.rates, now, remaining, warmup)
+                    for name in clocks:
+                        clocks[name] = max(clocks[name] - remaining, 0.0)
+                    now = end
+                    break
+                # _credit, inlined (``not x <= 0`` keeps its NaN handling).
+                if not elapsed <= 0:
+                    measured = now + elapsed - (
+                        warmup if warmup > now else now
+                    )
+                    if not measured <= 0:
+                        for j, rate in table.rates:
+                            time_weighted[j] += rate * measured
+                now += elapsed
+                clocks = {
+                    name: remaining - elapsed
+                    for name, remaining in clocks.items()
+                    if name != winner
+                }
+                choice = events[winner]
+            if choice.count == 1:
+                k = 0
+            else:
+                k = bisect_left(choice.cum, branch_uniform() * choice.total)
+                if k == choice.count:
+                    k -= 1
+            collected = choice.impulses[k]
+            if collected and now >= warmup:
+                for j, reward in collected:
+                    impulses[j] += reward
+            state = choice.targets[k]
+            if observer is not None:
+                observer(now, self.labels[choice.label_ids[k]], state)
+            fired += 1
+        values = {
+            measure.name: (time_weighted[j] + impulses[j]) / run_length
+            for j, measure in enumerate(self.measures)
+        }
+        self._record_run_metrics(
+            fired, deadlocked, start_clocks, time.perf_counter() - started
+        )
+        return SimulationResult(
+            values, run_length, fired, state, deadlocked, dict(clocks)
+        )
+
+    @staticmethod
+    def _record_run_metrics(
+        fired: int,
+        deadlocked: bool,
+        start_clocks: Optional[Dict[str, float]],
+        elapsed: float,
+    ) -> None:
+        """Always-on aggregate metrics (and a trace span) for one
+        completed run.
+
+        A handful of counter bumps after the trajectory is done — the
+        event loop itself is untouched, and the RNG stream never sees
+        the instrumentation (docs/OBSERVABILITY.md).
+        """
+        tracing.record_span(
+            "engine:run", elapsed, events=fired, deadlocked=deadlocked
+        )
+        registry = obs_metrics.get_registry()
+        if not registry.enabled:
+            return
+        obs_metrics.SIM_RUNS.on(registry).inc()
+        obs_metrics.SIM_EVENTS.on(registry).inc(fired)
+        if deadlocked:
+            obs_metrics.SIM_DEADLOCKS.on(registry).inc()
+        if start_clocks:
+            obs_metrics.SIM_CLOCK_CARRIES.on(registry).inc(
+                len(start_clocks)
+            )
 
 
 def gth_eliminate_reference(

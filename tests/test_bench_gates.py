@@ -143,3 +143,29 @@ def test_record_writes_only_a_passing_report(tmp_path):
     assert path.read_text() == "committed\n"
     assert record(gates, {"x": 2}, path) == []
     assert json.loads(path.read_text()) == {"x": 2}
+
+
+def test_record_refuses_a_report_failing_a_constant_committed_row(
+    tmp_path, monkeypatch
+):
+    """The written report becomes the committed file, so a fresh
+    ``bench_obs`` run above its ``overhead_ratio <= 1.05`` contract exits
+    1 and leaves the baseline as it was; a passing run is written."""
+    bench_obs = next(
+        bench for bench in bench_regression.BENCHES
+        if bench.OUTPUT_PATH.name == "BENCH_obs.json"
+    )
+    committed = _committed("BENCH_obs.json")
+    fresh = copy.deepcopy(committed)
+    fresh["fig3_sweep"]["overhead_ratio"] = 1.076
+    path = tmp_path / "BENCH_obs.json"
+    path.write_text("committed\n")
+    monkeypatch.setattr(bench_obs, "collect", lambda: fresh)
+    assert bench_obs.main(["--out", str(path)]) == 1
+    assert path.read_text() == "committed\n"
+    assert record(bench_obs.GATES, fresh, path) == [
+        "fig3_sweep.overhead_ratio = 1.076 fails <= 1.05"
+    ]
+    monkeypatch.setattr(bench_obs, "collect", lambda: committed)
+    assert bench_obs.main(["--out", str(path)]) == 0
+    assert json.loads(path.read_text()) == committed

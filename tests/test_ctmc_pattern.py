@@ -36,6 +36,7 @@ from repro.ctmc import (
     trans_clause,
 )
 from repro.ctmc.build import elimination_plan
+from repro.ctmc.measures import _pattern_rewards
 from repro.ctmc.steady_state import recurrent_generator
 from repro.errors import MarkovianError, SolverError
 from repro.runtime import generate_parametric
@@ -43,6 +44,7 @@ from tests.oracles import (
     ReferenceCTMC,
     evaluate_measures_reference,
     instantiate_reference,
+    pattern_terms_reference,
     steady_state_reference,
     submatrix_reference,
 )
@@ -75,6 +77,17 @@ def solve_outcome(solve, chain, method):
     except SolverError as error:
         return type(error), str(error)
     return solution.pi.tobytes(), solution.report
+
+
+def assert_same_terms(pattern, measures):
+    """The per-measure transition terms, dtype and bytes."""
+    got = _pattern_rewards(pattern, tuple(measures)).terms
+    expected = pattern_terms_reference(pattern, measures)
+    assert len(got) == len(expected) == len(measures)
+    for arrays, reference in zip(got, expected):
+        for array, oracle in zip(arrays, reference):
+            assert array.dtype == oracle.dtype
+            assert array.tobytes() == oracle.tobytes()
 
 
 def typed(values):
@@ -152,6 +165,18 @@ def test_case_study_points_match_the_object_store(
         chain = build_ctmc(lts)
         assert chain.pattern is plan.pattern  # one pattern per skeleton
         assert_same_chain(chain, instantiate_reference(plan, lts), measures)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_case_study_reward_terms_match_the_per_label_loop(
+    case, rpc_family, streaming_family
+):
+    """Each distinct label-key tuple's impulses, repeated over its
+    entries, give the terms the per-entry, per-label loop gave."""
+    archi, measures = _case(case, rpc_family, streaming_family)
+    pattern = elimination_plan(generate_parametric(archi).lts).pattern
+    assert len(set(pattern.label_keys)) < len(pattern.label_keys)
+    assert_same_terms(pattern, measures)
 
 
 def test_a_chain_reads_its_own_rates_from_a_shared_pattern(rpc_family):
@@ -317,3 +342,18 @@ def test_hand_built_chains_match_the_object_store(size, adds, enabled):
         return
     chain = _hand_built(CTMC, size, adds, enabled)
     assert_same_chain(chain, reference, MEASURES, ("direct", "power"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6), _adds, st.lists(st.booleans(), min_size=1, max_size=6)
+)
+def test_hand_built_reward_terms_match_the_per_label_loop(
+    size, adds, enabled
+):
+    try:
+        chain = _hand_built(CTMC, size, adds, enabled)
+    except (MarkovianError, ZeroDivisionError):
+        return
+    assert_same_terms(chain.pattern, MEASURES)
+    assert_same_terms(chain.pattern, MEASURES[1:2])

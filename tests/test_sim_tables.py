@@ -454,16 +454,22 @@ def test_split_replicate_rejects_non_finite_warmup(value):
 
 
 def test_each_run_records_one_engine_span():
-    """One ``engine:run`` span per run, carrying its events and deadlock
-    flag, in the totals and (when tracing) in the trace."""
-    simulator = Simulator(_model("rpc", "dpm"), _family("rpc").measures)
+    """One ``engine:run`` span per run, carrying its events, deadlock
+    flag and the number of state tables it compiled, in the totals and
+    (when tracing) in the trace."""
+    # A fresh copy has a fresh table store: the first run compiles every
+    # state it visits, the second only the states the first missed.
+    lts = _model("rpc", "dpm").copy()
+    simulator = Simulator(lts, _family("rpc").measures)
     tracer = Tracer()
     previous = tracing.set_tracer(tracer)
     before = tracing.totals()
+    visited = []
     try:
-        results = [
-            simulator.run(50.0, rng) for rng in spawn_generators(SEED, 2)
-        ]
+        results = []
+        for rng in spawn_generators(SEED, 2):
+            results.append(simulator.run(50.0, rng))
+            visited.append(len(simulator._store.tables))
     finally:
         tracing.set_tracer(previous)
         tracer.close()
@@ -472,6 +478,10 @@ def test_each_run_records_one_engine_span():
     assert [
         (r["attrs"]["events"], r["attrs"]["deadlocked"]) for r in records
     ] == [(result.events_fired, result.deadlocked) for result in results]
+    assert [r["attrs"]["compiled"] for r in records] == [
+        visited[0], visited[1] - visited[0]
+    ]
+    assert visited[0] > 0
 
 
 def test_tracing_does_not_perturb_runs():
