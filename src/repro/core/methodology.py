@@ -44,6 +44,7 @@ from ..runtime import (
     ParametricLTS,
     RetryPolicy,
     StructuralStateSpaceCache,
+    contiguous_chunks,
 )
 from ..distributions import Distribution
 from ..sim.output import ReplicationResult, replicate, replicate_paired
@@ -93,6 +94,11 @@ def _columns(
 ) -> Dict[str, List[Any]]:
     """Transpose per-point result rows into one series per name."""
     return {name: [row[name] for row in rows] for name in names}
+
+
+def _fold_chunks(fold: Callable[[List[Any]], Any], chunks: List[List[Any]]):
+    """*fold* over the point results of input-ordered chunk results."""
+    return fold([row for chunk in chunks for row in chunk])
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +165,27 @@ def _splitting_estimates(
     }
 
 
-def _markov_point_parametric(solution: Any, value: float) -> Dict[str, object]:
-    """Evaluate one sweep point on a prebuilt parametric solution.
+def _markov_chunk_parametric(
+    solution: Any, chunk: Tuple[float, ...]
+) -> List[Dict[str, object]]:
+    """Evaluate one worker chunk of sweep points on a prebuilt
+    parametric solution.
 
-    Still one executor task per point: checkpoint journals, retries,
-    chaos injection and workers-N bit-identity all apply unchanged —
-    the task is just microseconds instead of a full solve.
+    One executor task per chunk, as for replications: journals, retries,
+    chaos injection and workers-N bit-identity apply per chunk, and
+    every point's values are ``==`` to ``solution.evaluate(value)``
+    (:meth:`~repro.ctmc.parametric.ParametricSolution.evaluate_many`).
     """
-    with tracing.span("parametric:eval", value=float(value)):
-        return {
-            "measures": solution.evaluate(value),
-            "solver": solution.report_dict(),
-        }
+    with tracing.span("parametric:eval", points=len(chunk)):
+        series = solution.evaluate_many(chunk)
+        columns = [series[name].tolist() for name in solution.measure_names]
+        return [
+            {
+                "measures": dict(zip(solution.measure_names, row)),
+                "solver": solution.report_dict(),
+            }
+            for row in zip(*columns)
+        ]
 
 
 class LtsTask(NamedTuple):
@@ -397,6 +412,7 @@ class IncrementalMethodology(SweepDriver):
         fold: Callable[[List[Any]], Any],
         workloads: Sequence[Optional[Distribution]] = (None,),
         parametric: Any = None,
+        workers: Optional[int] = None,
         **attributes: object,
     ) -> SweepSpec:
         """Declare a sweep whose points evaluate the state spaces of
@@ -409,13 +425,24 @@ class IncrementalMethodology(SweepDriver):
         one task, workload-major.  A source whose parameter is rate-only
         relabels one cached skeleton per point instead of re-exploring.
         A *parametric* solution replaces the per-point solves by
-        evaluations of its rational functions.  The identity is built
-        from the same arguments the points run on.
+        evaluations of its rational functions, one task per chunk of the
+        *workers* the sweep runs on.  The identity is built from the
+        same arguments the points run on.
         """
         base = dict(const_overrides or {})
+        identity: Dict[str, object] = {}
         if parametric is not None:
-            point, shared = _markov_point_parametric, parametric
-            items: List[Any] = [float(v) for v in values]
+            # One task per worker chunk; the journal's indices name
+            # chunks, so the chunk sizes are part of the identity.
+            chunks = contiguous_chunks(
+                len(values), self._executor(workers).workers
+            )
+            identity["chunks"] = [len(chunk) for chunk in chunks]
+            point, shared = _markov_chunk_parametric, parametric
+            items: List[Any] = [
+                tuple(float(values[i]) for i in chunk) for chunk in chunks
+            ]
+            fold = functools.partial(_fold_chunks, fold)
         else:
             sources, points, relabels = [], [], 0
             for archi in archis:
@@ -461,6 +488,7 @@ class IncrementalMethodology(SweepDriver):
                 "const_overrides": sorted(base.items()),
                 "settings": dict(settings),
                 "workloads": [workload_fingerprint(w) for w in workloads],
+                **identity,
             },
             models=lambda: [print_architecture(a) for a in archis],
             measures=self.family.measures,
@@ -605,7 +633,7 @@ class IncrementalMethodology(SweepDriver):
             "markovian", "solve", _solve_ctmc_point,
             {"method": method if parametric is None else "parametric"},
             [archi], parameter, values, const_overrides, fold,
-            parametric=parametric, variant=variant,
+            parametric=parametric, workers=workers, variant=variant,
         )
         return self.run_sweep(spec, workers, checkpoint)
 

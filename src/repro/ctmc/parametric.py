@@ -47,6 +47,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -257,15 +258,17 @@ class ParametricSolution:
     def evaluate_many(
         self, values: Sequence[float]
     ) -> Dict[str, np.ndarray]:
-        """Vectorized evaluation of a whole grid at once."""
-        points = np.asarray(list(values), float)
-        for value in (points.min(), points.max()) if points.size else ():
-            self._check_domain(float(value))
+        """All measures over a grid at once: element ``i`` of each is
+        ``==`` to ``evaluate(values[i])[name]``, and the first value
+        outside the domain raises the error :meth:`evaluate` raises."""
+        points = [float(value) for value in values]
+        for value in points:
+            self._check_domain(value)
         out = {
-            name: np.asarray(self.fits[name](points), float)
+            name: self.fits[name](np.array(points, float))
             for name in self.measure_names
         }
-        _record_evaluation(int(points.size))
+        _record_evaluation(len(points))
         return out
 
     def report_dict(self) -> Dict[str, object]:
@@ -422,8 +425,6 @@ def _capture_chain(
             f"parametric elimination budget {options.max_states}",
             reason="budget",
         )
-    position_of = {state: i for i, state in enumerate(recurrent)}
-
     # Atom table: one exact rational function per distinct (spec, env).
     atom_index: Dict[tuple, int] = {}
     atom_functions: List[RationalFunction] = []
@@ -447,117 +448,112 @@ def _capture_chain(
         atom_functions.append(rational)
         return atom_index[key]
 
-    #: position -> target -> [constant, {atom: coefficient}].
-    out_edges: Dict[int, Dict[int, List]] = {
-        i: {} for i in range(len(recurrent))
-    }
-    #: measure -> position -> accumulated constant reward rate.
-    const_trans: Dict[str, Dict[int, float]] = {
-        m.name: {} for m in measures
-    }
-    param_rewards: Dict[str, Dict[Tuple[int, int], float]] = {
-        m.name: {} for m in measures
-    }
-    parametric_transitions = 0
     table = RewardTable(measures)
-    #: (index, name) of every measure with transition rewards.
+    size = len(recurrent)
+
+    # The plan's contributions out of the recurrent class, in order;
+    # each transition's contributions are adjacent (one run per read).
+    sources = plan.pattern.sources[plan.entries]
+    position_of = np.full(plan.pattern.num_states, -1, np.intp)
+    position_of[recurrent] = np.arange(size)
+    chosen = np.flatnonzero(position_of[sources] >= 0)
+    reads = plan.reads[chosen]
+    starts = np.flatnonzero(np.diff(reads, prepend=-1))
+    # Per run, its rate: a constant, or multiplier * atom(p) when it
+    # reads the swept parameter.
+    run_constant = np.zeros(starts.size)
+    run_multiplier = np.zeros(starts.size)
+    run_atom = np.full(starts.size, -1, np.intp)
+    for run, position in enumerate(plan.walk[reads[starts]].tolist()):
+        prov = provenance[position]
+        if prov is not None and not watched.isdisjoint(prov.free_consts):
+            run_atom[run] = atom_for(prov)
+            run_multiplier[run] = (
+                prov.fraction if prov.fraction is not None else 1.0
+            )
+        else:
+            run_constant[run] = rates[position].rate
+    parametric_transitions = int(np.count_nonzero(run_atom >= 0))
+    run_of = np.repeat(
+        np.arange(starts.size), np.diff(np.append(starts, reads.size))
+    )
+    probabilities = plan.probabilities[chosen]
+    constants = run_constant[run_of] * probabilities
+    coefficients = run_multiplier[run_of] * probabilities
+    atoms = run_atom[run_of]
+    parametric = atoms >= 0
+    source_positions = position_of[sources[chosen]]
+    target_positions = position_of[plan.targets[chosen]]
+
+    # Every sum below is np.bincount's: in contribution order, from 0.0,
+    # as the per-contribution accumulation into dicts added.
+    def sums(keys: np.ndarray, weights: np.ndarray):
+        """(distinct keys ascending, the sum of each one's weights)."""
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        return distinct, np.bincount(inverse, weights, distinct.size)
+
+    # Transition rewards per rewarded measure, from the few dozen
+    # distinct label-count maps the contributions share.
     rewarded = [
         (j, m.name)
         for j, m in enumerate(table.measures)
         if m.has_trans_clauses()
     ]
-    #: label-count map id -> each rewarded measure's reward (the
-    #: resolved contributions share a few dozen distinct label counts).
-    rewards_of: Dict[int, Tuple[float, ...]] = {}
-
-    def add_contribution(
-        source_position: int,
-        target_position: int,
-        constant: float,
-        atom: Optional[int],
-        coefficient: float,
-        count_id: int,
-    ) -> None:
-        """One CTMC transition contribution (already vanishing-resolved)
-        with the plan's label counts ``count_id``."""
-        rewards = rewards_of.get(count_id)
-        if rewards is None:
-            impulses = [
-                (count, table.impulses(label))
-                for label, count in plan.count_maps[count_id].items()
-            ]
-            rewards = rewards_of[count_id] = tuple(
-                sum(count * row[j] for count, row in impulses)
-                for j, _ in rewarded
-            )
-        for (_, name), reward in zip(rewarded, rewards):
-            if reward == 0.0:
-                continue
-            if atom is None:
-                bucket = const_trans[name]
-                bucket[source_position] = (
-                    bucket.get(source_position, 0.0) + constant * reward
-                )
-            else:
-                key = (source_position, atom)
-                bucket = param_rewards[name]
-                bucket[key] = (
-                    bucket.get(key, 0.0) + coefficient * reward
-                )
-        if source_position == target_position:
-            return  # self-loops never enter the generator
-        row = out_edges[source_position]
-        entry = row.get(target_position)
-        if entry is None:
-            entry = [0.0, {}]  # [constant, {atom: coefficient}]
-            row[target_position] = entry
-        if atom is None:
-            entry[0] += constant
-        else:
-            entry[1][atom] = entry[1].get(atom, 0.0) + coefficient
-
-    # The plan's contributions out of the recurrent class, in order;
-    # each transition's contributions are adjacent.
-    sources = plan.pattern.sources[plan.entries]
-    in_class = np.zeros(plan.pattern.num_states, bool)
-    in_class[recurrent] = True
-    chosen = np.flatnonzero(in_class[sources])
-    walk = plan.walk.tolist()
-    read = -1
-    for walked, source, target, probability, count_id in zip(
-        plan.reads[chosen].tolist(),
-        sources[chosen].tolist(),
-        plan.targets[chosen].tolist(),
-        plan.probabilities[chosen].tolist(),
-        plan.count_ids[chosen].tolist(),
-    ):
-        if walked != read:
-            read = walked
-            position = walk[walked]
-            prov = provenance[position]
-            parametric = (
-                prov is not None
-                and not watched.isdisjoint(prov.free_consts)
-            )
-            if parametric:
-                parametric_transitions += 1
-                atom = atom_for(prov)
-                multiplier = (
-                    prov.fraction if prov.fraction is not None else 1.0
-                )
-                constant = 0.0
-            else:
-                atom = None
-                multiplier = 0.0
-                constant = rates[position].rate
-        add_contribution(
-            position_of[source],
-            position_of[target],
-            constant * probability,
-            atom,
-            multiplier * probability,
-            count_id,
+    count_ids, count_index = np.unique(
+        plan.count_ids[chosen], return_inverse=True
+    )
+    reward_rows = []
+    for count_id in count_ids.tolist():
+        impulses = [
+            (count, table.impulses(label))
+            for label, count in plan.count_maps[count_id].items()
+        ]
+        reward_rows.append([
+            sum(count * row[j] for count, row in impulses)
+            for j, _ in rewarded
+        ])
+    reward_matrix = np.array(reward_rows, float).reshape(
+        count_ids.size, len(rewarded)
+    )
+    atom_count = max(1, len(atom_functions))
+    const_trans: Dict[str, np.ndarray] = {}
+    param_rewards: Dict[str, List[Tuple[int, int, float]]] = {
+        m.name: [] for m in measures
+    }
+    for column, (_, name) in enumerate(rewarded):
+        reward = reward_matrix[count_index, column]
+        touched = reward != 0.0
+        plain = touched & ~parametric
+        const_trans[name] = np.bincount(
+            source_positions[plain], constants[plain] * reward[plain], size
         )
+        swept = touched & parametric
+        keys, totals = sums(
+            source_positions[swept] * atom_count + atoms[swept],
+            coefficients[swept] * reward[swept],
+        )
+        param_rewards[name] = [
+            (*divmod(key, atom_count), total)
+            for key, total in zip(keys.tolist(), totals.tolist())
+        ]
+
+    # Generator entries: one per distinct off-diagonal (source, target)
+    # (self-loops never enter the generator), in (source, target) order.
+    off = np.flatnonzero(source_positions != target_positions)
+    pair_keys, pair_index = np.unique(
+        source_positions[off] * size + target_positions[off],
+        return_inverse=True,
+    )
+    nnz = pair_keys.size
+    plain = ~parametric[off]
+    entry_constants = np.bincount(
+        pair_index[plain], constants[off][plain], nnz
+    )
+    swept = ~plain
+    entry_atoms, entry_coefficients = sums(
+        pair_index[swept] * atom_count + atoms[off][swept],
+        coefficients[off][swept],
+    )
 
     # Evaluate the atoms on the node grid and validate they stay
     # positive, finite rates over the whole sweep domain (a pole or
@@ -577,52 +573,39 @@ def _capture_chain(
             )
         atom_values[index] = rational.evaluate_nodes(nodes)
 
-    # Materialise the node-ring generator entries, each row in target
-    # order.  The capacity leaves room for the elimination's fill-in
-    # (the streaming chain's 3,362 entries peak at 11,843 rows).
-    nnz = sum(len(row) for row in out_edges.values())
-    entries = _EntryStore(len(recurrent), nodes.size, 4 * nnz)
-    constants = np.empty(nnz)
-    summed: List[Tuple[int, Dict[int, float]]] = []
-    for source_position, row in out_edges.items():
-        for target_position, (constant, atoms) in sorted(row.items()):
-            entry = entries.add(source_position, target_position)
-            constants[entry] = constant
-            if atoms:
-                summed.append((entry, atoms))
+    # Materialise the node-ring generator entries.  The capacity leaves
+    # room for the elimination's fill-in (the streaming chain's 3,362
+    # entries peak at 11,843 rows).
+    entries = _EntryStore(size, nodes.size, 4 * nnz)
+    for source_position, target_position in map(
+        divmod, pair_keys.tolist(), repeat(size)
+    ):
+        entries.add(source_position, target_position)
     values = entries.reserve()
-    values[:nnz] = constants[:, None]
-    for entry, atoms in summed:
-        for atom, coefficient in sorted(atoms.items()):
-            values[entry] += coefficient * atom_values[atom]
+    values[:nnz] = entry_constants[:, None]
+    for key, coefficient in zip(
+        entry_atoms.tolist(), entry_coefficients.tolist()
+    ):
+        entry, atom = divmod(key, atom_count)
+        values[entry] += coefficient * atom_values[atom]
 
     # Constant reward per position: state rewards (enabled labels are
     # structural) plus the accumulated constant-rate transition rewards.
     const_rewards: Dict[str, np.ndarray] = {}
     for j, m in enumerate(table.measures):
-        rewards = np.zeros(len(recurrent))
-        state_clauses = m.has_state_clauses()
-        for position, ctmc_state in enumerate(recurrent):
-            value = const_trans[m.name].get(position, 0.0)
-            if state_clauses:
-                enabled = plan.enabled[ctmc_state]
-                value += table.state_rewards(enabled)[j]
-            rewards[position] = value
+        rewards = const_trans.get(m.name, np.zeros(size))
+        if m.has_state_clauses():
+            rewards = rewards + [
+                table.state_rewards(plan.enabled[state])[j]
+                for state in recurrent
+            ]
         const_rewards[m.name] = rewards
 
     return entries, _Capture(
         recurrent=recurrent,
         atom_values=atom_values,
         const_rewards=const_rewards,
-        param_rewards={
-            name: [
-                (position, atom, coefficient)
-                for (position, atom), coefficient in sorted(
-                    bucket.items()
-                )
-            ]
-            for name, bucket in param_rewards.items()
-        },
+        param_rewards=param_rewards,
         nnz=nnz,
         parametric_transitions=parametric_transitions,
     )
@@ -650,14 +633,18 @@ def _eliminate(
     update is the subtraction-free GTH rule, so no cancellation can
     occur at any node.
 
-    Each pivot ``k`` is a gather/scatter over *entries* (which it
-    consumes): the products ``q_ik / S_k * q_kj`` of its sources and
-    targets are formed at once, added onto the existing entries and
-    written into the new fill entries, at most
-    :data:`_FILL_BLOCK_ROWS` products at a time.  The walk over
-    (source, target) pairs only does the structural bookkeeping.  Every
-    element sees the same IEEE divide, multiply and add as a per-pair
-    update, so ``x`` is bit-identical to one
+    Most of a case study's entries have the same value at every node.
+    Such an entry is carried as a Python float (``scalar[e]``; its row
+    of *entries* is unused) until a node-varying product lands on it.
+    A pivot ``k`` whose exit rates are all scalars forms the products
+    ``q_ik / S_k * q_kj`` of its scalar sources in plain floats.  Its
+    other products are one gather/scatter over the rows: formed at
+    once, at most :data:`_FILL_BLOCK_ROWS` at a time, and added onto
+    their destination rows in one ``values[dest] += products``, with
+    fresh fill rows zeroed (``0.0 + p == p``: no product is ``-0.0``)
+    and the diagonal products sent to a trash row.  Every element sees
+    the same IEEE divide, multiply and add as a per-pair update over
+    node vectors, so ``x`` is bit-identical to one
     (``tests/test_parametric_elimination.py``).  The rows of a pivot's
     out-entries are reused for fill; its in-entries stay in place for
     the back-substitution.
@@ -666,11 +653,28 @@ def _eliminate(
     in_edges = entries.in_edges
     size = len(out_edges)
     node_count = entries.values.shape[1]
+    trash = entries.take()
+    values = entries.reserve()
+    scalar: List[Optional[float]] = [None] * entries.used
+    # One node carries nothing: numpy sums a single column of exit
+    # rates pairwise, where the scalar path adds them in row order.
+    if node_count > 1:
+        bits = values[:trash].view(np.int64)
+        for entry in np.flatnonzero((bits[:, 1:] == bits[:, :1]).all(1)):
+            scalar[entry] = float(values[entry, 0])
+
+    def widen(ids: List[int]) -> None:
+        """Write the scalar entries *ids* out as rows."""
+        if ids:
+            values[ids] = np.array([scalar[e] for e in ids])[:, None]
+            for e in ids:
+                scalar[e] = None
+
     keys = [len(in_edges[s]) * len(out_edges[s]) for s in range(size)]
     heap = [(key, s) for s, key in enumerate(keys)]
     heapq.heapify(heap)
     free: List[int] = []
-    steps: List[Tuple[int, np.ndarray, List[int], List[int]]] = []
+    steps: List[Tuple[int, object, List[int], List[int]]] = []
     ops = 0
     while len(steps) < size - 1:
         key, k = heapq.heappop(heap)
@@ -689,51 +693,102 @@ def _eliminate(
                 reason="structure",
             )
         targets = list(outs)
+        out_ids = list(outs.values())
         sources = sorted(sources)
         in_ids = [out_edges[i].pop(k) for i in sources]
-        q_out = entries.values[list(outs.values())]
-        exit_total = np.add.reduce(q_out)
-        free.extend(outs.values())
         width = len(targets)
+        ops += len(sources) * width - sum(map(outs.__contains__, sources))
+        if ops > options.max_fill_ops:
+            raise ParametricError(
+                f"GTH fill-in exceeded the budget of "
+                f"{options.max_fill_ops} update operations",
+                reason="budget",
+            )
+        column = [scalar[e] for e in out_ids]
+        if None in column:
+            widen([e for e in out_ids if scalar[e] is not None])
+            widen([e for e in in_ids if scalar[e] is not None])
+            q_out = values[out_ids]
+            exit_total = np.add.reduce(q_out)
+            vector_sources, vector_ids = sources, in_ids
+        else:
+            # Scalar exit rates: summed in row order, as the reduction
+            # over node vectors adds each node.
+            exit_total = column[0]
+            for rate in column[1:]:
+                exit_total += rate
+            q_out = np.array(column)[:, None]
+            vector_sources, vector_ids = [], []
+            for i, entry in zip(sources, in_ids):
+                q_ik = scalar[entry]
+                if q_ik is None:
+                    vector_sources.append(i)
+                    vector_ids.append(entry)
+                    continue
+                factor = q_ik / exit_total
+                row = out_edges[i]
+                onto_rows: List[int] = []
+                onto: List[float] = []
+                for j, q_kj, entry in zip(
+                    targets, column, map(row.get, targets)
+                ):
+                    if entry is None:
+                        if j == i:
+                            continue  # the diagonal stays implicit in GTH
+                        if free:
+                            entry = free.pop()
+                        else:
+                            entry = entries.take()
+                            scalar.append(None)
+                        row[j] = entry
+                        scalar[entry] = factor * q_kj
+                        in_edges[j].add(i)
+                        continue
+                    value = scalar[entry]
+                    if value is None:
+                        onto_rows.append(entry)
+                        onto.append(factor * q_kj)
+                    else:
+                        scalar[entry] = value + factor * q_kj
+                if onto_rows:
+                    values[onto_rows] += np.array(onto)[:, None]
+        free.extend(out_ids)
         block = max(1, _FILL_BLOCK_ROWS // width)
-        for start in range(0, len(sources), block):
-            values = entries.values
-            products = (
-                (values[in_ids[start:start + block]] / exit_total)[:, None]
+        for start in range(0, len(vector_sources), block):
+            dest: List[int] = []
+            fresh: List[int] = []
+            for i in vector_sources[start:start + block]:
+                row = out_edges[i]
+                found = list(map(row.get, targets))
+                if i in outs:
+                    # The diagonal stays implicit in GTH.
+                    found[targets.index(i)] = trash
+                if None in found:
+                    for index, entry in enumerate(found):
+                        if entry is None:
+                            j = targets[index]
+                            if free:
+                                entry = free.pop()
+                            else:
+                                entry = entries.take()
+                                scalar.append(None)
+                            found[index] = row[j] = entry
+                            in_edges[j].add(i)
+                            fresh.append(entry)
+                dest += found
+            values = entries.reserve()
+            if fresh:
+                values[fresh] = 0.0
+                for entry in fresh:
+                    scalar[entry] = None
+            widen([e for e in dest if scalar[e] is not None])
+            dest = np.array(dest, np.intp)
+            values[dest] += (
+                (values[vector_ids[start:start + block]] / exit_total)[
+                    :, None
+                ]
                 * q_out
             ).reshape(-1, node_count)
-            old_rows: List[int] = []
-            old_products: List[int] = []
-            new_rows: List[int] = []
-            new_products: List[int] = []
-            product = 0
-            for i in sources[start:start + block]:
-                row = out_edges[i]
-                for j in targets:
-                    if j == i:
-                        product += 1
-                        continue  # the diagonal stays implicit in GTH
-                    entry = row.get(j)
-                    if entry is None:
-                        entry = free.pop() if free else entries.take()
-                        row[j] = entry
-                        in_edges[j].add(i)
-                        new_rows.append(entry)
-                        new_products.append(product)
-                    else:
-                        old_rows.append(entry)
-                        old_products.append(product)
-                    product += 1
-                ops += width - (i in outs)
-                if ops > options.max_fill_ops:
-                    raise ParametricError(
-                        f"GTH fill-in exceeded the budget of "
-                        f"{options.max_fill_ops} update operations",
-                        reason="budget",
-                    )
-            values = entries.reserve()
-            values[old_rows] += products[old_products]
-            values[new_rows] = products[new_products]
         for j in targets:
             in_edges[j].discard(k)
         for s in (*sources, *targets):
@@ -745,12 +800,16 @@ def _eliminate(
     x = np.zeros((size, node_count))
     if size:
         x[keys.index(max(keys))] = 1.0  # the one state never eliminated
-    values = entries.values
+    widen([e for *_, in_ids in steps for e in in_ids if scalar[e] is not None])
     for k, exit_total, sources, in_ids in reversed(steps):
-        # A running sum in source order, as a per-source loop adds.
+        total = x[k]  # zero, for a state no source enters
         if sources:
-            x[k] = np.add.accumulate(x[sources] * values[in_ids])[-1]
-        x[k] = x[k] / exit_total
+            # A running sum in source order, as a per-source loop adds.
+            total = x[sources]
+            total *= values[in_ids]
+            total = np.add.accumulate(total)[-1]
+        np.divide(total, exit_total, out=x[k])
+    return x, ops
     return x, ops
 
 

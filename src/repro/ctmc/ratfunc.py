@@ -411,21 +411,23 @@ class BarycentricRational:
                 numerator += weighted / difference
                 denominator += weight / difference
             return numerator / denominator
+        # The array path adds node by node in the scalar path's order,
+        # so every element is == to the scalar evaluation of its point.
         points = np.atleast_1d(np.asarray(x, float))
+        numerator = np.zeros(points.shape)
+        denominator = np.zeros(points.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cauchy = 1.0 / (points[:, None] - self.nodes[None, :])
-            numerator = cauchy @ (self.weights * self.values)
-            denominator = cauchy @ self.weights
+            for node, weighted, weight, _ in self._support:
+                difference = points - node
+                numerator += weighted / difference
+                denominator += weight / difference
             out = numerator / denominator
-        # A point exactly on a support node divides by zero above; the
-        # interpolant's value there is the stored support value.
-        exact = ~np.isfinite(out)
-        if np.any(exact):
-            for position in np.nonzero(exact)[0]:
-                hits = np.nonzero(points[position] == self.nodes)[0]
-                if hits.size:
-                    out[position] = self.values[hits[0]]
-        return float(out[0]) if scalar else out
+        # A point on a support node takes that node's stored value.
+        on_node = (points[:, None] - self.nodes) == 0.0
+        exact = on_node.any(axis=1)
+        if exact.any():
+            out[exact] = self.values[on_node[exact].argmax(axis=1)]
+        return out
 
     def poles(self) -> np.ndarray:
         """Complex poles of the interpolant (generalized eig pencil)."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Dict,
     Iterable,
@@ -57,12 +58,20 @@ _KIND_OF = {ExpRate: EXP, ImmediateRate: IMMEDIATE, PassiveRate: PASSIVE,
             GeneralRate: GENERAL}
 
 
-def _rate_kind(rate: Optional[Rate]) -> int:
-    return _KIND_OF.get(type(rate), NO_RATE)
+def _rate_kinds(rates: Sequence[Optional[Rate]]) -> np.ndarray:
+    """The kind of every rate, looked up without a Python call per rate."""
+    return np.fromiter(
+        map(_KIND_OF.get, map(type, rates), repeat(NO_RATE)),
+        np.int8, len(rates),
+    )
 
 
-def _exp_value(rate: Optional[Rate]) -> float:
-    return rate.rate if type(rate) is ExpRate else np.nan
+def _exp_values(rates: Sequence[Optional[Rate]]) -> np.ndarray:
+    """Every exponential rate's value, NaN for the other rates."""
+    return np.array(
+        [rate.rate if type(rate) is ExpRate else np.nan for rate in rates],
+        float,
+    )
 
 
 @dataclass(frozen=True)
@@ -406,7 +415,7 @@ class LTS:
         :data:`NO_RATE`)."""
         if self._kinds is None:
             self._derived = True
-            self._kinds = self._per_rate("rate_kinds", _rate_kind, np.int8)
+            self._kinds = self._per_rate("rate_kinds", _rate_kinds)
         return self._kinds
 
     def exp_rates(self) -> np.ndarray:
@@ -414,19 +423,19 @@ class LTS:
         is not exponential)."""
         if self._exp_rates is None:
             self._derived = True
-            self._exp_rates = self._per_rate("exp_rates", _exp_value, float)
+            self._exp_rates = self._per_rate("exp_rates", _exp_values)
         return self._exp_rates
 
-    def _per_rate(self, name: str, value, dtype) -> np.ndarray:
-        """``value(rate)`` per position: the base's column *name* with
-        the re-rated positions patched, when this LTS shares the base's
-        columns."""
+    def _per_rate(self, name: str, values) -> np.ndarray:
+        """``values(rates)`` over every position: the base's column
+        *name* with the re-rated positions patched, when this LTS shares
+        the base's columns."""
         rates = self._columns.rates
         if not self._shares_base():
-            return np.array([value(rate) for rate in rates], dtype)
+            return values(rates)
         column = getattr(self._base, name)().copy()
         positions = list(self._rerated)
-        column[positions] = [value(rates[p]) for p in positions]
+        column[positions] = values([rates[p] for p in positions])
         return column
 
     def rerated_from(self) -> Optional[Tuple["LTS", frozenset]]:

@@ -42,6 +42,7 @@ from .checkpoint import SweepCheckpoint, sweep_fingerprint
 from .executor import (
     ParallelExecutor,
     RetryPolicy,
+    contiguous_chunks,
     resolve_workers,
 )
 from .faults import FaultInjector
@@ -61,6 +62,7 @@ __all__ = [
     "RetryPolicy",
     "StructuralStateSpaceCache",
     "SweepCheckpoint",
+    "contiguous_chunks",
     "generate_parametric",
     "resolve_workers",
     "structural_params",

@@ -38,10 +38,11 @@ rebuilds and serial degradation invisible in the results.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import RetryBudgetExceededError, WorkerFaultError
 from ..obs import metrics as obs_metrics
@@ -277,6 +278,23 @@ def resolve_workers(workers: Optional[int]) -> int:
         detected = os.cpu_count() or 1
         return max(1, min(detected, _MAX_AUTO_WORKERS))
     return max(1, int(workers))
+
+
+def contiguous_chunks(count: int, workers: int) -> List[Tuple[int, ...]]:
+    """Contiguous index chunks of ``range(count)``, one per worker (the
+    last may be short).
+
+    The replication protocols and parametric sweeps map one executor
+    task over each chunk.  Every value a chunk computes is a pure
+    function of its indices, so the chunking never changes a number.
+    """
+    if workers <= 1 or count <= 1:
+        return [tuple(range(count))]
+    size = math.ceil(count / min(workers, count))
+    return [
+        tuple(range(lo, min(lo + size, count)))
+        for lo in range(0, count, size)
+    ]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ every protocol runs the one GSMP engine, :class:`~repro.sim.engine.Simulator`:
 
 Both protocols, and the splitting trees of :mod:`repro.sim.splitting`,
 run in one task shape: the run indices are cut into contiguous chunks,
-one per worker (:func:`_run_chunks`), and each executor task builds its
-simulator once and runs its chunk's indices in order.  So a
+one per worker (:func:`~repro.runtime.executor.contiguous_chunks`),
+and each executor task builds its simulator once and runs its chunk's
+indices in order.  So a
 replication map is one ``point`` span per chunk, and only the worker
 count sets the number of chunks: a retry policy, a fault injector or a
 tracer never does.
@@ -40,7 +41,11 @@ from scipy import stats
 from ..ctmc.measures import Measure
 from ..errors import SimulationError
 from ..lts.lts import LTS
-from ..runtime.executor import ParallelExecutor, RetryPolicy
+from ..runtime.executor import (
+    ParallelExecutor,
+    RetryPolicy,
+    contiguous_chunks,
+)
 from ..runtime.faults import FaultInjector
 from .engine import Simulator
 from .estimators import log_scale_interval, wilson_interval
@@ -213,23 +218,6 @@ def _summaries(
     }
 
 
-def _run_chunks(runs: int, workers: int) -> List[Tuple[int, ...]]:
-    """Contiguous run-index chunks, one per worker (last may be short).
-
-    Every replication protocol maps one executor task over each chunk.
-    Every stream is a pure function of the seed and the run index (and
-    the event type or slot), so the chunking never changes any run's
-    numbers.
-    """
-    if workers <= 1 or runs <= 1:
-        return [tuple(range(runs))]
-    size = math.ceil(runs / min(workers, runs))
-    return [
-        tuple(range(lo, min(lo + size, runs)))
-        for lo in range(0, runs, size)
-    ]
-
-
 def _replication_chunk(
     shared: Any, chunk: Tuple[int, ...]
 ) -> List[Dict[str, float]]:
@@ -298,8 +286,9 @@ def replicate(
     """Independent-replications estimation of all measures.
 
     The runs go to the executor in contiguous chunks of run indices,
-    one chunk per worker (:func:`_run_chunks`); ``workers > 1`` runs the
-    chunks on a process pool.  Each run draws its stream from the master
+    one chunk per worker
+    (:func:`~repro.runtime.executor.contiguous_chunks`); ``workers > 1``
+    runs the chunks on a process pool.  Each run draws its stream from the master
     seed by index, so the estimates are bit-identical for any worker
     count, and a chunk that *retry* re-executes after a fault recomputes
     the same values.
@@ -315,7 +304,7 @@ def replicate(
     samples: Dict[str, List[float]] = {m.name: [] for m in measures}
     for batch in executor.map(
         _replication_chunk,
-        _run_chunks(runs, executor.workers),
+        contiguous_chunks(runs, executor.workers),
         shared=shared,
         retry=retry,
         faults=faults,
@@ -390,7 +379,7 @@ def replicate_paired(
     second_samples: Dict[str, List[float]] = {name: [] for name in names}
     for batch in executor.map(
         _paired_chunk,
-        _run_chunks(runs, executor.workers),
+        contiguous_chunks(runs, executor.workers),
         shared=shared,
         retry=retry,
         faults=faults,

@@ -78,13 +78,16 @@ from ..errors import SimulationError
 from ..lts.lts import LTS
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from ..runtime.executor import ParallelExecutor, RetryPolicy
+from ..runtime.executor import (
+    ParallelExecutor,
+    RetryPolicy,
+    contiguous_chunks,
+)
 from ..runtime.faults import FaultInjector
 from .engine import Simulator, check_horizon
 from .output import (
     Estimate,
     RareEstimate,
-    _run_chunks,
     _summaries,
     summarize_rare,
 )
@@ -634,7 +637,7 @@ def split_replicate(
         trees = [
             tree
             for batch in executor.map(
-                _tree_chunk, _run_chunks(runs, executor.workers),
+                _tree_chunk, contiguous_chunks(runs, executor.workers),
                 shared=shared, retry=retry, faults=faults,
                 phase="split-replicate",
             )

@@ -49,6 +49,11 @@ per-transition operators.  ``tests/test_lts.py`` and
 its operators and :meth:`~repro.runtime.statespace_cache.ParametricLTS.relabel`
 to them with ``==``.
 
+:func:`rate_kinds_reference` is the historical rate-kind column,
+verbatim: one ``_rate_kind`` call per position.  ``tests/test_lts.py``
+pins :meth:`~repro.lts.lts.LTS.rate_kinds` (a C-level lookup per
+column, patched per re-rated position) to it with ``==``.
+
 :class:`ReferenceSimulator` is the historical reference simulation
 engine, verbatim: it compiles each state into transition lists, scans
 branch weights linearly and credits impulses and sojourn rewards
@@ -67,8 +72,17 @@ compiles from the LTS columns to it with ``==``.
 elimination, verbatim: a linear Markowitz ``min`` over the remaining
 states at every pivot and one numpy update per (source, target) fill
 pair.  ``tests/test_parametric_elimination.py`` pins the heap-ordered,
-gather/scatter :func:`~repro.ctmc.parametric._eliminate` to it:
-``x`` byte-equal and the fill count ``==``.
+scalar-carrying, gather/scatter :func:`~repro.ctmc.parametric._eliminate`
+to it: ``x`` byte-equal and the fill count ``==``.
+
+:func:`markov_point_parametric_reference` is the historical per-point
+parametric sweep task, verbatim: one executor task and one
+``parametric:eval`` span per sweep point, each calling
+:meth:`~repro.ctmc.parametric.ParametricSolution.evaluate`.
+``tests/test_parametric.py`` pins the per-chunk tasks of a parametric
+sweep, and the array path of
+:class:`~repro.ctmc.ratfunc.BarycentricRational` they evaluate
+through, to it with ``==``.
 
 :func:`replicate_reference` is the historical inline replication loop,
 verbatim: one :class:`~repro.sim.engine.Simulator` run over the streams
@@ -160,7 +174,7 @@ from repro.errors import (
     StateSpaceLimitError,
 )
 from repro.lts.labels import TAU, local_label, matches_any
-from repro.lts.lts import LTS, Transition
+from repro.lts.lts import _KIND_OF, LTS, NO_RATE, Transition
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.sim.engine import (
@@ -1977,6 +1991,22 @@ def gth_eliminate_reference(
     return x, ops
 
 
+def markov_point_parametric_reference(
+    solution: Any, value: float
+) -> Dict[str, object]:
+    """Evaluate one sweep point on a prebuilt parametric solution.
+
+    Still one executor task per point: checkpoint journals, retries,
+    chaos injection and workers-N bit-identity all apply unchanged —
+    the task is just microseconds instead of a full solve.
+    """
+    with tracing.span("parametric:eval", value=float(value)):
+        return {
+            "measures": solution.evaluate(value),
+            "solver": solution.report_dict(),
+        }
+
+
 def spawn_generators(seed: int, count: int) -> List[np.random.Generator]:
     """Derive *count* independent generators from one master seed."""
     sequence = np.random.SeedSequence(seed)
@@ -2105,6 +2135,15 @@ class ReferenceLTS:
                 copied.add(old.source)
             row[next(i for i, t in enumerate(row) if t is old)] = new
         return clone
+
+
+def _rate_kind(rate) -> int:
+    return _KIND_OF.get(type(rate), NO_RATE)
+
+
+def rate_kinds_reference(lts) -> np.ndarray:
+    """The kind of every position's rate, one Python call each."""
+    return np.array([_rate_kind(rate) for rate in lts.columns.rates], np.int8)
 
 
 def as_reference_lts(lts) -> ReferenceLTS:

@@ -31,7 +31,7 @@ from repro.runtime import (
     sweep_fingerprint,
 )
 from repro.sim import replicate, replicate_paired, split_replicate
-from repro.sim.output import _run_chunks
+from repro.runtime.executor import contiguous_chunks
 
 ITEMS = [3, 1, 4, 1, 5]
 
@@ -203,7 +203,7 @@ def test_replication_point_spans_are_the_run_chunks(
     before = tracing.totals()
     with tracing.use_tracer(tracer):
         samples = PROTOCOLS[protocol](workers, retry)
-    chunks = len(_run_chunks(RUNS, workers))
+    chunks = len(contiguous_chunks(RUNS, workers))
     assert chunks == min(workers, RUNS)
     assert samples == expected
     assert _counts(tracing.totals().since(before)) == {

@@ -1,10 +1,11 @@
 """Tests for the LTS structure, label matching, operators, reachability."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aemilia.rates import ExpRate, ImmediateRate
+from repro.aemilia.rates import ExpRate, ImmediateRate, PassiveRate
 from repro.errors import AnalysisError
 from repro.lts import (
     LTS,
@@ -27,10 +28,12 @@ from tests.oracles import (
     ReferenceLTS,
     disjoint_union_reference,
     hide_reference,
+    rate_kinds_reference,
     relabel_labels_reference,
     restrict_reference,
     restrict_to_reachable_reference,
 )
+from repro.runtime import StructuralStateSpaceCache
 
 
 class TestLabels:
@@ -316,3 +319,32 @@ def test_operators_match_the_per_transition_ones(
     ))
     for got, want in cases:
         assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("variant", ["dpm", "nodpm"])
+@pytest.mark.parametrize("phase", ["markovian", "general"])
+@pytest.mark.parametrize("case", ["rpc", "streaming"])
+def test_rate_kinds_match_the_per_position_loop(
+    request, case, phase, variant
+):
+    """On every case-study skeleton, and on a re-rated copy whose patch
+    changes kinds (exponential to passive, immediate and none)."""
+    family = request.getfixturevalue(f"{case}_family")
+    archi = getattr(family, f"{phase}_{variant}")
+    skeleton = StructuralStateSpaceCache().skeleton(archi, None, 200_000)
+    lts = skeleton.lts
+    kinds = lts.rate_kinds()
+    assert kinds.dtype == np.int8
+    assert kinds.tolist() == rate_kinds_reference(lts).tolist()
+    rates = list(lts.columns.rates)
+    positions = [0, len(rates) // 2, len(rates) - 1]
+    for position, rate in zip(
+        positions, [PassiveRate(), ImmediateRate(), None]
+    ):
+        rates[position] = rate
+    rerated = lts.rerated(positions, rates)
+    assert rerated.rerated_from() is not None  # patches the base's column
+    assert (
+        rerated.rate_kinds().tolist() == rate_kinds_reference(rerated).tolist()
+    )
+    assert lts.rate_kinds() is kinds

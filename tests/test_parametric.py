@@ -19,6 +19,7 @@ from scipy import sparse
 from repro.core.methodology import (
     PARAMETRIC_AUTO_THRESHOLD,
     IncrementalMethodology,
+    _markov_chunk_parametric,
 )
 from repro.ctmc import ParametricOptions, build_parametric_solution
 from repro.ctmc.parametric import dependent_consts
@@ -30,7 +31,12 @@ from repro.ctmc.solvers import (
     solver_choices,
 )
 from repro.errors import CheckpointError, ParametricError, SolverError
-from repro.runtime import StructuralStateSpaceCache, SweepCheckpoint
+from repro.runtime import (
+    StructuralStateSpaceCache,
+    SweepCheckpoint,
+    contiguous_chunks,
+)
+from tests.oracles import markov_point_parametric_reference
 
 #: (parameter, low, high) per case — the ranges the paper's figures sweep.
 SWEEP_RANGES = {
@@ -265,8 +271,9 @@ class TestRuntimeIntegration:
             checkpoint=str(journal),
         )
         assert resumed == baseline
+        # The journal holds one entry per chunk: one at one worker.
         stats = resumed_methodology.runtime_stats()
-        assert stats["checkpoint_hits"] == len(points)
+        assert stats["checkpoint_hits"] == 1
 
 
 class TestSolutionObject:
@@ -295,6 +302,48 @@ class TestSolutionObject:
                 assert scalar[name] == pytest.approx(
                     float(vectorized[name][position]), rel=1e-12, abs=0.0
                 )
+
+    def test_chunked_tasks_match_the_per_point_tasks(self, rpc_solution):
+        """Every chunk split of a grid holding both domain ends, every
+        measure's support nodes and interior points evaluates ``==`` to
+        one historical per-point task per value."""
+        low, high = rpc_solution.domain
+        support = sorted(
+            {
+                float(node)
+                for fit in rpc_solution.fits.values()
+                for node in fit.nodes
+            }
+        )
+        values = [low, *np.linspace(low, high, 41)[1:-1], *support, high]
+        expected = [
+            markov_point_parametric_reference(rpc_solution, value)
+            for value in values
+        ]
+        for workers in (1, 2, 3, 7, len(values)):
+            chunks = contiguous_chunks(len(values), workers)
+            got = [
+                row
+                for chunk in chunks
+                for row in _markov_chunk_parametric(
+                    rpc_solution, tuple(values[i] for i in chunk)
+                )
+            ]
+            assert got == expected
+
+    def test_first_out_of_domain_point_raises_the_per_point_error(
+        self, rpc_solution
+    ):
+        low, high = rpc_solution.domain
+        values = (low, (low + high) / 2, high + 1.0, low - 1.0)
+        with pytest.raises(ParametricError) as per_point:
+            for value in values:
+                markov_point_parametric_reference(rpc_solution, value)
+        with pytest.raises(ParametricError) as chunked:
+            _markov_chunk_parametric(rpc_solution, values)
+        assert str(chunked.value) == str(per_point.value)
+        assert chunked.value.reason == per_point.value.reason
+        assert str(high + 1.0) in str(chunked.value)
 
     def test_report_dict_is_solver_record_shaped(self, rpc_solution):
         record = rpc_solution.report_dict()

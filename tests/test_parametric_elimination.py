@@ -1,12 +1,16 @@
 """Differential tests of the parametric GTH elimination.
 
-:func:`repro.ctmc.parametric._eliminate` pivots through a heap and
-updates each pivot's fill with one gather/scatter over a 2-D entry
-store.  It must reproduce the historical per-pair elimination
+:func:`repro.ctmc.parametric._eliminate` pivots through a heap, carries
+node-constant entries as scalars and updates the rest of each pivot's
+fill with one gather/scatter over a 2-D entry store.  It must reproduce
+the historical per-pair elimination over node vectors
 (:func:`tests.oracles.gth_eliminate_reference`) exactly: ``x`` byte for
 byte, the same fill-op count and the same :class:`ParametricError` at
-the same budget.  The cases are the rpc and streaming captures and a
-hypothesis corpus of random irreducible chains.
+the same budget.  The cases are the rpc and streaming captures and two
+hypothesis corpora of random irreducible chains: one with rates that
+vary across the nodes, one where most or all entries are node-constant.
+The captures themselves (generator store and rewards) are pinned by
+digest to the per-contribution accumulation the grouped sums replaced.
 """
 
 import hashlib
@@ -47,6 +51,18 @@ REWARD_DIGESTS = {
     "rpc": "07a0945f68894fdd816a3e744cbe46719cacd33f3ba77a673cdecf188af576f0",
     "streaming": (
         "a07ab50664783f24f6bec5f5928348792cdfc8176d2b19d7609c5718d616c8f3"
+    ),
+}
+
+
+#: SHA-256 of every generator entry of the capture (source, target and
+#: node-vector bytes, in store order) and of the in-edge sets, recorded
+#: with the per-contribution dict accumulation that the grouped numpy
+#: sums of ``_capture_chain`` replaced.
+STORE_DIGESTS = {
+    "rpc": "2042dd7122641429d1ad7da7e514235727b35450827a266b248f1ac601393ead",
+    "streaming": (
+        "82a98bf00b1775d062819bd54034fc668704ccf8b4d5f2a8f221e2a0425bd6d7"
     ),
 }
 
@@ -153,6 +169,19 @@ def test_capture_rewards_are_unchanged(captures, case):
     assert digest.hexdigest() == REWARD_DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", sorted(DOMAINS))
+def test_capture_store_is_unchanged(captures, case):
+    entries, _ = captures[case]
+    digest = hashlib.sha256()
+    for source, row in enumerate(entries.out_edges):
+        for target, entry in row.items():
+            digest.update(f"{source}>{target}:".encode())
+            digest.update(entries.values[entry].tobytes())
+    for target, sources in enumerate(entries.in_edges):
+        digest.update(f"{target}<{sorted(sources)}".encode())
+    assert digest.hexdigest() == STORE_DIGESTS[case]
+
+
 def test_state_without_outgoing_rates_matches_reference():
     """State 2 only absorbs, so it pivots first and has nothing to
     redistribute."""
@@ -164,12 +193,16 @@ def test_state_without_outgoing_rates_matches_reference():
 
 
 @st.composite
-def chains(draw):
-    """A random irreducible chain over 1-4 nodes: a random cycle
-    through every state plus random extra edges, with rates spread over
-    six decades so the rounding of every update is exercised."""
+def chains(draw, node_counts=(1, 4), constant_shares=(0.0,)):
+    """A random irreducible chain: a random cycle through every state
+    plus random extra edges, with rates spread over six decades so the
+    rounding of every update is exercised.
+
+    A drawn share of the entries is the same at every node: with share
+    1.0 every pivot is node-constant throughout, below it a few entries
+    vary across the nodes, as in the case studies."""
     size = draw(st.integers(2, 40))
-    node_count = draw(st.integers(1, 4))
+    node_count = draw(st.integers(*node_counts))
     cycle = draw(st.permutations(range(size)))
     pairs = {
         (cycle[index], cycle[(index + 1) % size]) for index in range(size)
@@ -182,9 +215,10 @@ def chains(draw):
     )
     pairs = sorted((i, j) for i, j in pairs if i != j)
     seed = draw(st.integers(0, 2**32 - 1))
-    rates = 10.0 ** np.random.default_rng(seed).uniform(
-        -3.0, 3.0, (len(pairs), node_count)
-    )
+    rng = np.random.default_rng(seed)
+    rates = 10.0 ** rng.uniform(-3.0, 3.0, (len(pairs), node_count))
+    constant = rng.random(len(pairs)) < draw(st.sampled_from(constant_shares))
+    rates[constant] = rates[constant, :1]
     # A small initial capacity exercises the store's growth.
     entries = _EntryStore(size, node_count, max(1, len(pairs) // 4))
     for (source, target), rate in zip(pairs, rates):
@@ -203,5 +237,24 @@ def test_random_chain_matches_reference(entries, block_rows):
         if ops:
             outcome = _assert_same(
                 entries, ParametricOptions(max_fill_ops=ops - 1)
+            )
+            assert outcome[:2] == ("error", "budget")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chains(node_counts=(2, 4), constant_shares=(1.0, 0.95, 0.8)),
+    st.sampled_from([1, 5, parametric._FILL_BLOCK_ROWS]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_node_constant_chain_matches_reference(entries, block_rows, cut):
+    """Mostly node-constant chains (every pivot constant at share 1.0)
+    match byte for byte; a budget anywhere below the count, so also
+    inside a constant pivot, gives the same error."""
+    with mock.patch.object(parametric, "_FILL_BLOCK_ROWS", block_rows):
+        _, _, ops = _assert_same(entries)
+        if ops:
+            outcome = _assert_same(
+                entries, ParametricOptions(max_fill_ops=int(cut * ops))
             )
             assert outcome[:2] == ("error", "budget")
