@@ -640,9 +640,9 @@ def _eliminate(
     ``q_ik / S_k * q_kj`` of its scalar sources in plain floats.  Its
     other products are one gather/scatter over the rows: formed at
     once, at most :data:`_FILL_BLOCK_ROWS` at a time, and added onto
-    their destination rows in one ``values[dest] += products``, with
-    fresh fill rows zeroed (``0.0 + p == p``: no product is ``-0.0``)
-    and the diagonal products sent to a trash row.  Every element sees
+    their destination rows by one gather, add and scatter, with fresh
+    fill rows zeroed (``0.0 + p == p``: no product is ``-0.0``) and the
+    diagonal products sent to a trash row.  Every element sees
     the same IEEE divide, multiply and add as a per-pair update over
     node vectors, so ``x`` is bit-identical to one
     (``tests/test_parametric_elimination.py``).  The rows of a pivot's
@@ -708,7 +708,7 @@ def _eliminate(
         if None in column:
             widen([e for e in out_ids if scalar[e] is not None])
             widen([e for e in in_ids if scalar[e] is not None])
-            q_out = values[out_ids]
+            q_out = values.take(out_ids, 0)
             exit_total = np.add.reduce(q_out)
             vector_sources, vector_ids = sources, in_ids
         else:
@@ -783,12 +783,12 @@ def _eliminate(
                     scalar[entry] = None
             widen([e for e in dest if scalar[e] is not None])
             dest = np.array(dest, np.intp)
-            values[dest] += (
-                (values[vector_ids[start:start + block]] / exit_total)[
-                    :, None
-                ]
-                * q_out
-            ).reshape(-1, node_count)
+            products = (
+                values.take(vector_ids[start:start + block], 0) / exit_total
+            )[:, None] * q_out
+            total = values.take(dest, 0)
+            total += products.reshape(-1, node_count)
+            values[dest] = total
         for j in targets:
             in_edges[j].discard(k)
         for s in (*sources, *targets):
@@ -801,13 +801,20 @@ def _eliminate(
     if size:
         x[keys.index(max(keys))] = 1.0  # the one state never eliminated
     widen([e for *_, in_ids in steps for e in in_ids if scalar[e] is not None])
+    # The back-substitution adds in source order, as a per-source loop
+    # does: a reduction over the rows of several nodes adds them one
+    # after another, but numpy sums a single column pairwise.
+    if node_count > 1:
+        row_sum = np.add.reduce
+    else:
+        def row_sum(rows: np.ndarray) -> np.ndarray:
+            return np.add.accumulate(rows)[-1]
     for k, exit_total, sources, in_ids in reversed(steps):
         total = x[k]  # zero, for a state no source enters
         if sources:
-            # A running sum in source order, as a per-source loop adds.
-            total = x[sources]
-            total *= values[in_ids]
-            total = np.add.accumulate(total)[-1]
+            total = x.take(sources, 0)
+            total *= values.take(in_ids, 0)
+            total = row_sum(total)
         np.divide(total, exit_total, out=x[k])
     return x, ops
     return x, ops
