@@ -30,8 +30,14 @@ from repro.ctmc.solvers import (
     solve_steady_state,
     solver_choices,
 )
-from repro.errors import CheckpointError, ParametricError, SolverError
+from repro.errors import (
+    CheckpointError,
+    ParametricError,
+    SolverError,
+    WorkerFaultError,
+)
 from repro.runtime import (
+    FaultInjector,
     StructuralStateSpaceCache,
     SweepCheckpoint,
     contiguous_chunks,
@@ -274,6 +280,34 @@ class TestRuntimeIntegration:
         # The journal holds one entry per chunk: one at one worker.
         stats = resumed_methodology.runtime_stats()
         assert stats["checkpoint_hits"] == 1
+
+
+    def test_interrupted_parametric_sweep_resumes_bit_identically(
+        self, tmp_path, rpc_family
+    ):
+        """A sweep whose second chunk fails leaves at most its first
+        chunk in the journal; the resume replays it and equals a clean
+        run at the same worker count."""
+        parameter, points = _random_points("rpc", count=6)
+        clean = IncrementalMethodology(rpc_family, workers=2).sweep_markovian(
+            parameter, points, method="parametric"
+        )
+        journal = tmp_path / "sweep.jsonl"
+        faulty = IncrementalMethodology(
+            rpc_family, workers=2,
+            faults=FaultInjector(seed=0, poison_indices=frozenset({1})),
+        )
+        with pytest.raises(WorkerFaultError):
+            faulty.sweep_markovian(
+                parameter, points, method="parametric",
+                checkpoint=str(journal),
+            )
+        resumed_methodology = IncrementalMethodology(rpc_family, workers=2)
+        resumed = resumed_methodology.sweep_markovian(
+            parameter, points, method="parametric", checkpoint=str(journal)
+        )
+        assert resumed == clean
+        assert resumed_methodology.runtime_stats()["checkpoint_hits"] <= 1
 
 
 class TestSolutionObject:
