@@ -431,6 +431,7 @@ class IncrementalMethodology(SweepDriver):
         """
         base = dict(const_overrides or {})
         identity: Dict[str, object] = {}
+        point_count: Optional[int] = None
         if parametric is not None:
             # One task per worker chunk; the journal's indices name
             # chunks, so the chunk sizes are part of the identity.
@@ -443,6 +444,7 @@ class IncrementalMethodology(SweepDriver):
                 tuple(float(values[i]) for i in chunk) for chunk in chunks
             ]
             fold = functools.partial(_fold_chunks, fold)
+            point_count = len(values)
         else:
             sources, points, relabels = [], [], 0
             for archi in archis:
@@ -496,6 +498,7 @@ class IncrementalMethodology(SweepDriver):
                 "parameter": parameter, "points": len(values), **settings,
                 **attributes,
             },
+            points=point_count,
         )
 
     # -- phase 1: functional -------------------------------------------------

@@ -92,6 +92,8 @@ class SweepSpec:
     ``identity`` holds the plain-data fields that, with ``models()`` (the
     printed content of every model the points use — called only when a
     journal is opened) and ``measures``, determine every point result.
+    ``points`` is the number of sweep points the items compute, when an
+    item computes a chunk of them rather than one.
     """
 
     kind: str
@@ -104,6 +106,7 @@ class SweepSpec:
     models: Callable[[], Sequence[str]]
     measures: Sequence[object]
     attributes: Mapping[str, object] = field(default_factory=dict)
+    points: Optional[int] = None
 
     def fingerprint(self) -> str:
         """Content hash of the sweep: its checkpoint identity.
@@ -222,5 +225,5 @@ class SweepDriver:
         if registry.enabled and results:
             obs_metrics.SWEEP_POINTS.on(registry).labels(
                 case=self.case, kind=spec.kind
-            ).inc(len(results))
+            ).inc(len(results) if spec.points is None else spec.points)
         return spec.fold(results)

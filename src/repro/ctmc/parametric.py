@@ -656,8 +656,11 @@ def _eliminate(
     trash = entries.take()
     values = entries.reserve()
     scalar: List[Optional[float]] = [None] * entries.used
+    free: List[int] = []
     # One node carries nothing: numpy sums a single column of exit
     # rates pairwise, where the scalar path adds them in row order.
+    # Sweeps sample at least 8 nodes; one node occurs only in the
+    # differential tests.
     if node_count > 1:
         bits = values[:trash].view(np.int64)
         for entry in np.flatnonzero((bits[:, 1:] == bits[:, :1]).all(1)):
@@ -670,10 +673,23 @@ def _eliminate(
             for e in ids:
                 scalar[e] = None
 
+    def new_entry(i: int, j: int) -> int:
+        """A fill entry ``i -> j``: a freed row, else a fresh one with
+        room made for its row."""
+        nonlocal values
+        if free:
+            entry = free.pop()
+        else:
+            entry = entries.take()
+            scalar.append(None)
+            values = entries.reserve()
+        out_edges[i][j] = entry
+        in_edges[j].add(i)
+        return entry
+
     keys = [len(in_edges[s]) * len(out_edges[s]) for s in range(size)]
     heap = [(key, s) for s, key in enumerate(keys)]
     heapq.heapify(heap)
-    free: List[int] = []
     steps: List[Tuple[int, object, List[int], List[int]]] = []
     ops = 0
     while len(steps) < size - 1:
@@ -733,16 +749,8 @@ def _eliminate(
                     targets, column, map(row.get, targets)
                 ):
                     if entry is None:
-                        if j == i:
-                            continue  # the diagonal stays implicit in GTH
-                        if free:
-                            entry = free.pop()
-                        else:
-                            entry = entries.take()
-                            scalar.append(None)
-                        row[j] = entry
-                        scalar[entry] = factor * q_kj
-                        in_edges[j].add(i)
+                        if j != i:  # the diagonal stays implicit in GTH
+                            scalar[new_entry(i, j)] = factor * q_kj
                         continue
                     value = scalar[entry]
                     if value is None:
@@ -766,17 +774,10 @@ def _eliminate(
                 if None in found:
                     for index, entry in enumerate(found):
                         if entry is None:
-                            j = targets[index]
-                            if free:
-                                entry = free.pop()
-                            else:
-                                entry = entries.take()
-                                scalar.append(None)
-                            found[index] = row[j] = entry
-                            in_edges[j].add(i)
+                            entry = new_entry(i, targets[index])
+                            found[index] = entry
                             fresh.append(entry)
                 dest += found
-            values = entries.reserve()
             if fresh:
                 values[fresh] = 0.0
                 for entry in fresh:
@@ -816,7 +817,6 @@ def _eliminate(
             total *= values.take(in_ids, 0)
             total = row_sum(total)
         np.divide(total, exit_total, out=x[k])
-    return x, ops
     return x, ops
 
 

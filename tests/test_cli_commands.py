@@ -190,6 +190,25 @@ class TestMetricsOut:
         # one residual observation per solve (histogram count)
         assert _value(snapshot, "repro_solver_residual") == 3
 
+    def test_rpc_parametric_export_counts_points(self, tmp_path):
+        """A parametric sweep runs one task per worker chunk; the counter
+        still counts its points."""
+        snapshot = self._run_sweep(
+            tmp_path,
+            [
+                "--case", "rpc", "--phase", "markovian",
+                "--parameter", "shutdown_timeout", "--values", "0.5,25.0",
+                "--points", "40", "--solver", "parametric",
+            ],
+        )
+        assert (
+            _value(
+                snapshot, "repro_sweep_points_total",
+                case="rpc", kind="markovian",
+            )
+            == 40
+        )
+
     def test_rpc_general_export_covers_simulation(self, tmp_path):
         snapshot = self._run_sweep(
             tmp_path,

@@ -92,11 +92,11 @@ def captures(rpc_family, streaming_family):
     }
 
 
-def _copy_store(entries):
+def _copy_store(entries, spare=0):
     """A fresh store with the same entries (the elimination consumes
-    its input)."""
+    its input) and room for *spare* more rows."""
     size = len(entries.out_edges)
-    copy = _EntryStore(size, entries.values.shape[1], entries.used)
+    copy = _EntryStore(size, entries.values.shape[1], entries.used + spare)
     for source, row in enumerate(entries.out_edges):
         for target, entry in row.items():
             copy.values[copy.add(source, target)] = entries.values[entry]
@@ -136,7 +136,11 @@ def _assert_same(entries, options=ParametricOptions()):
     reference = _outcome(
         gth_eliminate_reference, _reference_capture(entries), options
     )
-    assert _outcome(_eliminate, _copy_store(entries), options) == reference
+    # With no spare row the trash row doubles the store; with one spare
+    # row the first fill entry, scalar or not, must grow it.
+    for spare in (0, 1):
+        outcome = _outcome(_eliminate, _copy_store(entries, spare), options)
+        assert outcome == reference
     return reference
 
 
@@ -190,6 +194,25 @@ def test_state_without_outgoing_rates_matches_reference():
         entries.values[entries.add(source, target)] = [1.0, 2.0]
     outcome = _assert_same(entries)
     assert outcome[:2] == ("error", "structure")
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+        [[1.0, 1.0], [2.0, 2.5], [3.0, 3.0]],
+        [[1.0, 1.5], [2.0, 2.5], [3.0, 3.5]],
+    ],
+    ids=["constant", "mixed", "varying"],
+)
+def test_fill_beyond_capacity_matches_reference(rates):
+    """A 3-cycle's only fill entry lies past a store with no spare row:
+    the store grows for it, whether it is carried as a scalar or not."""
+    entries = _EntryStore(3, 2, 3)
+    for (source, target), rate in zip([(0, 1), (1, 2), (2, 0)], rates):
+        entries.values[entries.add(source, target)] = rate
+    _, _, ops = _assert_same(entries)
+    assert ops == 1
 
 
 @st.composite
