@@ -41,6 +41,20 @@ class ConstParam:
             raise SpecificationError(f"invalid const name {self.name!r}")
 
 
+def const_roots(archi: ArchiType) -> Dict[str, frozenset]:
+    """Map each const parameter of *archi* to the overridable parameters
+    feeding it: itself, and every constant its default reads, closed
+    over earlier constants' defaults (overriding any of them changes its
+    value)."""
+    roots: Dict[str, frozenset] = {}
+    for param in archi.const_params:
+        derived = frozenset({param.name})
+        for name in param.default.free_variables():
+            derived |= roots.get(name, frozenset({name}))
+        roots[param.name] = derived
+    return roots
+
+
 @dataclass(frozen=True)
 class Instance:
     """A declared instance ``Name : Type(args...)``."""
@@ -149,18 +163,6 @@ class ArchiType:
             if a.from_instance == instance_name
             and a.from_interaction == interaction_name
         ]
-
-    def attachment_to(
-        self, instance_name: str, interaction_name: str
-    ) -> Optional[Attachment]:
-        """The attachment whose input end is the given interaction, if any."""
-        for attachment in self.attachments:
-            if (
-                attachment.to_instance == instance_name
-                and attachment.to_interaction == interaction_name
-            ):
-                return attachment
-        return None
 
     # -- constants --------------------------------------------------------
 

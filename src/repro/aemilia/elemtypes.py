@@ -147,18 +147,6 @@ class ElemType:
         """True when *name* is a declared interaction of the type."""
         return name in self._interactions_by_name
 
-    def input_interactions(self) -> Tuple[Interaction, ...]:
-        """All declared input interactions."""
-        return tuple(
-            i for i in self.interactions if i.direction is Direction.INPUT
-        )
-
-    def output_interactions(self) -> Tuple[Interaction, ...]:
-        """All declared output interactions."""
-        return tuple(
-            i for i in self.interactions if i.direction is Direction.OUTPUT
-        )
-
     def all_actions(self) -> FrozenSet[str]:
         """All action names used by the behaviour equations."""
         actions: Set[str] = set()

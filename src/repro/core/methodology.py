@@ -48,7 +48,7 @@ from ..runtime import (
 )
 from ..distributions import Distribution
 from ..sim.output import ReplicationResult, replicate, replicate_paired
-from ..sim.splitting import SplittingResult, split_replicate
+from ..sim.splitting import split_replicate
 from ..workload.hooks import apply_workload, workload_fingerprint
 from .noninterference import NoninterferenceResult, check_noninterference
 from .sweep import SweepDriver, SweepSpec
@@ -790,54 +790,6 @@ class IncrementalMethodology(SweepDriver):
             workloads=(self._resolve_workload(workload),),
         )
         return self.run_sweep(spec, workers, checkpoint)
-
-    @_phase_span("replicate:rare")
-    def replicate_rare(
-        self,
-        variant: str = "dpm",
-        const_overrides: Optional[Mapping[str, object]] = None,
-        run_length: float = 20_000.0,
-        levels: int = 4,
-        splits: int = 4,
-        segments: int = 32,
-        rare_measure: Optional[str] = None,
-        runs: int = 30,
-        warmup: float = 0.0,
-        seed: int = 20040628,
-        confidence: float = 0.90,
-        workers: Optional[int] = None,
-        workload: Optional[Distribution] = None,
-    ) -> SplittingResult:
-        """Estimate the measures by rare-event importance splitting.
-
-        The splitting counterpart of :meth:`simulate_general`: grows
-        ``runs`` RESTART trajectory trees over the general model, with
-        the importance function derived from the reward support of
-        *rare_measure* (default: the family's first measure), and
-        returns the :class:`~repro.sim.splitting.SplittingResult` whose
-        ``rare_probability()`` carries the asymmetric near-zero interval
-        (docs/SIMULATION.md).
-        """
-        lts = self._apply_workload(
-            self.build_lts("general", variant, const_overrides),
-            self._resolve_workload(workload),
-        )
-        return split_replicate(
-            lts,
-            self.family.measures,
-            run_length,
-            levels=levels,
-            splits=splits,
-            segments=segments,
-            rare_measure=rare_measure,
-            runs=runs,
-            warmup=warmup,
-            seed=seed,
-            confidence=confidence,
-            workers=self._executor(workers).workers,
-            retry=self.retry,
-            faults=self.faults,
-        )
 
     @_phase_span("sweep:rare")
     def sweep_rare(

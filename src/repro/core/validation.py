@@ -30,24 +30,15 @@ from ..sim.output import Estimate, replicate
 
 
 def exponential_plugin(lts: LTS) -> LTS:
-    """Replace every general rate by the exponential with the same mean."""
-    result = LTS(lts.initial)
-    for state in lts.states():
-        result.add_state()
-        result.set_state_info(state, lts.state_info(state))
-    for transition in lts.transitions:
-        rate = transition.rate
-        if isinstance(rate, GeneralRate):
-            rate = rate.exponential_equivalent()
-        result.add_transition(
-            transition.source,
-            transition.label,
-            transition.target,
-            rate,
-            transition.event,
-            transition.weight,
-        )
-    return result
+    """Replace every general rate by the exponential with the same mean
+    (a re-rated copy: :meth:`~repro.lts.lts.LTS.rerated`)."""
+    rates = list(lts.columns.rates)
+    positions = [
+        p for p, rate in enumerate(rates) if isinstance(rate, GeneralRate)
+    ]
+    for p in positions:
+        rates[p] = rates[p].exponential_equivalent()
+    return lts.rerated(positions, rates)
 
 
 @dataclass

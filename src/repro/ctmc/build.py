@@ -525,19 +525,17 @@ class EliminationPlan:
 
 
 def elimination_plan(lts: LTS) -> EliminationPlan:
-    """The elimination plan for *lts*'s structure, cached on its
-    :meth:`~repro.lts.lts.LTS.structure_key` (and so never pickled).
-
-    A rate relabeling that keeps the structure key
-    (:meth:`~repro.runtime.statespace_cache.ParametricLTS.relabel` keeps
-    it when every rate it replaces is exponential before and after)
-    reuses its skeleton's plan.
+    """The elimination plan for *lts*'s structure, kept in the
+    :meth:`~repro.lts.lts.LTS.memo` of its
+    :meth:`~repro.lts.lts.LTS.structure_owner` (and so never pickled):
+    an LTS re-rated only where its rates stay exponential reuses its
+    base's plan.
     """
-    derived = lts.structure_key().derived
-    plan = derived.get(EliminationPlan)
+    memo = lts.structure_owner().memo()
+    plan = memo.get(EliminationPlan)
     if plan is None or plan.initial_state != lts.initial:
         with tracing.span("ctmc:plan"):
-            plan = derived[EliminationPlan] = EliminationPlan(lts)
+            plan = memo[EliminationPlan] = EliminationPlan(lts)
     return plan
 
 

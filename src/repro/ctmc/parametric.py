@@ -52,6 +52,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..aemilia.architecture import const_roots
 from ..aemilia.expressions import (
     BinaryOp,
     Expr,
@@ -103,19 +104,13 @@ class ParametricOptions:
 
 
 def dependent_consts(archi, parameter: str) -> frozenset:
-    """Constants whose value changes when *parameter* changes.
-
-    A constant's default may reference earlier constants, so dependence
-    propagates along the declaration order (mirrors the root analysis of
-    :func:`repro.runtime.statespace_cache.structural_params`).
-    """
-    dependent = {parameter}
-    for param in archi.const_params:
-        if param.name == parameter:
-            continue
-        if param.default.free_variables() & dependent:
-            dependent.add(param.name)
-    return frozenset(dependent - {parameter})
+    """Constants whose value changes when *parameter* changes: those
+    :func:`~repro.aemilia.architecture.const_roots` traces back to it."""
+    return frozenset(
+        name
+        for name, roots in const_roots(archi).items()
+        if parameter in roots and name != parameter
+    )
 
 
 class _AtomBuilder:

@@ -247,10 +247,6 @@ class RationalFunction:
         """max(deg num, deg den) — the size guard the budgets use."""
         return max(self.num.degree, self.den.degree)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":

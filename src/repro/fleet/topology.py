@@ -304,12 +304,3 @@ class FleetTopology:
         return self.coordinator.num_states * math.comb(
             self.n + self.device.num_states - 1, self.device.num_states - 1
         )
-
-    def device_guard(self, event: SyncEvent) -> Optional[np.ndarray]:
-        """Indicator over device states allowed for *non-participants*."""
-        if not event.exclusive_states:
-            return None
-        guard = np.ones(self.device.num_states)
-        for state in event.exclusive_states:
-            guard[self.device.state_index(state)] = 0.0
-        return guard

@@ -125,24 +125,6 @@ class LTSColumns(NamedTuple):
         )
 
 
-class StructureKey:
-    """Identity of one LTS structure (see :meth:`LTS.structure_key`),
-    carrying the caches of data derived from that structure.
-
-    ``derived`` maps a cache's owner (e.g. the CTMC elimination plan's
-    class) to its value.  It is never pickled: an unpickled key starts
-    empty, so every process derives its own data once.
-    """
-
-    __slots__ = ("derived",)
-
-    def __init__(self):
-        self.derived: Dict[object, object] = {}
-
-    def __reduce__(self):
-        return (StructureKey, ())
-
-
 class StateDescriptions:
     """Descriptions of generated states, rendered on read.
 
@@ -197,7 +179,6 @@ class DescribedBy:
 class LTS:
     """A finite labelled transition system with a single initial state."""
 
-    _structure: Optional[StructureKey] = None
     #: True while the columns are shared with another LTS (see
     #: :meth:`rerated`): the first change copies them.
     _shared_columns = False
@@ -246,7 +227,6 @@ class LTS:
         """Forget everything derived from the columns."""
         #: True once something below was derived (or the columns shared).
         self._derived = False
-        self._structure = None
         self._arrays: Optional[Tuple[np.ndarray, ...]] = None
         self._rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._row_lists: Optional[Tuple[List[int], List[int]]] = None
@@ -314,21 +294,19 @@ class LTS:
         columns.weights.append(weight)
 
     def rerated(
-        self,
-        positions: Iterable[int],
-        rates: List[Optional[Rate]],
-        keep_structure_key: bool = False,
+        self, positions: Iterable[int], rates: List[Optional[Rate]]
     ) -> "LTS":
         """This LTS with the rate column *rates*, which differs from this
         LTS's at *positions* only.
 
         Every other column is shared, and so is what this LTS derives
         from them (its CSR index), the views of the positions not
-        re-rated and the rows without one.  With
-        ``keep_structure_key`` the copy also shares the structure key: its
-        caller vouches that the new rates change nothing a structure
-        cache derives (the CTMC elimination plan keys on it and derives
-        nothing from exponential rates).
+        re-rated and the rows without one.  What else the copy reuses
+        is decided here, not by the caller: the simulator's tables of
+        the rows holding no re-rated position (:meth:`rerated_from`),
+        and, while every re-rated position holds an exponential rate
+        before and after, the data derived from the structure
+        (:meth:`structure_owner`).
         """
         rerated = frozenset(positions)
         clone = LTS.__new__(LTS)
@@ -342,8 +320,6 @@ class LTS:
         clone._rerated = rerated
         sources = self._columns.sources
         clone._rerated_rows = frozenset(sources[p] for p in rerated)
-        if keep_structure_key:
-            clone._structure = self.structure_key()
         return clone
 
     # -- accessors --------------------------------------------------------
@@ -448,6 +424,27 @@ class LTS:
             return None
         return self._base, self._rerated_rows
 
+    def structure_owner(self) -> "LTS":
+        """The LTS whose :meth:`memo` keeps the data derived from this
+        LTS's structure (the CTMC elimination plan).
+
+        That is this LTS, or the base it was re-rated from (see
+        :meth:`rerated`), followed for as long as every re-rated
+        position holds an exponential rate before and after: nothing
+        derived from the structure reads an exponential rate's value.
+        """
+        owner = self
+        while owner._shares_base():
+            base = owner._base
+            positions = list(owner._rerated)
+            if not (
+                (owner.rate_kinds()[positions] == EXP).all()
+                and (base.rate_kinds()[positions] == EXP).all()
+            ):
+                break
+            owner = base
+        return owner
+
     def memo(self) -> Dict[object, object]:
         """Data another layer derives from this LTS as it is now, keyed
         by its owner (e.g. the simulator's compiled state tables).
@@ -550,18 +547,6 @@ class LTS:
         """All states with no outgoing transition."""
         return np.flatnonzero(self._out_degrees() == 0).tolist()
 
-    def structure_key(self) -> StructureKey:
-        """Identity of this LTS's current structure.
-
-        Adding a state or a transition gives the LTS a new key.  A copy
-        made by :meth:`rerated` with ``keep_structure_key=True`` shares
-        the key.
-        """
-        if self._structure is None:
-            self._derived = True
-            self._structure = StructureKey()
-        return self._structure
-
     # -- misc -------------------------------------------------------------
 
     def copy(self) -> "LTS":
@@ -576,10 +561,9 @@ class LTS:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        # Views, indexes, memos and the base are rebuilt on demand; the
-        # key's derived data is per process.
+        # Views, indexes, memos and the base are rebuilt on demand.
         for name in ("_arrays", "_rows", "_row_lists", "_kinds",
-                     "_exp_rates", "_structure", "_base", "_memo"):
+                     "_exp_rates", "_base", "_memo"):
             state.pop(name, None)
         state["_row_views"] = {}
         return state
@@ -587,7 +571,7 @@ class LTS:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._arrays = self._rows = self._row_lists = None
-        self._kinds = self._exp_rates = self._structure = None
+        self._kinds = self._exp_rates = None
         self._memo = {}
 
     def __str__(self) -> str:

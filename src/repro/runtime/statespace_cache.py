@@ -34,7 +34,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from ..aemilia.architecture import ArchiType
+from ..aemilia.architecture import ArchiType, const_roots
 from ..aemilia.ast import (
     ActionPrefix,
     Behavior,
@@ -46,7 +46,6 @@ from ..aemilia.ast import (
 from ..aemilia.expressions import Value
 from ..aemilia.pretty import print_architecture
 from ..aemilia.rates import (
-    ExpRate,
     ExpSpec,
     GeneralSpec,
     ImmediateSpec,
@@ -66,22 +65,6 @@ from ..obs import tracing
 # ---------------------------------------------------------------------------
 # Parameter classification.
 # ---------------------------------------------------------------------------
-
-def _const_roots(archi: ArchiType) -> Dict[str, frozenset]:
-    """Map each const parameter to the overridable parameters feeding it.
-
-    A constant's default may reference earlier constants; overriding any of
-    those changes its value, so a structural use of the constant makes all
-    of them structural.
-    """
-    roots: Dict[str, frozenset] = {}
-    for param in archi.const_params:
-        derived = frozenset({param.name})
-        for name in param.default.free_variables():
-            derived |= roots.get(name, frozenset({name}))
-        roots[param.name] = derived
-    return roots
-
 
 def _collect_structural_names(term: Behavior, out: set) -> None:
     """Gather every variable name whose value shapes the state space."""
@@ -121,7 +104,7 @@ def structural_params(archi: ArchiType) -> frozenset:
     skeleton by relabeling rates.
     """
     const_names = frozenset(p.name for p in archi.const_params)
-    roots = _const_roots(archi)
+    roots = const_roots(archi)
     names: set = set()
     for elem_type in archi.elem_types.values():
         for definition in elem_type.definitions:
@@ -151,8 +134,6 @@ class RateReaders(NamedTuple):
 
     positions: Tuple[int, ...]
     groups: Tuple[Tuple[RateProvenance, Tuple[Tuple[int, object], ...]], ...]
-    #: Whether every one of their skeleton rates is exponential.
-    exponential: bool
 
 
 @dataclass
@@ -191,11 +172,9 @@ class ParametricLTS:
                 if group is None:
                     group = groups[key] = (prov, [])
                 group[1].append((position, prov.fraction))
-            rates = self.lts.columns.rates
             readers = self._readers[changed] = RateReaders(
                 tuple(positions),
                 tuple((prov, tuple(pairs)) for prov, pairs in groups.values()),
-                all(isinstance(rates[p], ExpRate) for p in positions),
             )
         return readers
 
@@ -205,10 +184,7 @@ class ParametricLTS:
         Only the positions whose rate reads a changed constant
         (:meth:`readers`) are evaluated, each distinct ``(spec, local
         env)`` once; the result shares every column of the skeleton but
-        a copied rate column (:meth:`~repro.lts.lts.LTS.rerated`).  When
-        every replaced rate is exponential before and after, it keeps the
-        skeleton's structure key, so it shares the skeleton's CTMC
-        elimination plan (:func:`repro.ctmc.build.elimination_plan`).
+        a copied rate column (:meth:`~repro.lts.lts.LTS.rerated`).
         """
         changed = frozenset(
             name
@@ -225,17 +201,13 @@ class ParametricLTS:
             )
         readers = self.readers(changed)
         rates = list(self.lts.columns.rates)
-        rates_only = readers.exponential
         for prov, pairs in readers.groups:
             env = dict(const_env)
             env.update(prov.env)
             base = prov.spec.evaluate(env)
-            rates_only = rates_only and isinstance(base, ExpRate)
             for position, fraction in pairs:
                 rates[position] = apply_branch_fraction(base, fraction)
-        return self.lts.rerated(
-            readers.positions, rates, keep_structure_key=rates_only
-        )
+        return self.lts.rerated(readers.positions, rates)
 
 
 def generate_parametric(

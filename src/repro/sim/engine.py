@@ -349,8 +349,9 @@ def _table_store(lts: LTS, measures: Tuple[Measure, ...]) -> _TableStore:
     :meth:`~repro.lts.lts.LTS.memo`, so forgotten when the LTS changes).
 
     An LTS re-rated from a base gets a store over the base's store.
-    Keying on the LTS object, not on its structure key, matters: the
-    points of a rate sweep share their skeleton's key while their
+    Keying on the LTS object, not on its
+    :meth:`~repro.lts.lts.LTS.structure_owner`, matters: the points of
+    a rate sweep share their skeleton's elimination plan while their
     exponential distributions differ.
     """
     memo = lts.memo()

@@ -7,7 +7,8 @@ hook** — ``C.process_result_packet`` for the rpc client's processing
 time, ``S.produce_frame`` for the streaming frame-arrival process) draws
 its duration from a caller-supplied
 :class:`~repro.distributions.Distribution` instead of the one written in
-the specification.  The transform is mechanical, exactly like
+the specification.  The transform re-rates the matched positions
+(:meth:`repro.lts.lts.LTS.rerated`), exactly like
 :func:`repro.core.validation.exponential_plugin`, and composes with it:
 ``apply_workload(exponential_plugin(lts), ...)`` yields a model that is
 Markovian everywhere except the workload hook — the configuration the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..aemilia.rates import ExpRate, GeneralRate, Rate
+from ..aemilia.rates import ExpRate, GeneralRate
 from ..distributions import Distribution, parse_distribution_spec
 from ..errors import SpecificationError, WorkloadError
 from ..lts.labels import matches
@@ -58,38 +59,32 @@ def apply_workload(
     general); passive and immediate transitions matching the pattern are
     an error — a workload replaces a duration, not a synchronisation
     priority.  Raises :class:`WorkloadError` if nothing matches (the
-    hook name is wrong, not the workload).
+    hook name is wrong, not the workload).  The result is a re-rated
+    copy (:meth:`~repro.lts.lts.LTS.rerated`).
     """
-    result = LTS(lts.initial)
-    for state in lts.states():
-        result.add_state()
-        result.set_state_info(state, lts.state_info(state))
-    replaced = 0
-    for transition in lts.transitions:
-        rate: Optional[Rate] = transition.rate
-        if rate is not None and matches(pattern, transition.label):
-            if not isinstance(rate, (ExpRate, GeneralRate)):
-                raise WorkloadError(
-                    f"workload hook {pattern!r} matched transition "
-                    f"{transition} whose rate {rate} is not an active "
-                    f"timed rate"
-                )
-            rate = GeneralRate(distribution)
-            replaced += 1
-        result.add_transition(
-            transition.source,
-            transition.label,
-            transition.target,
-            rate,
-            transition.event,
-            transition.weight,
-        )
-    if replaced == 0:
+    columns = lts.columns
+    hooked = [matches(pattern, label) for label in columns.labels]
+    rates = list(columns.rates)
+    positions = []
+    for p, rate in enumerate(rates):
+        if rate is None or not hooked[columns.label_ids[p]]:
+            continue
+        if not isinstance(rate, (ExpRate, GeneralRate)):
+            raise WorkloadError(
+                f"workload hook {pattern!r} matched transition "
+                f"{lts.transitions[p]} whose rate {rate} is not an active "
+                f"timed rate"
+            )
+        positions.append(p)
+    if not positions:
         raise WorkloadError(
             f"workload hook pattern {pattern!r} matched no timed "
             f"transition in the model"
         )
-    return result
+    hook = GeneralRate(distribution)
+    for p in positions:
+        rates[p] = hook
+    return lts.rerated(positions, rates)
 
 
 def parse_workload(text: str) -> Distribution:

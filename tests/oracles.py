@@ -114,6 +114,20 @@ on it.  ``tests/test_streams.py`` pins
 :class:`~repro.sim.streams.RunStreams`, the paired chunks of
 :func:`~repro.sim.output.replicate_paired` and the slot lists of
 :mod:`repro.sim.splitting` to them with ``==``.
+
+:func:`exponential_plugin_reference` and :func:`apply_workload_reference`
+are the historical rate rewrites, verbatim: each rebuilds the LTS state
+by state and transition by transition from its
+:class:`~repro.lts.lts.Transition` views.  ``tests/test_rate_rewrites.py``
+pins :func:`~repro.core.validation.exponential_plugin` and
+:func:`~repro.workload.hooks.apply_workload`, which re-rate the LTS
+(:meth:`~repro.lts.lts.LTS.rerated`), to them with ``==``, errors
+included.
+
+:func:`dependent_consts_reference` is the historical forward scan of
+the constant declarations, verbatim.  ``tests/test_parametric.py`` pins
+:func:`~repro.ctmc.parametric.dependent_consts`, now read off
+:func:`~repro.aemilia.architecture.const_roots`, to it with ``==``.
 """
 
 import time
@@ -172,8 +186,9 @@ from repro.errors import (
     SolverError,
     SpecificationError,
     StateSpaceLimitError,
+    WorkloadError,
 )
-from repro.lts.labels import TAU, local_label, matches_any
+from repro.lts.labels import TAU, local_label, matches, matches_any
 from repro.lts.lts import _KIND_OF, LTS, NO_RATE, Transition
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
@@ -2161,7 +2176,7 @@ def as_reference_lts(lts) -> ReferenceLTS:
 def relabel_reference(skeleton, const_env: Mapping[str, object]):
     """The historical :meth:`ParametricLTS.relabel
     <repro.runtime.statespace_cache.ParametricLTS.relabel>`, verbatim
-    but for the structure key: it walks every transition and swaps in a
+    but for the CTMC plan sharing: it walks every transition and swaps in a
     new :class:`Transition` wherever the provenance reads a changed
     constant, on a :class:`ReferenceLTS` copy of the skeleton."""
     base = as_reference_lts(skeleton.lts)
@@ -2809,3 +2824,76 @@ def grow_tree_reference(
         "merges": merges,
         "peak": peak,
     }
+
+
+# ---------------------------------------------------------------------------
+# The historical rate rewrites: a fresh LTS rebuilt from every view.
+# ---------------------------------------------------------------------------
+
+
+def exponential_plugin_reference(lts: LTS) -> LTS:
+    """Replace every general rate by the exponential with the same mean."""
+    result = LTS(lts.initial)
+    for state in lts.states():
+        result.add_state()
+        result.set_state_info(state, lts.state_info(state))
+    for transition in lts.transitions:
+        rate = transition.rate
+        if isinstance(rate, GeneralRate):
+            rate = rate.exponential_equivalent()
+        result.add_transition(
+            transition.source,
+            transition.label,
+            transition.target,
+            rate,
+            transition.event,
+            transition.weight,
+        )
+    return result
+
+
+def apply_workload_reference(
+    lts: LTS, pattern: str, distribution: Distribution
+) -> LTS:
+    """Rewrite timed transitions matching *pattern* to draw *distribution*."""
+    result = LTS(lts.initial)
+    for state in lts.states():
+        result.add_state()
+        result.set_state_info(state, lts.state_info(state))
+    replaced = 0
+    for transition in lts.transitions:
+        rate = transition.rate
+        if rate is not None and matches(pattern, transition.label):
+            if not isinstance(rate, (ExpRate, GeneralRate)):
+                raise WorkloadError(
+                    f"workload hook {pattern!r} matched transition "
+                    f"{transition} whose rate {rate} is not an active "
+                    f"timed rate"
+                )
+            rate = GeneralRate(distribution)
+            replaced += 1
+        result.add_transition(
+            transition.source,
+            transition.label,
+            transition.target,
+            rate,
+            transition.event,
+            transition.weight,
+        )
+    if replaced == 0:
+        raise WorkloadError(
+            f"workload hook pattern {pattern!r} matched no timed "
+            f"transition in the model"
+        )
+    return result
+
+
+def dependent_consts_reference(archi, parameter: str) -> frozenset:
+    """Constants whose value changes when *parameter* changes."""
+    dependent = {parameter}
+    for param in archi.const_params:
+        if param.name == parameter:
+            continue
+        if param.default.free_variables() & dependent:
+            dependent.add(param.name)
+    return frozenset(dependent - {parameter})

@@ -42,6 +42,7 @@ from repro.errors import MarkovianError, SolverError
 from repro.runtime import generate_parametric
 from tests.oracles import (
     ReferenceCTMC,
+    build_ctmc_reference,
     evaluate_measures_reference,
     instantiate_reference,
     pattern_terms_reference,
@@ -232,9 +233,10 @@ def build_outcome(build, lts):
 @pytest.mark.parametrize("fire_rate", [1.0, 1e-300, 1e-320])
 def test_rate_and_timing_errors_match_the_object_store(fire_rate, untimed):
     """``rate * probability`` underflows to 0 on the 1e-9 branch at
-    ``fire_rate=1e-320``; a passive rate slipped in under the shared
-    structure key raises when the walk reaches it, so whichever of the
-    two comes first in the walk wins."""
+    ``fire_rate=1e-320``.  A relabeled point shares its skeleton's plan
+    and raises the underflow as the fresh build does; a point re-rated
+    to a passive rate gets a plan of its own, which rejects the passive
+    rate as the fresh build does."""
     archi = parse_architecture(TINY_SPEC)
     skeleton = generate_parametric(archi)
     plan = elimination_plan(skeleton.lts)
@@ -245,15 +247,17 @@ def test_rate_and_timing_errors_match_the_object_store(fire_rate, untimed):
         )
         rates = list(lts.columns.rates)
         rates[index] = PassiveRate()
-        lts = lts.rerated([index], rates, keep_structure_key=True)
+        lts = lts.rerated([index], rates)
     got = build_outcome(build_ctmc, lts)
-    assert got == build_outcome(
-        lambda lts: instantiate_reference(plan, lts), lts
+    assert got == build_outcome(build_ctmc_reference, lts)
+    assert (elimination_plan(lts) is plan) if untimed is None else (
+        lts.structure_owner() is lts
     )
     underflow = fire_rate == 1e-320
     assert isinstance(got, list) is (not underflow and untimed is None)
     if isinstance(got, tuple):
-        assert ("positive" in got[1]) is (underflow and untimed != "X.fire")
+        assert ("positive" in got[1]) is (underflow and untimed is None)
+        assert ("passive" in got[1]) is (untimed is not None)
 
 
 def test_an_edited_plan_chain_matches_the_same_edits(rpc_family):

@@ -1,12 +1,21 @@
 """Tests for the LTS structure, label matching, operators, reachability."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aemilia.rates import ExpRate, ImmediateRate, PassiveRate
-from repro.errors import AnalysisError
+from repro.aemilia.rates import (
+    ExpRate,
+    GeneralRate,
+    ImmediateRate,
+    PassiveRate,
+)
+from repro.ctmc.build import elimination_plan
+from repro.distributions import Deterministic
+from repro.errors import AnalysisError, MarkovianError
 from repro.lts import (
     LTS,
     LTSColumns,
@@ -132,19 +141,77 @@ class TestLTSStructure:
         assert [t.label for t in lts.outgoing(1)] == ["c", "e"]
         assert lts.columns.sources is not clone.columns.sources
 
-    def test_structure_key(self):
-        lts = build_lts(2, [(0, "a", 1)])
-        key = lts.structure_key()
-        assert lts.structure_key() is key
+    @staticmethod
+    def _timed():
+        lts = LTS()
+        for _ in range(3):
+            lts.add_state()
+        for source, label, target in ((0, "a", 1), (1, "b", 2), (2, "c", 0)):
+            lts.add_transition(source, label, target, ExpRate(1.0))
+        return lts
+
+    @staticmethod
+    def _rerate(lts, position, rate):
         rates = list(lts.columns.rates)
-        assert lts.rerated([], rates).structure_key() is not key
-        kept = lts.rerated([], rates, keep_structure_key=True)
-        assert kept.structure_key() is key
-        kept.add_transition(1, "b", 0)
-        assert kept.structure_key() is not key
-        assert lts.copy().structure_key() is not key
+        rates[position] = rate
+        return lts.rerated([position], rates)
+
+    def test_an_exponential_rerate_shares_the_plan(self):
+        lts = self._timed()
+        plan = elimination_plan(lts)
+        point = self._rerate(lts, 1, ExpRate(2.0))
+        again = self._rerate(point, 2, ExpRate(3.0))
+        assert point.structure_owner() is lts
+        assert again.structure_owner() is lts
+        assert elimination_plan(point) is plan
+        assert elimination_plan(again) is plan
+        assert elimination_plan(lts) is plan
+
+    @pytest.mark.parametrize(
+        "rate", [PassiveRate(), GeneralRate(Deterministic(1.0))]
+    )
+    def test_a_rerate_off_exponential_does_not_share_the_plan(self, rate):
+        lts = self._timed()
+        elimination_plan(lts)
+        point = self._rerate(lts, 1, rate)
+        assert point.structure_owner() is point
+        with pytest.raises(MarkovianError):
+            elimination_plan(point)
+        # Back to exponential: the re-rated position was not before.
+        back = self._rerate(point, 1, ExpRate(2.0))
+        assert back.structure_owner() is back
+        assert elimination_plan(back) is not elimination_plan(lts)
+
+    def test_an_edited_skeleton_or_point_compiles_a_new_plan(self):
+        lts = self._timed()
+        plan = elimination_plan(lts)
+        point = self._rerate(lts, 1, ExpRate(2.0))
         lts.add_state()
-        assert lts.structure_key() is not key
+        assert elimination_plan(lts) is not plan
+        assert point.structure_owner() is point
+        assert elimination_plan(point) is not plan
+        edited = self._timed()
+        plan = elimination_plan(edited)
+        grown = self._rerate(edited, 1, ExpRate(2.0))
+        grown.add_transition(2, "d", 1, ExpRate(1.0))
+        assert grown.structure_owner() is grown
+        assert elimination_plan(grown) is not plan
+        assert elimination_plan(edited) is plan
+        edited.add_transition(2, "d", 1, ExpRate(1.0))
+        assert elimination_plan(edited) is not plan
+
+    def test_copies_do_not_share_the_plan(self):
+        lts = self._timed()
+        plan = elimination_plan(lts)
+        point = self._rerate(lts, 1, ExpRate(2.0))
+        for copy in (
+            lts.copy(),
+            point.copy(),
+            pickle.loads(pickle.dumps(lts)),
+            pickle.loads(pickle.dumps(point)),
+        ):
+            assert copy.structure_owner() is copy
+            assert elimination_plan(copy) is not plan
 
     def test_visible_labels_excludes_tau(self):
         lts = build_lts(2, [(0, "a", 1), (1, TAU, 0)])

@@ -22,6 +22,7 @@ from repro.core.methodology import (
     _markov_chunk_parametric,
 )
 from repro.ctmc import ParametricOptions, build_parametric_solution
+from repro.aemilia.architecture import ArchiType
 from repro.ctmc.parametric import dependent_consts
 from repro.ctmc.solvers import (
     SOLVER_ENV_VAR,
@@ -42,7 +43,10 @@ from repro.runtime import (
     SweepCheckpoint,
     contiguous_chunks,
 )
-from tests.oracles import markov_point_parametric_reference
+from tests.oracles import (
+    dependent_consts_reference,
+    markov_point_parametric_reference,
+)
 
 #: (parameter, low, high) per case — the ranges the paper's figures sweep.
 SWEEP_RANGES = {
@@ -467,3 +471,21 @@ class TestDependentConsts:
             {"derived", "chained"}
         )
         assert dependent_consts(archi, "other") == frozenset()
+
+    def test_matches_the_declaration_scan_on_both_families(
+        self, rpc_family, streaming_family
+    ):
+        """:func:`dependent_consts` inverts the closure the structural
+        classification reads (``const_roots``); it must name what the
+        historical forward scan of the declarations named."""
+        pairs = 0
+        for family in (rpc_family, streaming_family):
+            for archi in vars(family).values():
+                if not isinstance(archi, ArchiType):
+                    continue
+                for param in archi.const_params:
+                    assert dependent_consts(
+                        archi, param.name
+                    ) == dependent_consts_reference(archi, param.name)
+                    pairs += 1
+        assert pairs == 96

@@ -13,8 +13,8 @@ base-less copy of the point (an unpickled LTS, as a pool worker gets,
 compiles every state itself) and :class:`tests.oracles.ReferenceSimulator`.
 
 Cases: the rpc and streaming general DPM/NO-DPM families swept over a
-rate parameter, the exponential plug-in re-rated under a shared
-structure key, a paired CRN chunk and a splitting tree.  The compiled
+rate parameter, the exponential plug-in re-rated where it shares its
+elimination plan, a paired CRN chunk and a splitting tree.  The compiled
 tables themselves are pinned to the historical per-simulator compile
 from :class:`~repro.lts.lts.Transition` views
 (:class:`tests.oracles.TransitionTableSimulator`), and a skeleton
@@ -31,6 +31,7 @@ import pytest
 from repro.aemilia.rates import ExpRate, GeneralRate
 from repro.casestudies import rpc, streaming
 from repro.core.validation import exponential_plugin
+from repro.ctmc.build import elimination_plan
 from repro.distributions import Deterministic
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
@@ -176,9 +177,9 @@ def test_only_rerated_rows_compile_per_point(case, variant):
     assert compiled < per_point
 
 
-def test_plugin_points_sharing_the_structure_key_keep_their_rates():
-    """The exponential plug-in re-rated under a shared structure key:
-    each point's exponentials are its own."""
+def test_plugin_points_sharing_the_plan_keep_their_rates():
+    """The exponential plug-in re-rated at exponential positions shares
+    its CTMC elimination plan: each point's exponentials are its own."""
     case = "rpc"
     measures = _family(case).measures
     plugin = exponential_plugin(
@@ -195,11 +196,10 @@ def test_plugin_points_sharing_the_structure_key_keep_their_rates():
         scaled = list(rates)
         for p in positions:
             scaled[p] = ExpRate(rates[p].rate * scale)
-        points.append(
-            plugin.rerated(positions, scaled, keep_structure_key=True)
-        )
+        points.append(plugin.rerated(positions, scaled))
     assert all(
-        point.structure_key() is plugin.structure_key() for point in points
+        elimination_plan(point) is elimination_plan(plugin)
+        for point in points
     )
     run_length, warmup = HORIZON[case]
     means = []
